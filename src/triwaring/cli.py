@@ -18,6 +18,10 @@ from .fields import field_text, parse_field
 from .tri_matrix import from_text, to_text
 
 
+class _UsageError(Exception):
+    """Arguments the parser accepts but the subcommand cannot use."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triwaring",
@@ -125,7 +129,7 @@ def _cmd_classify(F, args):
 
 def _single_matrix(F, args):
     if len(args.matrix) != 1:
-        raise SystemExit(2)
+        raise _UsageError(f"{args.command} takes exactly one --matrix")
     return from_text(F, args.matrix[0])
 
 
@@ -163,7 +167,7 @@ def _cmd_table(F, args):
     if n is None:
         if "," in args.row:
             # comma grammar (n >= 10) cannot infer n from single digits
-            raise SystemExit(2)
+            raise _UsageError("a comma-separated --row needs --n")
         labels = [int(ch) for ch in args.row if ch.isdigit()]
         n = max(labels) if labels else 0
     pres = canonical.parse_presentation(args.row, n)
@@ -199,7 +203,7 @@ def _cmd_oracle(F, args):
         _emit(payload, args.json, [f"min summand count: {shown}"])
         return 0
     if args.n is None:
-        raise SystemExit(2)
+        raise _UsageError("oracle needs --n or --matrix")
     rep = oracle.waring_report(F, args.n, args.k, args.cap)
     payload = rep.to_json()
     lines = [f"T_{args.n}(F_{F.q}), k = {args.k}, cap = {args.cap}:"]
@@ -222,7 +226,7 @@ def _cmd_bound(F, args):
 
 def _cmd_conjugate(F, args):
     if len(args.matrix) != 2:
-        raise SystemExit(2)
+        raise _UsageError("conjugate takes exactly two --matrix")
     A = from_text(F, args.matrix[0])
     B = from_text(F, args.matrix[1])
     w = oracle.bn_conjugate(F, A, B)
@@ -255,6 +259,8 @@ def main(argv=None) -> int:
     try:
         F = parse_field(args.q)
         return _COMMANDS[args.command](F, args)
+    except _UsageError as err:
+        parser.error(str(err))  # prints usage and the message, exits 2
     except TriwaringError as err:
         failure = err.to_json()
         if getattr(args, "json", False):

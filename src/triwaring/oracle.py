@@ -1,11 +1,12 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here is exhaustive and guarded: the k-th power image of a whole
-matrix algebra, minimum summand counts by breadth-first sumset growth,
-pairwise conjugacy testing over the full invertible-triangular group, and
+matrix algebra, minimum summand counts by breadth-first sumset growth, and
 machine checks of the negative claims (non-squares, non-conjugacy, the
-p | k obstruction). Guards are hard errors; an oracle must never truncate
-silently.
+p | k obstruction). Conjugacy under the invertible-triangular group B_n is
+decided exactly by a search of the kernel of P -> AP - PB, which returns
+the same witness as a scan of B_n in `iter_bn` order. Guards are hard
+errors; an oracle must never truncate silently.
 """
 
 from __future__ import annotations
@@ -13,15 +14,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationTooLargeError
-from .fields import FieldSpec, minus_one_is_kth_power
+from .errors import (
+    EnumerationTooLargeError,
+    FieldMismatchError,
+    SizeMismatchError,
+)
+from .fields import Element, FieldSpec, minus_one_is_kth_power
 from .power_sums import enum_guard
 from .tri_matrix import (
     UTMatrix,
     elementary,
     jordan_block,
     junction_matrix,
-    mat_mul,
     mat_pow,
     to_text,
     zero,
@@ -164,7 +168,9 @@ def bn_size(F: FieldSpec, n: int) -> int:
 
 
 def iter_bn(F: FieldSpec, n: int):
-    """All invertible upper-triangular matrices, deterministic order."""
+    """All invertible upper-triangular matrices, deterministic order: the
+    diagonal first, then the strict upper entries row-major, each in
+    encoding order. `bn_conjugate` returns the first conjugator in it."""
     nonzero = range(1, F.q)
     strict = n * (n - 1) // 2
     for diag_vals in itertools.product(nonzero, repeat=n):
@@ -178,14 +184,101 @@ def iter_bn(F: FieldSpec, n: int):
             yield UTMatrix(F, n, tuple(entries))
 
 
+def _rref(F: FieldSpec, rows, ncols: int):
+    """Gauss-Jordan over F: (nonzero reduced rows, their pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _kernel_rref(F: FieldSpec, rows, ncols: int):
+    """Basis of {x : rows . x = 0} in reduced row echelon form: basis
+    vector i is 1 at its leading column c_i, and every basis vector is 0
+    at every other leading column and before its own."""
+    reduced, pivots = _rref(F, rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(reduced, pivots):
+                v[c] = F.neg(row[f])
+            basis.append(v)
+    return _rref(F, basis, ncols)
+
+
 def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
-    """First P (in enumeration order) with P^-1 A P = B, or None. The scan
-    checks A P = P B, so no inversions are needed."""
+    """First P in `iter_bn` order with P^-1 A P = B, or None.
+
+    A P = P B is linear in P, so the candidates are the invertible points
+    of a kernel. The unknowns are ordered as `iter_bn` orders them
+    (diagonal first, then the strict upper entries row-major), and the
+    kernel basis w_1..w_d is in reduced echelon form with leading columns
+    c_1 < ... < c_d. For v = sum a_i w_i, v[c_i] = a_i, so the order of
+    the coefficient vectors is the `iter_bn` order of the points. Only the
+    coefficients of diagonal leading columns (at most n) touch the
+    diagonal; a depth-first search over them in encoding order, pruned as
+    soon as a fixed diagonal entry is 0, with the rest set to 0, finds the
+    first invertible point in at most q^n leaves. The B_n-size guard is
+    kept as the domain limit."""
     enum_guard(bn_size(F, A.n), BN_GUARD)
-    for P in iter_bn(F, A.n):
-        if mat_mul(A, P) == mat_mul(P, B):
-            return P
-    return None
+    if A.field != F:
+        raise FieldMismatchError("matrices live over different fields")
+    if B.n != A.n:
+        raise SizeMismatchError(f"sizes {A.n} and {B.n} differ")
+    if B.field != F:
+        raise FieldMismatchError("matrices live over different fields")
+    n = A.n
+    unknowns = [(i, i) for i in range(1, n + 1)] + [
+        (i, j) for i, j in A.positions() if i < j]
+    col = {ij: c for c, ij in enumerate(unknowns)}
+    width = len(unknowns)
+    equations = []
+    for i, j in A.positions():
+        # (AP - PB)_ij = sum_l A_il P_lj - P_il B_lj over i <= l <= j
+        row = [0] * width
+        for l in range(i, j + 1):
+            row[col[l, j]] = F.add(row[col[l, j]], A.get(i, l))
+            row[col[i, l]] = F.sub(row[col[i, l]], B.get(l, j))
+        equations.append(row)
+    basis, leads = _kernel_rref(F, equations, width)
+    diag_leads = [c for c in leads if c < n]
+    # coefficient i fixes the diagonal columns from its lead to the next
+    fixed = list(zip(diag_leads, diag_leads[1:] + [n]))
+    if n and diag_leads[:1] != [0]:
+        return None  # P_11 is 0 on the whole kernel
+
+    def search(i: int, v: list[Element]) -> list[Element] | None:
+        if i == len(diag_leads):
+            return v
+        lo, hi = fixed[i]
+        # v[lo] = a: the diagonal entry itself, nonzero as in iter_bn
+        for a in range(1, F.q):
+            w = [F.add(x, F.mul(a, y)) for x, y in zip(v, basis[i])]
+            if all(w[c] for c in range(lo, hi)):
+                hit = search(i + 1, w)
+                if hit is not None:
+                    return hit
+        return None
+
+    v = search(0, [0] * width)
+    if v is None:
+        return None
+    return UTMatrix(F, n, tuple(v[col[ij]] for ij in A.positions()))
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,14 @@ RAW_SCAN_LIMIT = 2000  # above this, enumerate by power-image fibers
 
 def enum_guard(size: int, cap: int = DEFAULT_ENUM_GUARD) -> None:
     """Hard error when an exhaustive enumeration would exceed the guard.
-    WARING_MAX_ENUM overrides the cap (documented as at-your-own-risk)."""
-    limit = int(os.environ.get("WARING_MAX_ENUM", cap))
+    WARING_MAX_ENUM overrides the cap (documented as at-your-own-risk); a
+    value that is not an integer fails closed with the same error."""
+    raw = os.environ.get("WARING_MAX_ENUM")
+    try:
+        limit = cap if raw is None else int(raw)
+    except ValueError:
+        raise EnumerationTooLargeError(
+            f"WARING_MAX_ENUM={raw!r} is not an integer") from None
     if size > limit:
         raise EnumerationTooLargeError(
             f"enumeration of size {size} exceeds guard {limit}")

@@ -207,3 +207,39 @@ def test_table_comma_grammar_requires_n(capsys):
         main(["table", "--row", "1,2|3,4,5,6,7,8,9,10:1,3", "--q", "13",
               "--k", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["table", "--row", "1,2|3,4,5,6,7,8,9,10:1,3", "--q", "13", "--k", "2"],
+     "needs --n"),
+    (["oracle", "--q", "3", "--k", "2"], "needs --n or --matrix"),
+    (["conjugate", "--q", "3", "--matrix", "0,1;0"], "exactly two --matrix"),
+    (["root", "--q", "7", "--k", "2", "--matrix", "1", "--matrix", "2"],
+     "exactly one --matrix"),
+])
+def test_usage_errors_say_why(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+
+
+def test_conjugate_size_mismatch_is_typed(capsys):
+    code, payload = run_json(capsys, "conjugate", "--q", "3",
+                             "--matrix", "0,1;0", "--matrix", "0,0,0;0,0;0",
+                             "--json")
+    assert code == 1
+    assert payload["verified"] is False
+    assert payload["failure"]["type"] == "SizeMismatchError"
+
+
+def test_conjugate_bad_guard_override_is_typed(capsys, monkeypatch):
+    monkeypatch.setenv("WARING_MAX_ENUM", "1e6")
+    code, payload = run_json(capsys, "conjugate", "--q", "3",
+                             "--matrix", "0,1;0", "--matrix", "0,1;0",
+                             "--json")
+    assert code == 1
+    assert payload["failure"]["type"] == "EnumerationTooLargeError"
+    assert "WARING_MAX_ENUM" in payload["failure"]["message"]

@@ -2,8 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triwaring.errors import EnumerationTooLargeError
+from triwaring.errors import (
+    EnumerationTooLargeError,
+    FieldMismatchError,
+    SizeMismatchError,
+)
 from triwaring.fields import make_field
 from triwaring.oracle import (
     all_kth_powers,
@@ -24,6 +30,7 @@ from triwaring.tri_matrix import (
     from_text,
     jordan_block,
     junction_matrix,
+    mat_inv,
     mat_mul,
     mat_pow,
     zero,
@@ -129,6 +136,117 @@ def test_bn_conjugate_equivalence_spot_checks(F3):
 def test_bn_guard(F13):
     with pytest.raises(EnumerationTooLargeError):
         bn_conjugate(F13, zero(F13, 6), zero(F13, 6))
+
+
+def scan_bn(F, A, B):
+    """Reference: the first P of iter_bn with A P = P B, by brute force."""
+    for P in iter_bn(F, A.n):
+        if mat_mul(A, P) == mat_mul(P, B):
+            return P
+    return None
+
+
+def random_matrix(F, n, rng, diagonal=None):
+    M = UTMatrix(F, n, tuple(rng.randrange(F.q)
+                             for _ in range(n * (n + 1) // 2)))
+    if diagonal is None:
+        return M
+    return UTMatrix(F, n, tuple(diagonal[i - 1] if i == j else M.get(i, j)
+                                for i, j in M.positions()))
+
+
+def random_pairs(F, n, rng, count):
+    """Conjugate, identical and same-diagonal pairs, in turn."""
+    for t in range(count):
+        A = random_matrix(F, n, rng)
+        if t % 3 == 0:
+            P = random_matrix(F, n, rng, [rng.randrange(1, F.q)
+                                          for _ in range(n)])
+            yield A, mat_mul(mat_mul(mat_inv(P), A), P)
+        elif t % 3 == 1:
+            yield A, A
+        else:
+            # a diagonal from {0, 1} repeats entries, so many such pairs
+            # are not conjugate
+            d = [rng.randrange(2) for _ in range(n)]
+            yield (random_matrix(F, n, rng, d), random_matrix(F, n, rng, d))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_bn_conjugate_matches_scan(p, m, n):
+    F = make_field(p, m)
+    rng = random.Random(f"bn/{p}^{m}/{n}")
+    outcomes = set()
+    for A, B in random_pairs(F, n, rng, 24):
+        w = scan_bn(F, A, B)
+        assert bn_conjugate(F, A, B) == w
+        outcomes.add(w is None)
+    assert outcomes == {True, False}
+
+
+def test_bn_conjugate_matches_scan_t4(F3):
+    rng = random.Random("bn/3/4")
+    for A, B in random_pairs(F3, 4, rng, 6):
+        assert bn_conjugate(F3, A, B) == scan_bn(F3, A, B)
+
+
+def test_bn_conjugate_scalar(F3):
+    # A = B = cI: the kernel is all of T_n, the witness is the identity
+    for n in (1, 2, 3):
+        for c in F3.elements():
+            A = diag(F3, [c] * n)
+            assert bn_conjugate(F3, A, A) == scan_bn(F3, A, A) == diag(
+                F3, [1] * n)
+
+
+def test_bn_conjugate_zero_diagonal_column(F3):
+    # (AP - PB)_ii = (A_ii - B_ii) P_ii, so where the diagonals differ
+    # P_ii is 0 on the whole kernel and no invertible P exists
+    cases = [(diag(F3, [1, 0]), diag(F3, [0, 1])),
+             (diag(F3, [0, 1, 2]), diag(F3, [0, 2, 1])),
+             (from_rows(F3, [[2, 1, 0], [0, 0, 1], [0, 0, 2]]),
+              from_rows(F3, [[0, 1, 1], [0, 2, 0], [0, 0, 2]]))]
+    for A, B in cases:
+        assert bn_conjugate(F3, A, B) is None
+        assert scan_bn(F3, A, B) is None
+
+
+def test_bn_conjugate_criterion_8c_matches_scan(F3):
+    A = mat_pow(jordan_block(F3, 0, 4), 2)
+    B = elementary(F3, 4, 1, 2) + elementary(F3, 4, 3, 4)
+    assert bn_conjugate(F3, A, B) is None
+    assert scan_bn(F3, A, B) is None
+    assert bn_conjugate(F3, B, B) == scan_bn(F3, B, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3), data=st.data())
+def test_bn_conjugate_property(F3, n, data):
+    width = n * (n + 1) // 2
+    entries = st.tuples(*[st.integers(0, 2)] * width)
+    A = UTMatrix(F3, n, data.draw(entries))
+    B = UTMatrix(F3, n, data.draw(entries))
+    assert bn_conjugate(F3, A, B) == scan_bn(F3, A, B)
+
+
+def test_bn_conjugate_typed_mismatch(F3, F7):
+    with pytest.raises(FieldMismatchError):
+        bn_conjugate(F7, zero(F3, 2), zero(F7, 2))
+    with pytest.raises(FieldMismatchError):
+        bn_conjugate(F7, zero(F7, 2), zero(F3, 2))
+    with pytest.raises(SizeMismatchError):
+        bn_conjugate(F3, zero(F3, 2), zero(F3, 3))
+
+
+@pytest.mark.parametrize("value", ["1e6", "abc", ""])
+def test_guard_override_not_an_integer(F3, monkeypatch, value):
+    # fails closed: even a tiny enumeration is refused
+    monkeypatch.setenv("WARING_MAX_ENUM", value)
+    with pytest.raises(EnumerationTooLargeError, match="WARING_MAX_ENUM"):
+        all_kth_powers(F3, 1, 2)
+    with pytest.raises(EnumerationTooLargeError, match=repr(value)):
+        bn_conjugate(F3, zero(F3, 2), zero(F3, 2))
 
 
 def test_negative_checks_f3_k2(F3):
