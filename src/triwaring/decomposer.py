@@ -166,12 +166,8 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
                                PairAssignment(tuple(entries)), verified)
 
 
-def _two_witness_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, Element]]:
-    return _two_witness_map_cached(F, k)
-
-
 @functools.lru_cache(maxsize=None)
-def _two_witness_map_cached(F: FieldSpec, k: int):
+def _two_witness_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, Element]]:
     """value -> lex-min (y, z) with y^k + z^k = value."""
     out: dict[Element, tuple[Element, Element]] = {}
     for y in F.elements():

@@ -3,14 +3,20 @@
 Everything here is exhaustive and guarded: the k-th power image of a whole
 matrix algebra, minimum summand counts by breadth-first sumset growth, and
 machine checks of the negative claims (non-squares, non-conjugacy, the
-p | k obstruction). Conjugacy under the invertible-triangular group B_n is
-decided exactly by a search of the kernel of P -> AP - PB, which returns
-the same witness as a scan of B_n in `iter_bn` order. Guards are hard
-errors; an oracle must never truncate silently.
+p | k obstruction). `min_waring_number` and `negative_checks` share one
+memoised layer engine per (F, n, k): the power image and each sumset layer
+are built at most once per process, as frozensets of packed entry tuples,
+and at most LAYER_CACHE_SIZE engines are kept. `all_kth_powers` and
+`waring_report` enumerate afresh on every call. Conjugacy under the
+invertible-triangular group B_n is decided exactly by a search of the
+kernel of P -> AP - PB, which returns the same witness as a scan of B_n in
+`iter_bn` order. Guards are hard errors, checked on every call, cached or
+not; an oracle must never truncate silently.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,10 +34,10 @@ from .tri_matrix import (
     junction_matrix,
     mat_pow,
     to_text,
-    zero,
 )
 
 BN_GUARD = 10 ** 7
+LAYER_CACHE_SIZE = 32  # (F, n, k) layer engines kept, least recently used out
 
 
 def matrix_encoding(A: UTMatrix) -> int:
@@ -66,23 +72,97 @@ def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int
                       ) -> int | None:
     """Smallest r <= cap with C a sum of r k-th powers, else None (>cap).
 
-    Breadth-first over sumset layers P^1 subset P^2 subset ... (0 = 0^k is
-    a power, so the layers nest). Membership in the next layer is tested by
-    subtracting single powers, so a layer is only materialized when the cap
-    forces a deeper query."""
-    powers = set(all_kth_powers(F, C.n, k))
-    if C in powers:
-        return 1
-    prev = powers  # P^(r-1)
-    for r in range(2, cap + 1):
-        if any((C - P) in prev for P in powers):
-            return r
-        if r < cap:
-            nxt = {S + P for S in prev for P in powers}
-            if nxt == prev:
+    Breadth-first over the sumset layers P^1 subset P^2 subset ... of
+    (F, C.n, k) (0 = 0^k is a power, so the layers nest), held by the
+    memoised layer engine. C is in P^r when some C - P, P a power, is in
+    P^(r-1); a layer is only materialized when the cap forces a deeper
+    query, and once built it answers membership directly. None comes early
+    when P^r == P^(r-1): the layers are closed and C is unreachable."""
+    if C.field != F:
+        raise FieldMismatchError("C lives over another field")
+    if not all(0 <= e < F.q for e in C.entries):
+        raise FieldMismatchError(f"C has an entry outside [0, {F.q})")
+    return _power_layers(F, C.n, k).min_count(C.entries, cap)
+
+
+def _power_layers(F: FieldSpec, n: int, k: int) -> _SumsetLayers:
+    """The layer engine of (F, n, k), behind the enumeration guard, which
+    runs on every call so a lowered WARING_MAX_ENUM applies to warm
+    entries too."""
+    enum_guard(F.q ** (n * (n + 1) // 2))
+    return _cached_layers(F, n, k)
+
+
+class _SumsetLayers:
+    """P^1 = {A^k : A in T_n(F_q)} and its sumset layers P^2, P^3, ...
+
+    Layers are frozensets of packed entry tuples. P^1 is enumerated once
+    (by `all_kth_powers`); P^r for r >= 2 is P^(r-1) + P^1, built the first
+    time a query needs it. Entry arithmetic goes through q x q tables of
+    sums and differences when they cost no more than the image they serve
+    (q^2 <= |P^1|), else through F itself: T_1(F_q) has at most q
+    elements, so a q^2 table would dwarf it."""
+
+    def __init__(self, F: FieldSpec, n: int, k: int):
+        self.field = F
+        self.powers = frozenset(P.entries for P in all_kth_powers(F, n, k))
+        self.layers = [self.powers]
+        self.closed = False  # the next layer came out equal to the last
+        self._tables = None  # (x + y, x - y) tables, indexed [x][y]
+        if F.q * F.q <= len(self.powers):
+            elems = F.elements()
+            self._tables = tuple(
+                tuple(tuple(op(x, y) for y in elems) for x in elems)
+                for op in (F.add, F.sub))
+
+    def _shifts(self, a, sub: bool):
+        """Per entry x of a, the map y -> x + y (or x - y)."""
+        if self._tables is None:
+            op = self.field.sub if sub else self.field.add
+            return [functools.partial(op, x) for x in a]
+        table = self._tables[sub]
+        return [table[x].__getitem__ for x in a]
+
+    def _layer(self, r: int) -> frozenset | None:
+        """P^r, building the layers below it as needed; None when some
+        P^j == P^(j-1), j <= r (every later layer equals P^(j-1))."""
+        while len(self.layers) < r and not self.closed:
+            powers = list(self.powers)
+            top = self.layers[-1]
+            first = len(self.layers) == 1
+            nxt = set()
+            for i, S in enumerate(powers if first else top):
+                shifts = self._shifts(S, sub=False)
+                # P^1 + P^1 is symmetric: pair each power with itself and
+                # the ones after it only
+                for P in powers[i:] if first else powers:
+                    nxt.add(tuple([f(y) for f, y in zip(shifts, P)]))
+            if nxt == top:
+                self.closed = True
+            else:
+                self.layers.append(frozenset(nxt))
+        return self.layers[r - 1] if r <= len(self.layers) else None
+
+    def min_count(self, c: tuple[Element, ...], cap: int) -> int | None:
+        """`min_waring_number` for the packed entries c."""
+        if c in self.powers:
+            return 1
+        for r in range(2, cap + 1):
+            if r <= len(self.layers):
+                if c in self.layers[r - 1]:
+                    return r
+            else:
+                prev = self.layers[r - 2]
+                shifts = self._shifts(c, sub=True)
+                if any(tuple([f(y) for f, y in zip(shifts, P)]) in prev
+                       for P in self.powers):
+                    return r
+            if r < cap and self._layer(r) is None:
                 return None  # closed under further sums; C unreachable
-            prev = nxt
-    return None
+        return None
+
+
+_cached_layers = functools.lru_cache(maxsize=LAYER_CACHE_SIZE)(_SumsetLayers)
 
 
 @dataclass(frozen=True)
@@ -306,7 +386,7 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
 
     if k == 2:
         try:
-            powers = set(all_kth_powers(F, 4, k))
+            powers = _power_layers(F, 4, k).powers
         except EnumerationTooLargeError:
             results.append(CheckResult(
                 "junction_(2,2)_not_square", False, None,
@@ -314,7 +394,7 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
         else:
             j22 = junction_matrix(F, (2, 2))
             split = elementary(F, 4, 1, 2) + elementary(F, 4, 3, 4)
-            ok = j22 not in powers and split not in powers
+            ok = j22.entries not in powers and split.entries not in powers
             results.append(CheckResult(
                 "junction_(2,2)_not_square", True, ok,
                 f"E_23 and E_12+E_34 outside the square image of T_4(F_{F.q})"))
@@ -338,16 +418,11 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
             f"-1 is a {k}-th power in F_{F.q}"))
 
     if k % F.p == 0 and k >= 2:
-        powers2 = set(all_kth_powers(F, 2, k))
-        ok = True
-        for beta in range(1, F.q):
-            for alpha in range(1, F.q):
-                C = zero(F, 2)
-                bk = F.pow(beta, k)
-                C = C.with_entry(1, 1, bk).with_entry(2, 2, bk)
-                C = C.with_entry(1, 2, alpha)
-                if C in powers2:
-                    ok = False
+        powers2 = _power_layers(F, 2, k).powers
+        # packed [[b^k, a], [0, b^k]]
+        ok = not any((bk, alpha, bk) in powers2
+                     for bk in {F.pow(beta, k) for beta in range(1, F.q)}
+                     for alpha in range(1, F.q))
         results.append(CheckResult(
             "scalar_plus_nilpotent_not_power", True, ok,
             f"[[b^k, a],[0, b^k]] with a, b nonzero never a {k}-th power"))

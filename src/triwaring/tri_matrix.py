@@ -20,6 +20,7 @@ from .errors import (
     DiagNotKthPowerError,
     FieldMismatchError,
     IndexOutOfRangeError,
+    ParseError,
     PreconditionViolatedError,
     RootMismatchError,
     SizeMismatchError,
@@ -349,8 +350,8 @@ def from_text(F: FieldSpec, text: str) -> UTMatrix:
         try:
             values = [int(s) for s in parts]
         except ValueError:
-            raise SizeMismatchError(f"non-integer entry in row {i + 1}") from None
+            raise ParseError(f"non-integer entry in row {i + 1}") from None
         if any(not (0 <= v < F.q) for v in values):
-            raise SizeMismatchError(f"entry out of range [0, {F.q}) in row {i + 1}")
+            raise ParseError(f"entry out of range [0, {F.q}) in row {i + 1}")
         entries.extend(values)
     return UTMatrix(F, n, tuple(entries))

@@ -235,6 +235,14 @@ def test_conjugate_size_mismatch_is_typed(capsys):
     assert payload["failure"]["type"] == "SizeMismatchError"
 
 
+def test_conjugate_malformed_entry_is_parse_error(capsys):
+    code, payload = run_json(capsys, "conjugate", "--q", "3",
+                             "--matrix", "x,1;0", "--matrix", "0,1;0",
+                             "--json")
+    assert code == 1
+    assert payload["failure"]["type"] == "ParseError"
+
+
 def test_conjugate_bad_guard_override_is_typed(capsys, monkeypatch):
     monkeypatch.setenv("WARING_MAX_ENUM", "1e6")
     code, payload = run_json(capsys, "conjugate", "--q", "3",

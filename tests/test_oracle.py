@@ -10,6 +10,7 @@ from triwaring.errors import (
     FieldMismatchError,
     SizeMismatchError,
 )
+from triwaring import oracle
 from triwaring.fields import make_field
 from triwaring.oracle import (
     all_kth_powers,
@@ -282,3 +283,74 @@ def test_matrix_encoding_unique(F3):
 
 def test_junction_shape(F3):
     assert junction_matrix(F3, (2, 2)) == elementary(F3, 4, 2, 3)
+
+
+# -- the memoised layer engine behind min_waring_number --------------------
+
+
+def _fresh_layers():
+    oracle._cached_layers.cache_clear()
+
+
+@pytest.mark.parametrize("p, m, n", [(3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)])
+def test_min_waring_matches_report_cold_and_warm(p, m, n):
+    F = make_field(p, m)
+    mats = list(iter_matrices(F, n))
+    for k in (1, 2, 3):
+        for cap in (2, 3, 4):
+            expect = waring_report(F, n, k, cap).per_matrix_min
+            for order in (mats, mats[::-1]):
+                _fresh_layers()  # the first query of each order runs cold
+                for M in order:
+                    assert min_waring_number(F, M, k, cap) == expect[M], (k, cap, M)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_min_waring_cache_keyed_on_modulus(n):
+    # two models of F_9 whose encodings mean different elements
+    Fa, Fb = make_field(3, 2, (2, 1, 1)), make_field(3, 2, (2, 2, 1))
+    k, cap = 2, 3
+    rep_a = waring_report(Fa, n, k, cap).per_matrix_min
+    rep_b = waring_report(Fb, n, k, cap).per_matrix_min
+    by_entries = {M.entries: v for M, v in rep_b.items()}
+    assert any(by_entries[M.entries] != v for M, v in rep_a.items())
+    _fresh_layers()
+    for Ma, Mb in zip(iter_matrices(Fa, n), iter_matrices(Fb, n)):
+        assert min_waring_number(Fa, Ma, k, cap) == rep_a[Ma]
+        assert min_waring_number(Fb, Mb, k, cap) == rep_b[Mb]
+
+
+def test_min_waring_guard_runs_on_warm_queries(F3, monkeypatch):
+    C = from_text(F3, "0,1;0")
+    assert min_waring_number(F3, C, 2, 5) == 3
+    monkeypatch.setenv("WARING_MAX_ENUM", "10")
+    with pytest.raises(EnumerationTooLargeError):
+        min_waring_number(F3, C, 2, 5)  # 27 > 10, though the layers are built
+
+
+def test_min_waring_field_mismatch(F3, F7):
+    for cap in (1, 3):
+        with pytest.raises(FieldMismatchError):
+            min_waring_number(F7, from_text(F3, "0,1;0"), 2, cap)
+    with pytest.raises(FieldMismatchError):
+        min_waring_number(F3, UTMatrix(F3, 2, (0, 4, 0)), 2, 3)
+
+
+def test_all_kth_powers_copy_cannot_poison_layers(F3):
+    C = from_text(F3, "0,1;0")
+    assert min_waring_number(F3, C, 2, 5) == 3
+    powers = all_kth_powers(F3, 2, 2)
+    powers.clear()
+    powers[C] = C  # pretend C were a square
+    assert min_waring_number(F3, C, 2, 5) == 3
+    assert C not in all_kth_powers(F3, 2, 2)
+
+
+def test_min_waring_large_t1_skips_tables():
+    # T_1(F_p) has p elements; a p^2 table of sums would dwarf them
+    F = make_field(10007)
+    squares = {F.pow(a, 2) for a in F.elements()}
+    for c in (0, 1, 2, 5, 10006):
+        C = UTMatrix(F, 1, (c,))
+        assert min_waring_number(F, C, 2, 3) == (1 if c in squares else 2)
+    assert oracle._cached_layers(F, 1, 2)._tables is None

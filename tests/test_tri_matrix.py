@@ -10,6 +10,7 @@ from triwaring.errors import (
     DiagNotKthPowerError,
     FieldMismatchError,
     IndexOutOfRangeError,
+    ParseError,
     PreconditionViolatedError,
     RootMismatchError,
     SizeMismatchError,
@@ -260,8 +261,10 @@ def test_text_format(F3, F13):
     assert from_text(F3, "0,1;0") == jordan_block(F3, 0, 2)
     with pytest.raises(SizeMismatchError):
         from_text(F3, "0,1;0,2")
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(ParseError):
         from_text(F3, "0,5;0")  # out of range
+    with pytest.raises(ParseError):
+        from_text(F3, "x,1;0")
     M = from_rows(F13, [[1, 2, 3], [0, 4, 5], [0, 0, 6]])
     assert from_text(F13, to_text(M)) == M
 
