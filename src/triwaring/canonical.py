@@ -108,10 +108,7 @@ class Presentation:
         return tuple(out)
 
     def matrix(self, F: FieldSpec) -> UTMatrix:
-        M = zero(F, self.n)
-        for i, j in self.arcs():
-            M = M.with_entry(i, j, 1)
-        return M
+        return zero(F, self.n).with_entries({arc: 1 for arc in self.arcs()})
 
 
 def _parse_labels(token: str, n: int) -> list[int]:

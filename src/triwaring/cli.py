@@ -193,6 +193,8 @@ def _cmd_table(F, args):
 
 
 def _cmd_oracle(F, args):
+    if args.cap < 1:
+        raise _UsageError("--cap must be at least 1")
     if args.matrix:
         C = _single_matrix(F, args)
         m = oracle.min_waring_number(F, C, args.k, args.cap)

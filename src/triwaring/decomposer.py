@@ -41,8 +41,8 @@ from .power_sums import (
 from .tri_matrix import (
     UTMatrix,
     backsub_root,
+    check_in_field,
     diag,
-    kth_root_distinct_diag,
     kth_root_sparse,
     mat_pow,
     to_text,
@@ -134,14 +134,26 @@ def _positional_entries(C: UTMatrix, by_lam: dict[Element, list[AssignmentEntry]
     return [queues[c].pop(0) for c in C.diagonal()]
 
 
-def _min_root(F: FieldSpec, value: Element, k: int) -> Element:
-    return kth_roots(F, value, k)[0]
+def _min_roots(F: FieldSpec, values, k: int) -> list[Element]:
+    """The smallest k-th root of v^k, per v in values."""
+    return [kth_roots(F, F.pow(v, k), k)[0] for v in values]
 
 
-def _strict_upper_on(C: UTMatrix, base: UTMatrix) -> UTMatrix:
-    for i, j in C.nonzero_strict_positions():
-        base = base.with_entry(i, j, C.get(i, j))
-    return base
+def _assemble(C: UTMatrix, k: int, roots, diag_parts, entries
+              ) -> DecompositionResult:
+    """The construction the two- and three-power routes share: A by
+    back-substitution from the diagonal roots `roots` under C's strict
+    upper part, one diagonal part per list in `diag_parts`, the sum of
+    their k-th powers checked against C. `entries` is the assignment
+    recorded with the result."""
+    F = C.field
+    A0 = C.with_entries({(i, i): F.pow(a, k) for i, a in enumerate(roots, 1)})
+    parts = (backsub_root(A0, k, roots),
+             *(diag(F, values) for values in diag_parts))
+    verified = verify_decomposition(C, parts, k)
+    assert verified, f"{len(parts)}-power construction failed verification"
+    return DecompositionResult(parts, k, C, PairAssignment(tuple(entries)),
+                               verified)
 
 
 def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
@@ -149,6 +161,7 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     diagonal. One code path covers the single-eigenvalue, all-distinct and
     mixed cases (they are specializations of the same demand system)."""
     F = C.field
+    check_in_field(C)
     _require_odd(F)
     demands = _eigen_demands(C)
     assignment = select_system_pairs(F, demands, k)
@@ -156,14 +169,8 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     for e in assignment.entries:
         by_lam.setdefault(e.lam, []).append(e)
     entries = _positional_entries(C, by_lam)
-
-    A0 = _strict_upper_on(C, diag(F, [F.pow(e.x, k) for e in entries]))
-    A = kth_root_distinct_diag(A0, k)
-    B = diag(F, [_min_root(F, F.pow(e.y, k), k) for e in entries])
-    verified = verify_decomposition(C, (A, B), k)
-    assert verified, "two-power construction failed verification"
-    return DecompositionResult((A, B), k, C,
-                               PairAssignment(tuple(entries)), verified)
+    return _assemble(C, k, _min_roots(F, (e.x for e in entries), k),
+                     [_min_roots(F, (e.y for e in entries), k)], entries)
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,14 +226,9 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
         entries = [AssignmentEntry(C.get(i + 1, i + 1), e.x, e.y,
                                    shifts[C.get(i + 1, i + 1)][0])
                    for i, e in enumerate(raw)]
-        A0 = _strict_upper_on(C, diag(F, [F.pow(e.x, k) for e in entries]))
-        A = kth_root_distinct_diag(A0, k)
-        B = diag(F, [_min_root(F, F.pow(e.y, k), k) for e in entries])
-        D = diag(F, [e.z for e in entries])
-        verified = verify_decomposition(C, (A, B, D), k)
-        assert verified, "three-power construction failed verification"
-        return DecompositionResult((A, B, D), k, C,
-                                   PairAssignment(tuple(entries)), verified)
+        return _assemble(C, k, _min_roots(F, (e.x for e in entries), k),
+                         [_min_roots(F, (e.y for e in entries), k),
+                          [e.z for e in entries]], entries)
     raise NoAdmissibleShiftError("shift retries exhausted")  # unreachable
 
 
@@ -265,21 +267,16 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
         raise InsufficientClassesError(
             f"no three-power assignment found over F_{F.q} (k={k}); "
             f"sufficient only for q > 4 n^2 k^16")
-    A0 = _strict_upper_on(C, diag(F, [F.pow(a, k) for a in chosen]))
-    A = backsub_root(A0, k, chosen)
     pairs = [witness[F.sub(d[i], F.pow(chosen[i], k))] for i in range(n)]
-    B = diag(F, [y for y, _ in pairs])
-    D = diag(F, [z for _, z in pairs])
-    entries = tuple(AssignmentEntry(d[i], chosen[i], pairs[i][0], pairs[i][1])
-                    for i in range(n))
-    verified = verify_decomposition(C, (A, B, D), k)
-    assert verified, "fallback construction failed verification"
-    return DecompositionResult((A, B, D), k, C, PairAssignment(entries),
-                               verified)
+    entries = [AssignmentEntry(d[i], chosen[i], pairs[i][0], pairs[i][1])
+               for i in range(n)]
+    return _assemble(C, k, chosen, [[y for y, _ in pairs],
+                                    [z for _, z in pairs]], entries)
 
 
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
     """C = A^k + B^k + D^k with B, D diagonal."""
+    check_in_field(C)
     _require_odd(C.field)
     try:
         return _three_by_shifts(C, k)
@@ -298,6 +295,7 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     returned carrying every refuted diagonal pattern.
     """
     F, n = C.field, C.n
+    check_in_field(C)
     _require_odd(F)
     d = C.diagonal()
     if len(set(d)) != 1:
@@ -338,24 +336,21 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     ypow = {1: F.pow(s1.y, k), 2: F.pow(s2.y, k)}
     sols = {1: s1, 2: s2}
 
+    # the split does not depend on the coloring
+    split = _split_entries(entries)
     explored = 0
     refuted: list[tuple[int, ...]] = []
     for coloring in itertools.product((1, 2), repeat=n):
         explored += 1
-        if any(coloring[i - 1] == coloring[j - 1] for i, j in entries):
-            refuted.append(coloring)
-            continue
-        split = _split_entries(entries)
-        if split is None:
+        if split is None or any(coloring[i - 1] == coloring[j - 1]
+                                for i, j in entries):
             refuted.append(coloring)
             continue
         owned_a, owned_b = split
-        A0 = diag(F, [xpow[c] for c in coloring])
-        for i, j in owned_a:
-            A0 = A0.with_entry(i, j, C.get(i, j))
-        B0 = diag(F, [ypow[c] for c in coloring])
-        for i, j in owned_b:
-            B0 = B0.with_entry(i, j, C.get(i, j))
+        A0 = diag(F, [xpow[c] for c in coloring]).with_entries(
+            {ij: C[ij] for ij in owned_a})
+        B0 = diag(F, [ypow[c] for c in coloring]).with_entries(
+            {ij: C[ij] for ij in owned_b})
         A = kth_root_sparse(A0, k)
         B = kth_root_sparse(B0, k)
         verified = verify_decomposition(C, (A, B), k)

@@ -29,6 +29,7 @@ from .fields import Element, FieldSpec, minus_one_is_kth_power
 from .power_sums import enum_guard
 from .tri_matrix import (
     UTMatrix,
+    check_in_field,
     elementary,
     jordan_block,
     junction_matrix,
@@ -77,11 +78,13 @@ def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int
     memoised layer engine. C is in P^r when some C - P, P a power, is in
     P^(r-1); a layer is only materialized when the cap forces a deeper
     query, and once built it answers membership directly. None comes early
-    when P^r == P^(r-1): the layers are closed and C is unreachable."""
+    when P^r == P^(r-1): the layers are closed and C is unreachable.
+    ValueError for cap < 1."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     if C.field != F:
         raise FieldMismatchError("C lives over another field")
-    if not all(0 <= e < F.q for e in C.entries):
-        raise FieldMismatchError(f"C has an entry outside [0, {F.q})")
+    check_in_field(C)
     return _power_layers(F, C.n, k).min_count(C.entries, cap)
 
 
@@ -212,6 +215,8 @@ class WaringReport:
 def waring_report(F: FieldSpec, n: int, k: int, cap: int = 4) -> WaringReport:
     """Min summand count for every matrix in T_n(F_q) at once (layered
     sumsets, one pass), with a first witness per observed count."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     roots = all_kth_powers(F, n, k)
     powers = list(roots)
     per: dict[UTMatrix, int | None] = {M: None for M in iter_matrices(F, n)}

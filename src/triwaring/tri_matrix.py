@@ -12,6 +12,7 @@ entries (i,i),(i,i+1),...,(i,n) comma-separated as element encodings, e.g.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -58,10 +59,18 @@ class UTMatrix:
         return self.get(*ij)
 
     def with_entry(self, i: int, j: int, value: Element) -> UTMatrix:
-        if not (1 <= i <= j <= self.n):
-            raise IndexOutOfRangeError(f"({i},{j}) not in the upper triangle")
+        return self.with_entries({(i, j): value})
+
+    def with_entries(self, values) -> UTMatrix:
+        """A copy with the entries at the upper-triangle positions (i, j)
+        of the mapping `values` replaced by their values mod q."""
         e = list(self.entries)
-        e[self._offset(i, j)] = value % self.field.q
+        q = self.field.q
+        for (i, j), value in values.items():
+            if not (1 <= i <= j <= self.n):
+                raise IndexOutOfRangeError(
+                    f"({i},{j}) not in the upper triangle")
+            e[self._offset(i, j)] = value % q
         return UTMatrix(self.field, self.n, tuple(e))
 
     def diagonal(self) -> tuple[Element, ...]:
@@ -106,6 +115,15 @@ def _check_compatible(A: UTMatrix, B: UTMatrix) -> None:
         raise FieldMismatchError("matrices live over different fields")
 
 
+def check_in_field(C: UTMatrix) -> None:
+    """FieldMismatchError unless every entry of C encodes an element of
+    C.field, i.e. lies in [0, q). The constructor does not check this: it
+    runs on every product."""
+    q = C.field.q
+    if not all(0 <= e < q for e in C.entries):
+        raise FieldMismatchError(f"matrix has an entry outside [0, {q})")
+
+
 def zero(F: FieldSpec, n: int) -> UTMatrix:
     return UTMatrix(F, n, (0,) * (n * (n + 1) // 2))
 
@@ -116,10 +134,8 @@ def identity(F: FieldSpec, n: int) -> UTMatrix:
 
 def diag(F: FieldSpec, values) -> UTMatrix:
     values = list(values)
-    M = zero(F, len(values))
-    for i, v in enumerate(values, start=1):
-        M = M.with_entry(i, i, v)
-    return M
+    return zero(F, len(values)).with_entries(
+        {(i, i): v for i, v in enumerate(values, start=1)})
 
 
 def from_rows(F: FieldSpec, rows) -> UTMatrix:
@@ -144,10 +160,7 @@ def elementary(F: FieldSpec, n: int, r: int, s: int) -> UTMatrix:
 
 
 def jordan_block(F: FieldSpec, lam: Element, n: int) -> UTMatrix:
-    M = diag(F, [lam] * n)
-    for i in range(1, n):
-        M = M.with_entry(i, i + 1, 1)
-    return M
+    return diag(F, [lam] * n).with_entries({(i, i + 1): 1 for i in range(1, n)})
 
 
 def junction_matrix(F: FieldSpec, partition) -> UTMatrix:
@@ -156,13 +169,8 @@ def junction_matrix(F: FieldSpec, partition) -> UTMatrix:
     parts = list(partition)
     if not parts or any(p < 1 for p in parts):
         raise BadPartitionError(f"invalid partition {parts}")
-    n = sum(parts)
-    M = zero(F, n)
-    acc = 0
-    for part in parts[:-1]:
-        acc += part
-        M = M.with_entry(acc, acc + 1, 1)
-    return M
+    return zero(F, sum(parts)).with_entries(
+        {(N, N + 1): 1 for N in itertools.accumulate(parts[:-1])})
 
 
 def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
@@ -203,17 +211,15 @@ def mat_inv(A: UTMatrix) -> UTMatrix:
     F, n = A.field, A.n
     if any(d == 0 for d in A.diagonal()):
         raise ZeroDivisionError("matrix is singular")
-    X = zero(F, n)
-    for i in range(1, n + 1):
-        X = X.with_entry(i, i, F.inv(A.get(i, i)))
+    x = {(i, i): F.inv(A.get(i, i)) for i in range(1, n + 1)}
     for d in range(1, n):
         for i in range(1, n - d + 1):
             j = i + d
             acc = 0
             for l in range(i + 1, j + 1):
-                acc = F.add(acc, F.mul(A.get(i, l), X.get(l, j)))
-            X = X.with_entry(i, j, F.neg(F.mul(F.inv(A.get(i, i)), acc)))
-    return X
+                acc = F.add(acc, F.mul(A.get(i, l), x[l, j]))
+            x[i, j] = F.neg(F.mul(x[i, i], acc))
+    return zero(F, n).with_entries(x)
 
 
 def _diag_roots(C: UTMatrix, k: int) -> list[Element]:
@@ -244,6 +250,7 @@ def backsub_root(C: UTMatrix, k: int, roots) -> UTMatrix:
     A = diag(F, list(roots))
     for dist in range(1, n):
         P = mat_pow(A, k)
+        found = {}
         for r in range(1, n - dist + 1):
             s = r + dist
             delta = F.sub(C.get(r, s), P.get(r, s))
@@ -253,7 +260,8 @@ def backsub_root(C: UTMatrix, k: int, roots) -> UTMatrix:
                     raise PreconditionViolatedError(
                         f"divisor vanishes at ({r},{s}) with residue {delta}")
                 continue
-            A = A.with_entry(r, s, F.mul(delta, F.inv(f)))
+            found[r, s] = F.mul(delta, F.inv(f))
+        A = A.with_entries(found)
     return A
 
 
@@ -264,9 +272,8 @@ def kth_root_distinct_diag(C: UTMatrix, k: int) -> UTMatrix:
     the c_ii makes every back-substitution divisor nonzero (a_rr^k = c_rr
     differs from a_ss^k = c_ss), so the build never gets stuck.
     """
-    F, n = C.field, C.n
     d = C.diagonal()
-    if len(set(d)) != n:
+    if len(set(d)) != C.n:
         raise DiagNotDistinctError(f"diagonal {d} has repeats")
     return backsub_root(C, k, _diag_roots(C, k))
 
@@ -275,10 +282,10 @@ def kth_root_sparse(C: UTMatrix, k: int) -> UTMatrix:
     """A with A^k = C under the no-chain conditions: c_rs * c_st = 0 for
     all r < s < t, and c_ii != c_jj wherever c_ij != 0. Each nonzero entry
     then sits on the only path contributing to its position, so
-    a_rs = c_rs / pdq(a_rr, a_ss) with no correction term."""
+    a_rs = c_rs / pdq(a_rr, a_ss): the back-substitution's correction
+    term is always zero."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    F, n = C.field, C.n
     nz = C.nonzero_strict_positions()
     by_row: dict[int, list[int]] = {}
     for i, j in nz:
@@ -291,12 +298,7 @@ def kth_root_sparse(C: UTMatrix, k: int) -> UTMatrix:
         if C.get(i, i) == C.get(j, j):
             raise PreconditionViolatedError(
                 f"c_{i}{j} != 0 but c_{i}{i} = c_{j}{j}")
-    roots = _diag_roots(C, k)
-    A = diag(F, roots)
-    for i, j in nz:
-        f = power_diff_quotient(F, A.get(i, i), A.get(j, j), k)
-        A = A.with_entry(i, j, F.mul(C.get(i, j), F.inv(f)))
-    return A
+    return backsub_root(C, k, _diag_roots(C, k))
 
 
 def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int
@@ -313,16 +315,10 @@ def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int
         raise RootMismatchError("rootC^k != C")
 
     def build(src: UTMatrix, diag_value: Element) -> UTMatrix:
-        M = zero(F, n + 1)
-        M = M.with_entry(l, l, diag_value)
-        for i in range(1, n + 2):
-            for j in range(i, n + 2):
-                if i == l or j == l:
-                    continue
-                si = i if i < l else i - 1
-                sj = j if j < l else j - 1
-                M = M.with_entry(i, j, src.get(si, sj))
-        return M
+        values = {(i + (i >= l), j + (j >= l)): src.get(i, j)
+                  for i, j in src.positions()}
+        values[l, l] = diag_value
+        return zero(F, n + 1).with_entries(values)
 
     B = build(C, F.pow(x, k))
     rootB = build(rootC, x)

@@ -216,6 +216,10 @@ def test_table_comma_grammar_requires_n(capsys):
     (["conjugate", "--q", "3", "--matrix", "0,1;0"], "exactly two --matrix"),
     (["root", "--q", "7", "--k", "2", "--matrix", "1", "--matrix", "2"],
      "exactly one --matrix"),
+    (["oracle", "--q", "3", "--k", "2", "--matrix", "0,0;0", "--cap", "0"],
+     "--cap must be at least 1"),
+    (["oracle", "--q", "3", "--k", "2", "--n", "2", "--cap", "0"],
+     "--cap must be at least 1"),
 ])
 def test_usage_errors_say_why(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

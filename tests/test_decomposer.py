@@ -13,6 +13,7 @@ from triwaring.decomposer import (
 )
 from triwaring.errors import (
     EvenCharacteristicError,
+    FieldMismatchError,
     InsufficientClassesError,
     PreconditionViolatedError,
 )
@@ -163,6 +164,14 @@ def test_structured_zero_matrix(F13):
 def test_structured_scalar_matrix(F13):
     res = decompose_structured(diag(F13, [5, 5, 5, 5]), 2)
     assert res.verified
+
+
+@pytest.mark.parametrize("entries", [(1, 14, 3), (1, -1, 3), (13, 0, 13)])
+def test_decomposers_reject_entries_outside_field(F13, entries):
+    C = UTMatrix(F13, 2, entries)
+    for decompose in (decompose_two, decompose_three, decompose_structured):
+        with pytest.raises(FieldMismatchError):
+            decompose(C, 2)
 
 
 def test_structured_requires_constant_diagonal(F13):

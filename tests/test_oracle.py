@@ -72,6 +72,14 @@ def test_min_waring_cap(F3):
     assert min_waring_number(F3, from_text(F3, "0,1;0"), 2, 2) is None
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_is_rejected(F3, cap):
+    with pytest.raises(ValueError):
+        min_waring_number(F3, zero(F3, 2), 2, cap)
+    with pytest.raises(ValueError):
+        waring_report(F3, 2, 2, cap=cap)
+
+
 def test_sumset_monotone(F3, F7):
     # 0 = 0^k lies in the power set, so each layer contains the previous
     for F, k in [(F3, 2), (F3, 3), (F7, 2)]:

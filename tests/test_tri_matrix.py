@@ -15,7 +15,8 @@ from triwaring.errors import (
     RootMismatchError,
     SizeMismatchError,
 )
-from triwaring.fields import kth_power_image, make_field
+from triwaring.fields import kth_power_image, kth_roots, make_field
+from triwaring.power_sums import power_diff_quotient
 from triwaring.tri_matrix import (
     UTMatrix,
     diag,
@@ -154,6 +155,42 @@ def test_root_sparse_examples(F13):
             diag(F13, [1, 12, 1]).with_entry(1, 2, 1).with_entry(2, 3, 1), 2)
     with pytest.raises(PreconditionViolatedError):
         kth_root_sparse(diag(F13, [1, 1]).with_entry(1, 2, 1), 2)
+
+
+def sparse_root_reference(C, k):
+    """The no-chain formula entry by entry: a_rs = c_rs / pdq(a_rr, a_ss)
+    over the smallest diagonal roots."""
+    F = C.field
+    A = diag(F, [kth_roots(F, c, k)[0] for c in C.diagonal()])
+    return A.with_entries({
+        (i, j): F.mul(C[i, j], F.inv(power_diff_quotient(F, A[i, i], A[j, j], k)))
+        for i, j in C.nonzero_strict_positions()})
+
+
+def test_root_sparse_matches_no_chain_formula():
+    # kth_root_sparse runs the general back-substitution; on no-chain
+    # inputs its correction terms vanish and it gives the formula's root
+    rng = random.Random(20231)
+    fields = [make_field(p, m) for p, m in
+              [(5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (3, 3)]]
+    for F in fields:
+        for k in (2, 3, 4):
+            for _ in range(25):
+                C = sparse_instance(rng, F, rng.randint(1, 6), k)
+                assert kth_root_sparse(C, k) == sparse_root_reference(C, k)
+
+
+def test_with_entries_builder(F7):
+    M = diag(F7, [1, 2, 3])
+    chained = M.with_entry(1, 2, 9).with_entry(2, 3, -1).with_entry(1, 1, 7)
+    built = M.with_entries({(1, 2): 9, (2, 3): -1, (1, 1): 7})
+    assert built == chained == from_text(F7, "0,2,0;2,6;3")
+    assert M == diag(F7, [1, 2, 3])  # the source is left alone
+    assert M.with_entries({}) == M
+    with pytest.raises(IndexOutOfRangeError):
+        M.with_entries({(1, 2): 1, (3, 2): 1})  # below the diagonal
+    with pytest.raises(IndexOutOfRangeError):
+        M.with_entries({(1, 4): 1})
 
 
 def test_root_sparse_round_trip_random(all_fields):
