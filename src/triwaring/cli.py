@@ -258,6 +258,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for name in ("k", "m"):
+        if getattr(args, name, 1) < 1:
+            parser.error(f"--{name} must be at least 1")
     try:
         F = parse_field(args.q)
         return _COMMANDS[args.command](F, args)

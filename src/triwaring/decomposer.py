@@ -11,7 +11,8 @@ machinery runs on nonzero, pairwise distinct targets. Small fields can run
 out of solution classes (the theorem only promises q > 4 n^2 k^16); the
 shift is then retried around the shortage, and as a last resort a direct
 per-position search picks root elements a_i with c_ii - a_i^k a sum of two
-k-th powers, which covers every reachable case at desk scale.
+k-th powers (the lex-min solution of y^k + z^k = c_ii - a_i^k fills the
+diagonal parts), which covers every reachable case at desk scale.
 
 Failure is typed, never silent, and never a proof that no decomposition
 exists.
@@ -19,7 +20,6 @@ exists.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -34,7 +34,9 @@ from .power_sums import (
     AssignmentEntry,
     PairAssignment,
     classified,
+    lex_min_solution,
     power_diff_quotient,
+    select_pairs,
     select_system_pairs,
     shift_to_two_variable,
 )
@@ -173,19 +175,6 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
                      [_min_roots(F, (e.y for e in entries), k)], entries)
 
 
-@functools.lru_cache(maxsize=None)
-def _two_witness_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, Element]]:
-    """value -> lex-min (y, z) with y^k + z^k = value."""
-    out: dict[Element, tuple[Element, Element]] = {}
-    for y in F.elements():
-        yk = F.pow(y, k)
-        for z in F.elements():
-            v = F.add(yk, F.pow(z, k))
-            if v not in out:
-                out[v] = (y, z)
-    return out
-
-
 def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
     """The shift route: per eigenvalue pick z with lam' = lam - z^k nonzero,
     all lam' pairwise distinct, then solve the two-power demand system on
@@ -235,22 +224,23 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
 def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
     """Desk-scale fallback: choose per-position root elements a_i with
     c_ii - a_i^k a sum of two k-th powers and pdq(a_i, a_j) nonzero for all
-    pairs, so the back-substitution root always exists; remaining budget
-    per position goes to diagonal parts from lex-min witnesses."""
+    pairs, so the back-substitution root always exists; the diagonal parts
+    take the lex-min solution (y, z) of y^k + z^k = c_ii - a_i^k."""
     F, n = C.field, C.n
     if F.q ** n > FALLBACK_MAX_SPACE:
         raise InsufficientClassesError(
             f"shift route failed and fallback space q^n = {F.q ** n} "
             f"exceeds {FALLBACK_MAX_SPACE}")
-    witness = _two_witness_map(F, k)
     d = C.diagonal()
+
+    def witness(i: int, a: Element):
+        return lex_min_solution(F, F.sub(d[i], F.pow(a, k)), k)
 
     chosen: list[Element] = []
 
     def feasible(a: Element, i: int) -> bool:
-        if F.sub(d[i], F.pow(a, k)) not in witness:
-            return False
-        return all(power_diff_quotient(F, b, a, k) != 0 for b in chosen)
+        return (witness(i, a) is not None
+                and all(power_diff_quotient(F, b, a, k) != 0 for b in chosen))
 
     def dfs(i: int) -> bool:
         if i == n:
@@ -267,11 +257,11 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
         raise InsufficientClassesError(
             f"no three-power assignment found over F_{F.q} (k={k}); "
             f"sufficient only for q > 4 n^2 k^16")
-    pairs = [witness[F.sub(d[i], F.pow(chosen[i], k))] for i in range(n)]
-    entries = [AssignmentEntry(d[i], chosen[i], pairs[i][0], pairs[i][1])
-               for i in range(n)]
-    return _assemble(C, k, chosen, [[y for y, _ in pairs],
-                                    [z for _, z in pairs]], entries)
+    pairs = [witness(i, a) for i, a in enumerate(chosen)]
+    entries = [AssignmentEntry(c, a, s.x, s.y)
+               for c, a, s in zip(d, chosen, pairs)]
+    return _assemble(C, k, chosen, [[s.x for s in pairs],
+                                    [s.y for s in pairs]], entries)
 
 
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
@@ -307,17 +297,10 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
             f"structured search capped at n <= {STRUCTURED_MAX_N} and "
             f"{STRUCTURED_MAX_ENTRIES} entries")
     lam = d[0]
-    cl = classified(F, lam, k)
 
     if not entries:
         # no constraints: one solution covers every position
-        pool = sorted(cl.U + tuple(c[0] for c in cl.classes),
-                      key=lambda s: (s.x, s.y))
-        if not pool:
-            raise InsufficientClassesError(
-                f"x^{k} + y^{k} = {lam} has no solutions over F_{F.q}",
-                lam=lam, found=0, needed=1)
-        s = pool[0]
+        s, = select_pairs(F, lam, k, 1)
         A = diag(F, [s.x] * n)
         B = diag(F, [s.y] * n)
         plan = StructuredPlan((1,) * n, (), (), ((s.x, s.y),))
@@ -327,6 +310,7 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         return DecompositionResult((A, B), k, C, PairAssignment(entries_pa),
                                    verified, plan=plan)
 
+    cl = classified(F, lam, k)
     if cl.r < 2:
         raise InsufficientClassesError(
             f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "

@@ -329,13 +329,10 @@ def field_text(F: FieldSpec) -> str:
 # -- power-map structure --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def kth_power_image(F: FieldSpec, k: int) -> frozenset[Element]:
-    """{a^k : a in F_q}. The nonzero part is the subgroup of index
-    gcd(k, q-1) in F_q^*, hence has (q-1)/gcd(k, q-1) elements."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    return frozenset(F.pow(a, k) for a in F.elements())
+    """{a^k : a in F_q} (kth_root_map's keys). The nonzero part is the
+    subgroup of index gcd(k, q-1) in F_q^*, of size (q-1)/gcd(k, q-1)."""
+    return frozenset(kth_root_map(F, k))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,6 +11,9 @@ Since x^k determines y^k = lambda - x^k, distinct classes have pairwise
 distinct x-power components and pairwise distinct y-power components, which
 is exactly what the matrix decomposition needs: one representative per class
 yields diagonal assignments whose k-th powers never collide.
+
+S has one source: each x reads its y's off the fiber of lam - x^k in the
+cached k-th root map, O(q) work per lam once that map exists.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (
     EnumerationTooLargeError,
+    FieldMismatchError,
     HypothesisViolatedError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
@@ -29,7 +33,6 @@ from .errors import (
 from .fields import Element, FieldSpec, kth_root_map, minus_one_is_kth_power
 
 DEFAULT_ENUM_GUARD = 10 ** 8
-RAW_SCAN_LIMIT = 2000  # above this, enumerate by power-image fibers
 
 
 def enum_guard(size: int, cap: int = DEFAULT_ENUM_GUARD) -> None:
@@ -145,22 +148,17 @@ def enumerate_pair_solutions(F: FieldSpec, lam: Element, k: int
                              ) -> tuple[PairSolution, ...]:
     """Exact solution set of x^k + y^k = lam, sorted by (x, y).
 
-    Raw q^2 scan at small q; identical results via k-th-power fiber
-    expansion above RAW_SCAN_LIMIT.
+    x runs upward and its y's are the sorted fiber of lam - x^k in the
+    k-th root map, so the output comes out sorted: O(q) work per lam once
+    the root map exists. k < 1 raises ValueError (from kth_root_map), and
+    lam outside [0, q) raises FieldMismatchError.
     """
-    if F.q <= RAW_SCAN_LIMIT:
-        sols = [PairSolution(x, y, lam, k)
-                for x in F.elements() for y in F.elements()
-                if F.add(F.pow(x, k), F.pow(y, k)) == lam]
-        return tuple(sols)
+    if not 0 <= lam < F.q:
+        raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
     roots = kth_root_map(F, k)
-    sols = []
-    for x in F.elements():
-        rest = F.sub(lam, F.pow(x, k))
-        for y in roots.get(rest, ()):
-            sols.append(PairSolution(x, y, lam, k))
-    sols.sort(key=lambda s: (s.x, s.y))
-    return tuple(sols)
+    return tuple(PairSolution(x, y, lam, k)
+                 for x in F.elements()
+                 for y in roots.get(F.sub(lam, F.pow(x, k)), ()))
 
 
 def classify_solutions(F: FieldSpec, sols) -> SolutionClassification:
@@ -185,6 +183,15 @@ def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
     return classify_solutions(F, enumerate_pair_solutions(F, lam, k))
 
 
+def lex_min_solution(F: FieldSpec, lam: Element, k: int) -> PairSolution | None:
+    """The (x, y)-least solution of x^k + y^k = lam, or None when there is
+    none. Each class's least member is its representative, so the least
+    solution is the least of U's first member and the representatives."""
+    cl = classified(F, lam, k)
+    return min(cl.U[:1] + cl.representatives(), key=lambda s: (s.x, s.y),
+               default=None)
+
+
 def classification_report(F: FieldSpec, lam: Element, k: int) -> dict:
     """Stable JSON shape for a classification."""
     cl = classified(F, lam, k)
@@ -207,15 +214,14 @@ def select_pairs(F: FieldSpec, lam: Element, k: int, n: int
     lex-smallest solution overall, U included, is fine)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cl = classified(F, lam, k)
     if n == 1:
-        pool = sorted(cl.U + tuple(c[0] for c in cl.classes),
-                      key=lambda s: (s.x, s.y))
-        if not pool:
+        s = lex_min_solution(F, lam, k)
+        if s is None:
             raise InsufficientClassesError(
                 f"x^{k} + y^{k} = {lam} has no solutions over F_{F.q}",
                 lam=lam, found=0, needed=1)
-        return (pool[0],)
+        return (s,)
+    cl = classified(F, lam, k)
     if cl.r < n:
         raise InsufficientClassesError(
             f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
@@ -381,6 +387,8 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     The count folds the per-variable value histograms together, which is
     the exhaustive scan reorganized (identical N, m*q^2 work).
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     alphas = list(alphas)
     if len(alphas) != m:
         raise ValueError(f"need {m} coefficients, got {len(alphas)}")

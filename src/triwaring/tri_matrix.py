@@ -196,14 +196,16 @@ def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
 def mat_pow(A: UTMatrix, k: int) -> UTMatrix:
     if k < 0:
         raise ValueError("negative powers not supported; use mat_inv")
-    result = identity(A.field, A.n)
-    base = A
-    while k:
+    if k == 0:
+        return identity(A.field, A.n)
+    result = None
+    while True:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
+            result = A if result is None else mat_mul(result, A)
         k >>= 1
-    return result
+        if not k:
+            return result
+        A = mat_mul(A, A)
 
 
 def mat_inv(A: UTMatrix) -> UTMatrix:

@@ -220,6 +220,22 @@ def test_table_comma_grammar_requires_n(capsys):
      "--cap must be at least 1"),
     (["oracle", "--q", "3", "--k", "2", "--n", "2", "--cap", "0"],
      "--cap must be at least 1"),
+    (["solve", "--q", "7", "--k", "0", "--lambda", "1"],
+     "--k must be at least 1"),
+    (["classify", "--q", "7", "--k", "0", "--lambda", "1"],
+     "--k must be at least 1"),
+    (["oracle", "--q", "3", "--k", "0", "--n", "2"],
+     "--k must be at least 1"),
+    (["bound", "--q", "7", "--k", "0", "--m", "2"],
+     "--k must be at least 1"),
+    (["root", "--q", "7", "--k", "0", "--matrix", "1"],
+     "--k must be at least 1"),
+    (["solve", "--q", "7", "--k", "-1", "--lambda", "1"],
+     "--k must be at least 1"),
+    (["decompose", "--q", "7", "--k", "-1", "--parts", "2",
+      "--matrix", "1"], "--k must be at least 1"),
+    (["bound", "--q", "7", "--k", "2", "--m", "0"],
+     "--m must be at least 1"),
 ])
 def test_usage_errors_say_why(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

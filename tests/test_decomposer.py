@@ -19,6 +19,7 @@ from triwaring.errors import (
 )
 from triwaring.fields import make_field
 from triwaring.oracle import all_kth_powers, iter_matrices
+from triwaring.power_sums import lex_min_solution
 from triwaring.tri_matrix import (
     UTMatrix,
     diag,
@@ -189,6 +190,39 @@ def test_structured_insufficient_classes(F7):
     C = from_text(F7, "0,1;0")
     with pytest.raises(InsufficientClassesError):
         decompose_structured(C, 2)
+
+
+def test_structured_no_solution_diagonal(F7):
+    # cubes of F_7 are {0, 1, 6}, so x^3 + y^3 = 3 has no solution at all
+    with pytest.raises(InsufficientClassesError,
+                       match="x\\^3 \\+ y\\^3 = 3 has no solutions over F_7"):
+        decompose_structured(diag(F7, [3, 3]), 3)
+
+
+def two_witness_map(F, k):
+    """Reference: value -> lex-min (y, z) with y^k + z^k = value, by the
+    q^2 scan the position-search fallback once kept as its own table."""
+    out = {}
+    for y in F.elements():
+        yk = F.pow(y, k)
+        for z in F.elements():
+            v = F.add(yk, F.pow(z, k))
+            if v not in out:
+                out[v] = (y, z)
+    return out
+
+
+def test_lex_min_solution_matches_witness_scan():
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)]:
+        F = make_field(p, m)
+        for k in (2, 3, 4):
+            witness = two_witness_map(F, k)
+            for v in F.elements():
+                s = lex_min_solution(F, v, k)
+                if v in witness:
+                    assert (s.x, s.y) == witness[v], (F.q, k, v)
+                else:
+                    assert s is None, (F.q, k, v)
 
 
 def test_obstruction_7x7(F13):

@@ -11,6 +11,7 @@ from triwaring.errors import (
 from triwaring.fields import (
     field_text,
     kth_power_image,
+    kth_root_map,
     kth_roots,
     make_field,
     minus_one_is_kth_power,
@@ -111,6 +112,8 @@ def test_kth_power_image_examples(F7, F13):
     assert img == frozenset({0, 1, 5, 8, 12})
     assert len(img - {0}) == 12 // 3
     assert kth_power_image(F7, 1) == frozenset(range(7))
+    with pytest.raises(ValueError, match="k must be positive"):
+        kth_power_image(F7, 0)
 
 
 def test_kth_power_image_size_formula(all_fields):
@@ -118,6 +121,7 @@ def test_kth_power_image_size_formula(all_fields):
         for k in range(1, 13):
             image = kth_power_image(F, k)
             assert len(image - {0}) == (F.q - 1) // math.gcd(k, F.q - 1)
+            assert image == frozenset(kth_root_map(F, k))
 
 
 def test_kth_roots_examples(F7, F13):

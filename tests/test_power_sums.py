@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triwaring.errors import (
+    FieldMismatchError,
     HypothesisViolatedError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
@@ -69,20 +70,34 @@ def test_enumerate_examples(F7, F13):
     assert len(enumerate_pair_solutions(F7, 5, 1)) == 7
 
 
+def raw_pair_scan(F, lam, k):
+    """Reference: the q^2 double loop over (x, y) in encoding order."""
+    return tuple(PairSolution(x, y, lam, k)
+                 for x in F.elements() for y in F.elements()
+                 if F.add(F.pow(x, k), F.pow(y, k)) == lam)
+
+
 def test_enumerate_matches_fiber_route(odd_fields):
-    # the raw scan and the power-image refinement agree
-    from triwaring import power_sums
-    for F in odd_fields[:6]:
+    # the fiber route over the root map gives the raw scan's tuple
+    F169 = make_field(13, 2)
+    cases = [(F, list(F.elements())) for F in odd_fields]
+    cases.append((F169, [0, 1, 2, 14, 100, 168]))
+    for F, lams in cases:
         for k in (2, 3):
-            for lam in list(F.elements())[:5]:
-                raw = enumerate_pair_solutions(F, lam, k)
-                old = power_sums.RAW_SCAN_LIMIT
-                power_sums.RAW_SCAN_LIMIT = 0
-                try:
-                    fiber = enumerate_pair_solutions(F, lam, k)
-                finally:
-                    power_sums.RAW_SCAN_LIMIT = old
-                assert raw == fiber
+            for lam in lams:
+                assert enumerate_pair_solutions(F, lam, k) == \
+                    raw_pair_scan(F, lam, k)
+
+
+def test_enumerate_rejects_bad_arguments(F7, F9):
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_pair_solutions(F7, 1, k)
+    for F, lam in ((F7, 7), (F7, 8), (F7, -6), (F9, 10)):
+        with pytest.raises(FieldMismatchError):
+            enumerate_pair_solutions(F, lam, 2)
+        with pytest.raises(FieldMismatchError):
+            select_pairs(F, lam, 2, 1)
 
 
 def test_classify_f7_example(F7):
@@ -239,6 +254,12 @@ def test_lang_weil_examples(F7, F13):
 def test_lang_weil_rejects_zero_coefficient(F7):
     with pytest.raises(ValueError):
         lang_weil_check(F7, 2, 2, (1, 0))
+
+
+def test_lang_weil_rejects_m_below_one(F7):
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            lang_weil_check(F7, 2, m, [])
 
 
 def test_lang_weil_matches_raw_scan():
