@@ -15,7 +15,6 @@ from .power_sums import (
     PairAssignment,
     PairSolution,
     SolutionClassification,
-    TripleSolution,
     classification_report,
     classified,
     classify_solutions,

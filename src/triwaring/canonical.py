@@ -1,7 +1,8 @@
 """Similarity utilities under conjugation by invertible upper-triangular
 matrices: single-entry annihilation, distinct-diagonal diagonalization, the
-compact presentation notation for 0/1 nilpotent matrices, and the graph
-connectivity test for indecomposability.
+compact presentation notation for 0/1 nilpotent matrices, and one
+breadth-first graph labelling (components, parities, bipartiteness) behind
+the indecomposability test and the 2-colorings.
 
 Reduction order on entries: (i, j) comes before (i', j') iff i > i', or
 i = i' and j < j' (bottom row first, left to right within a row). Each
@@ -187,51 +188,56 @@ def presentation_matrix(F: FieldSpec, text: str, n: int) -> UTMatrix:
     return parse_presentation(text, n).matrix(F)
 
 
+def label_graph(m: int, edges) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """Breadth-first labelling of the undirected graph on 0..m-1: per
+    vertex the least vertex of its component and its distance parity from
+    it, and whether the graph is bipartite (no edge joins equal parities).
+    When it is, the parities are the proper 2-coloring that gives every
+    component's least vertex parity 0."""
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    component = [-1] * m
+    parity = [0] * m
+    bipartite = True
+    for start in range(m):
+        if component[start] >= 0:
+            continue
+        component[start] = start
+        queue = [start]
+        for v in queue:
+            for w in adj[v]:
+                if component[w] < 0:
+                    component[w] = start
+                    parity[w] = 1 - parity[v]
+                    queue.append(w)
+                elif parity[w] == parity[v]:
+                    bipartite = False
+    return tuple(component), tuple(parity), bipartite
+
+
+def _entry_graph(A: UTMatrix) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """label_graph of {1..n} (as 0..n-1) with an edge per nonzero strict
+    entry."""
+    return label_graph(A.n, ((i - 1, j - 1)
+                             for i, j in A.nonzero_strict_positions()))
+
+
 def is_indecomposable(A: UTMatrix) -> bool:
     """A strictly upper-triangular matrix is indecomposable iff the
     undirected graph on {1..n} with an edge per nonzero entry is
     connected."""
     if not A.is_strictly_upper():
         raise NotNilpotentError("matrix has a nonzero diagonal entry")
-    n = A.n
-    if n == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j in A.nonzero_strict_positions():
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+    component, _, _ = _entry_graph(A)
+    return all(c == 0 for c in component)
 
 
 def bipartition(A: UTMatrix) -> tuple[int, ...] | None:
-    """Proper 2-coloring (values 1/2, vertex 1 colored 1 in its component)
-    of the entry graph, or None if an odd cycle makes it impossible. For a
-    connected graph the coloring is unique up to swapping the colors."""
-    n = A.n
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j in A.nonzero_strict_positions():
-        adj[i].append(j)
-        adj[j].append(i)
-    color = [0] * (n + 1)
-    for start in range(1, n + 1):
-        if color[start]:
-            continue
-        color[start] = 1
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if color[w] == 0:
-                    color[w] = 3 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return tuple(color[1:])
+    """Proper 2-coloring (values 1/2, the least vertex of each component
+    colored 1) of the entry graph, or None if an odd cycle makes it
+    impossible. This is the lexicographically first proper coloring; for a
+    connected graph it is unique up to swapping the colors."""
+    _, parity, bipartite = _entry_graph(A)
+    return tuple(1 + c for c in parity) if bipartite else None

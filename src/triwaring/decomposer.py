@@ -9,10 +9,13 @@ distinct-diagonal back-substitution; the y-side is diagonal.
 Three powers: shift each eigenvalue by a k-th power z^k so the two-power
 machinery runs on nonzero, pairwise distinct targets. Small fields can run
 out of solution classes (the theorem only promises q > 4 n^2 k^16); the
-shift is then retried around the shortage, and as a last resort a direct
-per-position search picks root elements a_i with c_ii - a_i^k a sum of two
-k-th powers (the lex-min solution of y^k + z^k = c_ii - a_i^k fills the
-diagonal parts), which covers every reachable case at desk scale.
+shift is then retried around the shortage, and failing that a per-position
+route picks the lex-least root elements a_i with c_ii - a_i^k a sum of two
+k-th powers and all pdq(a_i, a_j) nonzero, in one pass over the positions
+with a bipartite matching check.
+
+Structured (constant diagonal): the diagonal coloring and the entry split
+are the first proper 2-colorings of the entry graph and the chain graph.
 
 Failure is typed, never silent, and never a proof that no decomposition
 exists.
@@ -23,19 +26,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .canonical import bipartition, label_graph
 from .errors import (
     EvenCharacteristicError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
     PreconditionViolatedError,
 )
-from .fields import Element, FieldSpec, kth_roots
+from .fields import Element, FieldSpec, kth_root_map, kth_roots
 from .power_sums import (
     AssignmentEntry,
     PairAssignment,
     classified,
     lex_min_solution,
-    power_diff_quotient,
     select_pairs,
     select_system_pairs,
     shift_to_two_variable,
@@ -52,8 +55,6 @@ from .tri_matrix import (
 )
 
 STRUCTURED_MAX_N = 8
-STRUCTURED_MAX_ENTRIES = 24
-FALLBACK_MAX_SPACE = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -222,46 +223,61 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
 
 
 def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
-    """Desk-scale fallback: choose per-position root elements a_i with
-    c_ii - a_i^k a sum of two k-th powers and pdq(a_i, a_j) nonzero for all
-    pairs, so the back-substitution root always exists; the diagonal parts
-    take the lex-min solution (y, z) of y^k + z^k = c_ii - a_i^k."""
+    """Fallback: the lex-least root elements a_1..a_n with c_ii - a_i^k a
+    sum of two k-th powers and pdq(a_i, a_j) nonzero for all pairs, so the
+    back-substitution root always exists; the diagonal parts take the
+    lex-min solution (y, z) of y^k + z^k = c_ii - a_i^k.
+
+    Least roots suffice: every root of a value meets the same constraints,
+    two distinct least roots have distinct powers (pdq nonzero), and a
+    least root with pdq(a, a) = 0 (0 when k >= 2; every root when p | k)
+    may serve one position only. Each position takes its least option that
+    still leaves the later positions a matching into the unused once-only
+    roots."""
     F, n = C.field, C.n
-    if F.q ** n > FALLBACK_MAX_SPACE:
-        raise InsufficientClassesError(
-            f"shift route failed and fallback space q^n = {F.q ** n} "
-            f"exceeds {FALLBACK_MAX_SPACE}")
     d = C.diagonal()
-
-    def witness(i: int, a: Element):
-        return lex_min_solution(F, F.sub(d[i], F.pow(a, k)), k)
-
+    roots = kth_root_map(F, k)
+    two_sums = {F.add(u, v) for u in roots for v in roots}
+    least = sorted((r[0], v) for v, r in roots.items())
+    # pdq(a, a) = k a^(k-1)
+    once = {a for a, _ in least if k % F.p == 0 or (a == 0 and k > 1)}
+    options = [[a for a, v in least if F.sub(c, v) in two_sums] for c in d]
+    free = set(once)
     chosen: list[Element] = []
-
-    def feasible(a: Element, i: int) -> bool:
-        return (witness(i, a) is not None
-                and all(power_diff_quotient(F, b, a, k) != 0 for b in chosen))
-
-    def dfs(i: int) -> bool:
-        if i == n:
-            return True
-        for a in F.elements():
-            if feasible(a, i):
-                chosen.append(a)
-                if dfs(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not dfs(0):
-        raise InsufficientClassesError(
-            f"no three-power assignment found over F_{F.q} (k={k}); "
-            f"sufficient only for q > 4 n^2 k^16")
-    pairs = [witness(i, a) for i, a in enumerate(chosen)]
+    for i in range(n):
+        # a later position with a reusable option never blocks the others
+        later = [opts for opts in options[i + 1:] if set(opts) <= once]
+        a = next((a for a in options[i] if (a not in once or a in free)
+                  and _matchable(later, free - {a})), None)
+        if a is None:
+            raise InsufficientClassesError(
+                f"no three-power assignment found over F_{F.q} (k={k}); "
+                f"sufficient only for q > 4 n^2 k^16")
+        free.discard(a)
+        chosen.append(a)
+    pairs = [lex_min_solution(F, F.sub(c, F.pow(a, k)), k)
+             for c, a in zip(d, chosen)]
     entries = [AssignmentEntry(c, a, s.x, s.y)
                for c, a, s in zip(d, chosen, pairs)]
     return _assemble(C, k, chosen, [[s.x for s in pairs],
                                     [s.y for s in pairs]], entries)
+
+
+def _matchable(option_lists, free) -> bool:
+    """Can each list get its own element of `free`? One augmenting-path
+    search per list (Hopcroft & Karp, SIAM J. Comput. 2, 1973)."""
+    owner: dict[Element, int] = {}
+
+    def augment(i: int, seen: set[Element]) -> bool:
+        for a in option_lists[i]:
+            if a in free and a not in seen:
+                seen.add(a)
+                if a not in owner or augment(owner[a], seen):
+                    owner[a] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(option_lists)))
 
 
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
@@ -275,14 +291,16 @@ def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
 
 
 def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstruction:
-    """Two-power decomposition of a constant-diagonal matrix by exhaustive
-    search over diagonal two-colorings and entry ownership splits, both
-    sides rooted through the sparse (no-chain) route.
+    """Two-power decomposition of a constant-diagonal matrix from a
+    diagonal two-coloring and an entry ownership split, both sides rooted
+    through the sparse (no-chain) route.
 
     A successful plan needs the entry graph properly 2-colored (every
     nonzero entry joins the two color classes, on both sides) and each
-    side's owned entries chain-free. On exhaustion an Obstruction is
-    returned carrying every refuted diagonal pattern.
+    side's owned entries chain-free. The plan takes the lexicographically
+    first of each (bipartition and _split_entries). When either does not
+    exist no coloring works, and an Obstruction is returned carrying all
+    2^n diagonal patterns.
     """
     F, n = C.field, C.n
     check_in_field(C)
@@ -292,10 +310,10 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         raise PreconditionViolatedError(
             f"structured search needs a constant diagonal, got {d}")
     entries = C.nonzero_strict_positions()
-    if n > STRUCTURED_MAX_N or len(entries) > STRUCTURED_MAX_ENTRIES:
+    if n > STRUCTURED_MAX_N:
+        # an Obstruction lists all 2^n colorings
         raise PreconditionViolatedError(
-            f"structured search capped at n <= {STRUCTURED_MAX_N} and "
-            f"{STRUCTURED_MAX_ENTRIES} entries")
+            f"structured search capped at n <= {STRUCTURED_MAX_N}")
     lam = d[0]
 
     if not entries:
@@ -320,58 +338,36 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     ypow = {1: F.pow(s1.y, k), 2: F.pow(s2.y, k)}
     sols = {1: s1, 2: s2}
 
-    # the split does not depend on the coloring
+    coloring = bipartition(C)
     split = _split_entries(entries)
-    explored = 0
-    refuted: list[tuple[int, ...]] = []
-    for coloring in itertools.product((1, 2), repeat=n):
-        explored += 1
-        if split is None or any(coloring[i - 1] == coloring[j - 1]
-                                for i, j in entries):
-            refuted.append(coloring)
-            continue
-        owned_a, owned_b = split
-        A0 = diag(F, [xpow[c] for c in coloring]).with_entries(
-            {ij: C[ij] for ij in owned_a})
-        B0 = diag(F, [ypow[c] for c in coloring]).with_entries(
-            {ij: C[ij] for ij in owned_b})
-        A = kth_root_sparse(A0, k)
-        B = kth_root_sparse(B0, k)
-        verified = verify_decomposition(C, (A, B), k)
-        assert verified, "structured construction failed verification"
-        plan = StructuredPlan(coloring, owned_a, owned_b,
-                              ((s1.x, s1.y), (s2.x, s2.y)))
-        pa = PairAssignment(tuple(
-            AssignmentEntry(lam, sols[c].x, sols[c].y) for c in coloring))
-        return DecompositionResult((A, B), k, C, pa, verified, plan=plan)
-    return Obstruction(C, k, explored, tuple(refuted))
+    if coloring is None or split is None:
+        refuted = tuple(itertools.product((1, 2), repeat=n))
+        return Obstruction(C, k, len(refuted), refuted)
+    owned_a, owned_b = split
+    A0 = diag(F, [xpow[c] for c in coloring]).with_entries(
+        {ij: C[ij] for ij in owned_a})
+    B0 = diag(F, [ypow[c] for c in coloring]).with_entries(
+        {ij: C[ij] for ij in owned_b})
+    A = kth_root_sparse(A0, k)
+    B = kth_root_sparse(B0, k)
+    verified = verify_decomposition(C, (A, B), k)
+    assert verified, "structured construction failed verification"
+    plan = StructuredPlan(coloring, owned_a, owned_b,
+                          ((s1.x, s1.y), (s2.x, s2.y)))
+    pa = PairAssignment(tuple(
+        AssignmentEntry(lam, sols[c].x, sols[c].y) for c in coloring))
+    return DecompositionResult((A, B), k, C, pa, verified, plan=plan)
 
 
 def _split_entries(entries):
     """First (in per-entry A-then-B order) split of the entries into two
-    chain-free sides, or None. An entry (i, j) chains with (r, i) or
-    (j, t) on the same side."""
-    owned_a: list[tuple[int, int]] = []
-    owned_b: list[tuple[int, int]] = []
-
-    def fits(side, i, j):
-        for r, s in side:
-            if s == i or r == j:
-                return False
-        return True
-
-    def dfs(idx: int) -> bool:
-        if idx == len(entries):
-            return True
-        i, j = entries[idx]
-        for side in (owned_a, owned_b):
-            if fits(side, i, j):
-                side.append((i, j))
-                if dfs(idx + 1):
-                    return True
-                side.pop()
-        return False
-
-    if dfs(0):
-        return tuple(owned_a), tuple(owned_b)
-    return None
+    chain-free sides, or None. Entries (i, j) and (j, t) chain, so a split
+    is a proper 2-coloring of the chain graph, and the first one puts the
+    first entry of each component on side A."""
+    _, parity, bipartite = label_graph(len(entries), (
+        (a, b) for a, (_, j) in enumerate(entries)
+        for b, (i, _) in enumerate(entries) if i == j))
+    if not bipartite:
+        return None
+    return tuple(tuple(e for e, side in zip(entries, parity) if side == s)
+                 for s in (0, 1))

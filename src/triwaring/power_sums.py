@@ -60,17 +60,6 @@ class PairSolution:
     k: int
 
 
-@dataclass(frozen=True, slots=True)
-class TripleSolution:
-    """A solution (x, y, z) of x^k + y^k + z^k = lam."""
-
-    x: Element
-    y: Element
-    z: Element
-    lam: Element
-    k: int
-
-
 @dataclass(frozen=True)
 class SolutionClassification:
     """Partition S = U u V_1 u ... u V_r.
@@ -249,8 +238,9 @@ class AssignmentEntry:
 class PairAssignment:
     """Per-position solution choices. The class-machinery selection keeps
     all x-powers and all y-powers pairwise distinct across positions; the
-    desk-scale three-power fallback only guarantees the x side, which is
-    the one root extraction needs. validate() asserts the full form."""
+    per-position three-power route only guarantees what root extraction
+    needs (every pdq of two x's nonzero). validate() asserts the full
+    form."""
 
     entries: tuple[AssignmentEntry, ...]
 
@@ -288,7 +278,8 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
     (hardest first); per position the lam's class representatives are
     scanned in class order and the first with both powers unused is taken.
     Chronological backtracking over representatives handles sub-threshold
-    fields where pure greedy dead-ends.
+    fields where pure greedy dead-ends. More positions than k-th power
+    values fail at once, since the x-powers must be pairwise distinct.
     """
     demands = list(demands)
     lams = [lam for lam, _ in demands]
@@ -301,6 +292,12 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
     for lam, mult in order:
         positions.extend([lam] * mult)
     n = len(positions)
+    values = len(kth_root_map(F, k))
+    if n > values:
+        raise InsufficientClassesError(
+            f"{n} positions need pairwise distinct values of x^{k}, but "
+            f"x^{k} takes only {values} values over F_{F.q}",
+            found=values, needed=n)
 
     cand_lists = {lam: _candidates_for(F, lam, k) for lam, _ in order}
     for lam, mult in order:

@@ -1,11 +1,16 @@
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triwaring.canonical import bipartition, presentation_matrix
 from triwaring.decomposer import (
     DecompositionResult,
     Obstruction,
+    StructuredPlan,
+    _three_by_position_search,
     decompose_structured,
     decompose_three,
     decompose_two,
@@ -16,14 +21,22 @@ from triwaring.errors import (
     FieldMismatchError,
     InsufficientClassesError,
     PreconditionViolatedError,
+    TriwaringError,
 )
 from triwaring.fields import make_field
 from triwaring.oracle import all_kth_powers, iter_matrices
-from triwaring.power_sums import lex_min_solution
+from triwaring.power_sums import (
+    AssignmentEntry,
+    PairAssignment,
+    classified,
+    lex_min_solution,
+    power_diff_quotient,
+)
 from triwaring.tri_matrix import (
     UTMatrix,
     diag,
     from_text,
+    kth_root_sparse,
     mat_pow,
     to_text,
     zero,
@@ -302,3 +315,227 @@ def test_single_position_insufficiency(F7):
     # 3 = 1 + 1 + 1 works
     res = decompose_three(diag(F7, [3]), 6)
     assert res.verified and [p.diagonal() for p in res.parts] == [(1,), (1,), (1,)]
+
+
+def structured_reference(C, k):
+    """Reference: decompose_structured's plan by exhaustive search, a scan
+    of all 2^n diagonal colorings and a backtracking entry split, for a
+    constant-diagonal C with entries whose eigenvalue has two classes."""
+    F, n = C.field, C.n
+    lam = C.get(1, 1)
+    entries = C.nonzero_strict_positions()
+    s1, s2 = classified(F, lam, k).representatives()[:2]
+    sols = {1: s1, 2: s2}
+    owned = ([], [])
+
+    def fits(side, i, j):
+        return all(s != i and r != j for r, s in side)
+
+    def dfs(idx):
+        if idx == len(entries):
+            return True
+        i, j = entries[idx]
+        for side in owned:
+            if fits(side, i, j):
+                side.append((i, j))
+                if dfs(idx + 1):
+                    return True
+                side.pop()
+        return False
+
+    split = dfs(0)
+    refuted = []
+    for coloring in itertools.product((1, 2), repeat=n):
+        if not split or any(coloring[i - 1] == coloring[j - 1]
+                            for i, j in entries):
+            refuted.append(coloring)
+            continue
+        roots = []
+        for side, owned_side in zip(("x", "y"), owned):
+            A0 = diag(F, [F.pow(getattr(sols[c], side), k) for c in coloring])
+            roots.append(kth_root_sparse(
+                A0.with_entries({ij: C[ij] for ij in owned_side}), k))
+        plan = StructuredPlan(coloring, tuple(owned[0]), tuple(owned[1]),
+                              ((s1.x, s1.y), (s2.x, s2.y)))
+        pa = PairAssignment(tuple(
+            AssignmentEntry(lam, sols[c].x, sols[c].y) for c in coloring))
+        return DecompositionResult(tuple(roots), k, C, pa, True, plan=plan)
+    return Obstruction(C, k, len(refuted), tuple(refuted))
+
+
+def assert_structured_matches_reference(C, k):
+    try:
+        res = decompose_structured(C, k)
+    except InsufficientClassesError:
+        assert classified(C.field, C.get(1, 1), k).r < 2
+        return
+    if not C.nonzero_strict_positions():
+        return
+    ref = structured_reference(C, k)
+    assert type(res) is type(ref), (to_text(C), k)
+    assert res.to_json() == ref.to_json(), (to_text(C), k)
+    if isinstance(ref, DecompositionResult):
+        assert res == ref and res.plan == ref.plan, (to_text(C), k)
+
+
+def test_structured_matches_exhaustive_search_01(F13):
+    for n in range(1, 6):
+        positions = [(i, j) for i in range(1, n + 1)
+                     for j in range(i + 1, n + 1)]
+        for bits in itertools.product((0, 1), repeat=len(positions)):
+            C = zero(F13, n).with_entries(
+                {ij: 1 for ij, b in zip(positions, bits) if b})
+            for k in (2, 3):
+                assert_structured_matches_reference(C, k)
+
+
+def test_structured_matches_exhaustive_search_seeded():
+    rng = random.Random(6)
+    for p, m in [(5, 1), (3, 2), (31, 1)]:
+        F = make_field(p, m)
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            density = rng.random()
+            lam = rng.randrange(F.q)
+            C = diag(F, [lam] * n).with_entries({
+                (i, j): rng.randrange(1, F.q)
+                for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if rng.random() < density})
+            if len(C.nonzero_strict_positions()) <= 24:
+                assert_structured_matches_reference(C, rng.choice((2, 3, 4)))
+
+
+def position_search_reference(C, k):
+    """Reference: _three_by_position_search's assignment by a depth-first
+    search over all q^n root sequences, each a_i the least element that
+    keeps c_ii - a_i^k a sum of two k-th powers and pdq(a_i, a_j)
+    nonzero; the lex-min (y, z) fills the diagonal parts."""
+    F, n = C.field, C.n
+    d = C.diagonal()
+
+    def witness(i, a):
+        return lex_min_solution(F, F.sub(d[i], F.pow(a, k)), k)
+
+    chosen = []
+
+    def dfs(i):
+        if i == n:
+            return True
+        for a in F.elements():
+            if witness(i, a) is not None and all(
+                    power_diff_quotient(F, b, a, k) != 0 for b in chosen):
+                chosen.append(a)
+                if dfs(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not dfs(0):
+        raise InsufficientClassesError(
+            f"no three-power assignment found over F_{F.q} (k={k}); "
+            f"sufficient only for q > 4 n^2 k^16")
+    pairs = [witness(i, a) for i, a in enumerate(chosen)]
+    return PairAssignment(tuple(AssignmentEntry(c, a, s.x, s.y)
+                                for c, a, s in zip(d, chosen, pairs)))
+
+
+def assert_position_search_matches_reference(C, k):
+    """Same assignment, parts and typed error as the reference. The parts
+    follow from the assignment: B and D are its diagonals, and A is the
+    one matrix with diagonal (a_i) whose k-th power is C - B^k - D^k,
+    because every pdq(a_i, a_j) is nonzero (the result is verified)."""
+    try:
+        expected = position_search_reference(C, k)
+    except InsufficientClassesError as err:
+        with pytest.raises(InsufficientClassesError) as got:
+            _three_by_position_search(C, k)
+        assert str(got.value) == str(err)
+        return
+    res = _three_by_position_search(C, k)
+    assert res.verified and res.assignment == expected, (to_text(C), k)
+    entries = expected.entries
+    assert res.parts[0].diagonal() == tuple(e.x for e in entries)
+    assert res.parts[1:] == (diag(C.field, [e.y for e in entries]),
+                             diag(C.field, [e.z for e in entries]))
+
+
+def test_position_search_matches_depth_first_t2():
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)]:
+        F = make_field(p, m)
+        for k in sorted({1, 2, 3, 4, p}):
+            for C in iter_matrices(F, 2):
+                assert_position_search_matches_reference(C, k)
+
+
+def test_position_search_matches_depth_first_seeded():
+    rng = random.Random(9)
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]:
+        F = make_field(p, m)
+        for _ in range(80):
+            n = 4 if F.q <= 7 else 3
+            C = UTMatrix(F, n, tuple(rng.randrange(F.q)
+                                     for _ in range(n * (n + 1) // 2)))
+            if rng.random() < 0.5:
+                # repeated diagonal values exercise the once-only roots
+                C = C.with_entries({(i, i): C.get(1, 1)
+                                    for i in range(1, n, 2)})
+            assert_position_search_matches_reference(
+                C, rng.choice(sorted({1, 2, 3, 4, p})))
+
+
+def random_matrix(F, n, rng):
+    return UTMatrix(F, n, tuple(rng.randrange(F.q)
+                                for _ in range(n * (n + 1) // 2)))
+
+
+def test_three_powers_below_the_class_threshold():
+    # more positions than k-th power values: the shift route cannot
+    # assign, and the position route answers (the exhaustive search it
+    # replaced refused these q^n > 10^6 spaces)
+    rng = random.Random(12)
+    F13, F31 = make_field(13), make_field(31)
+    cases = ([(random_matrix(F13, 8, rng), 2) for _ in range(10)]
+             + [(random_matrix(F13, 10, rng), 3) for _ in range(10)]
+             + [(random_matrix(F31, 20, rng), 2)])
+    start = time.perf_counter()
+    for C, k in cases:
+        res = decompose_three(C, k)
+        assert res.verified and verify_decomposition(C, res.parts, k)
+    assert time.perf_counter() - start < 5
+
+
+def test_two_powers_fail_fast_on_pigeonhole():
+    C = random_matrix(make_field(31), 20, random.Random(12))
+    start = time.perf_counter()
+    with pytest.raises(InsufficientClassesError) as err:
+        decompose_two(C, 2)
+    assert time.perf_counter() - start < 1
+    # 20 positions, 16 squares in F_31
+    assert (err.value.lam, err.value.found, err.value.needed) == (None, 16, 20)
+
+
+def test_structured_obstruction_beyond_24_entries(F13):
+    # n = 8 with 25 entries (the old entry cap was 24): triangles make the
+    # entry graph non-bipartite, so all 256 colorings are refuted
+    positions = [(i, j) for i in range(1, 9) for j in range(i + 1, 9)]
+    C = zero(F13, 8).with_entries({ij: 1 for ij in positions[:25]})
+    ob = decompose_structured(C, 2)
+    assert isinstance(ob, Obstruction)
+    assert ob.explored == 256
+    assert ob.refuted_colorings == tuple(itertools.product((1, 2), repeat=8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]),
+       st.integers(1, 6), st.integers(1, 5), st.data())
+def test_decompose_three_verified_or_typed(pm, k, n, data):
+    F = make_field(*pm)
+    entries = data.draw(st.lists(st.integers(0, F.q - 1),
+                                 min_size=n * (n + 1) // 2,
+                                 max_size=n * (n + 1) // 2))
+    C = UTMatrix(F, n, tuple(entries))
+    try:
+        res = decompose_three(C, k)
+    except TriwaringError:
+        return
+    assert res.verified and verify_decomposition(C, res.parts, k)

@@ -204,6 +204,15 @@ def test_select_system_pairs_failure(F7):
         select_system_pairs(F7, [(0, 2)], 2)
 
 
+def test_select_system_pairs_pigeonhole(F7):
+    # squares of F_7 are {0, 1, 2, 4}: five positions cannot have
+    # pairwise distinct x^2, whatever the targets
+    with pytest.raises(InsufficientClassesError) as err:
+        select_system_pairs(F7, [(1, 2), (3, 2), (5, 1)], 2)
+    assert (err.value.lam, err.value.found, err.value.needed) == (None, 4, 5)
+    assert "lambda" not in err.value.to_json()
+
+
 def test_select_system_pairs_rejects_bad_demands(F13):
     with pytest.raises(ValueError):
         select_system_pairs(F13, [(0, 1), (0, 1)], 2)
