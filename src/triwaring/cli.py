@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 typed domain failure (legitimate at small q),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,6 +23,7 @@ class _UsageError(Exception):
     """Arguments the parser accepts but the subcommand cannot use."""
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triwaring",
@@ -258,8 +260,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for name in ("k", "m"):
-        if getattr(args, name, 1) < 1:
+    for name in ("k", "m", "n"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
             parser.error(f"--{name} must be at least 1")
     try:
         F = parse_field(args.q)

@@ -3,15 +3,15 @@
 Everything here is exhaustive and guarded: the k-th power image of a whole
 matrix algebra, minimum summand counts by breadth-first sumset growth, and
 machine checks of the negative claims (non-squares, non-conjugacy, the
-p | k obstruction). `min_waring_number` and `negative_checks` share one
-memoised layer engine per (F, n, k): the power image and each sumset layer
-are built at most once per process, as frozensets of packed entry tuples,
-and at most LAYER_CACHE_SIZE engines are kept. `all_kth_powers` and
-`waring_report` enumerate afresh on every call. Conjugacy under the
-invertible-triangular group B_n is decided exactly by a search of the
-kernel of P -> AP - PB, which returns the same witness as a scan of B_n in
-`iter_bn` order. Guards are hard errors, checked on every call, cached or
-not; an oracle must never truncate silently.
+p | k obstruction). `min_waring_number`, `waring_report` and
+`negative_checks` share one memoised layer engine per (F, n, k): the power
+image and each sumset layer are built at most once per process, as
+frozensets of packed entry tuples, and at most LAYER_CACHE_SIZE engines
+are kept. `all_kth_powers` enumerates afresh on every call. Conjugacy
+under the invertible-triangular group B_n is decided exactly by a search
+of the kernel of P -> AP - PB, which returns the same witness as a scan of
+B_n in `iter_bn` order. Guards are hard errors, checked on every call,
+cached or not; an oracle must never truncate silently.
 """
 
 from __future__ import annotations
@@ -99,18 +99,23 @@ def _power_layers(F: FieldSpec, n: int, k: int) -> _SumsetLayers:
 class _SumsetLayers:
     """P^1 = {A^k : A in T_n(F_q)} and its sumset layers P^2, P^3, ...
 
-    Layers are frozensets of packed entry tuples. P^1 is enumerated once
-    (by `all_kth_powers`); P^r for r >= 2 is P^(r-1) + P^1, built the first
-    time a query needs it. Entry arithmetic goes through q x q tables of
-    sums and differences when they cost no more than the image they serve
-    (q^2 <= |P^1|), else through F itself: T_1(F_q) has at most q
-    elements, so a q^2 table would dwarf it."""
+    Layers are frozensets of packed entry tuples. P^1 is enumerated once,
+    by `all_kth_powers`, whose first root per power `roots` keeps in order.
+    P^r, r >= 2, is P^(r-1) + P^1, built when a query first needs it, until
+    the layers close: one equals the layer below or holds all of T_n(F_q),
+    so every later layer equals it. Entry arithmetic goes through q x q
+    tables of sums and differences when they cost no more than the image
+    they serve (q^2 <= |P^1|), else through F itself: T_1(F_q) has at most
+    q elements, so a q^2 table would dwarf it."""
 
     def __init__(self, F: FieldSpec, n: int, k: int):
         self.field = F
-        self.powers = frozenset(P.entries for P in all_kth_powers(F, n, k))
+        self.size = F.q ** (n * (n + 1) // 2)
+        images = all_kth_powers(F, n, k)
+        self.roots = {P.entries: A.entries for P, A in images.items()}
+        self.powers = frozenset(P.entries for P in images)
         self.layers = [self.powers]
-        self.closed = False  # the next layer came out equal to the last
+        self.closed = len(self.powers) == self.size
         self._tables = None  # (x + y, x - y) tables, indexed [x][y]
         if F.q * F.q <= len(self.powers):
             elems = F.elements()
@@ -127,8 +132,8 @@ class _SumsetLayers:
         return [table[x].__getitem__ for x in a]
 
     def _layer(self, r: int) -> frozenset | None:
-        """P^r, building the layers below it as needed; None when some
-        P^j == P^(j-1), j <= r (every later layer equals P^(j-1))."""
+        """P^r, building the layers below it as needed; None when the
+        layers closed below r (every later layer equals the last built)."""
         while len(self.layers) < r and not self.closed:
             powers = list(self.powers)
             top = self.layers[-1]
@@ -144,13 +149,12 @@ class _SumsetLayers:
                 self.closed = True
             else:
                 self.layers.append(frozenset(nxt))
+                self.closed = len(nxt) == self.size
         return self.layers[r - 1] if r <= len(self.layers) else None
 
     def min_count(self, c: tuple[Element, ...], cap: int) -> int | None:
         """`min_waring_number` for the packed entries c."""
-        if c in self.powers:
-            return 1
-        for r in range(2, cap + 1):
+        for r in range(1, cap + 1):
             if r <= len(self.layers):
                 if c in self.layers[r - 1]:
                     return r
@@ -213,38 +217,33 @@ class WaringReport:
 
 
 def waring_report(F: FieldSpec, n: int, k: int, cap: int = 4) -> WaringReport:
-    """Min summand count for every matrix in T_n(F_q) at once (layered
-    sumsets, one pass), with a first witness per observed count."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    roots = all_kth_powers(F, n, k)
-    powers = list(roots)
-    per: dict[UTMatrix, int | None] = {M: None for M in iter_matrices(F, n)}
-    parents: dict[UTMatrix, tuple[UTMatrix, ...]] = {}
-    layer = set(powers)
-    for P in powers:
-        if per[P] is None:
-            per[P] = 1
-            parents[P] = (roots[P],)
-    r = 1
-    while r < cap and any(v is None for v in per.values()):
-        r += 1
-        nxt = set()
-        for S in layer:
-            for P in powers:
-                T = S + P
-                nxt.add(T)
-                if per[T] is None:
-                    per[T] = r
-                    parents[T] = parents[S] + (roots[P],)
-        if nxt == layer:
-            break
-        layer = nxt
+    """Min summand count for every matrix in T_n(F_q), read off the layer
+    engine's P^1..P^cap. The witness of a count is its first matrix in
+    `matrix_encoding` order; its parts descend the layers, each step taking
+    the first root whose power leaves the rest in the layer below."""
+    if cap < 1 or n < 1:
+        raise ValueError(f"n and cap must be >= 1, got n={n}, cap={cap}")
+    engine = _power_layers(F, n, k)
+    engine._layer(cap)
+    layers = engine.layers[:cap]
+    per = {M: next((r for r, layer in enumerate(layers, 1)
+                    if M.entries in layer), None)
+           for M in iter_matrices(F, n)}
     witnesses: dict[int, tuple[UTMatrix, tuple[UTMatrix, ...]]] = {}
     for M in sorted(per, key=matrix_encoding):
         v = per[M]
         if v is not None and v not in witnesses:
-            witnesses[v] = (M, parents[M])
+            rest, parts = M.entries, []
+            for below in reversed(layers[:v - 1]):
+                shifts = engine._shifts(rest, sub=True)
+                for P, A in engine.roots.items():
+                    S = tuple([f(y) for f, y in zip(shifts, P)])
+                    if S in below:
+                        break
+                parts.append(A)
+                rest = S
+            parts.append(engine.roots[rest])
+            witnesses[v] = (M, tuple(UTMatrix(F, n, a) for a in parts))
     return WaringReport(F, n, k, cap, per, witnesses)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import triwaring
 from triwaring.cli import main
 from triwaring.fields import make_field
 from triwaring.tri_matrix import from_text, mat_pow, to_text
@@ -236,6 +241,11 @@ def test_table_comma_grammar_requires_n(capsys):
       "--matrix", "1"], "--k must be at least 1"),
     (["bound", "--q", "7", "--k", "2", "--m", "0"],
      "--m must be at least 1"),
+    (["oracle", "--q", "3", "--k", "2", "--n", "0"], "--n must be at least 1"),
+    (["oracle", "--q", "3", "--k", "2", "--n", "-1"],
+     "--n must be at least 1"),
+    (["table", "--row", "12|34:13", "--q", "13", "--k", "2", "--n", "0"],
+     "--n must be at least 1"),
 ])
 def test_usage_errors_say_why(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -244,6 +254,34 @@ def test_usage_errors_say_why(capsys, argv, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert message in out.err
+
+
+def run_alone(*argv):
+    """The same call in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = Path(triwaring.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "triwaring.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_match_calls_alone(capsys):
+    # the parser is built once per process: no state may leak from one
+    # call into the next, and the --matrix append lists must not pile up
+    calls = [
+        ["oracle", "--q", "3", "--k", "2", "--n", "0"],
+        ["decompose", "--q", "13", "--k", "2", "--matrix", "0,1;0",
+         "--parts", "2", "--json"],
+        ["decompose", "--q", "13", "--k", "2", "--matrix", "1,2,3;4,5;6",
+         "--parts", "2", "--json"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == run_alone(*argv), argv
 
 
 def test_conjugate_size_mismatch_is_typed(capsys):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -96,12 +98,7 @@ def test_waring_report(F3):
     rep = waring_report(F3, 2, 2, cap=4)
     assert rep.histogram() == {"1": 10, "2": 15, "3": 2}
     assert rep.max_over_field == 3
-    for count, (M, parts) in rep.witnesses.items():
-        assert len(parts) == count
-        total = zero(F3, 2)
-        for part in parts:
-            total = total + mat_pow(part, 2)
-        assert total == M
+    assert_witnesses_valid(rep)
     js = rep.to_json()
     assert js["histogram"] == {"1": 10, "2": 15, "3": 2}
     csv = rep.to_csv()
@@ -300,13 +297,125 @@ def _fresh_layers():
     oracle._cached_layers.cache_clear()
 
 
+def report_reference(F, n, k, cap):
+    """Reference: the whole-space report by a breadth-first search of its
+    own over UTMatrix sums, independent of the layer engine."""
+    roots = all_kth_powers(F, n, k)
+    powers = list(roots)
+    per = {M: None for M in iter_matrices(F, n)}
+    parents = {}
+    layer = set(powers)
+    for P in powers:
+        if per[P] is None:
+            per[P] = 1
+            parents[P] = (roots[P],)
+    r = 1
+    while r < cap and any(v is None for v in per.values()):
+        r += 1
+        nxt = set()
+        for S in layer:
+            for P in powers:
+                T = S + P
+                nxt.add(T)
+                if per[T] is None:
+                    per[T] = r
+                    parents[T] = parents[S] + (roots[P],)
+        if nxt == layer:
+            break
+        layer = nxt
+    witnesses = {}
+    for M in sorted(per, key=matrix_encoding):
+        v = per[M]
+        if v is not None and v not in witnesses:
+            witnesses[v] = (M, parents[M])
+    return oracle.WaringReport(F, n, k, cap, per, witnesses)
+
+
+def assert_witnesses_valid(rep):
+    for count, (M, parts) in rep.witnesses.items():
+        assert len(parts) == count
+        total = zero(rep.field, rep.n)
+        for part in parts:
+            total = total + mat_pow(part, rep.k)
+        assert total == M
+
+
+REPORT_CORPUS = ([(p, m, n, k) for p, m, n in [
+    (3, 1, 1), (5, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+    (7, 1, 2), (2, 1, 3)] for k in (1, 2, 3, 4)] + [(3, 2, 2, 2), (3, 1, 3, 2)])
+
+
+@pytest.mark.parametrize("p, m, n, k", REPORT_CORPUS)
+def test_report_matches_reference(p, m, n, k):
+    F = make_field(p, m)
+    for cap in (1, 2, 3, 4):
+        _fresh_layers()
+        want = report_reference(F, n, k, cap)
+        cold, warm = (waring_report(F, n, k, cap) for _ in range(2))
+        for got in (cold, warm):
+            assert list(got.per_matrix_min.items()) == list(
+                want.per_matrix_min.items()), cap
+            assert got.histogram() == want.histogram()
+            assert got.to_json() == want.to_json()
+            assert got.to_csv() == want.to_csv()
+            assert got.max_over_field == want.max_over_field
+            assert {v: M for v, (M, _) in got.witnesses.items()} == {
+                v: M for v, (M, _) in want.witnesses.items()}
+            assert_witnesses_valid(got)
+        assert cold.witnesses == warm.witnesses  # parts are deterministic
+
+
+def test_report_matches_recorded_facts():
+    # perfbench/facts.json was written from independent reference
+    # arithmetic; read it, never write it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "facts.json"
+    tables = json.loads(path.read_text())["tables"]
+    assert len(tables) == 12
+    for name, t in tables.items():
+        F = make_field(t["p"], t["m"], tuple(t["modulus"]))
+        rep = waring_report(F, t["n"], t["k"], t["cap"])
+        width = t["n"] * (t["n"] + 1) // 2
+        got = "".join(
+            str(rep.per_matrix_min[UTMatrix(F, t["n"], e)] or 0)
+            for e in itertools.product(range(F.q), repeat=width))
+        assert got == t["mins"], name
+
+
+@pytest.mark.parametrize("k, closed_at", [(1, 1), (2, 2)])
+def test_layers_close_on_the_whole_algebra(F13, k, closed_at, monkeypatch):
+    # once a layer holds all of T_2(F_13), no later layer is built: the
+    # only sums taken are those of P^1 + P^1 when P^2 is the first full one
+    sums = []  # one entry per element a layer build shifts
+    real_shifts = oracle._SumsetLayers._shifts
+
+    def shifts(self, a, sub):
+        if not sub:
+            sums.append(a)
+        return real_shifts(self, a, sub)
+
+    monkeypatch.setattr(oracle._SumsetLayers, "_shifts", shifts)
+    _fresh_layers()
+    rep = waring_report(F13, 2, k, cap=4)
+    assert rep.max_over_field == closed_at
+    engine = oracle._cached_layers(F13, 2, k)
+    assert engine.closed
+    assert [len(layer) for layer in engine.layers][closed_at - 1:] == [13 ** 3]
+    assert len(sums) == (len(engine.powers) if closed_at == 2 else 0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_report_rejects_sizes_below_one(F3, n):
+    with pytest.raises(ValueError, match="n and cap must be >= 1"):
+        waring_report(F3, n, 2)
+
+
 @pytest.mark.parametrize("p, m, n", [(3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)])
 def test_min_waring_matches_report_cold_and_warm(p, m, n):
     F = make_field(p, m)
     mats = list(iter_matrices(F, n))
     for k in (1, 2, 3):
         for cap in (2, 3, 4):
-            expect = waring_report(F, n, k, cap).per_matrix_min
+            expect = report_reference(F, n, k, cap).per_matrix_min
             for order in (mats, mats[::-1]):
                 _fresh_layers()  # the first query of each order runs cold
                 for M in order:
@@ -318,8 +427,8 @@ def test_min_waring_cache_keyed_on_modulus(n):
     # two models of F_9 whose encodings mean different elements
     Fa, Fb = make_field(3, 2, (2, 1, 1)), make_field(3, 2, (2, 2, 1))
     k, cap = 2, 3
-    rep_a = waring_report(Fa, n, k, cap).per_matrix_min
-    rep_b = waring_report(Fb, n, k, cap).per_matrix_min
+    rep_a = report_reference(Fa, n, k, cap).per_matrix_min
+    rep_b = report_reference(Fb, n, k, cap).per_matrix_min
     by_entries = {M.entries: v for M, v in rep_b.items()}
     assert any(by_entries[M.entries] != v for M, v in rep_a.items())
     _fresh_layers()
