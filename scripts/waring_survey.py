@@ -17,20 +17,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from triwaring.decomposer import decompose_three, decompose_two
 from triwaring.errors import InsufficientClassesError
-from triwaring.fields import make_field
+from triwaring.fields import parse_field
 from triwaring.oracle import iter_matrices, waring_report
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--q", type=int, nargs="+", default=[3, 5, 7, 13])
+    ap.add_argument("--q", nargs="+", default=["3", "5", "7", "13"],
+                    help="field specs: P, P^M, or P^M/c0,c1,...,cm")
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--k", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--cap", type=int, default=4)
     args = ap.parse_args()
 
-    for q in args.q:
-        F = make_field(q)
+    for spec in args.q:
+        F = parse_field(spec)
         for k in args.k:
             rep = waring_report(F, args.n, k, args.cap)
 
@@ -53,8 +54,8 @@ def main() -> int:
                     disagreements += above(C, 3)
                 except InsufficientClassesError:
                     three_missed += not above(C, 3)
-            total = q ** (args.n * (args.n + 1) // 2)
-            print(f"q={q:<3} n={args.n} k={k}: histogram {rep.histogram()}  "
+            total = F.q ** (args.n * (args.n + 1) // 2)
+            print(f"q={F.q:<3} n={args.n} k={k}: histogram {rep.histogram()}  "
                   f"two-power algorithm {two_ok}/{total} "
                   f"(misses {two_missed} the oracle puts at <= 2), "
                   f"three-power {three_ok}/{total} "

@@ -199,6 +199,9 @@ def _cmd_oracle(F, args):
         raise _UsageError("--cap must be at least 1")
     if args.matrix:
         C = _single_matrix(F, args)
+        if args.n is not None and args.n != C.n:
+            raise _UsageError(
+                f"--n {args.n} does not match the size {C.n} of --matrix")
         m = oracle.min_waring_number(F, C, args.k, args.cap)
         shown = m if m is not None else f">{args.cap}"
         payload = {"q": F.q, "n": C.n, "k": args.k, "cap": args.cap,

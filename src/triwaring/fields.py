@@ -6,9 +6,10 @@ monic modulus of degree m. Two elements are equal iff their encodings are
 equal, so sets and dict keys work with no wrapper type.
 
 Prime fields (m = 1) use direct modular arithmetic. Extension fields build
-discrete exp/log tables over a multiplicative generator at construction,
-which keeps mul/inv/pow at dictionary-lookup cost during the exhaustive
-scans this package lives on.
+discrete exp/log tables at construction, from one walk over the powers of
+the least multiplicative generator, which keeps mul/inv/pow at table-lookup
+cost during the exhaustive scans this package lives on. A modulus is
+accepted by Ben-Or's irreducibility test, one rule for every degree.
 """
 
 from __future__ import annotations
@@ -18,11 +19,15 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DegreeMismatchError,
+    EnumerationTooLargeError,
     NotPrimeError,
     ReducibleModulusError,
 )
 
 Element = int
+
+# Largest extension field built: its exp/log tables hold about 3q entries.
+MAX_EXTENSION_Q = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
@@ -95,34 +100,16 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _has_root(coeffs: list[int], p: int) -> bool:
-    for t in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * t + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Monic modulus of degree <= 4: root check, plus a gcd with
-    x^(p^2) - x for degree 4 (its irreducible factors have degree <= 2)."""
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
+    """Ben-Or's test: a monic f of degree m is irreducible iff
+    gcd(f, x^(p^i) - x) = 1 for every i <= m // 2. A reducible f has an
+    irreducible factor of degree i <= m // 2, and x^(p^i) - x is the
+    product of the monic irreducibles of degree dividing i."""
     poly = list(coeffs)
-    if _has_root(poly, p):
-        return False
-    if deg <= 3:
-        return True
-    # degree 4: exclude a split into two irreducible quadratics via
-    # gcd(f, x^(p^2) - x), the product of all monic irreducibles of
-    # degree dividing 2
     acc = [0, 1]
-    for _ in range(2):  # x^(p^2) = (x^p)^p
-        result = [1]
-        base = list(acc)
+    for _ in range((len(poly) - 1) // 2):
+        result = [1]  # acc <- acc^p = x^(p^i) mod f
+        base = acc
         e = p
         while e:
             if e & 1:
@@ -130,15 +117,12 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
             base = _poly_mod(_poly_mul(base, base, p), poly, p)
             e >>= 1
         acc = result
-    diff = list(acc)
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    diff = _poly_trim(diff)
-    if not diff:
-        return False  # f divides x^(p^2) - x, so it splits into quadratics
-    g = _poly_gcd(poly, diff, p)
-    return len(g) == 1  # nonzero constant
+        diff = acc + [0] * (2 - len(acc))
+        diff[1] = (diff[1] - 1) % p
+        # when f divides x^(p^i) - x, diff is empty and the gcd is f itself
+        if len(_poly_gcd(poly, _poly_trim(diff), p)) > 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -168,32 +152,24 @@ class FieldSpec:
 
     # -- construction helpers -------------------------------------------
 
-    def _mul_raw(self, a: Element, b: Element) -> Element:
-        p, m = self.p, self.m
-        prod = _poly_mul(_digits(a, p, m), _digits(b, p, m), p)
-        return _undigits(_poly_mod(prod, list(self.modulus), p), p)
-
     def _build_tables(self):
-        q = self.p ** self.m
+        """Walk the powers of g = 2, 3, ... once each, back to 1; the first
+        walk of q - 1 powers is the exp table, and the log table inverts it."""
+        p, m, q = self.p, self.m, self.q
         order = q - 1
+        modulus = list(self.modulus)
         for g in range(2, q):
-            seen = 1
-            acc = g
-            while acc != 1:
-                acc = self._mul_raw(acc, g)
-                seen += 1
-                if seen > order:
-                    break
-            if seen == order:
-                exp = [1] * (2 * order)
+            step = _digits(g, p, m)
+            powers = [1]
+            acc = step
+            while acc != [1] and len(powers) <= order:
+                powers.append(_undigits(acc, p))
+                acc = _poly_mod(_poly_mul(acc, step, p), modulus, p)
+            if len(powers) == order:
                 log = [0] * q
-                acc = 1
-                for i in range(order):
-                    exp[i] = acc
-                    exp[i + order] = acc
-                    log[acc] = i
-                    acc = self._mul_raw(acc, g)
-                return tuple(exp), tuple(log)
+                for i, value in enumerate(powers):
+                    log[value] = i
+                return tuple(powers + powers), tuple(log)
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
     # -- arithmetic ------------------------------------------------------
@@ -270,6 +246,10 @@ def _make_field_cached(p: int, m: int, modulus: tuple[int, ...] | None) -> Field
         raise DegreeMismatchError(f"extension degree must be >= 1, got {m}")
     if m > 4:
         raise DegreeMismatchError(f"extension degree {m} unsupported (max 4)")
+    if m > 1 and p ** m > MAX_EXTENSION_Q:
+        raise EnumerationTooLargeError(
+            f"F_{p ** m} (p = {p}, m = {m}) is too large: extension fields "
+            f"are built up to q = {MAX_EXTENSION_Q} (exp/log tables)")
     if modulus is None:
         modulus = _default_modulus(p, m)
     else:

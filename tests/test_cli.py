@@ -150,6 +150,11 @@ def test_oracle_subcommand_matrix(capsys):
                              "--matrix", "0,1;0", "--cap", "4", "--json")
     assert code == 0
     assert payload["min_powers"] == 3
+    # an --n equal to the matrix size is accepted
+    code, payload = run_json(capsys, "oracle", "--q", "3", "--k", "2",
+                             "--n", "2", "--matrix", "0,1;0", "--json")
+    assert code == 0
+    assert payload["n"] == 2 and payload["min_powers"] == 3
 
 
 def test_oracle_subcommand_report(capsys):
@@ -206,6 +211,13 @@ def test_bad_field_spec(capsys):
     assert "NotPrimeError" in err
 
 
+def test_field_too_large_is_typed(capsys):
+    code, payload = run_json(capsys, "field", "--q", "47^4", "--json")
+    assert code == 1
+    assert payload["failure"]["type"] == "EnumerationTooLargeError"
+    assert "4879681" in payload["failure"]["message"]
+
+
 def test_table_comma_grammar_requires_n(capsys):
     # comma-separated labels cannot infer n; --n must be passed
     with pytest.raises(SystemExit) as exc:
@@ -246,6 +258,8 @@ def test_table_comma_grammar_requires_n(capsys):
      "--n must be at least 1"),
     (["table", "--row", "12|34:13", "--q", "13", "--k", "2", "--n", "0"],
      "--n must be at least 1"),
+    (["oracle", "--q", "3", "--k", "2", "--n", "5", "--matrix", "0,1;0"],
+     "--n 5 does not match the size 2 of --matrix"),
 ])
 def test_usage_errors_say_why(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -1,14 +1,25 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from triwaring.errors import (
     DegreeMismatchError,
+    EnumerationTooLargeError,
     NotPrimeError,
     ReducibleModulusError,
 )
 from triwaring.fields import (
+    FieldSpec,
+    _default_modulus,
+    _digits,
+    _is_irreducible,
+    _poly_gcd,
+    _poly_mod,
+    _poly_mul,
+    _poly_trim,
+    _undigits,
     field_text,
     kth_power_image,
     kth_root_map,
@@ -53,6 +64,16 @@ def test_make_field_rejects_bad_shapes():
         make_field(3, 2, (1, 0, 2))  # not monic
     with pytest.raises(DegreeMismatchError):
         make_field(2, 5)
+
+
+def test_make_field_refuses_huge_extension_fields():
+    # 47^4 = 4,879,681 and 101^3 = 1,030,301 elements: refused before
+    # any modulus search or table build
+    start = time.perf_counter()
+    for p, m in ((47, 4), (101, 3)):
+        with pytest.raises(EnumerationTooLargeError, match=str(p ** m)):
+            make_field(p, m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_arith_examples(F7, F9):
@@ -143,9 +164,8 @@ def test_kth_roots_preimage_consistency(all_fields):
 
 def test_irreducibility_counts_match_moebius_formula():
     # (1/d) sum_{e | d} mu(d/e) p^e monic irreducibles of degree d
-    from triwaring.fields import _digits, _is_irreducible
     mu = {1: 1, 2: -1, 3: -1, 4: 0}
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         for d in (2, 3, 4):
             counted = 0
             for t in range(p ** d):
@@ -155,6 +175,94 @@ def test_irreducibility_counts_match_moebius_formula():
             divisors = [e for e in range(1, d + 1) if d % e == 0]
             expected = sum(mu[d // e] * p ** e for e in divisors) // d
             assert counted == expected, (p, d)
+
+
+def irreducible_reference(coeffs, p):
+    """Root scan, plus a gcd with x^(p^2) - x at degree 4: a separate rule
+    for degree <= 4 that _is_irreducible must agree with."""
+    poly = list(coeffs)
+    deg = len(poly) - 1
+    if deg == 1:
+        return True
+    for t in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * t + c) % p
+        if acc == 0:
+            return False
+    if deg <= 3:
+        return True
+    acc = [0, 1]
+    for _ in range(2):
+        acc = _poly_pow_mod(acc, p, poly, p)
+    diff = acc + [0] * (2 - len(acc))
+    diff[1] = (diff[1] - 1) % p
+    diff = _poly_trim(diff)
+    if not diff:
+        return False
+    return len(_poly_gcd(poly, diff, p)) == 1
+
+
+def _poly_pow_mod(base, e, mod, p):
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, base, p), mod, p)
+        base = _poly_mod(_poly_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def tables_reference(p, m, modulus):
+    """Two walks, with element-level products: find each candidate's
+    order, then walk the first generator again to fill exp/log."""
+    q = p ** m
+    order = q - 1
+
+    def mul(a, b):
+        prod = _poly_mul(_digits(a, p, m), _digits(b, p, m), p)
+        return _undigits(_poly_mod(prod, list(modulus), p), p)
+
+    for g in range(2, q):
+        seen, acc = 1, g
+        while acc != 1:
+            acc = mul(acc, g)
+            seen += 1
+            if seen > order:
+                break
+        if seen == order:
+            exp = [1] * (2 * order)
+            log = [0] * q
+            acc = 1
+            for i in range(order):
+                exp[i] = exp[i + order] = acc
+                log[acc] = i
+                acc = mul(acc, g)
+            return tuple(exp), tuple(log)
+    raise RuntimeError("no multiplicative generator found")
+
+
+def test_irreducibility_matches_reference():
+    for p, dmax in ((2, 4), (3, 4), (5, 4), (7, 4), (11, 3), (13, 3)):
+        for d in range(1, dmax + 1):
+            for t in range(p ** d):
+                coeffs = tuple(_digits(t, p, d)) + (1,)
+                assert (_is_irreducible(coeffs, p)
+                        == irreducible_reference(coeffs, p)), (p, coeffs)
+
+
+def test_tables_match_reference_on_every_modulus():
+    # every irreducible modulus of every extension field up to F_169
+    for p, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2),
+                 (5, 3), (7, 2), (11, 2), (13, 2)):
+        moduli = [c for c in (tuple(_digits(t, p, m)) + (1,)
+                              for t in range(p ** m))
+                  if irreducible_reference(c, p)]
+        assert _default_modulus(p, m) == moduli[0]
+        for modulus in moduli:
+            F = FieldSpec(p, m, modulus)
+            assert (F._exp, F._log) == tables_reference(p, m, modulus), \
+                (p, m, modulus)
 
 
 def test_minus_one_examples(F7, F13):
