@@ -17,7 +17,6 @@ from .power_sums import (
     SolutionClassification,
     classification_report,
     classified,
-    classify_solutions,
     count_zero_sum_classes,
     enumerate_pair_solutions,
     lang_weil_check,

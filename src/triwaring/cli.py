@@ -98,8 +98,8 @@ def _cmd_field(F, args):
 
 
 def _cmd_solve(F, args):
-    payload = power_sums.classification_report(F, args.lam % F.q, args.k)
-    lines = [f"x^{args.k} + y^{args.k} = {args.lam % F.q} over F_{F.q}:",
+    payload = power_sums.classification_report(F, args.lam, args.k)
+    lines = [f"x^{args.k} + y^{args.k} = {args.lam} over F_{F.q}:",
              f"  U size {payload['U_size']}"]
     for c in payload["classes"]:
         lines.append(f"  class sig={tuple(c['sig'])} size={c['size']} "
@@ -111,17 +111,16 @@ def _cmd_solve(F, args):
 
 
 def _cmd_classify(F, args):
-    lam = args.lam % F.q
-    cl = power_sums.classified(F, lam, args.k)
+    cl = power_sums.classified(F, args.lam, args.k)
     payload = {
-        "q": F.q, "k": args.k, "lambda": lam,
+        "q": F.q, "k": args.k, "lambda": args.lam,
         "U": [[s.x, s.y] for s in cl.U],
         "classes": [
             {"sig": [sig[0], sig[1]], "solutions": [[s.x, s.y] for s in cls]}
             for sig, cls in zip(cl.signatures, cl.classes)
         ],
     }
-    lines = [f"x^{args.k} + y^{args.k} = {lam} over F_{F.q}:",
+    lines = [f"x^{args.k} + y^{args.k} = {args.lam} over F_{F.q}:",
              f"  U = {[(s.x, s.y) for s in cl.U]}"]
     for sig, cls in zip(cl.signatures, cl.classes):
         lines.append(f"  V{sig} = {[(s.x, s.y) for s in cls]}")

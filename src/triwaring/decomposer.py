@@ -23,6 +23,7 @@ exists.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ from .errors import (
     NoAdmissibleShiftError,
     PreconditionViolatedError,
 )
-from .fields import Element, FieldSpec, kth_root_map, kth_roots
+from .fields import Element, FieldSpec, kth_root_map
 from .power_sums import (
     AssignmentEntry,
     PairAssignment,
@@ -124,22 +125,19 @@ def _require_odd(F: FieldSpec) -> None:
             "decompositions require odd characteristic")
 
 
-def _eigen_demands(C: UTMatrix) -> list[tuple[Element, int]]:
-    counts: dict[Element, int] = {}
-    for c in C.diagonal():
-        counts[c] = counts.get(c, 0) + 1
-    return sorted(counts.items())
-
-
-def _positional_entries(C: UTMatrix, by_lam: dict[Element, list[AssignmentEntry]]
-                        ) -> list[AssignmentEntry]:
-    queues = {lam: list(entries) for lam, entries in by_lam.items()}
-    return [queues[c].pop(0) for c in C.diagonal()]
-
-
-def _min_roots(F: FieldSpec, values, k: int) -> list[Element]:
-    """The smallest k-th root of v^k, per v in values."""
-    return [kth_roots(F, F.pow(v, k), k)[0] for v in values]
+def _pair_entries(F: FieldSpec, targets, k: int) -> list[AssignmentEntry]:
+    """The two-power core: one solution of x^k + y^k = t per position t of
+    `targets`, all x-powers and all y-powers pairwise distinct. Each target
+    is demanded as often as it occurs, and each position takes its
+    target's next entry of the assignment. The x and y of every entry are
+    least roots (a class representative pairs the least roots of its
+    signature), so they serve as diagonal roots unchanged."""
+    demands = collections.Counter(targets).items()
+    by_lam: dict[Element, list[AssignmentEntry]] = {}
+    for e in select_system_pairs(F, demands, k).entries:
+        by_lam.setdefault(e.lam, []).append(e)
+    queues = {lam: iter(entries) for lam, entries in by_lam.items()}
+    return [next(queues[t]) for t in targets]
 
 
 def _assemble(C: UTMatrix, k: int, roots, diag_parts, entries
@@ -166,14 +164,9 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     F = C.field
     check_in_field(C)
     _require_odd(F)
-    demands = _eigen_demands(C)
-    assignment = select_system_pairs(F, demands, k)
-    by_lam: dict[Element, list[AssignmentEntry]] = {}
-    for e in assignment.entries:
-        by_lam.setdefault(e.lam, []).append(e)
-    entries = _positional_entries(C, by_lam)
-    return _assemble(C, k, _min_roots(F, (e.x for e in entries), k),
-                     [_min_roots(F, (e.y for e in entries), k)], entries)
+    entries = _pair_entries(F, C.diagonal(), k)
+    return _assemble(C, k, [e.x for e in entries], [[e.y for e in entries]],
+                     entries)
 
 
 def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
@@ -182,13 +175,12 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
     the shifted targets. Shifts are retried with failing targets forbidden
     until the system assigns or the shift space is exhausted."""
     F = C.field
-    demands = _eigen_demands(C)
+    d = C.diagonal()
     # nonzero eigenvalues first so their preferred z = 0 shift is never
     # stolen by the zero eigenvalue's forced nonzero shift
-    eig_order = sorted((lam for lam, _ in demands if lam != 0))
-    if any(lam == 0 for lam, _ in demands):
+    eig_order = sorted(set(d) - {0})
+    if 0 in d:
         eig_order.append(0)
-    mult = dict(demands)
     banned: dict[Element, set[Element]] = {lam: set() for lam in eig_order}
 
     max_rounds = F.q * len(eig_order) + 1
@@ -199,26 +191,19 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
             z, shifted = shift_to_two_variable(F, lam, k, taken | banned[lam])
             shifts[lam] = (z, shifted)
             taken.add(shifted)
-        shifted_demands = [(shifts[lam][1], mult[lam]) for lam in eig_order]
-        source = {shifts[lam][1]: lam for lam in eig_order}
+        source = {shifted: lam for lam, (_, shifted) in shifts.items()}
         try:
-            assignment = select_system_pairs(F, shifted_demands, k)
+            pairs = _pair_entries(F, [shifts[c][1] for c in d], k)
         except InsufficientClassesError as err:
             if err.lam is None or err.lam not in source:
                 raise
             banned[source[err.lam]].add(err.lam)
             continue
-        by_shifted: dict[Element, list[AssignmentEntry]] = {}
-        for e in assignment.entries:
-            by_shifted.setdefault(e.lam, []).append(e)
-        by_lam = {lam: by_shifted[shifts[lam][1]] for lam in eig_order}
-        raw = _positional_entries(C, by_lam)
-        entries = [AssignmentEntry(C.get(i + 1, i + 1), e.x, e.y,
-                                   shifts[C.get(i + 1, i + 1)][0])
-                   for i, e in enumerate(raw)]
-        return _assemble(C, k, _min_roots(F, (e.x for e in entries), k),
-                         [_min_roots(F, (e.y for e in entries), k),
-                          [e.z for e in entries]], entries)
+        entries = [AssignmentEntry(c, e.x, e.y, shifts[c][0])
+                   for c, e in zip(d, pairs)]
+        return _assemble(C, k, [e.x for e in entries],
+                         [[e.y for e in entries], [e.z for e in entries]],
+                         entries)
     raise NoAdmissibleShiftError("shift retries exhausted")  # unreachable
 
 
@@ -334,9 +319,8 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
             f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
             f"need 2 for the structured split", lam=lam, found=cl.r, needed=2)
     s1, s2 = cl.representatives()[:2]
-    xpow = {1: F.pow(s1.x, k), 2: F.pow(s2.x, k)}
-    ypow = {1: F.pow(s1.y, k), 2: F.pow(s2.y, k)}
     sols = {1: s1, 2: s2}
+    sigs = dict(zip((1, 2), cl.signatures))
 
     coloring = bipartition(C)
     split = _split_entries(entries)
@@ -344,9 +328,9 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         refuted = tuple(itertools.product((1, 2), repeat=n))
         return Obstruction(C, k, len(refuted), refuted)
     owned_a, owned_b = split
-    A0 = diag(F, [xpow[c] for c in coloring]).with_entries(
+    A0 = diag(F, [sigs[c][0] for c in coloring]).with_entries(
         {ij: C[ij] for ij in owned_a})
-    B0 = diag(F, [ypow[c] for c in coloring]).with_entries(
+    B0 = diag(F, [sigs[c][1] for c in coloring]).with_entries(
         {ij: C[ij] for ij in owned_b})
     A = kth_root_sparse(A0, k)
     B = kth_root_sparse(B0, k)

@@ -12,13 +12,16 @@ distinct x-power components and pairwise distinct y-power components, which
 is exactly what the matrix decomposition needs: one representative per class
 yields diagonal assignments whose k-th powers never collide.
 
-S has one source: each x reads its y's off the fiber of lam - x^k in the
-cached k-th root map, O(q) work per lam once that map exists.
+The classes are read off the cached k-th root map: V_i with signature
+(v, lam - v) is exactly fiber(v) x fiber(lam - v), and U collects the
+products with v = lam - v. O(q) work per lam once that map exists, and no
+k-th power is recomputed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -77,7 +80,8 @@ class SolutionClassification:
         return len(self.classes)
 
     def representatives(self) -> tuple[PairSolution, ...]:
-        """Lex-smallest (x, y) member of each class, in class order."""
+        """Lex-smallest (x, y) member of each class, in class order: the
+        least roots of the class's signature."""
         return tuple(cls[0] for cls in self.classes)
 
 
@@ -114,6 +118,7 @@ class QuotientZeroReport:
 def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
     """Scan F_q x F_q minus (0,0) and compare the observed zero set of the
     quotient against the predicted characterization."""
+    enum_guard(F.q ** 2)
     p = F.p
     zeros = []
     violations = []
@@ -133,43 +138,41 @@ def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
     return QuotientZeroReport(F.q, k, tuple(zeros), tuple(violations), checked)
 
 
-def enumerate_pair_solutions(F: FieldSpec, lam: Element, k: int
-                             ) -> tuple[PairSolution, ...]:
-    """Exact solution set of x^k + y^k = lam, sorted by (x, y).
-
-    x runs upward and its y's are the sorted fiber of lam - x^k in the
-    k-th root map, so the output comes out sorted: O(q) work per lam once
-    the root map exists. k < 1 raises ValueError (from kth_root_map), and
-    lam outside [0, q) raises FieldMismatchError.
-    """
+@functools.lru_cache(maxsize=None)
+def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
+    """The partition of the solutions of x^k + y^k = lam, cached; the
+    decomposer hammers this. Walking the k-th power values v upward yields
+    the classes fiber(v) x fiber(lam - v) in signature order, members
+    already sorted by (x, y). k < 1 raises ValueError (from kth_root_map),
+    and lam outside [0, q) raises FieldMismatchError."""
     if not 0 <= lam < F.q:
         raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
     roots = kth_root_map(F, k)
-    return tuple(PairSolution(x, y, lam, k)
-                 for x in F.elements()
-                 for y in roots.get(F.sub(lam, F.pow(x, k)), ()))
-
-
-def classify_solutions(F: FieldSpec, sols) -> SolutionClassification:
-    """Partition solutions (sharing lam and k) into U and the V_i."""
-    sols = sorted(sols, key=lambda s: (s.x, s.y))
-    U = []
-    by_sig: dict[tuple[Element, Element], list[PairSolution]] = {}
-    for s in sols:
-        sx, sy = F.pow(s.x, s.k), F.pow(s.y, s.k)
-        if sx == sy:
-            U.append(s)
+    U: list[PairSolution] = []
+    classes = []
+    signatures = []
+    for v in sorted(roots):
+        w = F.sub(lam, v)
+        if w not in roots:
+            continue
+        members = [PairSolution(x, y, lam, k)
+                   for x in roots[v] for y in roots[w]]
+        if v == w:
+            U.extend(members)
         else:
-            by_sig.setdefault((sx, sy), []).append(s)
-    signatures = tuple(sorted(by_sig))
-    classes = tuple(tuple(by_sig[sig]) for sig in signatures)
-    return SolutionClassification(tuple(U), classes, signatures)
+            classes.append(tuple(members))
+            signatures.append((v, w))
+    U.sort(key=lambda s: (s.x, s.y))
+    return SolutionClassification(tuple(U), tuple(classes), tuple(signatures))
 
 
-@functools.lru_cache(maxsize=None)
-def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
-    """Enumerate + classify, cached; the decomposer hammers this."""
-    return classify_solutions(F, enumerate_pair_solutions(F, lam, k))
+def enumerate_pair_solutions(F: FieldSpec, lam: Element, k: int
+                             ) -> tuple[PairSolution, ...]:
+    """Exact solution set of x^k + y^k = lam, sorted by (x, y): the
+    classes and U of `classified`, flattened."""
+    cl = classified(F, lam, k)
+    return tuple(sorted(itertools.chain(cl.U, *cl.classes),
+                        key=lambda s: (s.x, s.y)))
 
 
 def lex_min_solution(F: FieldSpec, lam: Element, k: int) -> PairSolution | None:
@@ -257,15 +260,18 @@ class PairAssignment:
                 raise AssertionError("assignment sum mismatch")
 
 
-def _candidates_for(F: FieldSpec, lam: Element, k: int) -> tuple[PairSolution, ...]:
-    """Class representatives in class order; the U representative (when U is
-    nonempty) is appended as a last resort for sub-threshold fields. In the
-    theorem regime the V representatives alone always suffice, so the U
-    candidate never changes theorem-regime outputs."""
+def _candidates_for(F: FieldSpec, lam: Element, k: int
+                    ) -> tuple[tuple[PairSolution, tuple[Element, Element]], ...]:
+    """(representative, signature) per class in class order; the U
+    representative (when U is nonempty) is appended as a last resort for
+    sub-threshold fields. In the theorem regime the V representatives alone
+    always suffice, so the U candidate never changes theorem-regime
+    outputs."""
     cl = classified(F, lam, k)
-    cands = list(cl.representatives())
+    cands = list(zip(cl.representatives(), cl.signatures))
     if cl.U:
-        cands.append(cl.U[0])
+        v = F.pow(cl.U[0].x, k)
+        cands.append((cl.U[0], (v, v)))
     return tuple(cands)
 
 
@@ -319,8 +325,7 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
         placed = False
         i = idx[pos]
         while i < len(cands):
-            s = cands[i]
-            sx, sy = F.pow(s.x, k), F.pow(s.y, k)
+            s, (sx, sy) = cands[i]
             if sx not in used_x and sy not in used_y:
                 chosen.append(s)
                 used_x.append(sx)
@@ -389,6 +394,9 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     alphas = list(alphas)
     if len(alphas) != m:
         raise ValueError(f"need {m} coefficients, got {len(alphas)}")
+    if any(not 0 <= a < F.q for a in alphas):
+        raise FieldMismatchError(
+            f"coefficients {alphas} are not all inside [0, {F.q})")
     if any(a == 0 for a in alphas):
         raise ValueError("coefficients must be nonzero")
     enum_guard(F.q ** m)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -323,3 +324,32 @@ def test_conjugate_bad_guard_override_is_typed(capsys, monkeypatch):
     assert code == 1
     assert payload["failure"]["type"] == "EnumerationTooLargeError"
     assert "WARING_MAX_ENUM" in payload["failure"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--q", "3^2", "--k", "2", "--lambda", "10", "--json"],
+    ["classify", "--q", "7", "--k", "2", "--lambda", "-1", "--json"],
+])
+def test_lambda_outside_the_field_is_typed(capsys, argv):
+    # an encoding outside [0, q) names no element: refused, not reduced
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["verified"] is False
+    assert payload["failure"]["type"] == "FieldMismatchError"
+
+
+def readme_cli_lines():
+    """The commands of the README's `## CLI` block, split into words."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line]
+
+
+def test_readme_cli_examples_exit_zero(capsys):
+    lines = readme_cli_lines()
+    assert lines
+    for argv in lines:
+        assert argv[0] == "triwaring", argv
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()

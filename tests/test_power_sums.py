@@ -5,17 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triwaring.errors import (
+    EnumerationTooLargeError,
     FieldMismatchError,
     HypothesisViolatedError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
 )
-from triwaring.fields import make_field, minus_one_is_kth_power
+from triwaring.fields import (
+    FieldSpec,
+    kth_root_map,
+    kth_roots,
+    make_field,
+    minus_one_is_kth_power,
+)
 from triwaring.power_sums import (
     PairSolution,
+    SolutionClassification,
     classification_report,
     classified,
-    classify_solutions,
     count_zero_sum_classes,
     enumerate_pair_solutions,
     lang_weil_check,
@@ -59,6 +66,15 @@ def test_quotient_zero_report_examples(F7, F3, F13):
     rep132 = quotient_zero_report(F13, 2)
     assert rep132.ok
     assert all(a != b for a, b in rep132.zero_pairs)
+
+
+def test_quotient_zero_report_is_guarded(F7, monkeypatch):
+    # the scan covers F_q x F_q, so q^2 = 49 must fit under the guard
+    monkeypatch.setenv("WARING_MAX_ENUM", "48")
+    with pytest.raises(EnumerationTooLargeError):
+        quotient_zero_report(F7, 2)
+    monkeypatch.setenv("WARING_MAX_ENUM", "49")
+    assert quotient_zero_report(F7, 2).ok
 
 
 def test_enumerate_examples(F7, F13):
@@ -115,8 +131,89 @@ def test_classify_zero_sum_f13(F13):
 
 
 def test_classify_empty(F7):
-    cl = classify_solutions(F7, [])
+    # sixth powers over F_7 are {0, 1}, so their pair sums miss 3
+    cl = classified(F7, 3, 6)
     assert cl.r == 0 and cl.U == ()
+    assert enumerate_pair_solutions(F7, 3, 6) == ()
+
+
+def classify_solutions(F, sols):
+    """Reference: partition solutions (sharing lam and k) into U and the
+    V_i by raising every solution to the k-th power again."""
+    sols = sorted(sols, key=lambda s: (s.x, s.y))
+    U = []
+    by_sig = {}
+    for s in sols:
+        sx, sy = F.pow(s.x, s.k), F.pow(s.y, s.k)
+        if sx == sy:
+            U.append(s)
+        else:
+            by_sig.setdefault((sx, sy), []).append(s)
+    signatures = tuple(sorted(by_sig))
+    classes = tuple(tuple(by_sig[sig]) for sig in signatures)
+    return SolutionClassification(tuple(U), classes, signatures)
+
+
+def fiber_pair_scan(F, lam, k):
+    """Reference: each x reads its y's off the fiber of lam - x^k."""
+    roots = kth_root_map(F, k)
+    return tuple(PairSolution(x, y, lam, k) for x in F.elements()
+                 for y in roots.get(F.sub(lam, F.pow(x, k)), ()))
+
+
+def test_classified_matches_reference(all_fields):
+    # every lam of every field with q <= 49, characteristic 2 included
+    for F in all_fields:
+        for k in range(1, 7):
+            for lam in F.elements():
+                sols = fiber_pair_scan(F, lam, k)
+                assert classified(F, lam, k) == classify_solutions(F, sols)
+                assert enumerate_pair_solutions(F, lam, k) == sols
+
+
+def test_representatives_are_least_roots(all_fields):
+    # what lets the decomposer use a representative's x and y as its
+    # diagonal roots unchanged
+    for F in all_fields:
+        for k in range(1, 7):
+            for lam in F.elements():
+                cl = classified(F, lam, k)
+                for (v, w), rep in zip(cl.signatures, cl.representatives()):
+                    assert (rep.x, rep.y) == (kth_roots(F, v, k)[0],
+                                              kth_roots(F, w, k)[0])
+                if cl.U:
+                    least = kth_roots(F, F.pow(cl.U[0].x, k), k)[0]
+                    assert (cl.U[0].x, cl.U[0].y) == (least, least)
+
+
+def count_pow_calls(monkeypatch):
+    calls = []
+    real = FieldSpec.pow
+
+    def counted(self, a, e):
+        calls.append((a, e))
+        return real(self, a, e)
+
+    monkeypatch.setattr(FieldSpec, "pow", counted)
+    return calls
+
+
+def test_classes_and_selection_read_powers_off_the_root_map(monkeypatch):
+    F = make_field(5, 2)
+    kth_root_map(F, 3)  # built (and cached) before counting
+    calls = count_pow_calls(monkeypatch)
+    cl = classified.__wrapped__(F, 7, 3)
+    assert cl.r > 0 and calls == []
+    enumerate_pair_solutions(F, 7, 3)
+    assert calls == []
+    # only the U candidate of each target takes one power
+    demands = [(0, 2), (7, 1), (11, 1)]
+    for lam, _ in demands:
+        classified(F, lam, 3)
+    with_u = sum(1 for lam, _ in demands if classified(F, lam, 3).U)
+    calls.clear()
+    select_system_pairs(F, demands, 3)
+    assert len(calls) == with_u > 0
 
 
 def test_partition_invariants_sweep(all_fields):
@@ -128,7 +225,7 @@ def test_partition_invariants_sweep(all_fields):
         for k in range(1, 7):
             for lam in F.elements():
                 sols = enumerate_pair_solutions(F, lam, k)
-                cl = classify_solutions(F, sols)
+                cl = classified(F, lam, k)
                 parts = [set(cl.U)] + [set(c) for c in cl.classes]
                 union = set()
                 for part in parts:
@@ -263,6 +360,14 @@ def test_lang_weil_examples(F7, F13):
 def test_lang_weil_rejects_zero_coefficient(F7):
     with pytest.raises(ValueError):
         lang_weil_check(F7, 2, 2, (1, 0))
+
+
+def test_lang_weil_rejects_coefficients_outside_the_field(F7, F9):
+    # an encoding outside [0, q) names no element: refused, not reduced
+    for F, alphas in ((F9, (1, 10)), (F7, (1, 8)), (F7, (-1, 1)),
+                      (F7, (7, 0))):
+        with pytest.raises(FieldMismatchError):
+            lang_weil_check(F, 2, 2, alphas)
 
 
 def test_lang_weil_rejects_m_below_one(F7):
