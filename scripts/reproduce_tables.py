@@ -3,7 +3,10 @@
 
 For every presentation row in the catalogue, parse it, confirm graph
 connectivity, run the structured two-power search and print the verified
-summands together with the diagonal pattern.
+summands together with the diagonal pattern. A typed failure (too few
+solution classes at small q) is printed and counted, and any failure makes
+the exit status 1; a field that cannot be built, or of characteristic 2, is
+refused with one line and exit status 2.
 """
 
 import argparse
@@ -13,7 +16,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from triwaring.canonical import is_indecomposable, parse_presentation
-from triwaring.decomposer import Obstruction, decompose_structured
+from triwaring.decomposer import Obstruction, decompose_structured, require_odd
+from triwaring.errors import TriwaringError
 from triwaring.fields import parse_field
 from triwaring.tri_matrix import to_text
 
@@ -35,7 +39,11 @@ def main() -> int:
     ap.add_argument("--q", default="13", help="field spec (default 13)")
     ap.add_argument("--k", type=int, nargs="+", default=[2, 3])
     args = ap.parse_args()
-    F = parse_field(args.q)
+    try:
+        F = parse_field(args.q)
+        require_odd(F)
+    except TriwaringError as err:  # one line, exit 2, as the CLI's usage errors
+        ap.exit(2, f"{ap.prog}: field {args.q}: {err}\n")
 
     failures = 0
     for row, n in ROWS:
@@ -43,7 +51,12 @@ def main() -> int:
         connected = is_indecomposable(C)
         print(f"{row:<18} n={n}  connected={connected}")
         for k in args.k:
-            res = decompose_structured(C, k)
+            try:
+                res = decompose_structured(C, k)
+            except TriwaringError as err:  # e.g. too few classes at small q
+                print(f"    k={k}: {type(err).__name__}: {err}")
+                failures += 1
+                continue
             if isinstance(res, Obstruction):
                 print(f"    k={k}: OBSTRUCTION after {res.explored} colorings")
                 failures += 1

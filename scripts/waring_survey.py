@@ -7,7 +7,9 @@ powers per matrix; the survey then reports the histogram and how often the
 two- and three-power algorithms succeed. It fails (exit 1) if either
 succeeds where the oracle proves the minimum exceeds two or three, and it
 reports how many matrices the oracle puts at two (three) or fewer powers
-that the two-power (three-power) algorithm misses."""
+that the two-power (three-power) algorithm misses. A field that cannot be
+built, or of characteristic 2, is refused with one line and exit status 2
+before any survey runs."""
 
 import argparse
 import sys
@@ -15,8 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from triwaring.decomposer import decompose_three, decompose_two
-from triwaring.errors import InsufficientClassesError
+from triwaring.decomposer import decompose_three, decompose_two, require_odd
+from triwaring.errors import InsufficientClassesError, TriwaringError
 from triwaring.fields import parse_field
 from triwaring.oracle import iter_matrices, waring_report
 
@@ -30,8 +32,16 @@ def main() -> int:
     ap.add_argument("--cap", type=int, default=4)
     args = ap.parse_args()
 
+    fields = []
     for spec in args.q:
-        F = parse_field(spec)
+        try:
+            F = parse_field(spec)
+            require_odd(F)
+        except TriwaringError as err:  # one line, exit 2, as the CLI's usage errors
+            ap.exit(2, f"{ap.prog}: field {spec}: {err}\n")
+        fields.append(F)
+
+    for F in fields:
         for k in args.k:
             rep = waring_report(F, args.n, k, args.cap)
 

@@ -119,7 +119,8 @@ def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
     return total == C
 
 
-def _require_odd(F: FieldSpec) -> None:
+def require_odd(F: FieldSpec) -> None:
+    """Every decomposer's precondition: EvenCharacteristicError at p = 2."""
     if F.p == 2:
         raise EvenCharacteristicError(
             "decompositions require odd characteristic")
@@ -163,7 +164,7 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     mixed cases (they are specializations of the same demand system)."""
     F = C.field
     check_in_field(C)
-    _require_odd(F)
+    require_odd(F)
     entries = _pair_entries(F, C.diagonal(), k)
     return _assemble(C, k, [e.x for e in entries], [[e.y for e in entries]],
                      entries)
@@ -268,7 +269,7 @@ def _matchable(option_lists, free) -> bool:
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
     """C = A^k + B^k + D^k with B, D diagonal."""
     check_in_field(C)
-    _require_odd(C.field)
+    require_odd(C.field)
     try:
         return _three_by_shifts(C, k)
     except (InsufficientClassesError, NoAdmissibleShiftError):
@@ -289,7 +290,7 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     """
     F, n = C.field, C.n
     check_in_field(C)
-    _require_odd(F)
+    require_odd(F)
     d = C.diagonal()
     if len(set(d)) != 1:
         raise PreconditionViolatedError(

@@ -7,9 +7,11 @@ equal, so sets and dict keys work with no wrapper type.
 
 Prime fields (m = 1) use direct modular arithmetic. Extension fields build
 discrete exp/log tables at construction, from one walk over the powers of
-the least multiplicative generator, which keeps mul/inv/pow at table-lookup
-cost during the exhaustive scans this package lives on. A modulus is
-accepted by Ben-Or's irreducibility test, one rule for every degree.
+the least multiplicative generator g through the table of v -> g v, and a
+Zech table log(1 + g^n) read off them, which keeps add/sub/neg as well as
+mul/inv/pow at table-lookup cost during the exhaustive scans this package
+lives on. A modulus is accepted by Ben-Or's irreducibility test, one rule
+for every degree.
 """
 
 from __future__ import annotations
@@ -26,8 +28,13 @@ from .errors import (
 
 Element = int
 
-# Largest extension field built: its exp/log tables hold about 3q entries.
+# Largest extension field built: its exp/log/Zech tables hold about 4q
+# entries, and the build holds about 3q more (the multiplication table, one
+# digit shift and the walk) until it returns. Building F_{31^4}, q = 923,521,
+# peaks at about 116 MB of RSS (CPython 3.11, x86-64).
 MAX_EXTENSION_Q = 10 ** 6
+FIELD_CACHE_SIZE = 64  # (p, m, modulus) fields kept, least recently used out
+ROOT_MAP_CACHE_SIZE = 64  # (F, k) root maps kept, least recently used out
 
 
 def is_prime(n: int) -> bool:
@@ -50,13 +57,6 @@ def _digits(value: int, p: int, width: int) -> list[int]:
         out.append(value % p)
         value //= p
     return out
-
-
-def _undigits(coeffs, p: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * p + (c % p)
-    return value
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -139,66 +139,97 @@ class FieldSpec:
     q: int = field(init=False, compare=False, repr=False)
     _exp: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _log: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _zech: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", self.p ** self.m)
-        if self.m > 1:
-            exp, log = self._build_tables()
-            object.__setattr__(self, "_exp", exp)
-            object.__setattr__(self, "_log", log)
-        else:
-            object.__setattr__(self, "_exp", ())
-            object.__setattr__(self, "_log", ())
+        tables = self._build_tables() if self.m > 1 else ((), (), ())
+        for name, table in zip(("_exp", "_log", "_zech"), tables):
+            object.__setattr__(self, name, table)
 
     # -- construction helpers -------------------------------------------
 
     def _build_tables(self):
-        """Walk the powers of g = 2, 3, ... once each, back to 1; the first
-        walk of q - 1 powers is the exp table, and the log table inverts it."""
-        p, m, q = self.p, self.m, self.q
+        """Walk the powers of g = p, p + 1, ... through g's multiplication
+        table, back to 1, skipping every g inside a subgroup already walked
+        (encodings below p are constants, of order dividing p - 1). The first
+        walk of q - 1 powers is the exp table, the log table inverts it, and
+        the Zech table holds log(1 + g^n), or -1 where 1 + g^n = 0."""
+        p, q = self.p, self.q
         order = q - 1
-        modulus = list(self.modulus)
-        for g in range(2, q):
-            step = _digits(g, p, m)
+        walked = bytearray(q)
+        for g in range(p, q):
+            if walked[g]:
+                continue
+            times = self._times_table(g)
             powers = [1]
-            acc = step
-            while acc != [1] and len(powers) <= order:
-                powers.append(_undigits(acc, p))
-                acc = _poly_mod(_poly_mul(acc, step, p), modulus, p)
+            e = g
+            while e != 1 and len(powers) <= order:
+                powers.append(e)
+                e = times[e]
+            del times
             if len(powers) == order:
                 log = [0] * q
                 for i, value in enumerate(powers):
                     log[value] = i
-                return tuple(powers + powers), tuple(log)
-        raise RuntimeError("no multiplicative generator found")  # unreachable
+                # 1 + v increments digit 0 of v, without a carry
+                zech = tuple(-1 if v == p - 1 else
+                             log[v + 1 if v % p != p - 1 else v + 1 - p]
+                             for v in powers)
+                return tuple(powers) * 2, tuple(log), zech
+            for value in powers:
+                walked[value] = 1
+        raise RuntimeError("no multiplicative generator found")  # reducible
+
+    def _times_table(self, g: Element) -> list[Element]:
+        """times[v] = g v for every encoding v. Multiplication by g is
+        F_p-linear, so the block of v whose digit i is c is the block for
+        c - 1, each entry shifted by the column g x^i mod f."""
+        p, m = self.p, self.m
+        modulus = list(self.modulus)
+        times = [0]
+        col = _digits(g, p, m)
+        for i in range(m):
+            if i:
+                col = _poly_mod([0] + col, modulus, p)  # x times the last
+                col += [0] * (m - len(col))
+            shift = [0]  # shift[v] = v + col, one digit rotated at a time
+            for j, c in enumerate(col):
+                digit = [d * p ** j for d in range(p)]
+                shift = [hi + lo for hi in digit[c:] + digit[:c] for lo in shift]
+            block = times
+            for _ in range(p - 1):
+                block = [shift[t] for t in block]
+                times += block
+            del shift, block  # before the next column's shift is built
+        return times
 
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        p = self.p
+        """a + b = g^la (1 + g^(lb - la)); a negative index into the Zech
+        table wraps mod q - 1, its length."""
         if self.m == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
 
     def neg(self, a: Element) -> Element:
-        p = self.p
+        """-1 = g^((q - 1) / 2) for odd p, and -a = a in characteristic 2."""
         if self.m == 1:
-            return (-a) % p
-        out, mult = 0, 1
-        while a:
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+            return (-a) % self.p
+        if a == 0 or self.p == 2:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def mul(self, a: Element, b: Element) -> Element:
         if self.m == 1:
@@ -238,7 +269,7 @@ class FieldSpec:
         return f"FieldSpec({field_text(self)!r})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _make_field_cached(p: int, m: int, modulus: tuple[int, ...] | None) -> FieldSpec:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
@@ -315,7 +346,7 @@ def kth_power_image(F: FieldSpec, k: int) -> frozenset[Element]:
     return frozenset(kth_root_map(F, k))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=ROOT_MAP_CACHE_SIZE)
 def kth_root_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, ...]]:
     """value -> sorted tuple of its k-th roots (empty key absent)."""
     if k < 1:

@@ -36,6 +36,9 @@ from .errors import (
 from .fields import Element, FieldSpec, kth_root_map, minus_one_is_kth_power
 
 DEFAULT_ENUM_GUARD = 10 ** 8
+# (F, lam, k) classifications kept, least recently used out; every lam of
+# F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them
+CLASS_CACHE_SIZE = 1024
 
 
 def enum_guard(size: int, cap: int = DEFAULT_ENUM_GUARD) -> None:
@@ -138,7 +141,7 @@ def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
     return QuotientZeroReport(F.q, k, tuple(zeros), tuple(violations), checked)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
     """The partition of the solutions of x^k + y^k = lam, cached; the
     decomposer hammers this. Walking the k-th power values v upward yields

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,16 +15,19 @@ from triwaring.errors import (
     ReducibleModulusError,
 )
 from triwaring.fields import (
+    FIELD_CACHE_SIZE,
+    ROOT_MAP_CACHE_SIZE,
     FieldSpec,
     _default_modulus,
     _digits,
     _is_irreducible,
+    _make_field_cached,
     _poly_gcd,
     _poly_mod,
     _poly_mul,
     _poly_trim,
-    _undigits,
     field_text,
+    is_prime,
     kth_power_image,
     kth_root_map,
     kth_roots,
@@ -213,6 +220,13 @@ def _poly_pow_mod(base, e, mod, p):
     return result
 
 
+def _undigits(coeffs, p):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * p + (c % p)
+    return value
+
+
 def tables_reference(p, m, modulus):
     """Two walks, with element-level products: find each candidate's
     order, then walk the first generator again to fill exp/log."""
@@ -263,6 +277,84 @@ def test_tables_match_reference_on_every_modulus():
             F = FieldSpec(p, m, modulus)
             assert (F._exp, F._log) == tables_reference(p, m, modulus), \
                 (p, m, modulus)
+
+
+def test_table_walk_is_bounded_on_a_reducible_modulus():
+    # x^2 over F_3, bypassing make_field's irreducibility check: no element
+    # has order 8, and x is nilpotent, so a walk must stop at its bound
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "from triwaring.fields import FieldSpec; FieldSpec(3, 2, (0, 0, 1))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=5)
+    assert proc.returncode == 1
+    assert "RuntimeError: no multiplicative generator found" in proc.stderr
+
+
+def add_reference(F, a, b):
+    """Digit-wise addition of the encodings, base p."""
+    p = F.p
+    out, mult = 0, 1
+    while a or b:
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def neg_reference(F, a):
+    """Digit-wise negation of the encoding, base p."""
+    p = F.p
+    out, mult = 0, 1
+    while a:
+        out += ((-a) % p) * mult
+        a //= p
+        mult *= p
+    return out
+
+
+def test_zech_arithmetic_matches_digit_loops_on_every_modulus():
+    for p, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+        moduli = [c for c in (tuple(_digits(t, p, m)) + (1,)
+                              for t in range(p ** m))
+                  if irreducible_reference(c, p)]
+        for modulus in moduli:
+            F = FieldSpec(p, m, modulus)
+            assert len(F._zech) == F.q - 1
+            neg = [neg_reference(F, a) for a in F.elements()]
+            assert [F.neg(a) for a in F.elements()] == neg, modulus
+            for a in F.elements():
+                assert F.add(a, neg[a]) == 0
+                assert F.add(0, a) == F.add(a, 0) == a
+                assert [F.add(a, b) for b in F.elements()] == \
+                    [add_reference(F, a, b) for b in F.elements()], (modulus, a)
+                assert [F.sub(a, b) for b in F.elements()] == \
+                    [add_reference(F, a, neg[b]) for b in F.elements()], \
+                    (modulus, a)
+
+
+def test_field_caches_past_their_bounds_give_equal_answers():
+    primes = [n for n in range(2, 1000) if is_prime(n)][:FIELD_CACHE_SIZE + 1]
+    first = [make_field(p) for p in primes]
+    assert _make_field_cached.cache_info().currsize <= FIELD_CACHE_SIZE
+    F9 = make_field(3, 2)
+    misses = _make_field_cached.cache_info().misses
+    assert [make_field(p) for p in primes] == first
+    rebuilt = make_field(3, 2)
+    # cycling through one key more than the cache holds evicts every key
+    assert _make_field_cached.cache_info().misses == misses + len(primes) + 1
+    assert (rebuilt, rebuilt._exp, rebuilt._log, rebuilt._zech) == \
+        (F9, F9._exp, F9._log, F9._zech)
+    assert _make_field_cached.cache_info().currsize <= FIELD_CACHE_SIZE
+
+    F = make_field(13)
+    ks = range(1, ROOT_MAP_CACHE_SIZE + 2)
+    maps = [kth_root_map(F, k) for k in ks]
+    misses = kth_root_map.cache_info().misses
+    assert [kth_root_map(F, k) for k in ks] == maps
+    assert kth_root_map.cache_info().misses == misses + len(ks)
+    assert kth_root_map.cache_info().currsize <= ROOT_MAP_CACHE_SIZE
 
 
 def test_minus_one_examples(F7, F13):

@@ -19,6 +19,7 @@ from triwaring.fields import (
     minus_one_is_kth_power,
 )
 from triwaring.power_sums import (
+    CLASS_CACHE_SIZE,
     PairSolution,
     SolutionClassification,
     classification_report,
@@ -169,6 +170,19 @@ def test_classified_matches_reference(all_fields):
                 sols = fiber_pair_scan(F, lam, k)
                 assert classified(F, lam, k) == classify_solutions(F, sols)
                 assert enumerate_pair_solutions(F, lam, k) == sols
+
+
+def test_classified_cache_past_its_bound_gives_equal_answers():
+    F = make_field(31)
+    keys = [(lam, k) for k in range(1, CLASS_CACHE_SIZE // F.q + 2)
+            for lam in F.elements()]
+    assert len(keys) > CLASS_CACHE_SIZE
+    first = [classified(F, lam, k) for lam, k in keys]
+    misses = classified.cache_info().misses
+    # cycling through more keys than the cache holds evicts every key
+    assert [classified(F, lam, k) for lam, k in keys] == first
+    assert classified.cache_info().misses == misses + len(keys)
+    assert classified.cache_info().currsize <= CLASS_CACHE_SIZE
 
 
 def test_representatives_are_least_roots(all_fields):
