@@ -112,18 +112,17 @@ def _cmd_solve(F, args):
 
 def _cmd_classify(F, args):
     cl = power_sums.classified(F, args.lam, args.k)
-    payload = {
-        "q": F.q, "k": args.k, "lambda": args.lam,
-        "U": [[s.x, s.y] for s in cl.U],
-        "classes": [
-            {"sig": [sig[0], sig[1]], "solutions": [[s.x, s.y] for s in cls]}
-            for sig, cls in zip(cl.signatures, cl.classes)
-        ],
+    U = sorted((x, y) for xs, ys in cl.u_fibers for x in xs for y in ys)
+    classes = [[(x, y) for x in xs for y in ys] for xs, ys in cl.fibers]
+    payload = {  # json writes the (x, y) tuples as arrays
+        "q": F.q, "k": args.k, "lambda": args.lam, "U": U,
+        "classes": [{"sig": sig, "solutions": cls}
+                    for sig, cls in zip(cl.signatures, classes)],
     }
     lines = [f"x^{args.k} + y^{args.k} = {args.lam} over F_{F.q}:",
-             f"  U = {[(s.x, s.y) for s in cl.U]}"]
-    for sig, cls in zip(cl.signatures, cl.classes):
-        lines.append(f"  V{sig} = {[(s.x, s.y) for s in cls]}")
+             f"  U = {U}"]
+    for sig, cls in zip(cl.signatures, classes):
+        lines.append(f"  V{sig} = {cls}")
     _emit(payload, args.json, lines)
     return 0
 

@@ -17,6 +17,7 @@ for every degree.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -348,13 +349,28 @@ def kth_power_image(F: FieldSpec, k: int) -> frozenset[Element]:
 
 @functools.lru_cache(maxsize=ROOT_MAP_CACHE_SIZE)
 def kth_root_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, ...]]:
-    """value -> sorted tuple of its k-th roots (empty key absent)."""
+    """value -> sorted tuple of its k-th roots (empty key absent), keyed in
+    order of least root.
+
+    A prime field raises each element with builtin pow. An extension field
+    reads the fibers off the exp table in one pass: the k-th power of
+    exp[i] is exp[k i mod (q - 1)], which depends on i mod (q - 1)/d only,
+    d = gcd(k, q - 1), so each nonzero fiber is the slice exp[i::(q - 1)/d]
+    of d entries, and no power is computed per element."""
     if k < 1:
         raise ValueError("k must be positive")
-    fibers: dict[Element, list[Element]] = {}
-    for a in F.elements():
-        fibers.setdefault(F.pow(a, k), []).append(a)
-    return {v: tuple(sorted(roots)) for v, roots in fibers.items()}
+    if F.m == 1:
+        p = F.p
+        fibers: dict[Element, list[Element]] = {}
+        for a in range(p):
+            fibers.setdefault(pow(a, k, p), []).append(a)
+        return {v: tuple(roots) for v, roots in fibers.items()}
+    order = F.q - 1
+    exp = F._exp
+    step = order // math.gcd(k, order)
+    cosets = sorted((tuple(sorted(exp[i:order:step])), exp[k * i % order])
+                    for i in range(step))
+    return {0: (0,), **{v: roots for roots, v in cosets}}
 
 
 def kth_roots(F: FieldSpec, lam: Element, k: int) -> tuple[Element, ...]:
@@ -366,4 +382,4 @@ def kth_roots(F: FieldSpec, lam: Element, k: int) -> tuple[Element, ...]:
 def minus_one_is_kth_power(F: FieldSpec, k: int) -> bool:
     """Literal reading: does x^k = -1 have a solution? In characteristic 2
     this is trivially true since -1 = 1."""
-    return F.neg(1) in kth_power_image(F, k)
+    return F.neg(1) in kth_root_map(F, k)

@@ -15,7 +15,10 @@ yields diagonal assignments whose k-th powers never collide.
 The classes are read off the cached k-th root map: V_i with signature
 (v, lam - v) is exactly fiber(v) x fiber(lam - v), and U collects the
 products with v = lam - v. O(q) work per lam once that map exists, and no
-k-th power is recomputed.
+k-th power is recomputed. A classification is cached as those fiber pairs
+and signatures; the members of the classes and of U are built on first
+access only, since the decomposer reads no more than one representative
+per class (its pair of least roots).
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .fields import Element, FieldSpec, kth_root_map, minus_one_is_kth_power
 
 DEFAULT_ENUM_GUARD = 10 ** 8
 # (F, lam, k) classifications kept, least recently used out; every lam of
-# F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them
+# F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them. Each holds
+# its classes as root fiber pairs, plus whatever members were asked for.
 CLASS_CACHE_SIZE = 1024
 
 
@@ -66,26 +70,69 @@ class PairSolution:
     k: int
 
 
+Fiber = tuple[Element, ...]
+
+
 @dataclass(frozen=True)
 class SolutionClassification:
-    """Partition S = U u V_1 u ... u V_r.
+    """Partition S = U u V_1 u ... u V_r of the solutions of
+    x^k + y^k = lam, kept as root fibers.
 
-    Classes are ordered lexicographically by signature (x^k, y^k); members
-    and U are sorted by (x, y). r = len(classes).
+    Class i is fibers[i][0] x fibers[i][1], the roots of its signature
+    signatures[i] = (x^k, y^k); classes are ordered lexicographically by
+    signature. U is the union of u_fibers[j][0] x u_fibers[j][1] over the
+    signatures u_signatures[j] = (v, v), in the same order; it spans
+    several fibers only in characteristic 2 with lam = 0, and then the
+    first is fiber(0) = (0,), so u_fibers[0] holds U's least member. The
+    members (`classes`, `U`, both sorted by (x, y)), `representatives()`
+    and the selection candidates are built on first access and kept.
+    r = len(signatures).
     """
 
-    U: tuple[PairSolution, ...]
-    classes: tuple[tuple[PairSolution, ...], ...]
+    lam: Element
+    k: int
     signatures: tuple[tuple[Element, Element], ...]
+    fibers: tuple[tuple[Fiber, Fiber], ...]
+    u_signatures: tuple[tuple[Element, Element], ...]
+    u_fibers: tuple[tuple[Fiber, Fiber], ...]
 
     @property
     def r(self) -> int:
-        return len(self.classes)
+        return len(self.signatures)
+
+    def _members(self, xs: Fiber, ys: Fiber) -> list[PairSolution]:
+        return [PairSolution(x, y, self.lam, self.k) for x in xs for y in ys]
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[PairSolution, ...], ...]:
+        return tuple(tuple(self._members(xs, ys)) for xs, ys in self.fibers)
+
+    @functools.cached_property
+    def U(self) -> tuple[PairSolution, ...]:
+        members = [s for xs, ys in self.u_fibers for s in self._members(xs, ys)]
+        return tuple(sorted(members, key=lambda s: (s.x, s.y)))
+
+    @functools.cached_property
+    def _representatives(self) -> tuple[PairSolution, ...]:
+        return tuple(PairSolution(xs[0], ys[0], self.lam, self.k)
+                     for xs, ys in self.fibers)
 
     def representatives(self) -> tuple[PairSolution, ...]:
         """Lex-smallest (x, y) member of each class, in class order: the
         least roots of the class's signature."""
-        return tuple(cls[0] for cls in self.classes)
+        return self._representatives
+
+    @functools.cached_property
+    def _candidates(self) -> tuple[tuple[tuple[Element, Element],
+                                         tuple[Element, Element]], ...]:
+        """What selection scans: (representative (x, y), signature) per
+        class in class order, then U's least member (when U is nonempty)
+        as a last resort for sub-threshold fields. In the theorem regime
+        the V representatives alone always suffice, so the U candidate
+        never changes theorem-regime outputs."""
+        parts = zip(self.fibers + self.u_fibers[:1],
+                    self.signatures + self.u_signatures[:1])
+        return tuple(((xs[0], ys[0]), sig) for (xs, ys), sig in parts)
 
 
 def power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int) -> Element:
@@ -145,28 +192,22 @@ def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
 def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
     """The partition of the solutions of x^k + y^k = lam, cached; the
     decomposer hammers this. Walking the k-th power values v upward yields
-    the classes fiber(v) x fiber(lam - v) in signature order, members
-    already sorted by (x, y). k < 1 raises ValueError (from kth_root_map),
-    and lam outside [0, q) raises FieldMismatchError."""
+    the classes fiber(v) x fiber(lam - v) in signature order. k < 1 raises
+    ValueError (from kth_root_map), and lam outside [0, q) raises
+    FieldMismatchError."""
     if not 0 <= lam < F.q:
         raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
     roots = kth_root_map(F, k)
-    U: list[PairSolution] = []
     classes = []
-    signatures = []
+    U = []
     for v in sorted(roots):
         w = F.sub(lam, v)
         if w not in roots:
             continue
-        members = [PairSolution(x, y, lam, k)
-                   for x in roots[v] for y in roots[w]]
-        if v == w:
-            U.extend(members)
-        else:
-            classes.append(tuple(members))
-            signatures.append((v, w))
-    U.sort(key=lambda s: (s.x, s.y))
-    return SolutionClassification(tuple(U), tuple(classes), tuple(signatures))
+        (U if v == w else classes).append(((v, w), (roots[v], roots[w])))
+    return SolutionClassification(
+        lam, k, tuple(sig for sig, _ in classes), tuple(f for _, f in classes),
+        tuple(sig for sig, _ in U), tuple(f for _, f in U))
 
 
 def enumerate_pair_solutions(F: FieldSpec, lam: Element, k: int
@@ -180,11 +221,11 @@ def enumerate_pair_solutions(F: FieldSpec, lam: Element, k: int
 
 def lex_min_solution(F: FieldSpec, lam: Element, k: int) -> PairSolution | None:
     """The (x, y)-least solution of x^k + y^k = lam, or None when there is
-    none. Each class's least member is its representative, so the least
-    solution is the least of U's first member and the representatives."""
-    cl = classified(F, lam, k)
-    return min(cl.U[:1] + cl.representatives(), key=lambda s: (s.x, s.y),
-               default=None)
+    none. Each part's least member pairs the least roots of its fibers, and
+    the selection candidates hold those pairs of every class and of U."""
+    least = min((xy for xy, _ in classified(F, lam, k)._candidates),
+                default=None)
+    return None if least is None else PairSolution(*least, lam, k)
 
 
 def classification_report(F: FieldSpec, lam: Element, k: int) -> dict:
@@ -195,10 +236,10 @@ def classification_report(F: FieldSpec, lam: Element, k: int) -> dict:
         "k": k,
         "lambda": lam,
         "classes": [
-            {"sig": [sig[0], sig[1]], "size": len(cls), "rep": [cls[0].x, cls[0].y]}
-            for sig, cls in zip(cl.signatures, cl.classes)
+            {"sig": [v, w], "size": len(xs) * len(ys), "rep": [xs[0], ys[0]]}
+            for (v, w), (xs, ys) in zip(cl.signatures, cl.fibers)
         ],
-        "U_size": len(cl.U),
+        "U_size": sum(len(xs) * len(ys) for xs, ys in cl.u_fibers),
     }
 
 
@@ -263,21 +304,6 @@ class PairAssignment:
                 raise AssertionError("assignment sum mismatch")
 
 
-def _candidates_for(F: FieldSpec, lam: Element, k: int
-                    ) -> tuple[tuple[PairSolution, tuple[Element, Element]], ...]:
-    """(representative, signature) per class in class order; the U
-    representative (when U is nonempty) is appended as a last resort for
-    sub-threshold fields. In the theorem regime the V representatives alone
-    always suffice, so the U candidate never changes theorem-regime
-    outputs."""
-    cl = classified(F, lam, k)
-    cands = list(zip(cl.representatives(), cl.signatures))
-    if cl.U:
-        v = F.pow(cl.U[0].x, k)
-        cands.append((cl.U[0], (v, v)))
-    return tuple(cands)
-
-
 def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
     """Assign l_i solutions of x^k + y^k = lam_i to each demand
     (lam_i, l_i), with all x-powers pairwise distinct and all y-powers
@@ -308,7 +334,7 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
             f"x^{k} takes only {values} values over F_{F.q}",
             found=values, needed=n)
 
-    cand_lists = {lam: _candidates_for(F, lam, k) for lam, _ in order}
+    cand_lists = {lam: classified(F, lam, k)._candidates for lam, _ in order}
     for lam, mult in order:
         found = len(cand_lists[lam])
         if found < mult:
@@ -317,7 +343,7 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
                 f"F_{F.q}, need {mult} (sufficient only for q > 4 n^2 k^16)",
                 lam=lam, found=found, needed=mult)
 
-    chosen: list[PairSolution] = []
+    chosen: list[tuple[Element, Element, Element]] = []  # (lam, x, y)
     used_x: list[Element] = []
     used_y: list[Element] = []
     idx = [0] * n
@@ -328,9 +354,9 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
         placed = False
         i = idx[pos]
         while i < len(cands):
-            s, (sx, sy) = cands[i]
+            (x, y), (sx, sy) = cands[i]
             if sx not in used_x and sy not in used_y:
-                chosen.append(s)
+                chosen.append((lam, x, y))
                 used_x.append(sx)
                 used_y.append(sy)
                 idx[pos] = i + 1
@@ -352,8 +378,7 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
             used_x.pop()
             used_y.pop()
 
-    entries = tuple(AssignmentEntry(s.lam, s.x, s.y) for s in chosen)
-    return PairAssignment(entries)
+    return PairAssignment(tuple(AssignmentEntry(*c) for c in chosen))
 
 
 def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,
@@ -434,7 +459,7 @@ def count_zero_sum_classes(F: FieldSpec, k: int) -> int:
             f"-1 is not a {k}-th power in F_{F.q}")
     formula = (F.q - 1) // math.gcd(k, F.q - 1) + 1
     cl = classified(F, 0, k)
-    observed = cl.r + (1 if cl.U else 0)
+    observed = cl.r + (1 if cl.u_fibers else 0)
     if observed != formula:
         raise RuntimeError(
             f"class-count self-check failed over F_{F.q}, k={k}: "

@@ -152,6 +152,28 @@ def test_kth_power_image_size_formula(all_fields):
             assert image == frozenset(kth_root_map(F, k))
 
 
+def root_map_reference(F, k):
+    """Reference: one F.pow per element in encoding order, so each fiber
+    is sorted and values are keyed in order of least root."""
+    fibers = {}
+    for a in F.elements():
+        fibers.setdefault(F.pow(a, k), []).append(a)
+    return {v: tuple(roots) for v, roots in fibers.items()}
+
+
+def test_kth_root_map_matches_per_element_powers(all_fields):
+    # every field with q <= 49 (characteristic 2 included) and F_169
+    for F in all_fields + [make_field(13, 2)]:
+        order = F.q - 1
+        for k in [*range(1, 13), order, 2 * order]:
+            got = kth_root_map(F, k)
+            assert list(got.items()) == \
+                list(root_map_reference(F, k).items())
+            if k % order == 0:
+                # every nonzero element maps to 1
+                assert got == {0: (0,), 1: tuple(range(1, F.q))}
+
+
 def test_kth_roots_examples(F7, F13):
     assert kth_roots(F13, 1, 3) == (1, 3, 9)
     assert kth_roots(F7, 0, 4) == (0,)

@@ -1,9 +1,16 @@
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triwaring.cli import main
+from triwaring.decomposer import (
+    decompose_structured,
+    decompose_three,
+    decompose_two,
+)
 from triwaring.errors import (
     EnumerationTooLargeError,
     FieldMismatchError,
@@ -21,18 +28,19 @@ from triwaring.fields import (
 from triwaring.power_sums import (
     CLASS_CACHE_SIZE,
     PairSolution,
-    SolutionClassification,
     classification_report,
     classified,
     count_zero_sum_classes,
     enumerate_pair_solutions,
     lang_weil_check,
+    lex_min_solution,
     power_diff_quotient,
     quotient_zero_report,
     select_pairs,
     select_system_pairs,
     shift_to_two_variable,
 )
+from triwaring.tri_matrix import from_text
 from tests.conftest import ODD_PRIME_POWERS_49, PRIME_POWERS_49
 
 
@@ -140,7 +148,8 @@ def test_classify_empty(F7):
 
 def classify_solutions(F, sols):
     """Reference: partition solutions (sharing lam and k) into U and the
-    V_i by raising every solution to the k-th power again."""
+    V_i by raising every solution to the k-th power again; returns
+    (U, classes, signatures)."""
     sols = sorted(sols, key=lambda s: (s.x, s.y))
     U = []
     by_sig = {}
@@ -152,7 +161,7 @@ def classify_solutions(F, sols):
             by_sig.setdefault((sx, sy), []).append(s)
     signatures = tuple(sorted(by_sig))
     classes = tuple(tuple(by_sig[sig]) for sig in signatures)
-    return SolutionClassification(tuple(U), classes, signatures)
+    return tuple(U), classes, signatures
 
 
 def fiber_pair_scan(F, lam, k):
@@ -168,8 +177,48 @@ def test_classified_matches_reference(all_fields):
         for k in range(1, 7):
             for lam in F.elements():
                 sols = fiber_pair_scan(F, lam, k)
-                assert classified(F, lam, k) == classify_solutions(F, sols)
+                cl = classified(F, lam, k)
+                assert (cl.U, cl.classes, cl.signatures) == \
+                    classify_solutions(F, sols)
                 assert enumerate_pair_solutions(F, lam, k) == sols
+
+
+def test_decomposers_build_no_class_members():
+    # F_59 is used by no other test, so no earlier call asked for members
+    F, k = make_field(59), 2
+    C = from_text(F, "2,1,3;5,4;7")
+    for decompose in (decompose_two, decompose_three):
+        assert decompose(C, k).verified
+    assert decompose_structured(from_text(F, "2,1,0;2,1;2"), k).verified
+    for lam in F.elements():
+        classification_report(F, lam, k)
+        lex_min_solution(F, lam, k)
+    assert classified(F, 2, k).u_fibers  # 2 = 1 + 1 has a U part
+    for lam in F.elements():
+        cl = classified(F, lam, k)
+        assert "classes" not in vars(cl) and "U" not in vars(cl)
+
+
+@pytest.mark.parametrize("q, p, m, k", [
+    ("2^3", 2, 3, 3),  # cubing permutes F_8: U is the diagonal, 8 fibers
+    ("2^4", 2, 4, 3),  # fibers of 3 roots, whose products interleave
+])
+def test_classify_cli_lists_a_u_of_several_fibers(capsys, q, p, m, k):
+    # -1 = 1, so every value v has lam - v = v at lam = 0
+    F = make_field(p, m)
+    assert len(classified(F, 0, k).u_fibers) > 1
+    U, classes, signatures = classify_solutions(F, fiber_pair_scan(F, 0, k))
+    argv = ["classify", "--q", q, "--k", str(k), "--lambda", "0"]
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "q": F.q, "k": k, "lambda": 0,
+        "U": [[s.x, s.y] for s in U],
+        "classes": [{"sig": list(sig), "solutions": [[s.x, s.y] for s in c]}
+                    for sig, c in zip(signatures, classes)],
+    }
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        f"  U = {[(s.x, s.y) for s in U]}"
 
 
 def test_classified_cache_past_its_bound_gives_equal_answers():
@@ -220,14 +269,15 @@ def test_classes_and_selection_read_powers_off_the_root_map(monkeypatch):
     assert cl.r > 0 and calls == []
     enumerate_pair_solutions(F, 7, 3)
     assert calls == []
-    # only the U candidate of each target takes one power
+    # the U candidates read their stored signatures, so selection takes no
+    # power either
     demands = [(0, 2), (7, 1), (11, 1)]
     for lam, _ in demands:
         classified(F, lam, 3)
-    with_u = sum(1 for lam, _ in demands if classified(F, lam, 3).U)
+    assert any(classified(F, lam, 3).u_fibers for lam, _ in demands)
     calls.clear()
     select_system_pairs(F, demands, 3)
-    assert len(calls) == with_u > 0
+    assert calls == []
 
 
 def test_partition_invariants_sweep(all_fields):
