@@ -12,17 +12,13 @@ from .fields import (
     parse_field,
 )
 from .power_sums import (
-    PairAssignment,
-    PairSolution,
     SolutionClassification,
     classification_report,
     classified,
     count_zero_sum_classes,
-    enumerate_pair_solutions,
     lang_weil_check,
     power_diff_quotient,
     quotient_zero_report,
-    select_pairs,
     select_system_pairs,
     shift_to_two_variable,
 )

@@ -174,22 +174,18 @@ def _cmd_table(F, args):
     C = pres.matrix(F)
     connected = canonical.is_indecomposable(C)
     res = decomposer.decompose_structured(C, args.k)
-    if isinstance(res, decomposer.Obstruction):
-        payload = {"row": args.row, "n": n, "matrix": to_text(C),
-                   "connected": connected, "decomposition": res.to_json()}
-        _emit(payload, args.json,
-              [f"matrix {to_text(C)}", f"connected: {connected}",
-               f"obstruction after {res.explored} colorings"])
-        return 1
     payload = {"row": args.row, "n": n, "matrix": to_text(C),
                "connected": connected, "decomposition": res.to_json()}
-    lines = [f"matrix {to_text(C)}",
-             f"connected: {connected}",
-             f"parts: " + " + ".join(f"({to_text(p)})^{args.k}"
-                                     for p in res.parts),
-             f"verified: {res.verified}"]
+    lines = [f"matrix {to_text(C)}", f"connected: {connected}"]
+    obstructed = isinstance(res, decomposer.Obstruction)
+    if obstructed:
+        lines.append(f"obstruction after {res.explored} colorings")
+    else:
+        lines += [f"parts: " + " + ".join(f"({to_text(p)})^{args.k}"
+                                          for p in res.parts),
+                  f"verified: {res.verified}"]
     _emit(payload, args.json, lines)
-    return 0
+    return 1 if obstructed else 0
 
 
 def _cmd_oracle(F, args):

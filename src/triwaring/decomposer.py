@@ -37,10 +37,8 @@ from .errors import (
 from .fields import Element, FieldSpec, kth_root_map
 from .power_sums import (
     AssignmentEntry,
-    PairAssignment,
     classified,
     lex_min_solution,
-    select_pairs,
     select_system_pairs,
     shift_to_two_variable,
 )
@@ -74,7 +72,7 @@ class DecompositionResult:
     parts: tuple[UTMatrix, ...]
     k: int
     target: UTMatrix
-    assignment: PairAssignment | None
+    assignment: tuple[AssignmentEntry, ...]
     verified: bool
     plan: StructuredPlan | None = field(default=None, compare=False)
 
@@ -83,8 +81,7 @@ class DecompositionResult:
             "target": to_text(self.target),
             "k": self.k,
             "parts": [to_text(p) for p in self.parts],
-            "assignment": [e.as_row() for e in self.assignment.entries]
-            if self.assignment else [],
+            "assignment": [e.as_row() for e in self.assignment],
             "verified": self.verified,
         }
 
@@ -135,27 +132,33 @@ def _pair_entries(F: FieldSpec, targets, k: int) -> list[AssignmentEntry]:
     signature), so they serve as diagonal roots unchanged."""
     demands = collections.Counter(targets).items()
     by_lam: dict[Element, list[AssignmentEntry]] = {}
-    for e in select_system_pairs(F, demands, k).entries:
+    for e in select_system_pairs(F, demands, k):
         by_lam.setdefault(e.lam, []).append(e)
     queues = {lam: iter(entries) for lam, entries in by_lam.items()}
     return [next(queues[t]) for t in targets]
+
+
+def _verified(C: UTMatrix, k: int, parts, entries, plan=None
+              ) -> DecompositionResult:
+    """Every construction's last step: the sum of the parts' k-th powers
+    checked against C, then the result recording `entries` as its
+    assignment."""
+    verified = verify_decomposition(C, parts, k)
+    assert verified, f"{len(parts)}-power construction failed verification"
+    return DecompositionResult(parts, k, C, tuple(entries), verified,
+                               plan=plan)
 
 
 def _assemble(C: UTMatrix, k: int, roots, diag_parts, entries
               ) -> DecompositionResult:
     """The construction the two- and three-power routes share: A by
     back-substitution from the diagonal roots `roots` under C's strict
-    upper part, one diagonal part per list in `diag_parts`, the sum of
-    their k-th powers checked against C. `entries` is the assignment
-    recorded with the result."""
+    upper part, one diagonal part per list in `diag_parts`, verified."""
     F = C.field
     A0 = C.with_entries({(i, i): F.pow(a, k) for i, a in enumerate(roots, 1)})
-    parts = (backsub_root(A0, k, roots),
-             *(diag(F, values) for values in diag_parts))
-    verified = verify_decomposition(C, parts, k)
-    assert verified, f"{len(parts)}-power construction failed verification"
-    return DecompositionResult(parts, k, C, PairAssignment(tuple(entries)),
-                               verified)
+    return _verified(C, k, (backsub_root(A0, k, roots),
+                            *(diag(F, values) for values in diag_parts)),
+                     entries)
 
 
 def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
@@ -241,12 +244,11 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
                 f"sufficient only for q > 4 n^2 k^16")
         free.discard(a)
         chosen.append(a)
-    pairs = [lex_min_solution(F, F.sub(c, F.pow(a, k)), k)
-             for c, a in zip(d, chosen)]
-    entries = [AssignmentEntry(c, a, s.x, s.y)
-               for c, a, s in zip(d, chosen, pairs)]
-    return _assemble(C, k, chosen, [[s.x for s in pairs],
-                                    [s.y for s in pairs]], entries)
+    rests = [F.sub(c, F.pow(a, k)) for c, a in zip(d, chosen)]
+    entries = [AssignmentEntry(c, a, *lex_min_solution(F, r, k))
+               for c, a, r in zip(d, chosen, rests)]
+    return _assemble(C, k, chosen, [[e.y for e in entries],
+                                    [e.z for e in entries]], entries)
 
 
 def _matchable(option_lists, free) -> bool:
@@ -304,24 +306,24 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
 
     if not entries:
         # no constraints: one solution covers every position
-        s, = select_pairs(F, lam, k, 1)
-        A = diag(F, [s.x] * n)
-        B = diag(F, [s.y] * n)
-        plan = StructuredPlan((1,) * n, (), (), ((s.x, s.y),))
-        entries_pa = tuple(AssignmentEntry(lam, s.x, s.y) for _ in range(n))
-        verified = verify_decomposition(C, (A, B), k)
-        assert verified
-        return DecompositionResult((A, B), k, C, PairAssignment(entries_pa),
-                                   verified, plan=plan)
+        s = lex_min_solution(F, lam, k)
+        if s is None:
+            raise InsufficientClassesError(
+                f"x^{k} + y^{k} = {lam} has no solutions over F_{F.q}",
+                lam=lam, found=0, needed=1)
+        x, y = s
+        plan = StructuredPlan((1,) * n, (), (), (s,))
+        return _verified(C, k, (diag(F, [x] * n), diag(F, [y] * n)),
+                         [AssignmentEntry(lam, x, y)] * n, plan)
 
     cl = classified(F, lam, k)
     if cl.r < 2:
         raise InsufficientClassesError(
             f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
             f"need 2 for the structured split", lam=lam, found=cl.r, needed=2)
-    s1, s2 = cl.representatives()[:2]
+    (s1, sig1), (s2, sig2) = cl._candidates[:2]
     sols = {1: s1, 2: s2}
-    sigs = dict(zip((1, 2), cl.signatures))
+    sigs = {1: sig1, 2: sig2}
 
     coloring = bipartition(C)
     split = _split_entries(entries)
@@ -333,15 +335,9 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         {ij: C[ij] for ij in owned_a})
     B0 = diag(F, [sigs[c][1] for c in coloring]).with_entries(
         {ij: C[ij] for ij in owned_b})
-    A = kth_root_sparse(A0, k)
-    B = kth_root_sparse(B0, k)
-    verified = verify_decomposition(C, (A, B), k)
-    assert verified, "structured construction failed verification"
-    plan = StructuredPlan(coloring, owned_a, owned_b,
-                          ((s1.x, s1.y), (s2.x, s2.y)))
-    pa = PairAssignment(tuple(
-        AssignmentEntry(lam, sols[c].x, sols[c].y) for c in coloring))
-    return DecompositionResult((A, B), k, C, pa, verified, plan=plan)
+    plan = StructuredPlan(coloring, owned_a, owned_b, (s1, s2))
+    return _verified(C, k, (kth_root_sparse(A0, k), kth_root_sparse(B0, k)),
+                     [AssignmentEntry(lam, *sols[c]) for c in coloring], plan)
 
 
 def _split_entries(entries):

@@ -16,15 +16,14 @@ The classes are read off the cached k-th root map: V_i with signature
 (v, lam - v) is exactly fiber(v) x fiber(lam - v), and U collects the
 products with v = lam - v. O(q) work per lam once that map exists, and no
 k-th power is recomputed. A classification is cached as those fiber pairs
-and signatures; the members of the classes and of U are built on first
-access only, since the decomposer reads no more than one representative
-per class (its pair of least roots).
+and signatures only; the decomposer reads no more than one solution per
+class (its pair of least roots), and records each chosen solution as an
+AssignmentEntry.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from .fields import Element, FieldSpec, kth_root_map, minus_one_is_kth_power
 DEFAULT_ENUM_GUARD = 10 ** 8
 # (F, lam, k) classifications kept, least recently used out; every lam of
 # F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them. Each holds
-# its classes as root fiber pairs, plus whatever members were asked for.
+# its classes as root fiber pairs.
 CLASS_CACHE_SIZE = 1024
 
 
@@ -60,16 +59,6 @@ def enum_guard(size: int, cap: int = DEFAULT_ENUM_GUARD) -> None:
             f"enumeration of size {size} exceeds guard {limit}")
 
 
-@dataclass(frozen=True, slots=True)
-class PairSolution:
-    """A solution (x, y) of x^k + y^k = lam."""
-
-    x: Element
-    y: Element
-    lam: Element
-    k: int
-
-
 Fiber = tuple[Element, ...]
 
 
@@ -84,8 +73,7 @@ class SolutionClassification:
     signatures u_signatures[j] = (v, v), in the same order; it spans
     several fibers only in characteristic 2 with lam = 0, and then the
     first is fiber(0) = (0,), so u_fibers[0] holds U's least member. The
-    members (`classes`, `U`, both sorted by (x, y)), `representatives()`
-    and the selection candidates are built on first access and kept.
+    selection candidates are built on first access and kept.
     r = len(signatures).
     """
 
@@ -100,36 +88,15 @@ class SolutionClassification:
     def r(self) -> int:
         return len(self.signatures)
 
-    def _members(self, xs: Fiber, ys: Fiber) -> list[PairSolution]:
-        return [PairSolution(x, y, self.lam, self.k) for x in xs for y in ys]
-
-    @functools.cached_property
-    def classes(self) -> tuple[tuple[PairSolution, ...], ...]:
-        return tuple(tuple(self._members(xs, ys)) for xs, ys in self.fibers)
-
-    @functools.cached_property
-    def U(self) -> tuple[PairSolution, ...]:
-        members = [s for xs, ys in self.u_fibers for s in self._members(xs, ys)]
-        return tuple(sorted(members, key=lambda s: (s.x, s.y)))
-
-    @functools.cached_property
-    def _representatives(self) -> tuple[PairSolution, ...]:
-        return tuple(PairSolution(xs[0], ys[0], self.lam, self.k)
-                     for xs, ys in self.fibers)
-
-    def representatives(self) -> tuple[PairSolution, ...]:
-        """Lex-smallest (x, y) member of each class, in class order: the
-        least roots of the class's signature."""
-        return self._representatives
-
     @functools.cached_property
     def _candidates(self) -> tuple[tuple[tuple[Element, Element],
                                          tuple[Element, Element]], ...]:
         """What selection scans: (representative (x, y), signature) per
         class in class order, then U's least member (when U is nonempty)
-        as a last resort for sub-threshold fields. In the theorem regime
-        the V representatives alone always suffice, so the U candidate
-        never changes theorem-regime outputs."""
+        as a last resort for sub-threshold fields. A representative is its
+        class's lex-smallest member, the least roots of its signature. In
+        the theorem regime the V representatives alone always suffice, so
+        the U candidate never changes theorem-regime outputs."""
         parts = zip(self.fibers + self.u_fibers[:1],
                     self.signatures + self.u_signatures[:1])
         return tuple(((xs[0], ys[0]), sig) for (xs, ys), sig in parts)
@@ -210,22 +177,13 @@ def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
         tuple(sig for sig, _ in U), tuple(f for _, f in U))
 
 
-def enumerate_pair_solutions(F: FieldSpec, lam: Element, k: int
-                             ) -> tuple[PairSolution, ...]:
-    """Exact solution set of x^k + y^k = lam, sorted by (x, y): the
-    classes and U of `classified`, flattened."""
-    cl = classified(F, lam, k)
-    return tuple(sorted(itertools.chain(cl.U, *cl.classes),
-                        key=lambda s: (s.x, s.y)))
-
-
-def lex_min_solution(F: FieldSpec, lam: Element, k: int) -> PairSolution | None:
+def lex_min_solution(F: FieldSpec, lam: Element, k: int
+                     ) -> tuple[Element, Element] | None:
     """The (x, y)-least solution of x^k + y^k = lam, or None when there is
     none. Each part's least member pairs the least roots of its fibers, and
     the selection candidates hold those pairs of every class and of U."""
-    least = min((xy for xy, _ in classified(F, lam, k)._candidates),
-                default=None)
-    return None if least is None else PairSolution(*least, lam, k)
+    return min((xy for xy, _ in classified(F, lam, k)._candidates),
+               default=None)
 
 
 def classification_report(F: FieldSpec, lam: Element, k: int) -> dict:
@@ -243,29 +201,6 @@ def classification_report(F: FieldSpec, lam: Element, k: int) -> dict:
     }
 
 
-def select_pairs(F: FieldSpec, lam: Element, k: int, n: int
-                 ) -> tuple[PairSolution, ...]:
-    """n solutions with pairwise distinct x-powers and y-powers: one
-    representative per class (U excluded for n >= 2; for n = 1 the
-    lex-smallest solution overall, U included, is fine)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        s = lex_min_solution(F, lam, k)
-        if s is None:
-            raise InsufficientClassesError(
-                f"x^{k} + y^{k} = {lam} has no solutions over F_{F.q}",
-                lam=lam, found=0, needed=1)
-        return (s,)
-    cl = classified(F, lam, k)
-    if cl.r < n:
-        raise InsufficientClassesError(
-            f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
-            f"need {n} (sufficient only for q > n^2 k^16)",
-            lam=lam, found=cl.r, needed=n)
-    return cl.representatives()[:n]
-
-
 @dataclass(frozen=True, slots=True)
 class AssignmentEntry:
     """One diagonal position's solution: x^k + y^k (+ z^k) = lam."""
@@ -281,30 +216,8 @@ class AssignmentEntry:
         return [self.x, self.y, self.z]
 
 
-@dataclass(frozen=True)
-class PairAssignment:
-    """Per-position solution choices. The class-machinery selection keeps
-    all x-powers and all y-powers pairwise distinct across positions; the
-    per-position three-power route only guarantees what root extraction
-    needs (every pdq of two x's nonzero). validate() asserts the full
-    form."""
-
-    entries: tuple[AssignmentEntry, ...]
-
-    def validate(self, F: FieldSpec, k: int) -> None:
-        xps = [F.pow(e.x, k) for e in self.entries]
-        yps = [F.pow(e.y, k) for e in self.entries]
-        if len(set(xps)) != len(xps) or len(set(yps)) != len(yps):
-            raise AssertionError("assignment power collision")
-        for e in self.entries:
-            total = F.add(F.pow(e.x, k), F.pow(e.y, k))
-            if e.z is not None:
-                total = F.add(total, F.pow(e.z, k))
-            if total != e.lam:
-                raise AssertionError("assignment sum mismatch")
-
-
-def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
+def select_system_pairs(F: FieldSpec, demands, k: int
+                        ) -> tuple[AssignmentEntry, ...]:
     """Assign l_i solutions of x^k + y^k = lam_i to each demand
     (lam_i, l_i), with all x-powers pairwise distinct and all y-powers
     pairwise distinct across the whole assignment.
@@ -378,7 +291,7 @@ def select_system_pairs(F: FieldSpec, demands, k: int) -> PairAssignment:
             used_x.pop()
             used_y.pop()
 
-    return PairAssignment(tuple(AssignmentEntry(*c) for c in chosen))
+    return tuple(AssignmentEntry(*c) for c in chosen)
 
 
 def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,

@@ -13,6 +13,20 @@ PRIME_POWERS_49 = [
 ODD_PRIME_POWERS_49 = [(p, m) for (p, m) in PRIME_POWERS_49 if p != 2]
 
 
+def assert_distinct_power_solutions(F, k, entries):
+    """What class selection promises: each AssignmentEntry solves
+    x^k + y^k (+ z^k) = lam, and the x-powers, like the y-powers, are
+    pairwise distinct across the entries."""
+    xps = [F.pow(e.x, k) for e in entries]
+    yps = [F.pow(e.y, k) for e in entries]
+    assert len(set(xps)) == len(xps) and len(set(yps)) == len(yps)
+    for e, xp, yp in zip(entries, xps, yps):
+        total = F.add(xp, yp)
+        if e.z is not None:
+            total = F.add(total, F.pow(e.z, k))
+        assert total == e.lam, e
+
+
 @pytest.fixture(scope="session")
 def all_fields():
     return [make_field(p, m) for (p, m) in PRIME_POWERS_49]

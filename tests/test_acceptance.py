@@ -39,7 +39,7 @@ from triwaring.power_sums import (
     count_zero_sum_classes,
     lang_weil_check,
     quotient_zero_report,
-    select_pairs,
+    select_system_pairs,
 )
 from triwaring.tri_matrix import (
     UTMatrix,
@@ -261,11 +261,11 @@ def test_criterion_10_seven_by_seven_obstruction():
 def test_criterion_11_exponent_q_minus_one():
     t0 = time.perf_counter()
     F7 = make_field(7)
-    chosen = select_pairs(F7, 1, 6, 2)
+    chosen = select_system_pairs(F7, [(1, 2)], 6)
     assert len(chosen) == 2
-    sigs = {(F7.pow(s.x, 6), F7.pow(s.y, 6)) for s in chosen}
+    sigs = {(F7.pow(e.x, 6), F7.pow(e.y, 6)) for e in chosen}
     assert sigs == {(0, 1), (1, 0)}
     with pytest.raises(InsufficientClassesError):
-        select_pairs(F7, 1, 6, 3)
+        select_system_pairs(F7, [(1, 3)], 6)
     _report(11, "x^6 + y^6 = 1 over F_7: exactly two classes",
             time.perf_counter() - t0, 1)

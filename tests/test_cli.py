@@ -338,11 +338,16 @@ def test_lambda_outside_the_field_is_typed(capsys, argv):
     assert payload["failure"]["type"] == "FieldMismatchError"
 
 
+def readme_block(heading: str, lang: str) -> str:
+    """The first `lang` code block under the README's `## heading`."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_lines():
     """The commands of the README's `## CLI` block, split into words."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text().split("## CLI\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("CLI", "sh")
     return [shlex.split(line) for line in block.splitlines() if line]
 
 
@@ -353,3 +358,10 @@ def test_readme_cli_examples_exit_zero(capsys):
         assert argv[0] == "triwaring", argv
         assert main(argv[1:]) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_library_example_runs(capsys):
+    # the block asserts its own decomposition, then prints the parts
+    block = readme_block("Library example", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count(" + ") == 1

@@ -23,11 +23,10 @@ from triwaring.errors import (
     PreconditionViolatedError,
     TriwaringError,
 )
-from triwaring.fields import make_field
+from triwaring.fields import kth_roots, make_field
 from triwaring.oracle import all_kth_powers, iter_matrices
 from triwaring.power_sums import (
     AssignmentEntry,
-    PairAssignment,
     classified,
     lex_min_solution,
     power_diff_quotient,
@@ -41,6 +40,7 @@ from triwaring.tri_matrix import (
     to_text,
     zero,
 )
+from tests.conftest import assert_distinct_power_solutions
 
 OBSTRUCTION_ENTRIES = ((1, 2), (1, 3), (2, 6), (3, 4), (4, 5), (4, 6), (6, 7))
 
@@ -68,7 +68,7 @@ def test_decompose_two_nilpotent_f13(F13):
 def test_decompose_two_diagonal_target(F13):
     res = decompose_two(diag(F13, [1, 3]), 2)
     assert res.verified
-    res.assignment.validate(F13, 2)
+    assert_distinct_power_solutions(F13, 2, res.assignment)
 
 
 def test_decompose_two_insufficient_classes(F7, F3):
@@ -101,7 +101,7 @@ def test_decompose_two_full_t2_f13(F13):
 def test_decompose_two_assignment_order_matches_diagonal(F13):
     C = from_text(F13, "5,1,2;0,3;5")
     res = decompose_two(C, 2)
-    assert tuple(e.lam for e in res.assignment.entries) == C.diagonal()
+    assert tuple(e.lam for e in res.assignment) == C.diagonal()
 
 
 def test_decompose_three_examples(F7):
@@ -231,11 +231,8 @@ def test_lex_min_solution_matches_witness_scan():
         for k in (2, 3, 4):
             witness = two_witness_map(F, k)
             for v in F.elements():
-                s = lex_min_solution(F, v, k)
-                if v in witness:
-                    assert (s.x, s.y) == witness[v], (F.q, k, v)
-                else:
-                    assert s is None, (F.q, k, v)
+                assert lex_min_solution(F, v, k) == witness.get(v), \
+                    (F.q, k, v)
 
 
 def test_obstruction_7x7(F13):
@@ -324,7 +321,8 @@ def structured_reference(C, k):
     F, n = C.field, C.n
     lam = C.get(1, 1)
     entries = C.nonzero_strict_positions()
-    s1, s2 = classified(F, lam, k).representatives()[:2]
+    s1, s2 = (tuple(kth_roots(F, v, k)[0] for v in sig)
+              for sig in classified(F, lam, k).signatures[:2])
     sols = {1: s1, 2: s2}
     owned = ([], [])
 
@@ -351,15 +349,15 @@ def structured_reference(C, k):
             refuted.append(coloring)
             continue
         roots = []
-        for side, owned_side in zip(("x", "y"), owned):
-            A0 = diag(F, [F.pow(getattr(sols[c], side), k) for c in coloring])
+        for side, owned_side in enumerate(owned):
+            A0 = diag(F, [F.pow(sols[c][side], k) for c in coloring])
             roots.append(kth_root_sparse(
                 A0.with_entries({ij: C[ij] for ij in owned_side}), k))
         plan = StructuredPlan(coloring, tuple(owned[0]), tuple(owned[1]),
-                              ((s1.x, s1.y), (s2.x, s2.y)))
-        pa = PairAssignment(tuple(
-            AssignmentEntry(lam, sols[c].x, sols[c].y) for c in coloring))
-        return DecompositionResult(tuple(roots), k, C, pa, True, plan=plan)
+                              (s1, s2))
+        entries = tuple(AssignmentEntry(lam, *sols[c]) for c in coloring)
+        return DecompositionResult(tuple(roots), k, C, entries, True,
+                                   plan=plan)
     return Obstruction(C, k, len(refuted), tuple(refuted))
 
 
@@ -435,8 +433,8 @@ def position_search_reference(C, k):
             f"no three-power assignment found over F_{F.q} (k={k}); "
             f"sufficient only for q > 4 n^2 k^16")
     pairs = [witness(i, a) for i, a in enumerate(chosen)]
-    return PairAssignment(tuple(AssignmentEntry(c, a, s.x, s.y)
-                                for c, a, s in zip(d, chosen, pairs)))
+    return tuple(AssignmentEntry(c, a, *s)
+                 for c, a, s in zip(d, chosen, pairs))
 
 
 def assert_position_search_matches_reference(C, k):
@@ -453,10 +451,9 @@ def assert_position_search_matches_reference(C, k):
         return
     res = _three_by_position_search(C, k)
     assert res.verified and res.assignment == expected, (to_text(C), k)
-    entries = expected.entries
-    assert res.parts[0].diagonal() == tuple(e.x for e in entries)
-    assert res.parts[1:] == (diag(C.field, [e.y for e in entries]),
-                             diag(C.field, [e.z for e in entries]))
+    assert res.parts[0].diagonal() == tuple(e.x for e in expected)
+    assert res.parts[1:] == (diag(C.field, [e.y for e in expected]),
+                             diag(C.field, [e.z for e in expected]))
 
 
 def test_position_search_matches_depth_first_t2():

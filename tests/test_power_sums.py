@@ -6,11 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triwaring.cli import main
-from triwaring.decomposer import (
-    decompose_structured,
-    decompose_three,
-    decompose_two,
-)
 from triwaring.errors import (
     EnumerationTooLargeError,
     FieldMismatchError,
@@ -27,21 +22,21 @@ from triwaring.fields import (
 )
 from triwaring.power_sums import (
     CLASS_CACHE_SIZE,
-    PairSolution,
     classification_report,
     classified,
     count_zero_sum_classes,
-    enumerate_pair_solutions,
     lang_weil_check,
     lex_min_solution,
     power_diff_quotient,
     quotient_zero_report,
-    select_pairs,
     select_system_pairs,
     shift_to_two_variable,
 )
-from triwaring.tri_matrix import from_text
-from tests.conftest import ODD_PRIME_POWERS_49, PRIME_POWERS_49
+from tests.conftest import (
+    ODD_PRIME_POWERS_49,
+    PRIME_POWERS_49,
+    assert_distinct_power_solutions,
+)
 
 
 def test_quotient_examples(F7, F13):
@@ -86,48 +81,60 @@ def test_quotient_zero_report_is_guarded(F7, monkeypatch):
     assert quotient_zero_report(F7, 2).ok
 
 
+def expand(cl):
+    """(U, classes) of a classification as (x, y) pairs, expanded from its
+    root fibers; U sorted, each class in fiber order."""
+    U = sorted((x, y) for xs, ys in cl.u_fibers for x in xs for y in ys)
+    classes = tuple(tuple((x, y) for x in xs for y in ys)
+                    for xs, ys in cl.fibers)
+    return tuple(U), classes
+
+
+def solution_set(F, lam, k):
+    """Every solution of x^k + y^k = lam, sorted, read off the fibers."""
+    U, classes = expand(classified(F, lam, k))
+    return tuple(sorted(U + sum(classes, ())))
+
+
 def test_enumerate_examples(F7, F13):
-    sols = enumerate_pair_solutions(F7, 1, 2)
+    sols = solution_set(F7, 1, 2)
     assert len(sols) == 8  # the circle has q + 1 points here
-    s = enumerate_pair_solutions(F13, 1, 3)
-    assert {(t.x, t.y) for t in s} == {(0, 1), (0, 3), (0, 9),
-                                       (1, 0), (3, 0), (9, 0)}
-    assert len(enumerate_pair_solutions(F7, 5, 1)) == 7
+    assert solution_set(F13, 1, 3) == ((0, 1), (0, 3), (0, 9),
+                                       (1, 0), (3, 0), (9, 0))
+    assert len(solution_set(F7, 5, 1)) == 7
 
 
 def raw_pair_scan(F, lam, k):
     """Reference: the q^2 double loop over (x, y) in encoding order."""
-    return tuple(PairSolution(x, y, lam, k)
-                 for x in F.elements() for y in F.elements()
+    return tuple((x, y) for x in F.elements() for y in F.elements()
                  if F.add(F.pow(x, k), F.pow(y, k)) == lam)
 
 
 def test_enumerate_matches_fiber_route(odd_fields):
-    # the fiber route over the root map gives the raw scan's tuple
+    # the fibers over the root map expand to the raw scan's tuple
     F169 = make_field(13, 2)
     cases = [(F, list(F.elements())) for F in odd_fields]
     cases.append((F169, [0, 1, 2, 14, 100, 168]))
     for F, lams in cases:
         for k in (2, 3):
             for lam in lams:
-                assert enumerate_pair_solutions(F, lam, k) == \
-                    raw_pair_scan(F, lam, k)
+                assert solution_set(F, lam, k) == raw_pair_scan(F, lam, k)
 
 
 def test_enumerate_rejects_bad_arguments(F7, F9):
     for k in (0, -1):
         with pytest.raises(ValueError):
-            enumerate_pair_solutions(F7, 1, k)
+            classified(F7, 1, k)
     for F, lam in ((F7, 7), (F7, 8), (F7, -6), (F9, 10)):
         with pytest.raises(FieldMismatchError):
-            enumerate_pair_solutions(F, lam, 2)
+            classified(F, lam, 2)
         with pytest.raises(FieldMismatchError):
-            select_pairs(F, lam, 2, 1)
+            lex_min_solution(F, lam, 2)
 
 
 def test_classify_f7_example(F7):
     cl = classified(F7, 1, 2)
-    assert {(s.x, s.y) for s in cl.U} == {(2, 2), (2, 5), (5, 2), (5, 5)}
+    assert expand(cl)[0] == ((2, 2), (2, 5), (5, 2), (5, 5))
     assert cl.signatures == ((0, 1), (1, 0))
     assert cl.r == 2
 
@@ -135,30 +142,30 @@ def test_classify_f7_example(F7):
 def test_classify_zero_sum_f13(F13):
     cl = classified(F13, 0, 3)
     assert cl.signatures == ((1, 12), (5, 8), (8, 5), (12, 1))
-    assert cl.U == (PairSolution(0, 0, 0, 3),)
+    assert cl.u_signatures == ((0, 0),)
+    assert cl.u_fibers == (((0,), (0,)),)
     assert cl.r + 1 == 5
 
 
 def test_classify_empty(F7):
     # sixth powers over F_7 are {0, 1}, so their pair sums miss 3
     cl = classified(F7, 3, 6)
-    assert cl.r == 0 and cl.U == ()
-    assert enumerate_pair_solutions(F7, 3, 6) == ()
+    assert cl.r == 0 and cl.u_fibers == ()
+    assert lex_min_solution(F7, 3, 6) is None
 
 
-def classify_solutions(F, sols):
-    """Reference: partition solutions (sharing lam and k) into U and the
-    V_i by raising every solution to the k-th power again; returns
+def classify_solutions(F, k, sols):
+    """Reference: partition solutions (x, y) of one equation into U and
+    the V_i by raising every solution to the k-th power again; returns
     (U, classes, signatures)."""
-    sols = sorted(sols, key=lambda s: (s.x, s.y))
     U = []
     by_sig = {}
-    for s in sols:
-        sx, sy = F.pow(s.x, s.k), F.pow(s.y, s.k)
+    for x, y in sorted(sols):
+        sx, sy = F.pow(x, k), F.pow(y, k)
         if sx == sy:
-            U.append(s)
+            U.append((x, y))
         else:
-            by_sig.setdefault((sx, sy), []).append(s)
+            by_sig.setdefault((sx, sy), []).append((x, y))
     signatures = tuple(sorted(by_sig))
     classes = tuple(tuple(by_sig[sig]) for sig in signatures)
     return tuple(U), classes, signatures
@@ -167,7 +174,7 @@ def classify_solutions(F, sols):
 def fiber_pair_scan(F, lam, k):
     """Reference: each x reads its y's off the fiber of lam - x^k."""
     roots = kth_root_map(F, k)
-    return tuple(PairSolution(x, y, lam, k) for x in F.elements()
+    return tuple((x, y) for x in F.elements()
                  for y in roots.get(F.sub(lam, F.pow(x, k)), ()))
 
 
@@ -178,25 +185,9 @@ def test_classified_matches_reference(all_fields):
             for lam in F.elements():
                 sols = fiber_pair_scan(F, lam, k)
                 cl = classified(F, lam, k)
-                assert (cl.U, cl.classes, cl.signatures) == \
-                    classify_solutions(F, sols)
-                assert enumerate_pair_solutions(F, lam, k) == sols
-
-
-def test_decomposers_build_no_class_members():
-    # F_59 is used by no other test, so no earlier call asked for members
-    F, k = make_field(59), 2
-    C = from_text(F, "2,1,3;5,4;7")
-    for decompose in (decompose_two, decompose_three):
-        assert decompose(C, k).verified
-    assert decompose_structured(from_text(F, "2,1,0;2,1;2"), k).verified
-    for lam in F.elements():
-        classification_report(F, lam, k)
-        lex_min_solution(F, lam, k)
-    assert classified(F, 2, k).u_fibers  # 2 = 1 + 1 has a U part
-    for lam in F.elements():
-        cl = classified(F, lam, k)
-        assert "classes" not in vars(cl) and "U" not in vars(cl)
+                assert (*expand(cl), cl.signatures) == \
+                    classify_solutions(F, k, sols)
+                assert solution_set(F, lam, k) == sols
 
 
 @pytest.mark.parametrize("q, p, m, k", [
@@ -207,18 +198,18 @@ def test_classify_cli_lists_a_u_of_several_fibers(capsys, q, p, m, k):
     # -1 = 1, so every value v has lam - v = v at lam = 0
     F = make_field(p, m)
     assert len(classified(F, 0, k).u_fibers) > 1
-    U, classes, signatures = classify_solutions(F, fiber_pair_scan(F, 0, k))
+    U, classes, signatures = classify_solutions(F, k,
+                                                fiber_pair_scan(F, 0, k))
     argv = ["classify", "--q", q, "--k", str(k), "--lambda", "0"]
     assert main([*argv, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "q": F.q, "k": k, "lambda": 0,
-        "U": [[s.x, s.y] for s in U],
-        "classes": [{"sig": list(sig), "solutions": [[s.x, s.y] for s in c]}
+        "U": [list(s) for s in U],
+        "classes": [{"sig": list(sig), "solutions": [list(s) for s in c]}
                     for sig, c in zip(signatures, classes)],
     }
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[1] == \
-        f"  U = {[(s.x, s.y) for s in U]}"
+    assert capsys.readouterr().out.splitlines()[1] == f"  U = {list(U)}"
 
 
 def test_classified_cache_past_its_bound_gives_equal_answers():
@@ -235,18 +226,26 @@ def test_classified_cache_past_its_bound_gives_equal_answers():
 
 
 def test_representatives_are_least_roots(all_fields):
-    # what lets the decomposer use a representative's x and y as its
-    # diagonal roots unchanged
+    # what lets the decomposer use a candidate's x and y as its diagonal
+    # roots unchanged: one candidate per class, in class order, then U's
+    # least member, each the lex-least member of its part
     for F in all_fields:
         for k in range(1, 7):
             for lam in F.elements():
                 cl = classified(F, lam, k)
-                for (v, w), rep in zip(cl.signatures, cl.representatives()):
-                    assert (rep.x, rep.y) == (kth_roots(F, v, k)[0],
-                                              kth_roots(F, w, k)[0])
-                if cl.U:
-                    least = kth_roots(F, F.pow(cl.U[0].x, k), k)[0]
-                    assert (cl.U[0].x, cl.U[0].y) == (least, least)
+                U, classes = expand(cl)
+                cands = cl._candidates
+                assert len(cands) == cl.r + (1 if U else 0)
+                for (xy, (v, w)), members in zip(cands, classes):
+                    assert xy == (kth_roots(F, v, k)[0],
+                                  kth_roots(F, w, k)[0]) == min(members)
+                assert [sig for _, sig in cands[:cl.r]] == \
+                    list(cl.signatures)
+                if U:
+                    (x, y), (v, w) = cands[-1]
+                    least = kth_roots(F, F.pow(U[0][0], k), k)[0]
+                    assert (x, y) == U[0] == (least, least)
+                    assert v == w == F.pow(x, k)
 
 
 def count_pow_calls(monkeypatch):
@@ -267,8 +266,7 @@ def test_classes_and_selection_read_powers_off_the_root_map(monkeypatch):
     calls = count_pow_calls(monkeypatch)
     cl = classified.__wrapped__(F, 7, 3)
     assert cl.r > 0 and calls == []
-    enumerate_pair_solutions(F, 7, 3)
-    assert calls == []
+    assert cl._candidates and calls == []
     # the U candidates read their stored signatures, so selection takes no
     # power either
     demands = [(0, 2), (7, 1), (11, 1)]
@@ -288,19 +286,20 @@ def test_partition_invariants_sweep(all_fields):
             continue
         for k in range(1, 7):
             for lam in F.elements():
-                sols = enumerate_pair_solutions(F, lam, k)
+                sols = raw_pair_scan(F, lam, k)
                 cl = classified(F, lam, k)
-                parts = [set(cl.U)] + [set(c) for c in cl.classes]
+                U, classes = expand(cl)
+                parts = [set(U)] + [set(c) for c in classes]
                 union = set()
                 for part in parts:
                     assert not (union & part)
                     union |= part
                 assert union == set(sols)
-                for c in cl.classes:
+                for c in classes:
                     assert len(c) <= k * k
                 if F.p != 2:
                     # char 2 with lam = 0 makes U huge; odd char only
-                    assert len(cl.U) <= k * k
+                    assert len(U) <= k * k
                 xs = [sig[0] for sig in cl.signatures]
                 ys = [sig[1] for sig in cl.signatures]
                 assert len(set(xs)) == len(xs)
@@ -322,16 +321,17 @@ def test_classification_report_shape(F13):
 
 
 def test_select_pairs_examples(F7, F13):
-    ps = select_pairs(F7, 1, 2, 2)
-    assert [(s.x, s.y) for s in ps] == [(0, 1), (1, 0)]
+    # one target demanded n times takes its first n class representatives
+    ps = select_system_pairs(F7, [(1, 2)], 2)
+    assert [(e.x, e.y) for e in ps] == [(0, 1), (1, 0)]
     with pytest.raises(InsufficientClassesError) as err:
-        select_pairs(F13, 1, 3, 3)
+        select_system_pairs(F13, [(1, 3)], 3)
     assert err.value.found == 2
     # the q-1 exponent leaves exactly the two axis classes
-    two = select_pairs(F7, 1, 6, 2)
+    two = select_system_pairs(F7, [(1, 2)], 6)
     assert len(two) == 2
     with pytest.raises(InsufficientClassesError):
-        select_pairs(F7, 1, 6, 3)
+        select_system_pairs(F7, [(1, 3)], 6)
 
 
 def test_select_pairs_distinctness(odd_fields):
@@ -340,24 +340,22 @@ def test_select_pairs_distinctness(odd_fields):
             for lam in F.elements():
                 cl = classified(F, lam, k)
                 for n in range(2, min(cl.r, 4) + 1):
-                    chosen = select_pairs(F, lam, k, n)
-                    xp = [F.pow(s.x, k) for s in chosen]
-                    yp = [F.pow(s.y, k) for s in chosen]
-                    assert len(set(xp)) == n and len(set(yp)) == n
-                    for s in chosen:
-                        assert F.pow(s.x, k) != F.pow(s.y, k)
-                    for s in chosen:
-                        assert F.add(F.pow(s.x, k), F.pow(s.y, k)) == lam
+                    chosen = select_system_pairs(F, [(lam, n)], k)
+                    assert [(e.x, e.y) for e in chosen] == \
+                        [xy for xy, _ in cl._candidates[:n]]
+                    assert_distinct_power_solutions(F, k, chosen)
+                    for e in chosen:
+                        assert F.pow(e.x, k) != F.pow(e.y, k)
 
 
 def test_select_system_pairs_examples(F13):
     pa = select_system_pairs(F13, [(0, 2)], 2)
-    pa.validate(F13, 2)
-    assert [e.lam for e in pa.entries] == [0, 0]
+    assert_distinct_power_solutions(F13, 2, pa)
+    assert [e.lam for e in pa] == [0, 0]
     pa2 = select_system_pairs(F13, [(0, 1), (1, 1)], 2)
-    pa2.validate(F13, 2)
+    assert_distinct_power_solutions(F13, 2, pa2)
     pa3 = select_system_pairs(F13, [(5, 1)], 2)
-    assert len(pa3.entries) == 1
+    assert len(pa3) == 1
 
 
 def test_select_system_pairs_failure(F7):
@@ -393,9 +391,9 @@ def test_select_system_pairs_invariants(pm, k, data):
         pa = select_system_pairs(F, list(zip(lams, mults)), k)
     except InsufficientClassesError:
         return
-    pa.validate(F, k)
+    assert_distinct_power_solutions(F, k, pa)
     counts = {}
-    for e in pa.entries:
+    for e in pa:
         counts[e.lam] = counts.get(e.lam, 0) + 1
     assert counts == dict(zip(lams, mults))
 
