@@ -222,7 +222,21 @@ class FieldSpec:
         return 0 if z < 0 else self._exp[la + z]
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
+        """a - b = a + (-b) in one Zech lookup: log(-b) is log(b) moved by
+        half the group order (as in `neg`), kept inside [0, q - 1)."""
+        if self.m == 1:
+            return (a - b) % self.p
+        if b == 0:
+            return a
+        lb = self._log[b]
+        if self.p != 2:
+            half = (self.q - 1) >> 1
+            lb = lb - half if lb >= half else lb + half
+        if a == 0:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[lb - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: Element) -> Element:
         """-1 = g^((q - 1) / 2) for odd p, and -a = a in characteristic 2."""

@@ -1,17 +1,21 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here is exhaustive and guarded: the k-th power image of a whole
-matrix algebra, minimum summand counts by breadth-first sumset growth, and
-machine checks of the negative claims (non-squares, non-conjugacy, the
-p | k obstruction). `min_waring_number`, `waring_report` and
-`negative_checks` share one memoised layer engine per (F, n, k): the power
-image and each sumset layer are built at most once per process, as
-frozensets of packed entry tuples, and at most LAYER_CACHE_SIZE engines
-are kept. `all_kth_powers` enumerates afresh on every call. Conjugacy
-under the invertible-triangular group B_n is decided exactly by a search
-of the kernel of P -> AP - PB, which returns the same witness as a scan of
-B_n in `iter_bn` order. Guards are hard errors, checked on every call,
-cached or not; an oracle must never truncate silently.
+matrix algebra, minimum summand counts, and machine checks of the negative
+claims (non-squares, non-conjugacy, the p | k obstruction).
+`min_waring_number`, `waring_report` and `negative_checks` share one
+memoised engine per (F, n, k), and at most LAYER_CACHE_SIZE engines are
+kept. The engine enumerates the power image P^1 once per process, as a
+frozenset of packed entry tuples. `waring_report` grows the sumset layers
+P^2, P^3, ... from it, each built at most once. `min_waring_number` builds
+no layer: the diagonal of C decides most queries by two exact facts (the
+diagonal map is a homomorphism; a pairwise distinct diagonal of k-th
+powers makes a k-th power), and a memoised search of C - P over the powers
+P settles the rest. `all_kth_powers` enumerates afresh on every call.
+Conjugacy under the invertible-triangular group B_n is decided exactly by
+a search of the kernel of P -> AP - PB, which returns the same witness as
+a scan of B_n in `iter_bn` order. Guards are hard errors, checked on every
+call, cached or not; an oracle must never truncate silently.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
     FieldMismatchError,
     SizeMismatchError,
 )
+from .decomposer import _matchable
 from .fields import Element, FieldSpec, minus_one_is_kth_power
 from .power_sums import enum_guard
 from .tri_matrix import (
@@ -73,13 +78,14 @@ def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int
                       ) -> int | None:
     """Smallest r <= cap with C a sum of r k-th powers, else None (>cap).
 
-    Breadth-first over the sumset layers P^1 subset P^2 subset ... of
-    (F, C.n, k) (0 = 0^k is a power, so the layers nest), held by the
-    memoised layer engine. C is in P^r when some C - P, P a power, is in
-    P^(r-1); a layer is only materialized when the cap forces a deeper
-    query, and once built it answers membership directly. None comes early
-    when P^r == P^(r-1): the layers are closed and C is unreachable.
-    ValueError for cap < 1."""
+    Tries r = 1, 2, ... against the sumset layers P^1 subset P^2 subset ...
+    of (F, C.n, k) (0 = 0^k is a power, so the layers nest), through the
+    memoised engine. P^1, and any layer `waring_report` already built,
+    answer by lookup. Beyond them no layer is built: the diagonal of C
+    decides "C in P^r?" where it can, and otherwise a search for a power P
+    with C - P in P^(r-1) does (`_SumsetLayers.min_count`). When the built
+    layers have closed (P^r == P^(r-1)), C is unreachable and None comes
+    early. ValueError for cap < 1."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     if C.field != F:
@@ -101,12 +107,15 @@ class _SumsetLayers:
 
     Layers are frozensets of packed entry tuples. P^1 is enumerated once,
     by `all_kth_powers`, whose first root per power `roots` keeps in order.
-    P^r, r >= 2, is P^(r-1) + P^1, built when a query first needs it, until
+    P^r, r >= 2, is P^(r-1) + P^1, built only for `waring_report`, until
     the layers close: one equals the layer below or holds all of T_n(F_q),
-    so every later layer equals it. Entry arithmetic goes through q x q
-    tables of sums and differences when they cost no more than the image
-    they serve (q^2 <= |P^1|), else through F itself: T_1(F_q) has at most
-    q elements, so a q^2 table would dwarf it."""
+    so every later layer equals it. `min_count` never builds a layer: it
+    decides "is C in P^s?" from the diagonal of C, by two exact facts, and
+    by a search of C - P over the powers P only where both are silent.
+    Entry arithmetic goes through q x q tables of sums and differences when
+    they cost no more than the image they serve (q^2 <= |P^1|), else
+    through F itself: T_1(F_q) has at most q elements, so a q^2 table would
+    dwarf it."""
 
     def __init__(self, F: FieldSpec, n: int, k: int):
         self.field = F
@@ -122,6 +131,31 @@ class _SumsetLayers:
             self._tables = tuple(
                 tuple(tuple(op(x, y) for y in elems) for x in elems)
                 for op in (F.add, F.sub))
+        # K: the (1, 1) entries of the powers, as diag(a)^k is one (T_0
+        # has none, and no query of it gets past its one power)
+        self._kth = frozenset(P[0] for P in self.powers if P)
+        self._order = len(self._kth) - 1  # |H|, H = the nonzero k-th powers
+        self._classes = (F.q - 1) // self._order + 1  # cosets of H, and 0
+        # packed index of each diagonal entry: row i starts after n - j
+        # entries for every row j above it
+        self._diag_at = [i * n - i * (i - 1) // 2 for i in range(n)]
+        self._levels = [frozenset({0, 1})]  # classes of W_1, W_2, ...
+        self._frontier = [1]  # a representative per class new in the last
+        # memos keyed by value, diagonal or matrix, and summand count
+        self._opts: dict[tuple[Element, int], tuple[Element, ...]] = {}
+        self._verdicts: dict[tuple[tuple[Element, ...], int], bool | None] = {}
+        self._groups: dict[tuple[tuple[Element, ...], int], tuple] = {}
+        self._searched: dict[tuple[tuple[Element, ...], int], bool] = {}
+
+    @functools.cached_property
+    def _by_diag(self) -> dict[tuple[Element, ...], list]:
+        """The powers by diagonal, for `_search`. Every D in K^n is a key:
+        diag(a)^k has the diagonal (a_i^k)."""
+        groups: dict[tuple[Element, ...], list] = {}
+        for P in self.roots:
+            groups.setdefault(tuple([P[i] for i in self._diag_at]),
+                              []).append(P)
+        return groups
 
     def _shifts(self, a, sub: bool):
         """Per entry x of a, the map y -> x + y (or x - y)."""
@@ -152,20 +186,119 @@ class _SumsetLayers:
                 self.closed = len(nxt) == self.size
         return self.layers[r - 1] if r <= len(self.layers) else None
 
+    def _sums(self, s: int):
+        """Membership in W_s, the sums of s k-th powers in F_q (W_0 = {0}),
+        as a predicate on values.
+
+        H = K minus 0 is a subgroup of F_q^*, and h W_s = W_s for h in H,
+        so W_s is 0 and whole cosets of H, told apart by the class
+        chi(v) = v^|H| (chi(0) = 0). As w + a = a (w/a + 1), the classes
+        of W_s are those of W_(s-1) and chi(t + 1) for t in a coset new in
+        W_(s-1): each coset is walked once, as one representative times
+        H, until a level adds none. No W_s is built as a set of elements:
+        over a large field that would cost q |K| sums."""
+        if s <= 1:
+            return (self._kth if s else frozenset({0})).__contains__
+        F, levels = self.field, self._levels
+        while len(levels) < s and self._frontier:
+            known = set(levels[-1])
+            reps = []
+            for u in (F.add(F.mul(r, h), 1)
+                      for r in self._frontier for h in self._kth):
+                if len(known) == self._classes:
+                    break
+                c = F.pow(u, self._order)
+                if c not in known:
+                    known.add(c)
+                    reps.append(u)
+            levels.append(frozenset(known))
+            self._frontier = reps
+        classes, order = levels[min(s, len(levels)) - 1], self._order
+        return lambda v: F.pow(v, order) in classes
+
+    def _options(self, x: Element, s: int) -> tuple[Element, ...]:
+        """The v in K with x - v in W_(s-1), memoised per value; none
+        exactly when x is outside W_s."""
+        key = (x, s)
+        if key not in self._opts:
+            sub, inside = self.field.sub, self._sums(s - 1)
+            self._opts[key] = tuple(v for v in self._kth if inside(sub(x, v)))
+        return self._opts[key]
+
+    def _verdict(self, d: tuple[Element, ...], s: int) -> bool | None:
+        """What the diagonal d alone says of "C in P^s?" (memoised).
+
+        False when an entry of d is outside W_s: the diagonal map is a
+        homomorphism. True when d splits as d_1 + ... + d_s, every d_j in
+        K^n and d_1 pairwise distinct: C minus the diagonal powers
+        diag(d_2), ..., diag(d_s) has the pairwise distinct k-th powers d_1
+        on its diagonal, so it is a k-th power (see `min_count`). d_1 takes
+        at position i one of the `_options` of d_i, a bipartite matching.
+        None otherwise."""
+        key = (d, s)
+        if key not in self._verdicts:
+            options = [self._options(x, s) for x in d]
+            self._verdicts[key] = all(options) and (
+                _matchable(options, self._kth) or None)
+        return self._verdicts[key]
+
+    def _candidates(self, d: tuple[Element, ...], s: int) -> tuple:
+        """The groups of powers P, by diagonal D, that can leave c - P in
+        P^(s-1) when c has the diagonal d: each D_i among the `_options` of
+        d_i (memoised)."""
+        key = (d, s)
+        if key not in self._groups:
+            self._groups[key] = tuple(self._by_diag[D] for D in
+                                      itertools.product(*[
+                                          self._options(x, s) for x in d]))
+        return self._groups[key]
+
+    def _search(self, c: tuple[Element, ...], s: int) -> bool:
+        """Is c in P^s (s >= 2)? Some power P leaves c - P in P^(s-1),
+        looked up when that layer is built, else searched in turn. Answers
+        are memoised, so a sum reached in several orders is searched once,
+        and a deeper query reuses the shallower ones."""
+        key = (c, s)
+        if key in self._searched:
+            return self._searched[key]
+        below = self.layers[s - 2] if s - 1 <= len(self.layers) else None
+        found = False
+        groups = self._candidates(tuple([c[i] for i in self._diag_at]), s)
+        shifts = self._shifts(c, sub=True) if groups else ()
+        for P in itertools.chain.from_iterable(groups):
+            rest = tuple([f(y) for f, y in zip(shifts, P)])
+            if rest in below if below is not None else \
+                    self._search(rest, s - 1):
+                found = True
+                break
+        self._searched[key] = found
+        return found
+
     def min_count(self, c: tuple[Element, ...], cap: int) -> int | None:
-        """`min_waring_number` for the packed entries c."""
+        """`min_waring_number` for the packed entries c.
+
+        A built layer answers by lookup, and a closed engine has no layer
+        beyond its last. Otherwise the diagonal comes first (`_verdict`),
+        by two facts. Its entries in a member of P^s lie in W_s. And a
+        matrix whose diagonal entries are pairwise distinct k-th powers d
+        is a k-th power: `canonical.diagonalize_distinct` gives it as
+        S diag(d) S^-1, and diag(d) = diag(a)^k, so it is
+        (S diag(a) S^-1)^k. Only where neither settles it does `_search`
+        run; it never needs the diagonal test again, since a residual whose
+        diagonal split would have split the diagonal of c."""
+        d = None
         for r in range(1, cap + 1):
             if r <= len(self.layers):
                 if c in self.layers[r - 1]:
                     return r
-            else:
-                prev = self.layers[r - 2]
-                shifts = self._shifts(c, sub=True)
-                if any(tuple([f(y) for f, y in zip(shifts, P)]) in prev
-                       for P in self.powers):
-                    return r
-            if r < cap and self._layer(r) is None:
-                return None  # closed under further sums; C unreachable
+                continue
+            if self.closed:
+                return None  # every later layer equals the last built
+            if d is None:
+                d = tuple([c[i] for i in self._diag_at])
+            verdict = self._verdict(d, r)
+            if verdict or verdict is None and self._search(c, r):
+                return r
         return None
 
 

@@ -356,6 +356,15 @@ def test_zech_arithmetic_matches_digit_loops_on_every_modulus():
                     (modulus, a)
 
 
+def test_sub_is_add_of_neg(all_fields):
+    # sub folds the negation into the Zech index; it must agree with the
+    # two-step form on every pair
+    for F in all_fields + [make_field(13, 2)]:
+        for a in F.elements():
+            assert [F.sub(a, b) for b in F.elements()] == \
+                [F.add(a, F.neg(b)) for b in F.elements()], (F, a)
+
+
 def test_field_caches_past_their_bounds_give_equal_answers():
     primes = [n for n in range(2, 1000) if is_prime(n)][:FIELD_CACHE_SIZE + 1]
     first = [make_field(p) for p in primes]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from triwaring.errors import (
     SizeMismatchError,
 )
 from triwaring import oracle
-from triwaring.fields import make_field
+from triwaring.fields import kth_power_image, make_field
 from triwaring.oracle import (
     all_kth_powers,
     bn_conjugate,
@@ -409,17 +410,61 @@ def test_report_rejects_sizes_below_one(F3, n):
         waring_report(F3, n, 2)
 
 
-@pytest.mark.parametrize("p, m, n", [(3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)])
+@pytest.mark.parametrize("p, m, n", [(3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3),
+                                     (3, 2, 2), (2, 3, 2), (3, 1, 3)])
 def test_min_waring_matches_report_cold_and_warm(p, m, n):
     F = make_field(p, m)
     mats = list(iter_matrices(F, n))
     for k in (1, 2, 3):
+        # a count capped lower is the cap-4 count, or None above the cap
+        full = report_reference(F, n, k, 4).per_matrix_min
         for cap in (2, 3, 4):
-            expect = report_reference(F, n, k, cap).per_matrix_min
+            expect = {M: v if v is not None and v <= cap else None
+                      for M, v in full.items()}
             for order in (mats, mats[::-1]):
                 _fresh_layers()  # the first query of each order runs cold
                 for M in order:
                     assert min_waring_number(F, M, k, cap) == expect[M], (k, cap, M)
+
+
+@pytest.mark.parametrize("p, m, n", [(7, 1, 2), (5, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_distinct_kth_power_diagonal_is_a_kth_power(p, m, n, k):
+    # C = S diag(d) S^-1 (diagonalize_distinct) and diag(d) = diag(a)^k,
+    # so C = (S diag(a) S^-1)^k
+    F = make_field(p, m)
+    powers = all_kth_powers(F, n, k)
+    strict = n * (n - 1) // 2
+    count = 0
+    for d in itertools.permutations(sorted(kth_power_image(F, k)), n):
+        for upper in itertools.product(F.elements(), repeat=strict):
+            it = iter(upper)
+            C = UTMatrix(F, n, tuple(d[i] if i == j else next(it)
+                                     for i in range(n) for j in range(i, n)))
+            assert C in powers, C
+            count += 1
+    # k = 3 over F_4: the cubes are 0 and 1, too few for three positions
+    assert count or (F.q, n, k) == (4, 3, 3)
+
+
+def test_cold_min_three_queries_build_no_layer():
+    # -1 is not a square mod 11, so b E_12 is no sum of two squares
+    F = make_field(11)
+    _fresh_layers()
+    for b in (1, 2, 10):
+        assert min_waring_number(F, from_rows(F, [[0, b], [0, 0]]), 2, 4) == 3
+    assert len(oracle._cached_layers(F, 2, 2).layers) == 1
+
+
+def test_min_waring_nilpotent_jordan_t4_f3():
+    # a count of 3 means "not in P^2", decided here without building P^2
+    # (|P^1| = 5,454 here, so about 15M sums)
+    F = make_field(3)
+    _fresh_layers()
+    t0 = time.perf_counter()
+    assert min_waring_number(F, jordan_block(F, 0, 4), 2, 4) == 3
+    assert time.perf_counter() - t0 < 15
+    assert len(oracle._cached_layers(F, 4, 2).layers) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
