@@ -6,16 +6,17 @@ claims (non-squares, non-conjugacy, the p | k obstruction).
 `min_waring_number`, `waring_report` and `negative_checks` share one
 memoised engine per (F, n, k), and at most LAYER_CACHE_SIZE engines are
 kept. The engine enumerates the power image P^1 once per process, as a
-frozenset of packed entry tuples. `waring_report` grows the sumset layers
-P^2, P^3, ... from it, each built at most once. `min_waring_number` builds
-no layer: the diagonal of C decides most queries by two exact facts (the
-diagonal map is a homomorphism; a pairwise distinct diagonal of k-th
-powers makes a k-th power), and a memoised search of C - P over the powers
-P settles the rest. `all_kth_powers` enumerates afresh on every call.
-Conjugacy under the invertible-triangular group B_n is decided exactly by
-a search of the kernel of P -> AP - PB, which returns the same witness as
-a scan of B_n in `iter_bn` order. Guards are hard errors, checked on every
-call, cached or not; an oracle must never truncate silently.
+frozenset of packed entry tuples, and answers every count by one query,
+which builds no sumset P^2, P^3, ...: the diagonal of C decides most
+queries by two exact facts (the diagonal map is a homomorphism; a pairwise
+distinct diagonal of k-th powers makes a k-th power), and a memoised
+search of C - P over the powers P settles the rest. `min_waring_number`
+asks it of one matrix, `waring_report` of every matrix. `all_kth_powers`
+enumerates afresh on every call. Conjugacy under the invertible-triangular
+group B_n is decided exactly by a search of the kernel of P -> AP - PB,
+which returns the same witness as a scan of B_n in `iter_bn` order. Guards
+are hard errors, checked on every call, cached or not; an oracle must never
+truncate silently.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .tri_matrix import (
 )
 
 BN_GUARD = 10 ** 7
-LAYER_CACHE_SIZE = 32  # (F, n, k) layer engines kept, least recently used out
+LAYER_CACHE_SIZE = 32  # (F, n, k) engines kept, least recently used out
 
 
 def matrix_encoding(A: UTMatrix) -> int:
@@ -78,14 +79,12 @@ def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int
                       ) -> int | None:
     """Smallest r <= cap with C a sum of r k-th powers, else None (>cap).
 
-    Tries r = 1, 2, ... against the sumset layers P^1 subset P^2 subset ...
-    of (F, C.n, k) (0 = 0^k is a power, so the layers nest), through the
-    memoised engine. P^1, and any layer `waring_report` already built,
-    answer by lookup. Beyond them no layer is built: the diagonal of C
-    decides "C in P^r?" where it can, and otherwise a search for a power P
-    with C - P in P^(r-1) does (`_SumsetLayers.min_count`). When the built
-    layers have closed (P^r == P^(r-1)), C is unreachable and None comes
-    early. ValueError for cap < 1."""
+    Tries r = 1, 2, ... against the sumsets P^1 subset P^2 subset ... of
+    (F, C.n, k) (0 = 0^k is a power, so they nest), through the memoised
+    engine (`_SumsetLayers.min_count`). P^1 answers by lookup; no P^r,
+    r >= 2, is built: the diagonal of C decides "C in P^r?" where it can,
+    and otherwise a search for a power P with C - P in P^(r-1) does.
+    ValueError for cap < 1 or k < 1."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     if C.field != F:
@@ -95,42 +94,38 @@ def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int
 
 
 def _power_layers(F: FieldSpec, n: int, k: int) -> _SumsetLayers:
-    """The layer engine of (F, n, k), behind the enumeration guard, which
-    runs on every call so a lowered WARING_MAX_ENUM applies to warm
-    entries too."""
+    """The engine of (F, n, k), behind the enumeration guard, which runs on
+    every call so a lowered WARING_MAX_ENUM applies to warm entries too.
+    ValueError for k < 1."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     enum_guard(F.q ** (n * (n + 1) // 2))
     return _cached_layers(F, n, k)
 
 
 class _SumsetLayers:
-    """P^1 = {A^k : A in T_n(F_q)} and its sumset layers P^2, P^3, ...
+    """P^1 = {A^k : A in T_n(F_q)} and membership in its sumset layers
+    P^s = P^(s-1) + P^1.
 
-    Layers are frozensets of packed entry tuples. P^1 is enumerated once,
-    by `all_kth_powers`, whose first root per power `roots` keeps in order.
-    P^r, r >= 2, is P^(r-1) + P^1, built only for `waring_report`, until
-    the layers close: one equals the layer below or holds all of T_n(F_q),
-    so every later layer equals it. `min_count` never builds a layer: it
-    decides "is C in P^s?" from the diagonal of C, by two exact facts, and
-    by a search of C - P over the powers P only where both are silent.
-    Entry arithmetic goes through q x q tables of sums and differences when
-    they cost no more than the image they serve (q^2 <= |P^1|), else
-    through F itself: T_1(F_q) has at most q elements, so a q^2 table would
-    dwarf it."""
+    P^1 is enumerated once, by `all_kth_powers`, as a frozenset of packed
+    entry tuples, and `roots` keeps its first root per power in order. No
+    P^s, s >= 2, is built: `min_count` decides "is C in P^s?" from the
+    diagonal of C, by two exact facts, and by a search of C - P over the
+    powers P only where both are silent. Differences go through a q x q
+    table when it costs no more than the image it serves (q^2 <= |P^1|),
+    else through F itself: T_1(F_q) has at most q elements, so a q^2 table
+    would dwarf it."""
 
     def __init__(self, F: FieldSpec, n: int, k: int):
         self.field = F
-        self.size = F.q ** (n * (n + 1) // 2)
         images = all_kth_powers(F, n, k)
         self.roots = {P.entries: A.entries for P, A in images.items()}
         self.powers = frozenset(P.entries for P in images)
-        self.layers = [self.powers]
-        self.closed = len(self.powers) == self.size
-        self._tables = None  # (x + y, x - y) tables, indexed [x][y]
+        self._table = None  # x - y, indexed [x][y]
         if F.q * F.q <= len(self.powers):
             elems = F.elements()
-            self._tables = tuple(
-                tuple(tuple(op(x, y) for y in elems) for x in elems)
-                for op in (F.add, F.sub))
+            self._table = tuple(tuple(F.sub(x, y) for y in elems)
+                                for x in elems)
         # K: the (1, 1) entries of the powers, as diag(a)^k is one (T_0
         # has none, and no query of it gets past its one power)
         self._kth = frozenset(P[0] for P in self.powers if P)
@@ -157,34 +152,11 @@ class _SumsetLayers:
                               []).append(P)
         return groups
 
-    def _shifts(self, a, sub: bool):
-        """Per entry x of a, the map y -> x + y (or x - y)."""
-        if self._tables is None:
-            op = self.field.sub if sub else self.field.add
-            return [functools.partial(op, x) for x in a]
-        table = self._tables[sub]
-        return [table[x].__getitem__ for x in a]
-
-    def _layer(self, r: int) -> frozenset | None:
-        """P^r, building the layers below it as needed; None when the
-        layers closed below r (every later layer equals the last built)."""
-        while len(self.layers) < r and not self.closed:
-            powers = list(self.powers)
-            top = self.layers[-1]
-            first = len(self.layers) == 1
-            nxt = set()
-            for i, S in enumerate(powers if first else top):
-                shifts = self._shifts(S, sub=False)
-                # P^1 + P^1 is symmetric: pair each power with itself and
-                # the ones after it only
-                for P in powers[i:] if first else powers:
-                    nxt.add(tuple([f(y) for f, y in zip(shifts, P)]))
-            if nxt == top:
-                self.closed = True
-            else:
-                self.layers.append(frozenset(nxt))
-                self.closed = len(nxt) == self.size
-        return self.layers[r - 1] if r <= len(self.layers) else None
+    def _shifts(self, a):
+        """Per entry x of a, the map y -> x - y."""
+        if self._table is None:
+            return [functools.partial(self.field.sub, x) for x in a]
+        return [self._table[x].__getitem__ for x in a]
 
     def _sums(self, s: int):
         """Membership in W_s, the sums of s k-th powers in F_q (W_0 = {0}),
@@ -254,21 +226,19 @@ class _SumsetLayers:
         return self._groups[key]
 
     def _search(self, c: tuple[Element, ...], s: int) -> bool:
-        """Is c in P^s (s >= 2)? Some power P leaves c - P in P^(s-1),
-        looked up when that layer is built, else searched in turn. Answers
-        are memoised, so a sum reached in several orders is searched once,
-        and a deeper query reuses the shallower ones."""
+        """Is c in P^s (s >= 2)? Some power P leaves c - P in P^(s-1): a
+        power when s = 2, else searched in turn. Answers are memoised, so a
+        sum reached in several orders is searched once, and a deeper query
+        reuses the shallower ones."""
         key = (c, s)
         if key in self._searched:
             return self._searched[key]
-        below = self.layers[s - 2] if s - 1 <= len(self.layers) else None
         found = False
         groups = self._candidates(tuple([c[i] for i in self._diag_at]), s)
-        shifts = self._shifts(c, sub=True) if groups else ()
+        shifts = self._shifts(c) if groups else ()
         for P in itertools.chain.from_iterable(groups):
             rest = tuple([f(y) for f, y in zip(shifts, P)])
-            if rest in below if below is not None else \
-                    self._search(rest, s - 1):
+            if rest in self.powers if s == 2 else self._search(rest, s - 1):
                 found = True
                 break
         self._searched[key] = found
@@ -277,25 +247,18 @@ class _SumsetLayers:
     def min_count(self, c: tuple[Element, ...], cap: int) -> int | None:
         """`min_waring_number` for the packed entries c.
 
-        A built layer answers by lookup, and a closed engine has no layer
-        beyond its last. Otherwise the diagonal comes first (`_verdict`),
-        by two facts. Its entries in a member of P^s lie in W_s. And a
-        matrix whose diagonal entries are pairwise distinct k-th powers d
-        is a k-th power: `canonical.diagonalize_distinct` gives it as
-        S diag(d) S^-1, and diag(d) = diag(a)^k, so it is
+        P^1 answers by lookup. For r >= 2 the diagonal comes first
+        (`_verdict`), by two facts. Its entries in a member of P^s lie in
+        W_s. And a matrix whose diagonal entries are pairwise distinct k-th
+        powers d is a k-th power: `canonical.diagonalize_distinct` gives it
+        as S diag(d) S^-1, and diag(d) = diag(a)^k, so it is
         (S diag(a) S^-1)^k. Only where neither settles it does `_search`
         run; it never needs the diagonal test again, since a residual whose
         diagonal split would have split the diagonal of c."""
-        d = None
-        for r in range(1, cap + 1):
-            if r <= len(self.layers):
-                if c in self.layers[r - 1]:
-                    return r
-                continue
-            if self.closed:
-                return None  # every later layer equals the last built
-            if d is None:
-                d = tuple([c[i] for i in self._diag_at])
+        if c in self.powers:
+            return 1
+        d = tuple([c[i] for i in self._diag_at])
+        for r in range(2, cap + 1):
             verdict = self._verdict(d, r)
             if verdict or verdict is None and self._search(c, r):
                 return r
@@ -350,28 +313,26 @@ class WaringReport:
 
 
 def waring_report(F: FieldSpec, n: int, k: int, cap: int = 4) -> WaringReport:
-    """Min summand count for every matrix in T_n(F_q), read off the layer
-    engine's P^1..P^cap. The witness of a count is its first matrix in
-    `matrix_encoding` order; its parts descend the layers, each step taking
-    the first root whose power leaves the rest in the layer below."""
+    """Min summand count for every matrix in T_n(F_q), each asked of the
+    engine's `min_count`, as `min_waring_number` asks it. The witness of a
+    count v is its first matrix in `matrix_encoding` order; its parts
+    descend from P^v to P^1, each step taking the first root whose power
+    leaves the rest in P^(s-1) for s = v, ..., 2. ValueError for n, cap or
+    k below 1."""
     if cap < 1 or n < 1:
         raise ValueError(f"n and cap must be >= 1, got n={n}, cap={cap}")
     engine = _power_layers(F, n, k)
-    engine._layer(cap)
-    layers = engine.layers[:cap]
-    per = {M: next((r for r, layer in enumerate(layers, 1)
-                    if M.entries in layer), None)
-           for M in iter_matrices(F, n)}
+    per = {M: engine.min_count(M.entries, cap) for M in iter_matrices(F, n)}
     witnesses: dict[int, tuple[UTMatrix, tuple[UTMatrix, ...]]] = {}
     for M in sorted(per, key=matrix_encoding):
         v = per[M]
         if v is not None and v not in witnesses:
             rest, parts = M.entries, []
-            for below in reversed(layers[:v - 1]):
-                shifts = engine._shifts(rest, sub=True)
+            for s in range(v - 1, 0, -1):
+                shifts = engine._shifts(rest)
                 for P, A in engine.roots.items():
                     S = tuple([f(y) for f, y in zip(shifts, P)])
-                    if S in below:
+                    if engine.min_count(S, s) is not None:
                         break
                 parts.append(A)
                 rest = S

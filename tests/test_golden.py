@@ -2,9 +2,10 @@
 output (and exit status) of a seeded corpus of invocations.
 
 The digests were recorded from the code before the solution records were
-merged into one; any later change that alters a byte of CLI output, a part,
-an assignment row or a typed error's fields changes a digest. To see what
-changed, print `golden_transcript(command)` on both trees and diff them.
+merged into one (the oracle's, before its sumset layers were deleted);
+any later change that alters a byte of CLI output, a part, an assignment
+row or a typed error's fields changes a digest. To see what changed,
+print `golden_transcript(command)` on both trees and diff them.
 """
 
 import contextlib
@@ -25,6 +26,8 @@ DIGESTS = {
         "8a3db81ac17d31cd1198d86772294d8568a848cb0662c1632683cb0cb8455fc7",
     "table":
         "a88177ecad53e372c5465aaaec4b45d33d3465328eba888c1e8f2f650c5e2368",
+    "oracle":
+        "00a1e3e62ba698bb3fef9def652bafd5839b9ea7521ab60dd1cb6ae853b62714",
 }
 
 DECOMPOSE_FIELDS = ("3^2", "13", "5^2", "3^3")
@@ -32,6 +35,13 @@ MATRICES_PER_FIELD = 40
 # beyond the catalogue: an entry-free presentation (one solution serves
 # every position) and the 7x7 obstruction
 EXTRA_TABLE_ROWS = [("1|2|3", 3), ("1267|345:13|46", 7)]
+# whole-algebra reports: T_1 and T_2 over each field, and T_3(F_3)
+ORACLE_ALGEBRAS = [(spec, n) for spec in ("2", "3", "2^2", "5", "7", "3^2")
+                   for n in (1, 2)] + [("3", 3)]
+# single-matrix queries: (q, largest n) per field; T_3(F_9) would
+# enumerate 9^6 matrices
+ORACLE_QUERY_SIZES = {"5": (5, 3), "3^2": (9, 2)}
+ORACLE_QUERIES = 20
 
 
 def random_matrix_text(rng: random.Random, q: int, n: int) -> str:
@@ -62,6 +72,19 @@ def corpus(command: str) -> list[list[str]]:
         return [["table", "--q", "13", "--k", str(k), "--row", row,
                  "--n", str(n)]
                 for row, n in [*ROWS, *EXTRA_TABLE_ROWS] for k in (2, 3, 12)]
+    if command == "oracle":
+        out = [["oracle", "--q", spec, "--k", str(k), "--n", str(n),
+                "--cap", str(cap)]
+               for spec, n in ORACLE_ALGEBRAS for k in (1, 2, 3, 4)
+               for cap in (2, 4)]
+        rng = random.Random(14)
+        for _ in range(ORACLE_QUERIES):
+            spec = rng.choice(sorted(ORACLE_QUERY_SIZES))
+            q, largest = ORACLE_QUERY_SIZES[spec]
+            text = random_matrix_text(rng, q, rng.randint(1, largest))
+            out.append(["oracle", "--q", spec, "--k", str(rng.randint(1, 4)),
+                        "--matrix", text, "--cap", str(rng.choice((2, 4)))])
+        return out
     raise ValueError(command)
 
 

@@ -291,7 +291,7 @@ def test_junction_shape(F3):
     assert junction_matrix(F3, (2, 2)) == elementary(F3, 4, 2, 3)
 
 
-# -- the memoised layer engine behind min_waring_number --------------------
+# -- the memoised engine behind min_waring_number and waring_report --------
 
 
 def _fresh_layers():
@@ -383,31 +383,37 @@ def test_report_matches_recorded_facts():
 
 
 @pytest.mark.parametrize("k, closed_at", [(1, 1), (2, 2)])
-def test_layers_close_on_the_whole_algebra(F13, k, closed_at, monkeypatch):
-    # once a layer holds all of T_2(F_13), no later layer is built: the
-    # only sums taken are those of P^1 + P^1 when P^2 is the first full one
-    sums = []  # one entry per element a layer build shifts
-    real_shifts = oracle._SumsetLayers._shifts
-
-    def shifts(self, a, sub):
-        if not sub:
-            sums.append(a)
-        return real_shifts(self, a, sub)
-
-    monkeypatch.setattr(oracle._SumsetLayers, "_shifts", shifts)
+def test_layers_close_on_the_whole_algebra(F13, k, closed_at):
+    # P^closed_at holds all of T_2(F_13), so no count exceeds it
     _fresh_layers()
     rep = waring_report(F13, 2, k, cap=4)
     assert rep.max_over_field == closed_at
-    engine = oracle._cached_layers(F13, 2, k)
-    assert engine.closed
-    assert [len(layer) for layer in engine.layers][closed_at - 1:] == [13 ** 3]
-    assert len(sums) == (len(engine.powers) if closed_at == 2 else 0)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_report_rejects_sizes_below_one(F3, n):
     with pytest.raises(ValueError, match="n and cap must be >= 1"):
         waring_report(F3, n, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_oracle_rejects_exponents_below_one(F3, k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        min_waring_number(F3, from_text(F3, "0,1;0"), k, 3)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        waring_report(F3, 2, k)
+
+
+def test_report_t3_f5_fourth_powers_in_time():
+    # every count up to 5 occurs; growing P^2..P^6 as sumsets took 34 s
+    F = make_field(5)
+    _fresh_layers()
+    t0 = time.perf_counter()
+    rep = waring_report(F, 3, 4, cap=6)
+    assert time.perf_counter() - t0 < 10
+    assert rep.histogram() == {"1": 576, "2": 2175, "3": 4425, "4": 7425,
+                               "5": 1024}
+    assert_witnesses_valid(rep)
 
 
 @pytest.mark.parametrize("p, m, n", [(3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3),
@@ -453,18 +459,16 @@ def test_cold_min_three_queries_build_no_layer():
     _fresh_layers()
     for b in (1, 2, 10):
         assert min_waring_number(F, from_rows(F, [[0, b], [0, 0]]), 2, 4) == 3
-    assert len(oracle._cached_layers(F, 2, 2).layers) == 1
 
 
 def test_min_waring_nilpotent_jordan_t4_f3():
-    # a count of 3 means "not in P^2", decided here without building P^2
+    # a count of 3 means "not in P^2", decided without building P^2
     # (|P^1| = 5,454 here, so about 15M sums)
     F = make_field(3)
     _fresh_layers()
     t0 = time.perf_counter()
     assert min_waring_number(F, jordan_block(F, 0, 4), 2, 4) == 3
     assert time.perf_counter() - t0 < 15
-    assert len(oracle._cached_layers(F, 4, 2).layers) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -515,4 +519,4 @@ def test_min_waring_large_t1_skips_tables():
     for c in (0, 1, 2, 5, 10006):
         C = UTMatrix(F, 1, (c,))
         assert min_waring_number(F, C, 2, 3) == (1 if c in squares else 2)
-    assert oracle._cached_layers(F, 1, 2)._tables is None
+    assert oracle._cached_layers(F, 1, 2)._table is None
