@@ -4,9 +4,10 @@
 For every presentation row in the catalogue, parse it, confirm graph
 connectivity, run the structured two-power search and print the verified
 summands together with the diagonal pattern. A typed failure (too few
-solution classes at small q) is printed and counted, and any failure makes
-the exit status 1; a field that cannot be built, or of characteristic 2, is
-refused with one line and exit status 2.
+solution classes at small q, or in characteristic 2, where x^k + y^k = 0
+has no class with x^k != y^k) is printed and counted, and any failure makes
+the exit status 1; a field that cannot be built is refused with one line
+and exit status 2.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from triwaring.canonical import is_indecomposable, parse_presentation
-from triwaring.decomposer import Obstruction, decompose_structured, require_odd
+from triwaring.decomposer import Obstruction, decompose_structured
 from triwaring.errors import TriwaringError
 from triwaring.fields import parse_field
 from triwaring.tri_matrix import to_text
@@ -41,7 +42,6 @@ def main() -> int:
     args = ap.parse_args()
     try:
         F = parse_field(args.q)
-        require_odd(F)
     except TriwaringError as err:  # one line, exit 2, as the CLI's usage errors
         ap.exit(2, f"{ap.prog}: field {args.q}: {err}\n")
 

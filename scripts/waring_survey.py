@@ -8,8 +8,7 @@ two- and three-power algorithms succeed. It fails (exit 1) if either
 succeeds where the oracle proves the minimum exceeds two or three, and it
 reports how many matrices the oracle puts at two (three) or fewer powers
 that the two-power (three-power) algorithm misses. A field that cannot be
-built, or of characteristic 2, is refused with one line and exit status 2
-before any survey runs."""
+built is refused with one line and exit status 2 before any survey runs."""
 
 import argparse
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from triwaring.decomposer import decompose_three, decompose_two, require_odd
+from triwaring.decomposer import decompose_three, decompose_two
 from triwaring.errors import InsufficientClassesError, TriwaringError
 from triwaring.fields import parse_field
 from triwaring.oracle import iter_matrices, waring_report
@@ -35,11 +34,9 @@ def main() -> int:
     fields = []
     for spec in args.q:
         try:
-            F = parse_field(spec)
-            require_odd(F)
+            fields.append(parse_field(spec))
         except TriwaringError as err:  # one line, exit 2, as the CLI's usage errors
             ap.exit(2, f"{ap.prog}: field {spec}: {err}\n")
-        fields.append(F)
 
     for F in fields:
         for k in args.k:

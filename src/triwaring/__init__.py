@@ -24,6 +24,7 @@ from .power_sums import (
 )
 from .tri_matrix import (
     UTMatrix,
+    backsub_root,
     diag,
     elementary,
     embed_power,
@@ -32,8 +33,6 @@ from .tri_matrix import (
     identity,
     jordan_block,
     junction_matrix,
-    kth_root_distinct_diag,
-    kth_root_sparse,
     mat_inv,
     mat_mul,
     mat_pow,

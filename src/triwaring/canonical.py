@@ -21,7 +21,7 @@ from .errors import (
     NotNilpotentError,
     ParseError,
 )
-from .fields import FieldSpec
+from .fields import Element, FieldSpec
 from .tri_matrix import UTMatrix, identity, mat_mul, to_text, zero
 
 
@@ -215,6 +215,23 @@ def label_graph(m: int, edges) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
                 elif parity[w] == parity[v]:
                     bipartite = False
     return tuple(component), tuple(parity), bipartite
+
+
+def _matchable(option_lists, free) -> bool:
+    """Can each list get its own element of `free`? One augmenting-path
+    search per list (Hopcroft & Karp, SIAM J. Comput. 2, 1973)."""
+    owner: dict[Element, int] = {}
+
+    def augment(i: int, seen: set[Element]) -> bool:
+        for a in option_lists[i]:
+            if a in free and a not in seen:
+                seen.add(a)
+                if a not in owner or augment(owner[a], seen):
+                    owner[a] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(option_lists)))
 
 
 def _entry_graph(A: UTMatrix) -> tuple[tuple[int, ...], tuple[int, ...], bool]:

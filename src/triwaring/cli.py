@@ -149,11 +149,7 @@ def _cmd_decompose(F, args):
 
 def _cmd_root(F, args):
     C = _single_matrix(F, args)
-    d = C.diagonal()
-    if len(set(d)) == len(d):
-        A = tri_matrix.kth_root_distinct_diag(C, args.k)
-    else:
-        A = tri_matrix.kth_root_sparse(C, args.k)
+    A = tri_matrix.backsub_root(C, args.k)
     verified = tri_matrix.mat_pow(A, args.k) == C
     payload = {"matrix": to_text(C), "k": args.k, "root": to_text(A),
                "verified": verified}

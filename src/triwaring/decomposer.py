@@ -1,10 +1,11 @@
 """Writing C in T_n(F_q) as a sum of two or three k-th powers.
 
-Two powers (odd characteristic, -1 a k-th power in the sufficiency regime):
-group the diagonal by eigenvalue, pick per-position solutions of
-x^k + y^k = c_ii with all x-powers and all y-powers pairwise distinct, put
-the strict upper part of C on the x-side and extract its root through the
-distinct-diagonal back-substitution; the y-side is diagonal.
+Two powers (-1 a k-th power in the sufficiency regime; in characteristic
+2, -1 = 1 always is): group the diagonal by eigenvalue, pick per-position
+solutions of x^k + y^k = c_ii with all x-powers and all y-powers pairwise
+distinct, put the strict upper part of C on the x-side and extract its root
+by back-substitution from the x's (distinct powers keep every divisor
+nonzero); the y-side is diagonal.
 
 Three powers: shift each eigenvalue by a k-th power z^k so the two-power
 machinery runs on nonzero, pairwise distinct targets. Small fields can run
@@ -27,9 +28,8 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 
-from .canonical import bipartition, label_graph
+from .canonical import _matchable, bipartition, label_graph
 from .errors import (
-    EvenCharacteristicError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
     PreconditionViolatedError,
@@ -47,7 +47,6 @@ from .tri_matrix import (
     backsub_root,
     check_in_field,
     diag,
-    kth_root_sparse,
     mat_pow,
     to_text,
     zero,
@@ -116,13 +115,6 @@ def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
     return total == C
 
 
-def require_odd(F: FieldSpec) -> None:
-    """Every decomposer's precondition: EvenCharacteristicError at p = 2."""
-    if F.p == 2:
-        raise EvenCharacteristicError(
-            "decompositions require odd characteristic")
-
-
 def _pair_entries(F: FieldSpec, targets, k: int) -> list[AssignmentEntry]:
     """The two-power core: one solution of x^k + y^k = t per position t of
     `targets`, all x-powers and all y-powers pairwise distinct. Each target
@@ -154,10 +146,8 @@ def _assemble(C: UTMatrix, k: int, roots, diag_parts, entries
     """The construction the two- and three-power routes share: A by
     back-substitution from the diagonal roots `roots` under C's strict
     upper part, one diagonal part per list in `diag_parts`, verified."""
-    F = C.field
-    A0 = C.with_entries({(i, i): F.pow(a, k) for i, a in enumerate(roots, 1)})
-    return _verified(C, k, (backsub_root(A0, k, roots),
-                            *(diag(F, values) for values in diag_parts)),
+    return _verified(C, k, (backsub_root(C, k, roots),
+                            *(diag(C.field, values) for values in diag_parts)),
                      entries)
 
 
@@ -167,7 +157,6 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     mixed cases (they are specializations of the same demand system)."""
     F = C.field
     check_in_field(C)
-    require_odd(F)
     entries = _pair_entries(F, C.diagonal(), k)
     return _assemble(C, k, [e.x for e in entries], [[e.y for e in entries]],
                      entries)
@@ -251,27 +240,9 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
                                     [e.z for e in entries]], entries)
 
 
-def _matchable(option_lists, free) -> bool:
-    """Can each list get its own element of `free`? One augmenting-path
-    search per list (Hopcroft & Karp, SIAM J. Comput. 2, 1973)."""
-    owner: dict[Element, int] = {}
-
-    def augment(i: int, seen: set[Element]) -> bool:
-        for a in option_lists[i]:
-            if a in free and a not in seen:
-                seen.add(a)
-                if a not in owner or augment(owner[a], seen):
-                    owner[a] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(option_lists)))
-
-
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
     """C = A^k + B^k + D^k with B, D diagonal."""
     check_in_field(C)
-    require_odd(C.field)
     try:
         return _three_by_shifts(C, k)
     except (InsufficientClassesError, NoAdmissibleShiftError):
@@ -280,19 +251,20 @@ def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
 
 def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstruction:
     """Two-power decomposition of a constant-diagonal matrix from a
-    diagonal two-coloring and an entry ownership split, both sides rooted
-    through the sparse (no-chain) route.
+    diagonal two-coloring and an entry ownership split, each side rooted by
+    back-substitution from the least roots of its color's solution.
 
     A successful plan needs the entry graph properly 2-colored (every
-    nonzero entry joins the two color classes, on both sides) and each
-    side's owned entries chain-free. The plan takes the lexicographically
-    first of each (bipartition and _split_entries). When either does not
-    exist no coloring works, and an Obstruction is returned carrying all
-    2^n diagonal patterns.
+    nonzero entry joins the two color classes, on both sides, so no
+    divisor under an entry vanishes) and each side's owned entries
+    chain-free (a chain r < s < t ends at two positions of one color,
+    where the divisor vanishes under a nonzero correction). The plan takes
+    the lexicographically first of each (bipartition and _split_entries).
+    When either does not exist no coloring works, and an Obstruction is
+    returned carrying all 2^n diagonal patterns.
     """
     F, n = C.field, C.n
     check_in_field(C)
-    require_odd(F)
     d = C.diagonal()
     if len(set(d)) != 1:
         raise PreconditionViolatedError(
@@ -321,9 +293,8 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         raise InsufficientClassesError(
             f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
             f"need 2 for the structured split", lam=lam, found=cl.r, needed=2)
-    (s1, sig1), (s2, sig2) = cl._candidates[:2]
+    (s1, _), (s2, _) = cl._candidates[:2]
     sols = {1: s1, 2: s2}
-    sigs = {1: sig1, 2: sig2}
 
     coloring = bipartition(C)
     split = _split_entries(entries)
@@ -331,12 +302,12 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         refuted = tuple(itertools.product((1, 2), repeat=n))
         return Obstruction(C, k, len(refuted), refuted)
     owned_a, owned_b = split
-    A0 = diag(F, [sigs[c][0] for c in coloring]).with_entries(
-        {ij: C[ij] for ij in owned_a})
-    B0 = diag(F, [sigs[c][1] for c in coloring]).with_entries(
-        {ij: C[ij] for ij in owned_b})
+    A = backsub_root(C.with_entries(dict.fromkeys(owned_b, 0)), k,
+                     [sols[c][0] for c in coloring])
+    B = backsub_root(C.with_entries(dict.fromkeys(owned_a, 0)), k,
+                     [sols[c][1] for c in coloring])
     plan = StructuredPlan(coloring, owned_a, owned_b, (s1, s2))
-    return _verified(C, k, (kth_root_sparse(A0, k), kth_root_sparse(B0, k)),
+    return _verified(C, k, (A, B),
                      [AssignmentEntry(lam, *sols[c]) for c in coloring], plan)
 
 

@@ -119,8 +119,3 @@ class DuplicateVertexError(TriwaringError):
 
 class NotNilpotentError(TriwaringError):
     pass
-
-
-# decomposition
-class EvenCharacteristicError(TriwaringError):
-    pass

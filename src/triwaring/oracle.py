@@ -25,12 +25,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .canonical import _matchable
 from .errors import (
     EnumerationTooLargeError,
     FieldMismatchError,
     SizeMismatchError,
 )
-from .decomposer import _matchable
 from .fields import Element, FieldSpec, minus_one_is_kth_power
 from .power_sums import enum_guard
 from .tri_matrix import (

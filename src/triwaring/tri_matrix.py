@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BadPartitionError,
-    DiagNotDistinctError,
     DiagNotKthPowerError,
     FieldMismatchError,
     IndexOutOfRangeError,
@@ -26,7 +25,7 @@ from .errors import (
     RootMismatchError,
     SizeMismatchError,
 )
-from .fields import Element, FieldSpec, kth_roots
+from .fields import Element, FieldSpec, kth_root_map
 from .power_sums import power_diff_quotient
 
 
@@ -224,32 +223,37 @@ def mat_inv(A: UTMatrix) -> UTMatrix:
     return zero(F, n).with_entries(x)
 
 
-def _diag_roots(C: UTMatrix, k: int) -> list[Element]:
-    roots = []
-    for i, c in enumerate(C.diagonal(), start=1):
-        r = kth_roots(C.field, c, k)
-        if not r:
-            raise DiagNotKthPowerError(
-                f"diagonal entry {c} at position {i} is not a {k}-th power "
-                f"in F_{C.field.q}")
-        roots.append(r[0])
-    return roots
-
-
-def backsub_root(C: UTMatrix, k: int, roots) -> UTMatrix:
-    """Root of C by superdiagonal back-substitution from caller-chosen
-    diagonal roots a_ii: per superdiagonal,
+def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
+    """A with A^k = C above the diagonal, by superdiagonal
+    back-substitution: per superdiagonal,
         a_rs = (c_rs - correction_rs) / pdq(a_rr, a_ss)
     where correction_rs is the (r,s) entry of the k-th power of the
     partially built A (current superdiagonal still zero; entries at one
     distance never feed each other's corrections). Where the divisor
     vanishes the residue must already be zero, else the chosen diagonal
     cannot work and PreconditionViolatedError is raised.
+
+    Without `roots` each a_ii is the least k-th root of c_ii
+    (DiagNotKthPowerError if there is none), and A^k = C. Given roots fix
+    A's diagonal as they are, one per position (SizeMismatchError
+    otherwise), and only C's strict upper part is matched: A^k agrees
+    with C on the diagonal only if every a_ii^k = c_ii.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     F, n = C.field, C.n
-    A = diag(F, list(roots))
+    if roots is None:
+        root_map = kth_root_map(F, k)
+        roots = []
+        for i, c in enumerate(C.diagonal(), start=1):
+            if c not in root_map:
+                raise DiagNotKthPowerError(
+                    f"diagonal entry {c} at position {i} is not a {k}-th "
+                    f"power in F_{F.q}")
+            roots.append(root_map[c][0])
+    A = diag(F, roots)
+    if A.n != n:
+        raise SizeMismatchError(f"{A.n} diagonal roots for size {n}")
     for dist in range(1, n):
         P = mat_pow(A, k)
         found = {}
@@ -265,42 +269,6 @@ def backsub_root(C: UTMatrix, k: int, roots) -> UTMatrix:
             found[r, s] = F.mul(delta, F.inv(f))
         A = A.with_entries(found)
     return A
-
-
-def kth_root_distinct_diag(C: UTMatrix, k: int) -> UTMatrix:
-    """A with A^k = C when the diagonal entries are distinct k-th powers.
-
-    The smallest k-th root is chosen per diagonal entry; distinctness of
-    the c_ii makes every back-substitution divisor nonzero (a_rr^k = c_rr
-    differs from a_ss^k = c_ss), so the build never gets stuck.
-    """
-    d = C.diagonal()
-    if len(set(d)) != C.n:
-        raise DiagNotDistinctError(f"diagonal {d} has repeats")
-    return backsub_root(C, k, _diag_roots(C, k))
-
-
-def kth_root_sparse(C: UTMatrix, k: int) -> UTMatrix:
-    """A with A^k = C under the no-chain conditions: c_rs * c_st = 0 for
-    all r < s < t, and c_ii != c_jj wherever c_ij != 0. Each nonzero entry
-    then sits on the only path contributing to its position, so
-    a_rs = c_rs / pdq(a_rr, a_ss): the back-substitution's correction
-    term is always zero."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    nz = C.nonzero_strict_positions()
-    by_row: dict[int, list[int]] = {}
-    for i, j in nz:
-        by_row.setdefault(i, []).append(j)
-    for r, s in nz:
-        for t in by_row.get(s, ()):
-            raise PreconditionViolatedError(
-                f"chain c_{r}{s} * c_{s}{t} != 0")
-    for i, j in nz:
-        if C.get(i, i) == C.get(j, j):
-            raise PreconditionViolatedError(
-                f"c_{i}{j} != 0 but c_{i}{i} = c_{j}{j}")
-    return backsub_root(C, k, _diag_roots(C, k))
 
 
 def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int

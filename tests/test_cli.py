@@ -123,6 +123,15 @@ def test_root_subcommand(capsys):
                        "verified": True}
 
 
+def test_root_over_equal_diagonal(capsys):
+    # (1,4;1)^2 = (1,1;1) over F_7: the divisor pdq(1, 1) = 2 is nonzero
+    code, payload = run_json(capsys, "root", "--q", "7", "--k", "2",
+                             "--matrix", "1,1;1", "--json")
+    assert code == 0
+    assert payload == {"matrix": "1,1;1", "k": 2, "root": "1,4;1",
+                       "verified": True}
+
+
 def test_root_failure(capsys):
     code, payload = run_json(capsys, "root", "--q", "7", "--k", "2",
                              "--matrix", "3,0;5", "--json")

@@ -17,14 +17,13 @@ from triwaring.decomposer import (
     verify_decomposition,
 )
 from triwaring.errors import (
-    EvenCharacteristicError,
     FieldMismatchError,
     InsufficientClassesError,
     PreconditionViolatedError,
     TriwaringError,
 )
 from triwaring.fields import kth_roots, make_field
-from triwaring.oracle import all_kth_powers, iter_matrices
+from triwaring.oracle import all_kth_powers, iter_matrices, waring_report
 from triwaring.power_sums import (
     AssignmentEntry,
     classified,
@@ -33,9 +32,9 @@ from triwaring.power_sums import (
 )
 from triwaring.tri_matrix import (
     UTMatrix,
+    backsub_root,
     diag,
     from_text,
-    kth_root_sparse,
     mat_pow,
     to_text,
     zero,
@@ -77,12 +76,18 @@ def test_decompose_two_insufficient_classes(F7, F3):
             decompose_two(from_text(F, "0,1;0"), 2)
 
 
-def test_decompose_two_rejects_even_characteristic():
+def test_decomposers_over_even_characteristic():
+    # in characteristic 2, x^2 + y^2 = 0 forces x^2 = y^2: one class (U),
+    # too few for two positions with target 0, but a shift away from 0
+    # leaves three powers enough room
     F4 = make_field(2, 2)
-    with pytest.raises(EvenCharacteristicError):
+    with pytest.raises(InsufficientClassesError) as err:
         decompose_two(zero(F4, 2), 2)
-    with pytest.raises(EvenCharacteristicError):
-        decompose_three(zero(F4, 2), 2)
+    assert (err.value.lam, err.value.found, err.value.needed) == (0, 1, 2)
+    res = decompose_three(zero(F4, 2), 2)
+    assert res.verified and verify_decomposition(zero(F4, 2), res.parts, 2)
+    C = from_text(F4, "1,1;1")
+    assert [to_text(p) for p in decompose_two(C, 2).parts] == ["0,1;1", "1,0;0"]
 
 
 def test_decompose_two_single_position(F13):
@@ -130,7 +135,7 @@ def test_decompose_three_small_field_edge_cases(F3):
 def test_oracle_agreement_t2():
     # decompose_two success implies a two-power witness; oracle min > 2
     # implies decompose_two fails
-    for (p, m) in [(3, 1), (5, 1), (7, 1), (13, 1)]:
+    for (p, m) in [(3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3)]:
         F = make_field(p, m)
         for k in (2, 3):
             powers = set(all_kth_powers(F, 2, k))
@@ -148,6 +153,23 @@ def test_oracle_agreement_t2():
                     assert res.verified and C in two_sums
                 if C not in two_sums:
                     assert not ok, (F.q, k, to_text(C))
+
+
+def test_three_powers_match_oracle_in_characteristic_two():
+    # decompose_three succeeds on exactly the matrices the oracle puts at
+    # three powers or fewer
+    for (p, m), n in [((2, 2), 2), ((2, 3), 2), ((2, 2), 3)]:
+        F = make_field(p, m)
+        for k in (2, 3):
+            per_matrix_min = waring_report(F, n, k, 3).per_matrix_min
+            for C in iter_matrices(F, n):
+                try:
+                    ok = decompose_three(C, k).verified
+                except InsufficientClassesError:
+                    ok = False
+                # None: more than the cap of three
+                assert ok == (per_matrix_min[C] is not None), (
+                    F.q, k, to_text(C))
 
 
 def test_decompose_three_sweep_t2():
@@ -351,7 +373,7 @@ def structured_reference(C, k):
         roots = []
         for side, owned_side in enumerate(owned):
             A0 = diag(F, [F.pow(sols[c][side], k) for c in coloring])
-            roots.append(kth_root_sparse(
+            roots.append(backsub_root(
                 A0.with_entries({ij: C[ij] for ij in owned_side}), k))
         plan = StructuredPlan(coloring, tuple(owned[0]), tuple(owned[1]),
                               (s1, s2))
@@ -523,7 +545,8 @@ def test_structured_obstruction_beyond_24_entries(F13):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]),
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                        (2, 2), (2, 3), (2, 4)]),
        st.integers(1, 6), st.integers(1, 5), st.data())
 def test_decompose_three_verified_or_typed(pm, k, n, data):
     F = make_field(*pm)

@@ -15,12 +15,12 @@ def run_script(name, *argv):
 
 @pytest.mark.parametrize("name, argv, reason", [
     ("reproduce_tables.py", ["--q", "4"], "field 4: 4 is not prime"),
-    ("reproduce_tables.py", ["--q", "2^4"],
-     "field 2^4: decompositions require odd characteristic"),
+    ("reproduce_tables.py", ["--q", "2^2/1,1"],
+     "field 2^2/1,1: modulus has degree 1, expected 2"),
     ("reproduce_tables.py", ["--q", "3^2/0,0,1"],
      "field 3^2/0,0,1: modulus [0, 0, 1] is reducible over F_3"),
-    ("waring_survey.py", ["--q", "2", "--n", "2", "--k", "3"],
-     "field 2: decompositions require odd characteristic"),
+    ("waring_survey.py", ["--q", "3", "x", "--n", "2", "--k", "3"],
+     "field x: cannot parse field spec 'x'"),
     ("waring_survey.py", ["--q", "3", "9", "--n", "2", "--k", "3"],
      "field 9: 9 is not prime"),
 ])
@@ -37,3 +37,19 @@ def test_typed_failures_are_counted_not_raised():
     assert (code, err) == (1, "")
     assert "k=2: InsufficientClassesError: " in out
     assert out.endswith("\n25 rows, 25 failures\n")
+
+
+def test_even_characteristic_survey_runs():
+    code, out, err = run_script("waring_survey.py", "--q", "2", "--n", "2",
+                                "--k", "3")
+    assert (code, err) == (0, "")
+    assert "oracle disagreements 0" in out
+
+
+def test_even_characteristic_tables_count_typed_failures():
+    # in characteristic 2, x^k + y^k = 0 forces x^k = y^k: no class with
+    # distinct powers, so every constant-zero-diagonal row fails typed
+    code, out, err = run_script("reproduce_tables.py", "--q", "2^4")
+    assert (code, err) == (1, "")
+    assert "k=3: InsufficientClassesError: " in out
+    assert out.endswith("\n25 rows, 50 failures\n")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from triwaring.errors import (
     BadPartitionError,
-    DiagNotDistinctError,
     DiagNotKthPowerError,
     FieldMismatchError,
     IndexOutOfRangeError,
@@ -16,9 +15,11 @@ from triwaring.errors import (
     SizeMismatchError,
 )
 from triwaring.fields import kth_power_image, kth_roots, make_field
+from triwaring.oracle import all_kth_powers
 from triwaring.power_sums import power_diff_quotient
 from triwaring.tri_matrix import (
     UTMatrix,
+    backsub_root,
     diag,
     elementary,
     embed_power,
@@ -27,8 +28,6 @@ from triwaring.tri_matrix import (
     identity,
     jordan_block,
     junction_matrix,
-    kth_root_distinct_diag,
-    kth_root_sparse,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -89,20 +88,54 @@ def test_mat_mul_associative(pm, n, data):
 
 
 def test_root_distinct_diag_examples(F7, F13):
-    A = kth_root_distinct_diag(from_rows(F7, [[1, 1], [0, 4]]), 2)
+    A = backsub_root(from_rows(F7, [[1, 1], [0, 4]]), 2)
     assert A == from_rows(F7, [[1, 5], [0, 2]])
-    B = kth_root_distinct_diag(from_rows(F13, [[1, 1], [0, 12]]), 2)
+    B = backsub_root(from_rows(F13, [[1, 1], [0, 12]]), 2)
     assert B == from_rows(F13, [[1, 11], [0, 5]])
     # diagonal input gives a diagonal root
-    D = kth_root_distinct_diag(diag(F13, [1, 12, 3]), 2)
+    D = backsub_root(diag(F13, [1, 12, 3]), 2)
     assert D == diag(F13, [1, 5, 4])
 
 
 def test_root_distinct_diag_errors(F7):
-    with pytest.raises(DiagNotDistinctError):
-        kth_root_distinct_diag(diag(F7, [1, 1]), 2)
+    # a repeated diagonal is no obstacle where the divisor stays nonzero
+    assert backsub_root(diag(F7, [1, 1]), 2) == diag(F7, [1, 1])
     with pytest.raises(DiagNotKthPowerError):
-        kth_root_distinct_diag(diag(F7, [1, 3]), 2)  # 3 is a non-square
+        backsub_root(diag(F7, [1, 3]), 2)  # 3 is a non-square
+
+
+def test_backsub_root_given_roots(F7):
+    C = diag(F7, [1, 2]).with_entry(1, 2, 3)
+    # given roots fix the diagonal; only the strict upper part is matched
+    A = backsub_root(C, 2, [1, 1])
+    assert A.diagonal() == (1, 1)
+    assert mat_pow(A, 2).with_entries({(1, 1): 1, (2, 2): 2}) == C
+    for roots in ([1], [1, 1, 1]):
+        with pytest.raises(SizeMismatchError):
+            backsub_root(C, 2, roots)
+
+
+def test_backsub_root_default_repeated_diagonal(all_fields):
+    # least roots with repeats on the diagonal: a root or a vanishing
+    # divisor under a nonzero residue, never a wrong root
+    rng = random.Random(515)
+    rooted = 0
+    for _ in range(400):
+        F = rng.choice(all_fields)
+        k = rng.randint(1, 6)
+        n = rng.randint(2, 5)
+        image = sorted(kth_power_image(F, k))
+        C = diag(F, [rng.choice(image[:2]) for _ in range(n)])
+        C = C.with_entries({(i, j): rng.randrange(F.q)
+                            for i in range(1, n + 1)
+                            for j in range(i + 1, n + 1)})
+        try:
+            A = backsub_root(C, k)
+        except PreconditionViolatedError:
+            continue
+        assert mat_pow(A, k) == C
+        rooted += 1
+    assert rooted > 100
 
 
 def test_root_round_trip_random(all_fields):
@@ -120,7 +153,7 @@ def test_root_round_trip_random(all_fields):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 C = C.with_entry(i, j, rng.randrange(F.q))
-        A = kth_root_distinct_diag(C, k)
+        A = backsub_root(C, k)
         assert mat_pow(A, k) == C
         done += 1
 
@@ -146,15 +179,19 @@ def sparse_instance(rng, F, n, k):
 
 def test_root_sparse_examples(F13):
     C = diag(F13, [1, 12, 1]).with_entry(1, 2, 1)
-    A = kth_root_sparse(C, 2)
+    A = backsub_root(C, 2)
     assert A == diag(F13, [1, 5, 1]).with_entry(1, 2, 11)
     assert mat_pow(A, 2) == C
-    assert kth_root_sparse(zero(F13, 3), 4) == zero(F13, 3)
+    assert backsub_root(zero(F13, 3), 4) == zero(F13, 3)
+    # a chain and an entry over equal diagonal values still root
+    for C in (diag(F13, [1, 12, 1]).with_entries({(1, 2): 1, (2, 3): 1}),
+              diag(F13, [1, 1]).with_entry(1, 2, 1)):
+        assert mat_pow(backsub_root(C, 2), 2) == C
+    # pdq(0, 0) = 0 under the residue 1, and no square is "0,1;0"
+    C = from_text(F13, "0,1;0")
     with pytest.raises(PreconditionViolatedError):
-        kth_root_sparse(
-            diag(F13, [1, 12, 1]).with_entry(1, 2, 1).with_entry(2, 3, 1), 2)
-    with pytest.raises(PreconditionViolatedError):
-        kth_root_sparse(diag(F13, [1, 1]).with_entry(1, 2, 1), 2)
+        backsub_root(C, 2)
+    assert C not in all_kth_powers(F13, 2, 2)
 
 
 def sparse_root_reference(C, k):
@@ -168,7 +205,7 @@ def sparse_root_reference(C, k):
 
 
 def test_root_sparse_matches_no_chain_formula():
-    # kth_root_sparse runs the general back-substitution; on no-chain
+    # backsub_root runs the general back-substitution; on no-chain
     # inputs its correction terms vanish and it gives the formula's root
     rng = random.Random(20231)
     fields = [make_field(p, m) for p, m in
@@ -177,7 +214,7 @@ def test_root_sparse_matches_no_chain_formula():
         for k in (2, 3, 4):
             for _ in range(25):
                 C = sparse_instance(rng, F, rng.randint(1, 6), k)
-                assert kth_root_sparse(C, k) == sparse_root_reference(C, k)
+                assert backsub_root(C, k) == sparse_root_reference(C, k)
 
 
 def test_with_entries_builder(F7):
@@ -201,7 +238,7 @@ def test_root_sparse_round_trip_random(all_fields):
         k = rng.randint(1, 6)
         n = rng.randint(1, 6)
         C = sparse_instance(rng, F, n, k)
-        A = kth_root_sparse(C, k)
+        A = backsub_root(C, k)
         assert mat_pow(A, k) == C
         done += 1
 
@@ -256,7 +293,7 @@ def test_embed_power_all_indices(F13):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 C = C.with_entry(i, j, rng.randrange(13))
-        root = kth_root_distinct_diag(C, 3)
+        root = backsub_root(C, 3)
         for l in range(1, n + 2):
             x = rng.randrange(1, 13)
             B, rootB = embed_power(C, root, l, x, 3)
