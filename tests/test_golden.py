@@ -2,7 +2,8 @@
 output (and exit status) of a seeded corpus of invocations.
 
 The digests were recorded from the code before the solution records were
-merged into one (the oracle's, before its sumset layers were deleted);
+merged into one (the oracle's, before its sumset layers were deleted;
+decompose-deep's, before selection took the diagonal as a target list);
 any later change that alters a byte of CLI output, a part, an assignment
 row or a typed error's fields changes a digest. To see what changed,
 print `golden_transcript(command)` on both trees and diff them.
@@ -28,6 +29,8 @@ DIGESTS = {
         "a88177ecad53e372c5465aaaec4b45d33d3465328eba888c1e8f2f650c5e2368",
     "oracle":
         "00a1e3e62ba698bb3fef9def652bafd5839b9ea7521ab60dd1cb6ae853b62714",
+    "decompose-deep":
+        "b57bdae0e9896506516b010195526cb81ee40c0a5b3b0c0a48ce8b4eb46343e5",
 }
 
 DECOMPOSE_FIELDS = ("3^2", "13", "5^2", "3^3")
@@ -42,6 +45,12 @@ ORACLE_ALGEBRAS = [(spec, n) for spec in ("2", "3", "2^2", "5", "7", "3^2")
 # enumerate 9^6 matrices
 ORACLE_QUERY_SIZES = {"5": (5, 3), "3^2": (9, 2)}
 ORACLE_QUERIES = 20
+# the sub-threshold cells of the decompose-warm benchmark, where selection
+# backtracks deep and the shift route retries or falls back:
+# (q, sizes, k, parts)
+DEEP_CELLS = [(13, (6, 7, 8), 2, (2, 3)), (31, (9, 10, 11, 12), 3, (2, 3)),
+              (31, (13, 14), 2, (3,))]
+DEEP_PER_CELL = 8
 
 
 def random_matrix_text(rng: random.Random, q: int, n: int) -> str:
@@ -64,6 +73,13 @@ def corpus(command: str) -> list[list[str]]:
                         out.append(["decompose", "--q", spec, "--k", str(k),
                                     "--matrix", text, "--parts", str(parts)])
         return out
+    if command == "decompose-deep":
+        rng = random.Random(16)
+        return [["decompose", "--q", str(q), "--k", str(k),
+                 "--matrix", random_matrix_text(rng, q, n),
+                 "--parts", str(parts)]
+                for q, sizes, k, parts_list in DEEP_CELLS for n in sizes
+                for parts in parts_list for _ in range(DEEP_PER_CELL)]
     if command in ("solve", "classify"):
         return [[command, "--q", spec, "--k", str(k), "--lambda", str(lam)]
                 for spec, q in (("13", 13), ("5^2", 25))
@@ -111,3 +127,4 @@ def test_golden_cli_corpus():
     # typed failures (exit 1) are part of the corpus, not just successes
     assert statuses["decompose"] == {"0", "1"}
     assert statuses["table"] == {"0", "1"}
+    assert statuses["decompose-deep"] == {"0", "1"}
