@@ -1,10 +1,10 @@
 """Writing C in T_n(F_q) as a sum of two or three k-th powers.
 
 Two powers (-1 a k-th power in the sufficiency regime; in characteristic
-2, -1 = 1 always is): group the diagonal by eigenvalue, pick per-position
-solutions of x^k + y^k = c_ii with all x-powers and all y-powers pairwise
-distinct, put the strict upper part of C on the x-side and extract its root
-by back-substitution from the x's (distinct powers keep every divisor
+2, -1 = 1 always is): select one solution of x^k + y^k = c_ii per diagonal
+position, with all x-powers and all y-powers pairwise distinct, put the
+strict upper part of C on the x-side and extract its root by
+back-substitution from the x's (distinct powers keep every divisor
 nonzero); the y-side is diagonal.
 
 Three powers: shift each eigenvalue by a k-th power z^k so the two-power
@@ -24,7 +24,6 @@ exists.
 
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -34,7 +33,7 @@ from .errors import (
     NoAdmissibleShiftError,
     PreconditionViolatedError,
 )
-from .fields import Element, FieldSpec, kth_root_map
+from .fields import Element, kth_root_map
 from .power_sums import (
     AssignmentEntry,
     classified,
@@ -115,21 +114,6 @@ def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
     return total == C
 
 
-def _pair_entries(F: FieldSpec, targets, k: int) -> list[AssignmentEntry]:
-    """The two-power core: one solution of x^k + y^k = t per position t of
-    `targets`, all x-powers and all y-powers pairwise distinct. Each target
-    is demanded as often as it occurs, and each position takes its
-    target's next entry of the assignment. The x and y of every entry are
-    least roots (a class representative pairs the least roots of its
-    signature), so they serve as diagonal roots unchanged."""
-    demands = collections.Counter(targets).items()
-    by_lam: dict[Element, list[AssignmentEntry]] = {}
-    for e in select_system_pairs(F, demands, k):
-        by_lam.setdefault(e.lam, []).append(e)
-    queues = {lam: iter(entries) for lam, entries in by_lam.items()}
-    return [next(queues[t]) for t in targets]
-
-
 def _verified(C: UTMatrix, k: int, parts, entries, plan=None
               ) -> DecompositionResult:
     """Every construction's last step: the sum of the parts' k-th powers
@@ -153,20 +137,19 @@ def _assemble(C: UTMatrix, k: int, roots, diag_parts, entries
 
 def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     """C = A^k + B^k with A's diagonal k-th powers pairwise distinct and B
-    diagonal. One code path covers the single-eigenvalue, all-distinct and
-    mixed cases (they are specializations of the same demand system)."""
-    F = C.field
+    diagonal. Selection reads the diagonal as given, so one code path
+    covers the single-eigenvalue, all-distinct and mixed cases."""
     check_in_field(C)
-    entries = _pair_entries(F, C.diagonal(), k)
+    entries = select_system_pairs(C.field, C.diagonal(), k)
     return _assemble(C, k, [e.x for e in entries], [[e.y for e in entries]],
                      entries)
 
 
 def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
     """The shift route: per eigenvalue pick z with lam' = lam - z^k nonzero,
-    all lam' pairwise distinct, then solve the two-power demand system on
-    the shifted targets. Shifts are retried with failing targets forbidden
-    until the system assigns or the shift space is exhausted."""
+    all lam' pairwise distinct, then select on the shifted diagonal. A
+    failing target is banned for its eigenvalue and the shifts retried until
+    selection succeeds or the shift space is exhausted."""
     F = C.field
     d = C.diagonal()
     # nonzero eigenvalues first so their preferred z = 0 shift is never
@@ -186,9 +169,9 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
             taken.add(shifted)
         source = {shifted: lam for lam, (_, shifted) in shifts.items()}
         try:
-            pairs = _pair_entries(F, [shifts[c][1] for c in d], k)
+            pairs = select_system_pairs(F, [shifts[c][1] for c in d], k)
         except InsufficientClassesError as err:
-            if err.lam is None or err.lam not in source:
+            if err.lam is None:
                 raise
             banned[source[err.lam]].add(err.lam)
             continue

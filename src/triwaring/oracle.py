@@ -471,6 +471,12 @@ class CheckResult:
                 "ok": self.ok, "detail": self.detail}
 
 
+def _too_large(name: str, F: FieldSpec, n: int) -> CheckResult:
+    """A check whose algebra T_n(F_q) is beyond the enumeration guard."""
+    return CheckResult(name, False, None,
+                       f"T_{n}(F_{F.q}) too large to enumerate")
+
+
 def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
     """Machine checks of the negative claims, where hypotheses apply:
 
@@ -479,16 +485,20 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
     (b) nilpotent Jordan blocks are not sums of two k-th powers when -1 is
         not a k-th power (n = 2, 3);
     (c) when p | k, beta^k(I + E_12 scaled) has no k-th root in T_2.
+
+    A check whose algebra is beyond the enumeration guard is reported as
+    not applicable; a direct oracle call keeps the guard as a hard error.
     """
+    # a WARING_MAX_ENUM that is not an integer fails closed here, where no
+    # check can mistake its error for an algebra too large to enumerate
+    enum_guard(0)
     results = []
 
     if k == 2:
         try:
             powers = _power_layers(F, 4, k).powers
         except EnumerationTooLargeError:
-            results.append(CheckResult(
-                "junction_(2,2)_not_square", False, None,
-                f"T_4(F_{F.q}) too large to enumerate"))
+            results.append(_too_large("junction_(2,2)_not_square", F, 4))
         else:
             j22 = junction_matrix(F, (2, 2))
             split = elementary(F, 4, 1, 2) + elementary(F, 4, 3, 4)
@@ -503,27 +513,36 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
     if not minus_one_is_kth_power(F, k):
         details = []
         ok = True
-        for n in (2, 3):
-            J = jordan_block(F, 0, n)
-            m = min_waring_number(F, J, k, cap=2)
-            ok = ok and m is None
-            details.append(f"n={n}: min > 2")
-        results.append(CheckResult(
-            "jordan_not_two_powers", True, ok, "; ".join(details)))
+        try:
+            for n in (2, 3):
+                J = jordan_block(F, 0, n)
+                m = min_waring_number(F, J, k, cap=2)
+                ok = ok and m is None
+                details.append(f"n={n}: min > 2")
+        except EnumerationTooLargeError:
+            results.append(_too_large("jordan_not_two_powers", F, n))
+        else:
+            results.append(CheckResult(
+                "jordan_not_two_powers", True, ok, "; ".join(details)))
     else:
         results.append(CheckResult(
             "jordan_not_two_powers", False, None,
             f"-1 is a {k}-th power in F_{F.q}"))
 
     if k % F.p == 0 and k >= 2:
-        powers2 = _power_layers(F, 2, k).powers
-        # packed [[b^k, a], [0, b^k]]
-        ok = not any((bk, alpha, bk) in powers2
-                     for bk in {F.pow(beta, k) for beta in range(1, F.q)}
-                     for alpha in range(1, F.q))
-        results.append(CheckResult(
-            "scalar_plus_nilpotent_not_power", True, ok,
-            f"[[b^k, a],[0, b^k]] with a, b nonzero never a {k}-th power"))
+        try:
+            powers2 = _power_layers(F, 2, k).powers
+        except EnumerationTooLargeError:
+            results.append(_too_large("scalar_plus_nilpotent_not_power", F, 2))
+        else:
+            # packed [[b^k, a], [0, b^k]]
+            ok = not any((bk, alpha, bk) in powers2
+                         for bk in {F.pow(beta, k) for beta in range(1, F.q)}
+                         for alpha in range(1, F.q))
+            results.append(CheckResult(
+                "scalar_plus_nilpotent_not_power", True, ok,
+                f"[[b^k, a],[0, b^k]] with a, b nonzero "
+                f"never a {k}-th power"))
     else:
         results.append(CheckResult(
             "scalar_plus_nilpotent_not_power", False, None,

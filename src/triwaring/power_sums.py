@@ -23,6 +23,7 @@ AssignmentEntry.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -216,82 +217,68 @@ class AssignmentEntry:
         return [self.x, self.y, self.z]
 
 
-def select_system_pairs(F: FieldSpec, demands, k: int
+def select_system_pairs(F: FieldSpec, targets, k: int
                         ) -> tuple[AssignmentEntry, ...]:
-    """Assign l_i solutions of x^k + y^k = lam_i to each demand
-    (lam_i, l_i), with all x-powers pairwise distinct and all y-powers
-    pairwise distinct across the whole assignment.
+    """One solution of x^k + y^k = t per target t, in target order, with
+    all x-powers pairwise distinct and all y-powers pairwise distinct. Each
+    x and y is a least root (a class representative pairs the least roots
+    of its signature), so the x's and y's serve as diagonal roots.
 
-    Demands are processed in decreasing multiplicity then increasing lam
-    (hardest first); per position the lam's class representatives are
-    scanned in class order and the first with both powers unused is taken.
-    Chronological backtracking over representatives handles sub-threshold
-    fields where pure greedy dead-ends. More positions than k-th power
-    values fail at once, since the x-powers must be pairwise distinct.
+    Positions are scanned by decreasing multiplicity of their target, then
+    increasing target, then target order (hardest first); each tries its
+    target's representatives in class order and takes the first with both
+    powers unused. Chronological backtracking (a stack of one candidate
+    iterator per entered position) handles sub-threshold fields where
+    greedy dead-ends; the result is the first assignment of that scan.
+    More targets than k-th power values fail at once, as does a target with
+    fewer classes than occurrences; an exhausted search names the first
+    target scanned.
     """
-    demands = list(demands)
-    lams = [lam for lam, _ in demands]
-    if len(set(lams)) != len(lams):
-        raise ValueError("demand targets must be pairwise distinct")
-    if any(l < 1 for _, l in demands):
-        raise ValueError("multiplicities must be >= 1")
-    order = sorted(demands, key=lambda d: (-d[1], d[0]))
-    positions: list[Element] = []
-    for lam, mult in order:
-        positions.extend([lam] * mult)
-    n = len(positions)
-    values = len(kth_root_map(F, k))
+    targets = list(targets)
+    n, values = len(targets), len(kth_root_map(F, k))
     if n > values:
         raise InsufficientClassesError(
             f"{n} positions need pairwise distinct values of x^{k}, but "
             f"x^{k} takes only {values} values over F_{F.q}",
             found=values, needed=n)
 
-    cand_lists = {lam: classified(F, lam, k)._candidates for lam, _ in order}
-    for lam, mult in order:
-        found = len(cand_lists[lam])
-        if found < mult:
+    mult = collections.Counter(targets)
+    cands = {lam: classified(F, lam, k)._candidates for lam in mult}
+    for lam, need in sorted(mult.items(), key=lambda d: (-d[1], d[0])):
+        found = len(cands[lam])
+        if found < need:
             raise InsufficientClassesError(
                 f"x^{k} + y^{k} = {lam} has {found} usable classes over "
-                f"F_{F.q}, need {mult} (sufficient only for q > 4 n^2 k^16)",
-                lam=lam, found=found, needed=mult)
+                f"F_{F.q}, need {need} (sufficient only for q > 4 n^2 k^16)",
+                lam=lam, found=found, needed=need)
 
-    chosen: list[tuple[Element, Element, Element]] = []  # (lam, x, y)
-    used_x: list[Element] = []
-    used_y: list[Element] = []
-    idx = [0] * n
-    pos = 0
-    while pos < n:
-        lam = positions[pos]
-        cands = cand_lists[lam]
-        placed = False
-        i = idx[pos]
-        while i < len(cands):
-            (x, y), (sx, sy) = cands[i]
+    order = sorted(range(n), key=lambda i: (-mult[targets[i]], targets[i]))
+    scan = [targets[i] for i in order]
+    placed = []  # ((x, y), x^k, y^k) of each position placed so far
+    stack = []  # the candidate iterator of each position entered
+    used_x, used_y = set(), set()
+    while len(placed) < n:
+        if len(stack) == len(placed):
+            stack.append(iter(cands[scan[len(placed)]]))
+        for xy, (sx, sy) in stack[-1]:
             if sx not in used_x and sy not in used_y:
-                chosen.append((lam, x, y))
-                used_x.append(sx)
-                used_y.append(sy)
-                idx[pos] = i + 1
-                placed = True
+                placed.append((xy, sx, sy))
+                used_x.add(sx)
+                used_y.add(sy)
                 break
-            i += 1
-        if placed:
-            pos += 1
         else:
-            idx[pos] = 0
-            if pos == 0:
+            stack.pop()
+            if not placed:
                 raise InsufficientClassesError(
                     f"no compatible class assignment for targets "
-                    f"{sorted(set(positions))} over F_{F.q} (k={k}); "
+                    f"{sorted(mult)} over F_{F.q} (k={k}); "
                     f"sufficient only for q > 4 n^2 k^16",
-                    lam=lam, found=len(cands), needed=n)
-            pos -= 1
-            chosen.pop()
-            used_x.pop()
-            used_y.pop()
-
-    return tuple(AssignmentEntry(*c) for c in chosen)
+                    lam=scan[0], found=len(cands[scan[0]]), needed=n)
+            _, sx, sy = placed.pop()
+            used_x.remove(sx)
+            used_y.remove(sy)
+    chosen = sorted(zip(order, placed))
+    return tuple(AssignmentEntry(targets[i], *xy) for i, (xy, _, _) in chosen)
 
 
 def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,

@@ -260,11 +260,11 @@ def test_criterion_10_seven_by_seven_obstruction():
 def test_criterion_11_exponent_q_minus_one():
     t0 = time.perf_counter()
     F7 = make_field(7)
-    chosen = select_system_pairs(F7, [(1, 2)], 6)
+    chosen = select_system_pairs(F7, [1, 1], 6)
     assert len(chosen) == 2
     sigs = {(F7.pow(e.x, 6), F7.pow(e.y, 6)) for e in chosen}
     assert sigs == {(0, 1), (1, 0)}
     with pytest.raises(InsufficientClassesError):
-        select_system_pairs(F7, [(1, 3)], 6)
+        select_system_pairs(F7, [1, 1, 1], 6)
     _report(11, "x^6 + y^6 = 1 over F_7: exactly two classes",
             time.perf_counter() - t0, 1)

@@ -254,6 +254,9 @@ def test_guard_override_not_an_integer(F3, monkeypatch, value):
         all_kth_powers(F3, 1, 2)
     with pytest.raises(EnumerationTooLargeError, match=repr(value)):
         bn_conjugate(F3, zero(F3, 2), zero(F3, 2))
+    # not read as "too large to enumerate" by the negative checks
+    with pytest.raises(EnumerationTooLargeError, match=repr(value)):
+        negative_checks(F3, 2)
 
 
 def test_negative_checks_f3_k2(F3):
@@ -279,6 +282,22 @@ def test_negative_checks_f7_k2(F7):
     assert results["jordan_not_two_powers"].ok
     # T_4(F_7) has 7^10 matrices, beyond the enumeration guard
     assert not results["junction_(2,2)_not_square"].applicable
+
+
+def test_negative_checks_too_large_is_not_applicable():
+    # check (b) needs T_3(F_23), 23^6 matrices; check (c) needs T_2(F_467),
+    # 467^3 matrices: both beyond the guard, so both not applicable
+    F23 = make_field(23)
+    for F, k, name, algebra in [
+            (F23, 2, "jordan_not_two_powers", "T_3(F_23)"),
+            (make_field(467), 467, "scalar_plus_nilpotent_not_power",
+             "T_2(F_467)")]:
+        check = {r.name: r for r in negative_checks(F, k)}[name]
+        assert (check.applicable, check.ok) == (False, None)
+        assert check.detail == f"{algebra} too large to enumerate"
+    # a direct oracle call keeps the guard as a hard error
+    with pytest.raises(EnumerationTooLargeError, match="exceeds guard"):
+        min_waring_number(F23, jordan_block(F23, 0, 3), 2, cap=2)
 
 
 def test_matrix_encoding_unique(F3):

@@ -33,7 +33,6 @@ from triwaring.power_sums import (
     shift_to_two_variable,
 )
 from tests.conftest import (
-    ODD_PRIME_POWERS_49,
     PRIME_POWERS_49,
     assert_distinct_power_solutions,
 )
@@ -269,12 +268,12 @@ def test_classes_and_selection_read_powers_off_the_root_map(monkeypatch):
     assert cl._candidates and calls == []
     # the U candidates read their stored signatures, so selection takes no
     # power either
-    demands = [(0, 2), (7, 1), (11, 1)]
-    for lam, _ in demands:
+    targets = [0, 7, 0, 11]
+    for lam in targets:
         classified(F, lam, 3)
-    assert any(classified(F, lam, 3).u_fibers for lam, _ in demands)
+    assert any(classified(F, lam, 3).u_fibers for lam in targets)
     calls.clear()
-    select_system_pairs(F, demands, 3)
+    select_system_pairs(F, targets, 3)
     assert calls == []
 
 
@@ -321,17 +320,17 @@ def test_classification_report_shape(F13):
 
 
 def test_select_pairs_examples(F7, F13):
-    # one target demanded n times takes its first n class representatives
-    ps = select_system_pairs(F7, [(1, 2)], 2)
+    # one target repeated n times takes its first n class representatives
+    ps = select_system_pairs(F7, [1, 1], 2)
     assert [(e.x, e.y) for e in ps] == [(0, 1), (1, 0)]
     with pytest.raises(InsufficientClassesError) as err:
-        select_system_pairs(F13, [(1, 3)], 3)
-    assert err.value.found == 2
+        select_system_pairs(F13, [1, 1, 1], 3)
+    assert (err.value.lam, err.value.found, err.value.needed) == (1, 2, 3)
     # the q-1 exponent leaves exactly the two axis classes
-    two = select_system_pairs(F7, [(1, 2)], 6)
+    two = select_system_pairs(F7, [1, 1], 6)
     assert len(two) == 2
     with pytest.raises(InsufficientClassesError):
-        select_system_pairs(F7, [(1, 3)], 6)
+        select_system_pairs(F7, [1, 1, 1], 6)
 
 
 def test_select_pairs_distinctness(odd_fields):
@@ -340,7 +339,7 @@ def test_select_pairs_distinctness(odd_fields):
             for lam in F.elements():
                 cl = classified(F, lam, k)
                 for n in range(2, min(cl.r, 4) + 1):
-                    chosen = select_system_pairs(F, [(lam, n)], k)
+                    chosen = select_system_pairs(F, [lam] * n, k)
                     assert [(e.x, e.y) for e in chosen] == \
                         [xy for xy, _ in cl._candidates[:n]]
                     assert_distinct_power_solutions(F, k, chosen)
@@ -349,53 +348,82 @@ def test_select_pairs_distinctness(odd_fields):
 
 
 def test_select_system_pairs_examples(F13):
-    pa = select_system_pairs(F13, [(0, 2)], 2)
+    pa = select_system_pairs(F13, [0, 0], 2)
     assert_distinct_power_solutions(F13, 2, pa)
     assert [e.lam for e in pa] == [0, 0]
-    pa2 = select_system_pairs(F13, [(0, 1), (1, 1)], 2)
+    pa2 = select_system_pairs(F13, [1, 0], 2)
     assert_distinct_power_solutions(F13, 2, pa2)
-    pa3 = select_system_pairs(F13, [(5, 1)], 2)
+    assert [e.lam for e in pa2] == [1, 0]
+    pa3 = select_system_pairs(F13, [5], 2)
     assert len(pa3) == 1
+    assert select_system_pairs(F13, [], 2) == ()
 
 
 def test_select_system_pairs_failure(F7):
-    with pytest.raises(InsufficientClassesError):
-        select_system_pairs(F7, [(0, 2)], 2)
+    with pytest.raises(InsufficientClassesError) as err:
+        select_system_pairs(F7, [0, 0], 2)
+    assert err.value.lam == 0
 
 
 def test_select_system_pairs_pigeonhole(F7):
     # squares of F_7 are {0, 1, 2, 4}: five positions cannot have
     # pairwise distinct x^2, whatever the targets
     with pytest.raises(InsufficientClassesError) as err:
-        select_system_pairs(F7, [(1, 2), (3, 2), (5, 1)], 2)
+        select_system_pairs(F7, [1, 3, 1, 5, 3], 2)
     assert (err.value.lam, err.value.found, err.value.needed) == (None, 4, 5)
     assert "lambda" not in err.value.to_json()
 
 
-def test_select_system_pairs_rejects_bad_demands(F13):
-    with pytest.raises(ValueError):
-        select_system_pairs(F13, [(0, 1), (0, 1)], 2)
-    with pytest.raises(ValueError):
-        select_system_pairs(F13, [(0, 0)], 2)
+def reference_selection(F, targets, k):
+    """The documented scan as a brute force: positions by decreasing
+    multiplicity, increasing target, then target order; the first tuple of
+    itertools.product over their candidate lists whose x-powers, like its
+    y-powers, are pairwise distinct, dealt back to target order. None when
+    no tuple qualifies."""
+    order = sorted(range(len(targets)),
+                   key=lambda i: (-targets.count(targets[i]), targets[i]))
+    lists = [classified(F, targets[i], k)._candidates for i in order]
+    for combo in itertools.product(*lists):
+        xs = {sx for _, (sx, _) in combo}
+        ys = {sy for _, (_, sy) in combo}
+        if len(xs) == len(ys) == len(combo):
+            chosen = dict(zip(order, combo))
+            return [(t, *chosen[i][0]) for i, t in enumerate(targets)]
+    return None
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([pm for pm in ODD_PRIME_POWERS_49 if pm[0] ** pm[1] <= 13]),
-       st.integers(2, 4), st.data())
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([pm for pm in PRIME_POWERS_49 if pm[0] ** pm[1] <= 13]),
+       st.sampled_from([2, 3, 4]), st.data())
 def test_select_system_pairs_invariants(pm, k, data):
+    # the selector is the documented scan: its first qualifying tuple, or a
+    # typed failure exactly when no tuple qualifies
     F = make_field(*pm)
-    lams = data.draw(st.lists(st.integers(0, F.q - 1), min_size=1,
-                              max_size=3, unique=True))
-    mults = [data.draw(st.integers(1, 2)) for _ in lams]
-    try:
-        pa = select_system_pairs(F, list(zip(lams, mults)), k)
-    except InsufficientClassesError:
+    pool = data.draw(st.lists(st.integers(0, F.q - 1), min_size=1,
+                              max_size=3))
+    targets = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                 max_size=4))
+    want = reference_selection(F, targets, k)
+    if want is None:
+        with pytest.raises(InsufficientClassesError) as err:
+            select_system_pairs(F, targets, k)
+        # the shift route bans by the target a failure names
+        assert err.value.lam is None or err.value.lam in targets
         return
-    assert_distinct_power_solutions(F, k, pa)
-    counts = {}
-    for e in pa:
-        counts[e.lam] = counts.get(e.lam, 0) + 1
-    assert counts == dict(zip(lams, mults))
+    got = select_system_pairs(F, targets, k)
+    assert [(e.lam, e.x, e.y) for e in got] == want
+    assert_distinct_power_solutions(F, k, got)
+
+
+def test_select_system_pairs_wide():
+    # 1,100 positions of one target: each takes the next class in order,
+    # with no backtracking and no recursion
+    F = make_field(1103)
+    got = select_system_pairs(F, [5] * 1100, 1)
+    cands = classified(F, 5, 1)._candidates
+    assert [(e.x, e.y) for e in got] == [xy for xy, _ in cands[:1100]]
+    assert {e.lam for e in got} == {5}
+    assert_distinct_power_solutions(F, 1, got)
 
 
 def test_shift_examples(F7, F13):
