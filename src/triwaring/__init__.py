@@ -16,6 +16,7 @@ from .power_sums import (
     classification_report,
     classified,
     count_zero_sum_classes,
+    in_power_sums,
     lang_weil_check,
     power_diff_quotient,
     quotient_zero_report,

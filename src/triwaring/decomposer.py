@@ -37,6 +37,7 @@ from .fields import Element, kth_root_map
 from .power_sums import (
     AssignmentEntry,
     classified,
+    in_power_sums,
     lex_min_solution,
     select_system_pairs,
     shift_to_two_variable,
@@ -197,12 +198,11 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
     roots."""
     F, n = C.field, C.n
     d = C.diagonal()
-    roots = kth_root_map(F, k)
-    two_sums = {F.add(u, v) for u in roots for v in roots}
-    least = sorted((r[0], v) for v, r in roots.items())
+    least = [(r[0], v) for v, r in kth_root_map(F, k).items()]  # ascending
+    inside = in_power_sums(F, k, 2)
     # pdq(a, a) = k a^(k-1)
     once = {a for a, _ in least if k % F.p == 0 or (a == 0 and k > 1)}
-    options = [[a for a, v in least if F.sub(c, v) in two_sums] for c in d]
+    options = [[a for a, v in least if inside(F.sub(c, v))] for c in d]
     free = set(once)
     chosen: list[Element] = []
     for i in range(n):
@@ -243,8 +243,8 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     chain-free (a chain r < s < t ends at two positions of one color,
     where the divisor vanishes under a nonzero correction). The plan takes
     the lexicographically first of each (bipartition and _split_entries).
-    When either does not exist no coloring works, and an Obstruction is
-    returned carrying all 2^n diagonal patterns.
+    When either does not exist no coloring works, and an Obstruction
+    carrying all 2^n diagonal patterns is returned (n <= STRUCTURED_MAX_N).
     """
     F, n = C.field, C.n
     check_in_field(C)
@@ -253,10 +253,6 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         raise PreconditionViolatedError(
             f"structured search needs a constant diagonal, got {d}")
     entries = C.nonzero_strict_positions()
-    if n > STRUCTURED_MAX_N:
-        # an Obstruction lists all 2^n colorings
-        raise PreconditionViolatedError(
-            f"structured search capped at n <= {STRUCTURED_MAX_N}")
     lam = d[0]
 
     if not entries:
@@ -282,6 +278,9 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     coloring = bipartition(C)
     split = _split_entries(entries)
     if coloring is None or split is None:
+        if n > STRUCTURED_MAX_N:  # an Obstruction lists all 2^n colorings
+            raise PreconditionViolatedError(
+                f"no plan, and obstructions stop at n <= {STRUCTURED_MAX_N}")
         refuted = tuple(itertools.product((1, 2), repeat=n))
         return Obstruction(C, k, len(refuted), refuted)
     owned_a, owned_b = split

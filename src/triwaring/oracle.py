@@ -5,18 +5,18 @@ matrix algebra, minimum summand counts, and machine checks of the negative
 claims (non-squares, non-conjugacy, the p | k obstruction).
 `min_waring_number`, `waring_report` and `negative_checks` share one
 memoised engine per (F, n, k), and at most LAYER_CACHE_SIZE engines are
-kept. The engine enumerates the power image P^1 once per process, as a
-frozenset of packed entry tuples, and answers every count by one query,
-which builds no sumset P^2, P^3, ...: the diagonal of C decides most
-queries by two exact facts (the diagonal map is a homomorphism; a pairwise
-distinct diagonal of k-th powers makes a k-th power), and a memoised
-search of C - P over the powers P settles the rest. `min_waring_number`
-asks it of one matrix, `waring_report` of every matrix. `all_kth_powers`
-enumerates afresh on every call. Conjugacy under the invertible-triangular
-group B_n is decided exactly by a search of the kernel of P -> AP - PB,
-which returns the same witness as a scan of B_n in `iter_bn` order. Guards
-are hard errors, checked on every call, cached or not; an oracle must never
-truncate silently.
+kept. The engine enumerates the power image P^1 once per process, with a
+first root per power, and answers every count by one query, which builds
+no sumset P^2, P^3, ...: the diagonal of C decides most queries by two
+exact facts (the diagonal map is a homomorphism, so a sum of s powers has
+its diagonal entries in W_s, the sums of s k-th powers in F_q, as decided
+by `power_sums.in_power_sums`; a pairwise distinct diagonal of k-th powers
+makes a k-th power), and a memoised search of C - P over the powers P
+settles the rest. `all_kth_powers` enumerates afresh on every call.
+Conjugacy under the invertible-triangular group B_n is decided exactly by
+a search of the kernel of P -> AP - PB, which returns the same witness as
+a scan of B_n in `iter_bn` order. Guards are hard errors, checked on every
+call, cached or not; an oracle must never truncate silently.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .errors import (
     FieldMismatchError,
     SizeMismatchError,
 )
-from .fields import Element, FieldSpec, minus_one_is_kth_power
-from .power_sums import enum_guard
+from .fields import Element, FieldSpec, kth_power_image, minus_one_is_kth_power
+from .power_sums import enum_guard, in_power_sums
 from .tri_matrix import (
     UTMatrix,
     check_in_field,
@@ -107,35 +107,27 @@ class _SumsetLayers:
     """P^1 = {A^k : A in T_n(F_q)} and membership in its sumset layers
     P^s = P^(s-1) + P^1.
 
-    P^1 is enumerated once, by `all_kth_powers`, as a frozenset of packed
-    entry tuples, and `roots` keeps its first root per power in order. No
-    P^s, s >= 2, is built: `min_count` decides "is C in P^s?" from the
-    diagonal of C, by two exact facts, and by a search of C - P over the
-    powers P only where both are silent. Differences go through a q x q
-    table when it costs no more than the image it serves (q^2 <= |P^1|),
-    else through F itself: T_1(F_q) has at most q elements, so a q^2 table
-    would dwarf it."""
+    `roots` maps each power of P^1, as packed entries, to its first root
+    in `all_kth_powers` order. No P^s, s >= 2, is built: `min_count`
+    decides "is C in P^s?" from the diagonal of C, by two exact facts, and
+    by a search of C - P over the powers P only where both are silent.
+    Differences go through a q x q table when it costs no more than the
+    image it serves (q^2 <= |P^1|), else through F itself: T_1(F_q) has at
+    most q elements, so a q^2 table would dwarf it."""
 
     def __init__(self, F: FieldSpec, n: int, k: int):
-        self.field = F
+        self.field, self.k = F, k
         images = all_kth_powers(F, n, k)
         self.roots = {P.entries: A.entries for P, A in images.items()}
-        self.powers = frozenset(P.entries for P in images)
         self._table = None  # x - y, indexed [x][y]
-        if F.q * F.q <= len(self.powers):
+        if F.q * F.q <= len(self.roots):
             elems = F.elements()
             self._table = tuple(tuple(F.sub(x, y) for y in elems)
                                 for x in elems)
-        # K: the (1, 1) entries of the powers, as diag(a)^k is one (T_0
-        # has none, and no query of it gets past its one power)
-        self._kth = frozenset(P[0] for P in self.powers if P)
-        self._order = len(self._kth) - 1  # |H|, H = the nonzero k-th powers
-        self._classes = (F.q - 1) // self._order + 1  # cosets of H, and 0
+        self._kth = kth_power_image(F, k)  # K
         # packed index of each diagonal entry: row i starts after n - j
         # entries for every row j above it
         self._diag_at = [i * n - i * (i - 1) // 2 for i in range(n)]
-        self._levels = [frozenset({0, 1})]  # classes of W_1, W_2, ...
-        self._frontier = [1]  # a representative per class new in the last
         # memos keyed by value, diagonal or matrix, and summand count
         self._opts: dict[tuple[Element, int], tuple[Element, ...]] = {}
         self._verdicts: dict[tuple[tuple[Element, ...], int], bool | None] = {}
@@ -158,42 +150,13 @@ class _SumsetLayers:
             return [functools.partial(self.field.sub, x) for x in a]
         return [self._table[x].__getitem__ for x in a]
 
-    def _sums(self, s: int):
-        """Membership in W_s, the sums of s k-th powers in F_q (W_0 = {0}),
-        as a predicate on values.
-
-        H = K minus 0 is a subgroup of F_q^*, and h W_s = W_s for h in H,
-        so W_s is 0 and whole cosets of H, told apart by the class
-        chi(v) = v^|H| (chi(0) = 0). As w + a = a (w/a + 1), the classes
-        of W_s are those of W_(s-1) and chi(t + 1) for t in a coset new in
-        W_(s-1): each coset is walked once, as one representative times
-        H, until a level adds none. No W_s is built as a set of elements:
-        over a large field that would cost q |K| sums."""
-        if s <= 1:
-            return (self._kth if s else frozenset({0})).__contains__
-        F, levels = self.field, self._levels
-        while len(levels) < s and self._frontier:
-            known = set(levels[-1])
-            reps = []
-            for u in (F.add(F.mul(r, h), 1)
-                      for r in self._frontier for h in self._kth):
-                if len(known) == self._classes:
-                    break
-                c = F.pow(u, self._order)
-                if c not in known:
-                    known.add(c)
-                    reps.append(u)
-            levels.append(frozenset(known))
-            self._frontier = reps
-        classes, order = levels[min(s, len(levels)) - 1], self._order
-        return lambda v: F.pow(v, order) in classes
-
     def _options(self, x: Element, s: int) -> tuple[Element, ...]:
-        """The v in K with x - v in W_(s-1), memoised per value; none
-        exactly when x is outside W_s."""
+        """The v in K with x - v in W_(s-1) (`in_power_sums`), memoised
+        per value; none exactly when x is outside W_s."""
         key = (x, s)
         if key not in self._opts:
-            sub, inside = self.field.sub, self._sums(s - 1)
+            sub = self.field.sub
+            inside = in_power_sums(self.field, self.k, s - 1)
             self._opts[key] = tuple(v for v in self._kth if inside(sub(x, v)))
         return self._opts[key]
 
@@ -238,7 +201,7 @@ class _SumsetLayers:
         shifts = self._shifts(c) if groups else ()
         for P in itertools.chain.from_iterable(groups):
             rest = tuple([f(y) for f, y in zip(shifts, P)])
-            if rest in self.powers if s == 2 else self._search(rest, s - 1):
+            if rest in self.roots if s == 2 else self._search(rest, s - 1):
                 found = True
                 break
         self._searched[key] = found
@@ -255,7 +218,7 @@ class _SumsetLayers:
         (S diag(a) S^-1)^k. Only where neither settles it does `_search`
         run; it never needs the diagonal test again, since a residual whose
         diagonal split would have split the diagonal of c."""
-        if c in self.powers:
+        if c in self.roots:
             return 1
         d = tuple([c[i] for i in self._diag_at])
         for r in range(2, cap + 1):
@@ -496,7 +459,7 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
 
     if k == 2:
         try:
-            powers = _power_layers(F, 4, k).powers
+            powers = _power_layers(F, 4, k).roots
         except EnumerationTooLargeError:
             results.append(_too_large("junction_(2,2)_not_square", F, 4))
         else:
@@ -531,7 +494,7 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
 
     if k % F.p == 0 and k >= 2:
         try:
-            powers2 = _power_layers(F, 2, k).powers
+            powers2 = _power_layers(F, 2, k).roots
         except EnumerationTooLargeError:
             results.append(_too_large("scalar_plus_nilpotent_not_power", F, 2))
         else:

@@ -36,7 +36,8 @@ from .errors import (
     InsufficientClassesError,
     NoAdmissibleShiftError,
 )
-from .fields import Element, FieldSpec, kth_root_map, minus_one_is_kth_power
+from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, kth_root_map,
+                     minus_one_is_kth_power)
 
 DEFAULT_ENUM_GUARD = 10 ** 8
 # (F, lam, k) classifications kept, least recently used out; every lam of
@@ -115,6 +116,46 @@ def power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int) -> Element
     for i in range(k):
         acc = F.add(acc, F.mul(F.pow(x, k - 1 - i), F.pow(y, i)))
     return acc
+
+
+def in_power_sums(F: FieldSpec, k: int, s: int):
+    """Membership in W_s, the sums of s k-th powers in F_q (W_0 = {0}),
+    as a predicate on values.
+
+    H = K minus 0 is a subgroup of F_q^*, and h W_s = W_s for h in H,
+    so W_s is 0 and whole cosets of H, told apart by the class
+    chi(v) = v^|H| (chi(0) = 0). As w + a = a (w/a + 1), the classes
+    of W_s are those of W_(s-1) and chi(t + 1) for t in a coset new in
+    W_(s-1): each coset is walked once, as one representative times
+    H, until a level adds none. No W_s is built as a set of elements:
+    over a large field that would cost q |K| sums. One walk per (F, k)
+    is kept, as the root map is."""
+    kth = kth_root_map(F, k)
+    if s <= 1:
+        return (kth if s else {0}).__contains__
+    levels = _coset_walk(F, k)
+    classes, order = levels[min(s, len(levels)) - 1], len(kth) - 1
+    return lambda v: F.pow(v, order) in classes
+
+
+@functools.lru_cache(maxsize=ROOT_MAP_CACHE_SIZE)
+def _coset_walk(F: FieldSpec, k: int) -> tuple[frozenset[Element], ...]:
+    """The classes of W_1, W_2, ... by the walk of `in_power_sums`."""
+    kth = kth_root_map(F, k)
+    order = len(kth) - 1  # |H|, H = the nonzero k-th powers
+    count = (F.q - 1) // order + 1  # cosets of H, and 0
+    levels, reps = [frozenset({0, 1})], [1]  # reps: one per newest class
+    while reps:
+        known, frontier, reps = set(levels[-1]), reps, []
+        for u in (F.add(F.mul(r, h), 1) for r in frontier for h in kth):
+            if len(known) == count:
+                break
+            c = F.pow(u, order)
+            if c not in known:
+                known.add(c)
+                reps.append(u)
+        levels.append(frozenset(known))
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -328,15 +369,11 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     if any(a == 0 for a in alphas):
         raise ValueError("coefficients must be nonzero")
     enum_guard(F.q ** m)
-    hist = [0] * F.q
-    for x in F.elements():
-        hist[F.mul(alphas[0], F.pow(x, k))] += 1
-    for a in alphas[1:]:
+    hist = [1] + [0] * (F.q - 1)  # the empty sum is 0
+    for a in alphas:
         nxt = [0] * F.q
-        values = [F.mul(a, F.pow(x, k)) for x in F.elements()]
-        counts: dict[Element, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
+        counts = collections.Counter(F.mul(a, F.pow(x, k))
+                                     for x in F.elements())
         for acc_v, acc_c in enumerate(hist):
             if acc_c:
                 for v, c in counts.items():

@@ -215,9 +215,21 @@ def test_structured_requires_constant_diagonal(F13):
         decompose_structured(diag(F13, [1, 2]), 2)
 
 
-def test_structured_size_cap(F13):
-    with pytest.raises(PreconditionViolatedError):
-        decompose_structured(zero(F13, 9), 2)
+def test_structured_plans_past_the_obstruction_cap(F13):
+    # only an Obstruction, which lists all 2^n colorings, is capped at
+    # n <= 8: a chain (a bipartite path with a bipartite chain graph) and
+    # the zero matrix get verified plans past it
+    chains = [",".join(map(str, range(1, n + 1))) for n in (10, 20)]
+    for C in [zero(F13, 9), presentation_matrix(F13, "123456789", 9)] + [
+            presentation_matrix(F13, row, row.count(",") + 1)
+            for row in chains]:
+        res = decompose_structured(C, 2)
+        assert isinstance(res, DecompositionResult) and res.verified
+        assert verify_decomposition(C, res.parts, 2)
+    # a 3-cycle on 1, 2, 3 has no plan, and n = 9 is past the cap
+    odd_cycle = presentation_matrix(F13, "123|4|5|6|7|8|9:13", 9)
+    with pytest.raises(PreconditionViolatedError, match="n <= 8"):
+        decompose_structured(odd_cycle, 2)
 
 
 def test_structured_insufficient_classes(F7):
@@ -500,6 +512,18 @@ def test_position_search_matches_depth_first_seeded():
                                     for i in range(1, n, 2)})
             assert_position_search_matches_reference(
                 C, rng.choice(sorted({1, 2, 3, 4, p})))
+
+
+def test_position_search_large_prime_field():
+    # options are read off the coset classes of W_2, with no set of the
+    # |K|^2 sums of two cubes built over F_10007
+    C = from_text(make_field(10007), "0,1;0")
+    start = time.perf_counter()
+    res = _three_by_position_search(C, 3)
+    assert time.perf_counter() - start < 2
+    assert [e.as_row() for e in res.assignment] == [[0, 0, 0],
+                                                    [1, 0, 10006]]
+    assert res.verified
 
 
 def random_matrix(F, n, rng):

@@ -25,6 +25,7 @@ from triwaring.power_sums import (
     classification_report,
     classified,
     count_zero_sum_classes,
+    in_power_sums,
     lang_weil_check,
     lex_min_solution,
     power_diff_quotient,
@@ -496,3 +497,16 @@ def test_count_zero_sum_classes_sweep(odd_fields):
                 continue
             expected = (F.q - 1) // math.gcd(k, F.q - 1) + 1
             assert count_zero_sum_classes(F, k) == expected
+
+
+def test_in_power_sums_matches_brute_force_sumsets(all_fields):
+    # W_0 = {0}, W_s = W_(s-1) + K, against the coset walk's predicate
+    for F in all_fields:
+        for k in sorted({1, 2, 3, 4, 6, max(1, (F.q - 1) // 2)}):
+            K = set(kth_root_map(F, k))
+            sums = {0}
+            for s in range(5):
+                inside = in_power_sums(F, k, s)
+                assert {v for v in F.elements() if inside(v)} == sums, \
+                    (F.q, k, s)
+                sums = {F.add(w, v) for w in sums for v in K}
