@@ -12,7 +12,8 @@ exact facts (the diagonal map is a homomorphism, so a sum of s powers has
 its diagonal entries in W_s, the sums of s k-th powers in F_q, as decided
 by `power_sums.in_power_sums`; a pairwise distinct diagonal of k-th powers
 makes a k-th power), and a memoised search of C - P over the powers P
-settles the rest. `all_kth_powers` enumerates afresh on every call.
+settles the rest. `all_kth_powers` enumerates afresh on every call, by a
+walk over the first-row split A = [[a, b], [0, A']].
 Conjugacy under the invertible-triangular group B_n is decided exactly by
 a search of the kernel of P -> AP - PB, which returns the same witness as
 a scan of B_n in `iter_bn` order. Guards are hard errors, checked on every
@@ -39,7 +40,6 @@ from .tri_matrix import (
     elementary,
     jordan_block,
     junction_matrix,
-    mat_pow,
     to_text,
 )
 
@@ -64,15 +64,90 @@ def iter_matrices(F: FieldSpec, n: int):
 
 def all_kth_powers(F: FieldSpec, n: int, k: int) -> dict[UTMatrix, UTMatrix]:
     """{A^k : A in T_n(F_q)} as a dict power -> first root in enumeration
-    order (the keys are the image; roots witness membership)."""
+    order (the keys are the image; roots witness membership).
+
+    Built by a walk over the first-row split A = [[a, b], [0, A']], with a
+    in F, b in F^(n-1) and A' in T_(n-1):
+        A^k = [[a^k, b M], [0, A'^k]],  M = sum_(j<k) a^(k-1-j) A'^j,
+    by induction on k: the (1,2) block of A^(k+1) = A^k A is
+    a^k b + (b M) A' = b (a^k I + M A'), and a^k I + M A' is the M of
+    k + 1. Each (a, A') pair costs one M, O(n^3 log k), and A'^k comes
+    from the same walk one size down (`_power_walk`); each matrix then
+    costs one product b M and one dict check. The walk visits a, then b,
+    then A', each in encoding order, which is `iter_matrices` order, so
+    the first root of every power is the one a plain enumeration finds."""
     width = n * (n + 1) // 2
     enum_guard(F.q ** width)
-    out: dict[UTMatrix, UTMatrix] = {}
-    for A in iter_matrices(F, n):
-        P = mat_pow(A, k)
-        if P not in out:
-            out[P] = A
-    return out
+    add = mul = None
+    if n >= 2:  # q^2 <= q^3 <= |T_n|: the tables never outweigh the walk
+        elems = F.elements()
+        add = tuple(tuple(F.add(x, y) for y in elems) for x in elems)
+        mul = tuple(tuple(F.mul(x, y) for y in elems) for x in elems)
+    first: dict[tuple[Element, ...], tuple[Element, ...]] = {}
+    for A, P in _power_walk(F, n, k, add, mul):
+        if P not in first:
+            first[P] = A
+    return {UTMatrix(F, n, P): UTMatrix(F, n, A) for P, A in first.items()}
+
+
+def _terms(m: int, rows: int) -> tuple:
+    """Per packed entry (i, j) of x y, x with `rows` rows of T_m's packed
+    layout and y in T_m: the index pairs of its terms x_il y_lj, l = i..j.
+    `rows` = 1 reads x as the first row, i.e. a vector x_0l = x[l]."""
+    at = [i * m - i * (i - 1) // 2 for i in range(m)]  # packed (i, i)
+    return tuple(tuple((at[i] + l - i, at[l] + j - l) for l in range(i, j + 1))
+                 for i in range(rows) for j in range(i, m))
+
+
+def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
+    """The sums of x_u y_v over each entry's (u, v) in `terms` (`_terms`)."""
+    out = []
+    for pairs in terms:
+        acc = 0
+        for u, v in pairs:
+            acc = add[acc][mul[x[u]][y[v]]]
+        out.append(acc)
+    return tuple(out)
+
+
+def _power_walk(F: FieldSpec, n: int, k: int, add, mul):
+    """(A, A^k) as packed entries for every A in T_n(F_q), in
+    `iter_matrices` order, by the split of `all_kth_powers`; add and mul
+    are F's q x q tables (None for n <= 1).
+
+    The pairs (A', A'^k) come from the same walk one size down, kept as a
+    list, and T_1 (or T_0) ends it with F.pow. M = S(k), where
+    S(m) = sum_(j<m) a^(m-1-j) A'^j, by binary splitting:
+    S(2m) = (a^m I + A'^m) S(m) and S(m+1) = a S(m) + A'^m."""
+    if n <= 1:
+        for A in itertools.product(F.elements(), repeat=n):
+            yield A, tuple([F.pow(a, k) for a in A])
+        return
+    m = n - 1
+    sub = list(_power_walk(F, m, k, add, mul))
+    terms, row_terms = _terms(m, m), _terms(m, 1)
+    diag = {i * m - i * (i - 1) // 2 for i in range(m)}
+    eye = tuple(int(t in diag) for t in range(len(terms)))
+    bits = bin(k)[3:]  # after the leading 1: S(1) = I
+    for a in F.elements():
+        ak, scale = F.pow(a, k), mul[a]
+        blocks = []
+        for Ap, Apk in sub:
+            S, P, am = eye, Ap, a  # S(m), A'^m, a^m for m = 1
+            for bit in bits:
+                shifted = tuple([add[x][am] if t in diag else x
+                                 for t, x in enumerate(P)])
+                S = _combine(shifted, S, terms, add, mul)
+                P, am = _combine(P, P, terms, add, mul), mul[am][am]
+                if bit == "1":
+                    S = tuple([add[scale[s]][x] for s, x in zip(S, P)])
+                    P, am = _combine(P, Ap, terms, add, mul), mul[am][a]
+            blocks.append((Ap, S, Apk))
+        for b in itertools.product(F.elements(), repeat=m):
+            head = (a,) + b
+            for Ap, M, Apk in blocks:
+                yield (head + Ap,
+                       (ak,) + _combine(b, M, row_terms, add, mul) + Apk)
 
 
 def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int
@@ -481,7 +556,8 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
                 J = jordan_block(F, 0, n)
                 m = min_waring_number(F, J, k, cap=2)
                 ok = ok and m is None
-                details.append(f"n={n}: min > 2")
+                details.append(f"n={n}: min > 2" if m is None
+                               else f"n={n}: min = {m}")
         except EnumerationTooLargeError:
             results.append(_too_large("jordan_not_two_powers", F, n))
         else:

@@ -51,6 +51,51 @@ def test_all_kth_powers_examples(F3):
         assert mat_pow(root, 2) == P
 
 
+def kth_powers_reference(F, n, k):
+    """The image by one mat_pow per matrix, first root in enumeration order."""
+    out = {}
+    for A in iter_matrices(F, n):
+        out.setdefault(mat_pow(A, k), A)
+    return out
+
+
+def _image_cases():
+    """(p, m, n, k) with q^width <= 2 * 10^5; k = 1, p | k, and exponents
+    where a^k = l^k for distinct a, l (M singular) are all among them."""
+    cases = []
+    for p, m in [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]:
+        q = p ** m
+        for n in (1, 2, 3):
+            if q ** (n * (n + 1) // 2) <= 2 * 10 ** 5:
+                cases += [(p, m, n, k) for k in sorted(
+                    {1, 2, 3, p, 2 * p, q - 1, q, q + 1, 2 * (q - 1)})]
+    return cases
+
+
+@pytest.mark.parametrize("p, m, n, k", _image_cases())
+def test_all_kth_powers_matches_brute_force(p, m, n, k):
+    F = make_field(p, m)
+    # keys, first roots and their order
+    assert (list(all_kth_powers(F, n, k).items())
+            == list(kth_powers_reference(F, n, k).items()))
+
+
+def test_all_kth_powers_of_the_empty_size(F3):
+    empty = UTMatrix(F3, 0, ())
+    assert all_kth_powers(F3, 0, 2) == {empty: empty}
+
+
+@settings(max_examples=25, deadline=None)
+@given(pm=st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]),
+       n=st.integers(1, 3), k=st.integers(1, 16))
+def test_all_kth_powers_property(pm, n, k):
+    F = make_field(*pm)
+    if F.q ** (n * (n + 1) // 2) > 5000:
+        n = 2  # T_3(F_q) for q >= 5 is too slow for the reference
+    assert (list(all_kth_powers(F, n, k).items())
+            == list(kth_powers_reference(F, n, k).items()))
+
+
 def test_enumeration_guard(F13):
     with pytest.raises(EnumerationTooLargeError):
         all_kth_powers(F13, 7, 2)  # 13^28 candidates
@@ -282,6 +327,14 @@ def test_negative_checks_f7_k2(F7):
     assert results["jordan_not_two_powers"].ok
     # T_4(F_7) has 7^10 matrices, beyond the enumeration guard
     assert not results["junction_(2,2)_not_square"].applicable
+
+
+def test_negative_checks_report_the_count_found(F7, monkeypatch):
+    monkeypatch.setattr(oracle, "min_waring_number", lambda *a, **kw: 2)
+    jordan = {r.name: r for r in negative_checks(F7, 2)}[
+        "jordan_not_two_powers"]
+    assert jordan.ok is False
+    assert jordan.detail == "n=2: min = 2; n=3: min = 2"
 
 
 def test_negative_checks_too_large_is_not_applicable():
