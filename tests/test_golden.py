@@ -3,7 +3,8 @@ output (and exit status) of a seeded corpus of invocations.
 
 The digests were recorded from the code before the solution records were
 merged into one (the oracle's, before its sumset layers were deleted;
-decompose-deep's, before selection took the diagonal as a target list);
+decompose-deep's, before selection took the diagonal as a target list;
+conjugate's, before B_n conjugacy found its kernel in one elimination);
 any later change that alters a byte of CLI output, a part, an assignment
 row or a typed error's fields changes a digest. To see what changed,
 print `golden_transcript(command)` on both trees and diff them.
@@ -15,6 +16,8 @@ import io
 import random
 
 from triwaring.cli import main
+from triwaring.fields import parse_field
+from triwaring.tri_matrix import from_text, mat_inv, mat_mul, to_text
 
 from scripts.reproduce_tables import ROWS
 
@@ -31,6 +34,8 @@ DIGESTS = {
         "00a1e3e62ba698bb3fef9def652bafd5839b9ea7521ab60dd1cb6ae853b62714",
     "decompose-deep":
         "b57bdae0e9896506516b010195526cb81ee40c0a5b3b0c0a48ce8b4eb46343e5",
+    "conjugate":
+        "2597d095775bdd6c3cc33e0b0853fde17aba782712b5e73d824a229e8f5fc71a",
 }
 
 DECOMPOSE_FIELDS = ("3^2", "13", "5^2", "3^3")
@@ -51,6 +56,10 @@ ORACLE_QUERIES = 20
 DEEP_CELLS = [(13, (6, 7, 8), 2, (2, 3)), (31, (9, 10, 11, 12), 3, (2, 3)),
               (31, (13, 14), 2, (3,))]
 DEEP_PER_CELL = 8
+# conjugacy queries: T_1 to T_3 over each field, and T_4(F_3)
+CONJUGATE_ALGEBRAS = [(spec, n) for spec in ("2", "3", "2^2", "5", "3^2")
+                      for n in (1, 2, 3)] + [("3", 4)]
+CONJUGATE_PER_ALGEBRA = 8
 
 
 def random_matrix_text(rng: random.Random, q: int, n: int) -> str:
@@ -101,7 +110,36 @@ def corpus(command: str) -> list[list[str]]:
             out.append(["oracle", "--q", spec, "--k", str(rng.randint(1, 4)),
                         "--matrix", text, "--cap", str(rng.choice((2, 4)))])
         return out
+    if command == "conjugate":
+        rng = random.Random(19)
+        return [["conjugate", "--q", spec, "--matrix", a, "--matrix", b]
+                for spec, n in CONJUGATE_ALGEBRAS
+                for t in range(CONJUGATE_PER_ALGEBRA)
+                for a, b in [conjugate_pair(rng, spec, n, t % 4)]]
     raise ValueError(command)
+
+
+def conjugate_pair(rng: random.Random, spec: str, n: int, kind: int):
+    """A conjugate pair (B = P^-1 A P, P invertible), an identical pair, a
+    same-diagonal pair or two independent matrices, for kind 0, 1, 2, 3,
+    as matrix texts. The shared diagonal repeats two values, so some
+    same-diagonal pairs are not conjugate."""
+    F = parse_field(spec)
+    A = random_matrix_text(rng, F.q, n)
+    if kind == 1:
+        return A, A
+    if kind == 3:
+        return A, random_matrix_text(rng, F.q, n)
+    if kind == 0:
+        P = from_text(F, random_matrix_text(rng, F.q, n)).with_entries(
+            {(i, i): rng.randrange(1, F.q) for i in range(1, n + 1)})
+        M = from_text(F, A)
+        return A, to_text(mat_mul(mat_mul(mat_inv(P), M), P))
+    two = rng.sample(range(F.q), 2)
+    d = {(i, i): rng.choice(two) for i in range(1, n + 1)}
+    A, B = (from_text(F, random_matrix_text(rng, F.q, n)).with_entries(d)
+            for _ in range(2))
+    return to_text(A), to_text(B)
 
 
 def golden_transcript(command: str) -> str:
