@@ -16,8 +16,14 @@ settles the rest. `all_kth_powers` enumerates afresh on every call, by a
 walk over the first-row split A = [[a, b], [0, A']].
 Conjugacy under the invertible-triangular group B_n is decided exactly by
 a search of the kernel of P -> AP - PB, which returns the same witness as
-a scan of B_n in `iter_bn` order. Guards are hard errors, checked on every
-call, cached or not; an oracle must never truncate silently.
+a scan of B_n in `iter_bn` order. One elimination of the n(n+1)/2
+equations, over the columns from last to first, gives the kernel basis in
+reduced row echelon form (a pivot row is 0 after its pivot, so the kernel
+vector of each free column is 0 before it); at most q^n leaves follow.
+The walk, the elimination and the search read F's q x q tables, built once
+per field (`_field_tables`) and only where q^2 is no more than the work
+they serve. Guards are hard errors, checked on every call, cached or not;
+an oracle must never truncate silently.
 """
 
 from __future__ import annotations
@@ -44,7 +50,18 @@ from .tri_matrix import (
 )
 
 BN_GUARD = 10 ** 7
-LAYER_CACHE_SIZE = 32  # (F, n, k) engines kept, least recently used out
+# entries kept per cache, least recently used out: (F, n, k) engines, field
+# tables, B_n systems
+LAYER_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=LAYER_CACHE_SIZE)
+def _field_tables(F: FieldSpec) -> tuple[tuple, tuple, tuple]:
+    """F's q x q add, sub and mul tables, each indexed [x][y]. Callers
+    build them only where q^2 is no more than the work they serve."""
+    elems = F.elements()
+    return tuple(tuple(tuple(op(x, y) for y in elems) for x in elems)
+                 for op in (F.add, F.sub, F.mul))
 
 
 def matrix_encoding(A: UTMatrix) -> int:
@@ -80,9 +97,7 @@ def all_kth_powers(F: FieldSpec, n: int, k: int) -> dict[UTMatrix, UTMatrix]:
     enum_guard(F.q ** width)
     add = mul = None
     if n >= 2:  # q^2 <= q^3 <= |T_n|: the tables never outweigh the walk
-        elems = F.elements()
-        add = tuple(tuple(F.add(x, y) for y in elems) for x in elems)
-        mul = tuple(tuple(F.mul(x, y) for y in elems) for x in elems)
+        add, _, mul = _field_tables(F)
     first: dict[tuple[Element, ...], tuple[Element, ...]] = {}
     for A, P in _power_walk(F, n, k, add, mul):
         if P not in first:
@@ -196,9 +211,7 @@ class _SumsetLayers:
         self.roots = {P.entries: A.entries for P, A in images.items()}
         self._table = None  # x - y, indexed [x][y]
         if F.q * F.q <= len(self.roots):
-            elems = F.elements()
-            self._table = tuple(tuple(F.sub(x, y) for y in elems)
-                                for x in elems)
+            self._table = _field_tables(F)[1]
         self._kth = kth_power_image(F, k)  # K
         # packed index of each diagonal entry: row i starts after n - j
         # entries for every row j above it
@@ -400,41 +413,63 @@ def iter_bn(F: FieldSpec, n: int):
             yield UTMatrix(F, n, tuple(entries))
 
 
-def _rref(F: FieldSpec, rows, ncols: int):
-    """Gauss-Jordan over F: (nonzero reduced rows, their pivot columns)."""
+@functools.lru_cache(maxsize=LAYER_CACHE_SIZE)
+def _bn_system(n: int) -> tuple[tuple, tuple[int, ...]]:
+    """The system A P = P B of T_n, which depends on n alone.
+
+    The unknowns are P's entries in `iter_bn` order: the diagonal, then the
+    strict upper entries row-major. Per equation (i, j), in packed order,
+    (AP - PB)_ij = sum_l A_il P_lj - P_il B_lj over i <= l <= j, as its
+    (unknown, packed index into A) and (unknown, packed index into B)
+    pairs. With it comes the unknown of each packed entry of P."""
+    at = [i * n - i * (i - 1) // 2 for i in range(n)]  # packed (i, i)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    unknowns = [(i, i) for i in range(n)] + [(i, j) for i, j in upper if i < j]
+    col = {ij: c for c, ij in enumerate(unknowns)}
+    equations = tuple(
+        (tuple((col[l, j], at[i] + l - i) for l in range(i, j + 1)),
+         tuple((col[i, l], at[l] + j - l) for l in range(i, j + 1)))
+        for i, j in upper)
+    return equations, tuple(col[ij] for ij in upper)
+
+
+def _kernel_rref(F: FieldSpec, rows, ncols: int):
+    """Basis of {x : rows . x = 0} in reduced row echelon form, with its
+    leading columns: basis vector i is 1 at its leading column c_i, and
+    every basis vector is 0 at every other leading column and before its
+    own (c_1 < ... < c_d).
+
+    One Gauss-Jordan pass over the columns from last to first gives it: a
+    pivot row is 0 after its pivot, so the kernel vector of a free column
+    f (1 at f, 0 at the other free columns) is 0 before f. The leading
+    columns are the free ones, and the form is unique. Arithmetic reads
+    F's q x q tables (`_field_tables`)."""
+    _, sub, mul = _field_tables(F)
     rows = [list(r) for r in rows]
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in reversed(range(ncols)):
         r = len(pivots)
         hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if hit is None:
             continue
         rows[r], rows[hit] = rows[hit], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        scale = mul[F.inv(rows[r][c])]
+        pivot = rows[r] = [scale[x] for x in rows[r]]
         for i, row in enumerate(rows):
             f = row[c]
             if i != r and f:
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, rows[r])]
+                times = mul[f]
+                rows[i] = [sub[x][times[y]] for x, y in zip(row, pivot)]
         pivots.append(c)
-    return rows[:len(pivots)], pivots
-
-
-def _kernel_rref(F: FieldSpec, rows, ncols: int):
-    """Basis of {x : rows . x = 0} in reduced row echelon form: basis
-    vector i is 1 at its leading column c_i, and every basis vector is 0
-    at every other leading column and before its own."""
-    reduced, pivots = _rref(F, rows, ncols)
-    pivot_set = set(pivots)
+    leads = sorted(set(range(ncols)).difference(pivots))
     basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            v = [0] * ncols
-            v[f] = 1
-            for row, c in zip(reduced, pivots):
-                v[c] = F.neg(row[f])
-            basis.append(v)
-    return _rref(F, basis, ncols)
+    for f in leads:
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = sub[0][row[f]]
+        basis.append(v)
+    return basis, leads
 
 
 def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
@@ -444,13 +479,17 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     of a kernel. The unknowns are ordered as `iter_bn` orders them
     (diagonal first, then the strict upper entries row-major), and the
     kernel basis w_1..w_d is in reduced echelon form with leading columns
-    c_1 < ... < c_d. For v = sum a_i w_i, v[c_i] = a_i, so the order of
-    the coefficient vectors is the `iter_bn` order of the points. Only the
-    coefficients of diagonal leading columns (at most n) touch the
-    diagonal; a depth-first search over them in encoding order, pruned as
-    soon as a fixed diagonal entry is 0, with the rest set to 0, finds the
-    first invertible point in at most q^n leaves. The B_n-size guard is
-    kept as the domain limit."""
+    c_1 < ... < c_d, from one elimination of the n(n+1)/2 equations over
+    the columns from last to first (`_kernel_rref`). For v = sum a_i w_i,
+    v[c_i] = a_i, so the order of the coefficient vectors is the `iter_bn`
+    order of the points. Only the coefficients of diagonal leading columns
+    (at most n) touch the diagonal; a depth-first search over them in
+    encoding order, pruned as soon as a fixed diagonal entry is 0, with
+    the rest set to 0, finds the first invertible point in at most q^n
+    leaves. Elimination and search read F's q x q tables, which cost no
+    more than the q^n leaves for n >= 2; T_1 is F itself, where x P = P y
+    has an invertible solution exactly when x = y, the first being 1. The
+    B_n-size guard is kept as the domain limit."""
     enum_guard(bn_size(F, A.n), BN_GUARD)
     if A.field != F:
         raise FieldMismatchError("matrices live over different fields")
@@ -458,24 +497,25 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
         raise SizeMismatchError(f"sizes {A.n} and {B.n} differ")
     if B.field != F:
         raise FieldMismatchError("matrices live over different fields")
-    n = A.n
-    unknowns = [(i, i) for i in range(1, n + 1)] + [
-        (i, j) for i, j in A.positions() if i < j]
-    col = {ij: c for c, ij in enumerate(unknowns)}
-    width = len(unknowns)
-    equations = []
-    for i, j in A.positions():
-        # (AP - PB)_ij = sum_l A_il P_lj - P_il B_lj over i <= l <= j
+    n, a, b = A.n, A.entries, B.entries
+    if n <= 1:
+        return UTMatrix(F, n, (1,) * n) if a == b else None
+    add, sub, mul = _field_tables(F)
+    equations, unknown_of = _bn_system(n)
+    width = len(unknown_of)
+    rows = []
+    for a_terms, b_terms in equations:
         row = [0] * width
-        for l in range(i, j + 1):
-            row[col[l, j]] = F.add(row[col[l, j]], A.get(i, l))
-            row[col[i, l]] = F.sub(row[col[i, l]], B.get(l, j))
-        equations.append(row)
-    basis, leads = _kernel_rref(F, equations, width)
+        for c, t in a_terms:
+            row[c] = add[row[c]][a[t]]
+        for c, t in b_terms:
+            row[c] = sub[row[c]][b[t]]
+        rows.append(row)
+    basis, leads = _kernel_rref(F, rows, width)
     diag_leads = [c for c in leads if c < n]
     # coefficient i fixes the diagonal columns from its lead to the next
     fixed = list(zip(diag_leads, diag_leads[1:] + [n]))
-    if n and diag_leads[:1] != [0]:
+    if diag_leads[:1] != [0]:
         return None  # P_11 is 0 on the whole kernel
 
     def search(i: int, v: list[Element]) -> list[Element] | None:
@@ -484,7 +524,8 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
         lo, hi = fixed[i]
         # v[lo] = a: the diagonal entry itself, nonzero as in iter_bn
         for a in range(1, F.q):
-            w = [F.add(x, F.mul(a, y)) for x, y in zip(v, basis[i])]
+            times = mul[a]
+            w = [add[x][times[y]] for x, y in zip(v, basis[i])]
             if all(w[c] for c in range(lo, hi)):
                 hit = search(i + 1, w)
                 if hit is not None:
@@ -494,7 +535,7 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     v = search(0, [0] * width)
     if v is None:
         return None
-    return UTMatrix(F, n, tuple(v[col[ij]] for ij in A.positions()))
+    return UTMatrix(F, n, tuple([v[c] for c in unknown_of]))
 
 
 @dataclass(frozen=True)

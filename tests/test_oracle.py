@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import signal
 import time
 from pathlib import Path
 
@@ -218,15 +219,23 @@ def random_pairs(F, n, rng, count):
         elif t % 3 == 1:
             yield A, A
         else:
-            # a diagonal from {0, 1} repeats entries, so many such pairs
-            # are not conjugate
+            # a diagonal from {0, 1} repeats entries, and strict entries
+            # that are 0 half the time vary the Jordan type over any
+            # field, so many such pairs are not conjugate
             d = [rng.randrange(2) for _ in range(n)]
-            yield (random_matrix(F, n, rng, d), random_matrix(F, n, rng, d))
+            yield tuple(UTMatrix(F, n, tuple(
+                x if i == j or rng.randrange(2) else 0
+                for (i, j), x in zip(M.positions(), M.entries)))
+                for M in (random_matrix(F, n, rng, d),
+                          random_matrix(F, n, rng, d)))
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
-@pytest.mark.parametrize("n", [2, 3])
-def test_bn_conjugate_matches_scan(p, m, n):
+# T_3(F_9) is left out: B_3(F_9) has 373,248 elements, and scanning all of
+# them for one pair that is not conjugate takes about 10 s
+@pytest.mark.parametrize("n,p,m", [
+    (n, p, m) for n in (2, 3) for p, m in [(2, 1), (3, 1), (2, 2), (5, 1)]
+] + [(2, 3, 2)])
+def test_bn_conjugate_matches_scan(n, p, m):
     F = make_field(p, m)
     rng = random.Random(f"bn/{p}^{m}/{n}")
     outcomes = set()
@@ -280,6 +289,104 @@ def test_bn_conjugate_property(F3, n, data):
     A = UTMatrix(F3, n, data.draw(entries))
     B = UTMatrix(F3, n, data.draw(entries))
     assert bn_conjugate(F3, A, B) == scan_bn(F3, A, B)
+
+
+def test_bn_conjugate_large_prime_t1():
+    # BN_GUARD admits T_1 over a prime near 10^7, where a q x q table would
+    # hold 10^14 entries; the timer stops such a build within a quarter
+    # second, before it can take much memory
+    F = make_field(9_999_991)
+    assert bn_size(F, 1) <= oracle.BN_GUARD
+    x, y = (UTMatrix(F, 1, (v,)) for v in (1_234_567, 7_654_321))
+
+    def overrun(signum, frame):
+        raise TimeoutError("bn_conjugate on T_1 did more than compare")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 0.25)
+    try:
+        t0 = time.perf_counter()
+        assert bn_conjugate(F, x, x) == diag(F, [1])
+        assert bn_conjugate(F, zero(F, 1), zero(F, 1)) == diag(F, [1])
+        assert bn_conjugate(F, x, y) is None
+        assert bn_conjugate(F, zero(F, 1), y) is None
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 0.25
+
+
+def rref_reference(F, rows, ncols):
+    """Gauss-Jordan over F, columns first to last: (nonzero reduced rows,
+    their pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def kernel_rref_reference(F, rows, ncols):
+    """The kernel basis in reduced row echelon form by two passes: the
+    kernel of the reduced rows, then that basis reduced again."""
+    reduced, pivots = rref_reference(F, rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(reduced, pivots):
+                v[c] = F.neg(row[f])
+            basis.append(v)
+    return rref_reference(F, basis, ncols)
+
+
+def random_system(F, rng, nrows, ncols, rank):
+    """nrows random combinations of `rank` random rows (rank at most
+    `rank`), each entry 0 half the time before combining."""
+    base = [[rng.randrange(F.q) if rng.randrange(2) else 0
+             for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for b in base:
+            a = rng.randrange(F.q)
+            row = [F.add(x, F.mul(a, y)) for x, y in zip(row, b)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                 (2, 3), (3, 2)])
+def test_kernel_matches_two_pass_reference(p, m):
+    F = make_field(p, m)
+    rng = random.Random(f"kernel/{p}^{m}")
+    systems = [([], 4), ([[0] * 6] * 6, 6),
+               ([[int(i == j) for j in range(5)] for i in range(5)], 5)]
+    for _ in range(60):
+        ncols = rng.randint(1, 10)
+        nrows = rng.randint(0, ncols + 2)
+        systems.append((random_system(F, rng, nrows, ncols,
+                                      rng.randint(0, nrows)), ncols))
+    ranks = set()
+    for rows, ncols in systems:
+        basis, leads = oracle._kernel_rref(F, rows, ncols)
+        assert (basis, leads) == kernel_rref_reference(F, rows, ncols)
+        ranks.add("zero" if len(leads) == ncols else
+                  "full" if not leads else "partial")
+    assert ranks == {"zero", "full", "partial"}
 
 
 def test_bn_conjugate_typed_mismatch(F3, F7):
