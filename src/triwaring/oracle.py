@@ -461,7 +461,7 @@ def _kernel_rref(F: FieldSpec, rows, ncols: int):
                 times = mul[f]
                 rows[i] = [sub[x][times[y]] for x, y in zip(row, pivot)]
         pivots.append(c)
-    leads = sorted(set(range(ncols)).difference(pivots))
+    leads = [f for f in range(ncols) if f not in pivots]
     basis = []
     for f in leads:
         v = [0] * ncols
@@ -497,9 +497,9 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
         raise SizeMismatchError(f"sizes {A.n} and {B.n} differ")
     if B.field != F:
         raise FieldMismatchError("matrices live over different fields")
-    n, a, b = A.n, A.entries, B.entries
+    n, ae, be = A.n, A.entries, B.entries
     if n <= 1:
-        return UTMatrix(F, n, (1,) * n) if a == b else None
+        return UTMatrix(F, n, (1,) * n) if ae == be else None
     add, sub, mul = _field_tables(F)
     equations, unknown_of = _bn_system(n)
     width = len(unknown_of)
@@ -507,9 +507,9 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     for a_terms, b_terms in equations:
         row = [0] * width
         for c, t in a_terms:
-            row[c] = add[row[c]][a[t]]
+            row[c] = add[row[c]][ae[t]]
         for c, t in b_terms:
-            row[c] = sub[row[c]][b[t]]
+            row[c] = sub[row[c]][be[t]]
         rows.append(row)
     basis, leads = _kernel_rref(F, rows, width)
     diag_leads = [c for c in leads if c < n]
