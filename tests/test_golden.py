@@ -4,7 +4,8 @@ output (and exit status) of a seeded corpus of invocations.
 The digests were recorded from the code before the solution records were
 merged into one (the oracle's, before its sumset layers were deleted;
 decompose-deep's, before selection took the diagonal as a target list;
-conjugate's, before B_n conjugacy found its kernel in one elimination);
+conjugate's, before B_n conjugacy found its kernel in one elimination;
+root's, before back-substitution walked the square-and-multiply chain);
 any later change that alters a byte of CLI output, a part, an assignment
 row or a typed error's fields changes a digest. To see what changed,
 print `golden_transcript(command)` on both trees and diff them.
@@ -17,7 +18,7 @@ import random
 
 from triwaring.cli import main
 from triwaring.fields import parse_field
-from triwaring.tri_matrix import from_text, mat_inv, mat_mul, to_text
+from triwaring.tri_matrix import from_text, mat_inv, mat_mul, mat_pow, to_text
 
 from scripts.reproduce_tables import ROWS
 
@@ -36,6 +37,8 @@ DIGESTS = {
         "b57bdae0e9896506516b010195526cb81ee40c0a5b3b0c0a48ce8b4eb46343e5",
     "conjugate":
         "2597d095775bdd6c3cc33e0b0853fde17aba782712b5e73d824a229e8f5fc71a",
+    "root":
+        "d0259144164e7f92f5fdc2456ba3ad9c498d15b3f9c414cdc4b1407ac02d6e79",
 }
 
 DECOMPOSE_FIELDS = ("3^2", "13", "5^2", "3^3")
@@ -60,6 +63,8 @@ DEEP_PER_CELL = 8
 CONJUGATE_ALGEBRAS = [(spec, n) for spec in ("2", "3", "2^2", "5", "3^2")
                       for n in (1, 2, 3)] + [("3", 4)]
 CONJUGATE_PER_ALGEBRA = 8
+# root extraction: T_1 to T_6 over each field, k in {1, 2, 3, p, q-1, q+1}
+ROOT_FIELDS = ("2", "3", "2^2", "5", "3^2", "13")
 
 
 def random_matrix_text(rng: random.Random, q: int, n: int) -> str:
@@ -116,7 +121,36 @@ def corpus(command: str) -> list[list[str]]:
                 for spec, n in CONJUGATE_ALGEBRAS
                 for t in range(CONJUGATE_PER_ALGEBRA)
                 for a, b in [conjugate_pair(rng, spec, n, t % 4)]]
+    if command == "root":
+        rng = random.Random(20)
+        return [["root", "--q", spec, "--k", str(k), "--matrix", text]
+                for spec in ROOT_FIELDS for n in range(1, 7)
+                for k in root_exponents(spec)
+                for text in root_targets(rng, spec, n, k)]
     raise ValueError(command)
+
+
+def root_exponents(spec: str) -> list[int]:
+    F = parse_field(spec)
+    return sorted({1, 2, 3, F.p, F.q - 1, F.q + 1})
+
+
+def root_targets(rng: random.Random, spec: str, n: int, k: int):
+    """Matrix texts for `root`: the k-th power of a random matrix, a random
+    matrix (most diagonals are no k-th powers), the k-th power of a random
+    matrix with a constant diagonal (a vanishing divisor where k is 0 in
+    F_q) and, for n >= 3, E_1n (a square, but not of the least roots)."""
+    F = parse_field(spec)
+    A = from_text(F, random_matrix_text(rng, F.q, n))
+    lam = rng.randrange(F.q)
+    B = A.with_entries({(i, i): lam for i in range(1, n + 1)})
+    out = [to_text(mat_pow(A, k)), random_matrix_text(rng, F.q, n),
+           to_text(mat_pow(B, k))]
+    if n >= 3:
+        out.append(";".join(",".join("1" if (i, j) == (0, n - 1) else "0"
+                                     for j in range(i, n))
+                            for i in range(n)))
+    return out
 
 
 def conjugate_pair(rng: random.Random, spec: str, n: int, kind: int):
@@ -166,3 +200,4 @@ def test_golden_cli_corpus():
     assert statuses["decompose"] == {"0", "1"}
     assert statuses["table"] == {"0", "1"}
     assert statuses["decompose-deep"] == {"0", "1"}
+    assert statuses["root"] == {"0", "1"}
