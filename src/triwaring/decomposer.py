@@ -45,11 +45,11 @@ from .power_sums import (
 from .tri_matrix import (
     UTMatrix,
     backsub_root,
+    check_compatible,
     check_in_field,
     diag,
     mat_pow,
     to_text,
-    zero,
 )
 
 STRUCTURED_MAX_N = 8
@@ -108,11 +108,15 @@ class Obstruction:
 
 
 def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
-    """Does the sum of the k-th powers of the parts equal C exactly?"""
-    total = zero(C.field, C.n)
+    """Does the sum of the k-th powers of the parts equal C exactly? The
+    powers are summed entrywise on packed tuples; a part of another size
+    or over another field raises, as adding it to C would."""
+    add = C.field.add
+    total = (0,) * len(C.entries)
     for part in parts:
-        total = total + mat_pow(part, k)
-    return total == C
+        check_compatible(C, part)
+        total = tuple(map(add, total, mat_pow(part, k).entries))
+    return total == C.entries
 
 
 def _verified(C: UTMatrix, k: int, parts, entries, plan=None

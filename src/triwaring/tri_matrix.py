@@ -26,7 +26,6 @@ from .errors import (
     SizeMismatchError,
 )
 from .fields import Element, FieldSpec, kth_root_map
-from .power_sums import power_diff_quotient
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,13 +88,13 @@ class UTMatrix:
                      if i < j and self.get(i, j) != 0)
 
     def __add__(self, other: UTMatrix) -> UTMatrix:
-        _check_compatible(self, other)
+        check_compatible(self, other)
         F = self.field
         return UTMatrix(F, self.n, tuple(
             F.add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: UTMatrix) -> UTMatrix:
-        _check_compatible(self, other)
+        check_compatible(self, other)
         F = self.field
         return UTMatrix(F, self.n, tuple(
             F.sub(a, b) for a, b in zip(self.entries, other.entries)))
@@ -107,7 +106,9 @@ class UTMatrix:
         return f"UTMatrix(F_{self.field.q}, {to_text(self)!r})"
 
 
-def _check_compatible(A: UTMatrix, B: UTMatrix) -> None:
+def check_compatible(A: UTMatrix, B: UTMatrix) -> None:
+    """SizeMismatchError or FieldMismatchError unless A and B have one
+    size and one field, as every sum and product of two needs."""
     if A.n != B.n:
         raise SizeMismatchError(f"sizes {A.n} and {B.n} differ")
     if A.field != B.field:
@@ -172,11 +173,9 @@ def junction_matrix(F: FieldSpec, partition) -> UTMatrix:
         {(N, N + 1): 1 for N in itertools.accumulate(parts[:-1])})
 
 
-def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
-    _check_compatible(A, B)
-    F, n = A.field, A.n
+def _packed_mul(F: FieldSpec, n: int, ae, be) -> tuple[Element, ...]:
+    """The packed entries of AB from the packed entries of A and B."""
     add, mul = F.add, F.mul
-    ae, be = A.entries, B.entries
     # precomputed row start offsets into the packed layout
     starts = [r * n - r * (r - 1) // 2 for r in range(n)]
     out = []
@@ -189,22 +188,32 @@ def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
                 if a:
                     acc = add(acc, mul(a, be[starts[l0] + j0 - l0]))
             out.append(acc)
-    return UTMatrix(F, n, tuple(out))
+    return tuple(out)
+
+
+def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
+    check_compatible(A, B)
+    return UTMatrix(A.field, A.n,
+                    _packed_mul(A.field, A.n, A.entries, B.entries))
 
 
 def mat_pow(A: UTMatrix, k: int) -> UTMatrix:
+    """A^k by square-and-multiply on packed entries; one UTMatrix is
+    built, at the end."""
     if k < 0:
         raise ValueError("negative powers not supported; use mat_inv")
     if k == 0:
         return identity(A.field, A.n)
-    result = None
+    F, n = A.field, A.n
+    square, result = A.entries, None
     while True:
         if k & 1:
-            result = A if result is None else mat_mul(result, A)
+            result = (square if result is None
+                      else _packed_mul(F, n, result, square))
         k >>= 1
         if not k:
-            return result
-        A = mat_mul(A, A)
+            return UTMatrix(F, n, result)
+        square = _packed_mul(F, n, square, square)
 
 
 def mat_inv(A: UTMatrix) -> UTMatrix:
@@ -224,18 +233,29 @@ def mat_inv(A: UTMatrix) -> UTMatrix:
 
 
 def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
-    """A with A^k = C above the diagonal, by superdiagonal
-    back-substitution: per superdiagonal,
-        a_rs = (c_rs - correction_rs) / pdq(a_rr, a_ss)
-    where correction_rs is the (r,s) entry of the k-th power of the
-    partially built A (current superdiagonal still zero; entries at one
-    distance never feed each other's corrections). Where the divisor
+    """A with A^k = C above the diagonal, by one walk of the
+    square-and-multiply chain A = M_0, M_1, ..., M_T = A^k, in which each
+    M_t is M_(t-1) squared or M_(t-1) A.
+
+    The diagonals come first. Then, superdiagonal by superdiagonal, each
+    chain matrix's (r,s) entry is carried as base_t + coef_t a_rs, since
+    every other entry it depends on lies nearer the diagonal and is known.
+    For a product XY,
+        base = sum_(r<l<s) X_rl Y_ls + X_rr base_Y + base_X Y_ss,
+        coef = X_rr coef_Y + coef_X Y_ss.
+    The slope coef_T of (A^k)_rs in a_rs is pdq(a_rr, a_ss): the words
+    a_rr^j a_rs a_ss^(k-1-j), j < k, are the only ones of (A^k)_rs that
+    use a_rs. So
+        a_rs = (c_rs - base_T) / pdq(a_rr, a_ss),
+    and a_rs is then filled into every M_t. Entries at one distance never
+    feed each other, so their order does not matter. Where the divisor
     vanishes the residue must already be zero, else the chosen diagonal
-    cannot work and PreconditionViolatedError is raised.
+    cannot work and PreconditionViolatedError is raised. The walk costs
+    O(n^3 log k) field operations.
 
     Without `roots` each a_ii is the least k-th root of c_ii
     (DiagNotKthPowerError if there is none), and A^k = C. Given roots fix
-    A's diagonal as they are, one per position (SizeMismatchError
+    A's diagonal as they are, mod q, one per position (SizeMismatchError
     otherwise), and only C's strict upper part is matched: A^k agrees
     with C on the diagonal only if every a_ii^k = c_ii.
     """
@@ -251,24 +271,53 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
                     f"diagonal entry {c} at position {i} is not a {k}-th "
                     f"power in F_{F.q}")
             roots.append(root_map[c][0])
-    A = diag(F, roots)
-    if A.n != n:
-        raise SizeMismatchError(f"{A.n} diagonal roots for size {n}")
-    for dist in range(1, n):
-        P = mat_pow(A, k)
-        found = {}
-        for r in range(1, n - dist + 1):
-            s = r + dist
-            delta = F.sub(C.get(r, s), P.get(r, s))
-            f = power_diff_quotient(F, A.get(r, r), A.get(s, s), k)
-            if f == 0:
-                if delta != 0:
-                    raise PreconditionViolatedError(
-                        f"divisor vanishes at ({r},{s}) with residue {delta}")
-                continue
-            found[r, s] = F.mul(delta, F.inv(f))
-        A = A.with_entries(found)
-    return A
+    roots = [v % F.q for v in roots]
+    if len(roots) != n:
+        raise SizeMismatchError(f"{len(roots)} diagonal roots for size {n}")
+    add, mul = F.add, F.mul
+    starts = [i * n - i * (i - 1) // 2 for i in range(n)]  # offsets of (i,i)
+    steps = []  # True squares M_(t-1), False multiplies it by A
+    for bit in bin(k)[3:]:
+        steps.append(True)
+        if bit == "1":
+            steps.append(False)
+    A = [0] * (n * (n + 1) // 2)
+    for o, v in zip(starts, roots):
+        A[o] = v
+    chain = [A]  # M_0 .. M_(T-1); A^k itself is never read
+    for square in steps[:-1]:
+        X, M = chain[-1], [0] * len(A)
+        for o in starts:
+            M[o] = mul(X[o], X[o] if square else A[o])
+        chain.append(M)
+    for d in range(1, n):
+        for i in range(n - d):
+            j, o = i + d, starts[i] + d
+            base, coef, filled = 0, 1, []
+            for X, square in zip(chain, steps):
+                Y = X if square else A
+                acc = 0
+                for l in range(i + 1, j):
+                    x = X[o - j + l]
+                    if x:
+                        acc = add(acc, mul(x, Y[starts[l] + j - l]))
+                if square:
+                    s = add(X[starts[i]], X[starts[j]])
+                    base, coef = add(acc, mul(base, s)), mul(coef, s)
+                else:
+                    y = A[starts[j]]
+                    base = add(acc, mul(base, y))
+                    coef = add(X[starts[i]], mul(coef, y))
+                filled.append((base, coef))
+            delta = F.sub(C.entries[o], base)
+            if not coef and delta:
+                raise PreconditionViolatedError(
+                    f"divisor vanishes at ({i + 1},{j + 1}) with residue "
+                    f"{delta}")
+            a = A[o] = mul(delta, F.inv(coef)) if coef else 0
+            for M, (b, c) in zip(chain[1:], filled):
+                M[o] = add(b, mul(c, a)) if a else b
+    return UTMatrix(F, n, tuple(A))
 
 
 def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int

@@ -20,6 +20,7 @@ from triwaring.errors import (
     FieldMismatchError,
     InsufficientClassesError,
     PreconditionViolatedError,
+    SizeMismatchError,
     TriwaringError,
 )
 from triwaring.fields import kth_roots, make_field
@@ -298,6 +299,22 @@ def test_verify_decomposition(F13):
     assert verify_decomposition(C, [C], 1)
     bad = [from_text(F13, "1,0;5"), diag(F13, [5, 1])]
     assert not verify_decomposition(C, bad, 2)
+
+
+def test_verify_decomposition_fails_closed(F7, F13):
+    C = from_text(F13, "3,1,4;1,5;9")
+    parts = decompose_two(C, 2).parts
+    assert verify_decomposition(C, parts, 2)
+    for i, j in C.positions():
+        assert not verify_decomposition(
+            C.with_entry(i, j, C[i, j] + 1), parts, 2), (i, j)
+    # a part of another size or over another field raises, sizes first
+    with pytest.raises(SizeMismatchError):
+        verify_decomposition(C, [*parts, zero(F13, 2)], 2)
+    with pytest.raises(FieldMismatchError):
+        verify_decomposition(C, [*parts, zero(F7, 3)], 2)
+    with pytest.raises(SizeMismatchError):
+        verify_decomposition(C, [zero(F7, 2)], 2)
 
 
 def test_result_json_shape(F13):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,8 +14,15 @@ from triwaring.errors import (
     PreconditionViolatedError,
     RootMismatchError,
     SizeMismatchError,
+    TriwaringError,
 )
-from triwaring.fields import kth_power_image, kth_roots, make_field
+from triwaring.fields import (
+    FieldSpec,
+    kth_power_image,
+    kth_root_map,
+    kth_roots,
+    make_field,
+)
 from triwaring.oracle import all_kth_powers
 from triwaring.power_sums import power_diff_quotient
 from triwaring.tri_matrix import (
@@ -156,6 +164,142 @@ def test_root_round_trip_random(all_fields):
         A = backsub_root(C, k)
         assert mat_pow(A, k) == C
         done += 1
+
+
+def backsub_root_reference(C, k, roots=None):
+    """Back-substitution with one mat_pow of the partial root per
+    superdiagonal: a_rs = (c_rs - (A^k)_rs) / pdq(a_rr, a_ss), the current
+    superdiagonal still zero in A."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    F, n = C.field, C.n
+    if roots is None:
+        roots = []
+        for i, c in enumerate(C.diagonal(), start=1):
+            if not kth_roots(F, c, k):
+                raise DiagNotKthPowerError(
+                    f"diagonal entry {c} at position {i} is not a {k}-th "
+                    f"power in F_{F.q}")
+            roots.append(kth_roots(F, c, k)[0])
+    A = diag(F, roots)
+    if A.n != n:
+        raise SizeMismatchError(f"{A.n} diagonal roots for size {n}")
+    for dist in range(1, n):
+        P = mat_pow(A, k)
+        found = {}
+        for r in range(1, n - dist + 1):
+            s = r + dist
+            delta = F.sub(C.get(r, s), P.get(r, s))
+            f = power_diff_quotient(F, A.get(r, r), A.get(s, s), k)
+            if f == 0:
+                if delta != 0:
+                    raise PreconditionViolatedError(
+                        f"divisor vanishes at ({r},{s}) with residue {delta}")
+                continue
+            found[r, s] = F.mul(delta, F.inv(f))
+        A = A.with_entries(found)
+    return A
+
+
+def root_outcome(root, C, k, roots):
+    """"root" and the root's packed entries, or the type and message of
+    its error."""
+    try:
+        return "root", root(C, k, roots).entries
+    except (TriwaringError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def root_case(rng, F, n, k, mode):
+    """A target and roots: the k-th power of a random matrix with default
+    roots, a random matrix with default roots (mostly no k-th power on the
+    diagonal), given roots drawn from outside [0, q) as well, or roots
+    repeating two values, one root too many or too few now and then."""
+    rand = lambda: UTMatrix(F, n, tuple(rng.randrange(F.q)
+                                        for _ in range(n * (n + 1) // 2)))
+    if mode == "power":
+        return mat_pow(rand(), k), None
+    if mode == "random":
+        return rand(), None
+    size = n + rng.choice((0, 0, 0, 0, 0, 1, -1)) if n else n
+    if mode == "given":
+        return rand(), [rng.randrange(-2 * F.q, 3 * F.q) for _ in range(size)]
+    two = [rng.randrange(F.q) for _ in range(2)]
+    return rand(), [rng.choice(two) for _ in range(size)]
+
+
+ROOT_MODES = ("power", "random", "given", "repeated")
+
+
+def test_backsub_root_matches_reference():
+    # prime, extension and characteristic-2 fields, and every exponent
+    # where the divisor pdq vanishes for a reason: p | k, q - 1 | k
+    rng = random.Random(2020)
+    seen = set()
+    for p, m in [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3),
+                 (3, 2), (5, 2)]:
+        F = make_field(p, m)
+        q = F.q
+        for k in sorted({1, 2, 3, p, 2 * p, q - 1, q, q + 1, 40} - {0}):
+            for n in range(8):
+                for mode in ROOT_MODES * 2:
+                    C, roots = root_case(rng, F, n, k, mode)
+                    got = root_outcome(backsub_root, C, k, roots)
+                    assert got == root_outcome(backsub_root_reference, C, k,
+                                               roots), (F, k, mode, C, roots)
+                    seen.add(got[0])
+    assert seen == {"root", "DiagNotKthPowerError",
+                    "PreconditionViolatedError", "SizeMismatchError"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIME_POWERS_49), st.integers(0, 5),
+       st.integers(1, 60), st.sampled_from(ROOT_MODES), st.randoms())
+def test_backsub_root_matches_reference_property(pm, n, k, mode, rng):
+    F = make_field(*pm)
+    C, roots = root_case(rng, F, n, k, mode)
+    got = root_outcome(backsub_root, C, k, roots)
+    assert got == root_outcome(backsub_root_reference, C, k, roots)
+    if roots is None and got[0] == "root":
+        assert mat_pow(UTMatrix(F, n, got[1]), k) == C
+
+
+def test_backsub_root_first_power_is_identity(all_fields):
+    rng = random.Random(1)
+    for F in all_fields:
+        for n in range(6):
+            C = rand_matrix(rng, F, n)
+            assert backsub_root(C, 1) == C
+
+
+class MulCountingField(FieldSpec):
+    """F_p that counts its multiplications."""
+
+    muls = 0
+
+    def mul(self, a, b):
+        MulCountingField.muls += 1
+        return super().mul(a, b)
+
+
+def test_backsub_root_work_count():
+    # one walk of the chain: O(n^3 log k) products, against n - 1 whole
+    # matrix powers of the partial root
+    F = MulCountingField(101, 1, (0, 1))
+    n = 30
+    rng = random.Random(30)
+    for k in (2, 3, 40):
+        # roots with one root per k-th power value, repeats allowed: no
+        # divisor vanishes, so every position is solved
+        reps = [fiber[0] for v, fiber in kth_root_map(F, k).items() if v]
+        roots = [rng.choice(reps) for _ in range(n)]
+        C = rand_matrix(rng, F, n)
+        MulCountingField.muls = 0
+        A = backsub_root(C, k, roots)
+        assert MulCountingField.muls <= n ** 3 * 2 * math.ceil(math.log2(k))
+        # given roots: A^k matches C above the diagonal
+        assert mat_pow(A, k).with_entries(
+            {(i, i): C[i, i] for i in range(1, n + 1)}) == C
 
 
 def sparse_instance(rng, F, n, k):
