@@ -301,6 +301,8 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
                     x = X[o - j + l]
                     if x:
                         acc = add(acc, mul(x, Y[starts[l] + j - l]))
+                # XX scales base_X and coef_X by X_rr + X_ss; XA has
+                # base_A = 0 and coef_A = 1
                 if square:
                     s = add(X[starts[i]], X[starts[j]])
                     base, coef = add(acc, mul(base, s)), mul(coef, s)

@@ -215,17 +215,16 @@ def root_case(rng, F, n, k, mode):
     roots, a random matrix with default roots (mostly no k-th power on the
     diagonal), given roots drawn from outside [0, q) as well, or roots
     repeating two values, one root too many or too few now and then."""
-    rand = lambda: UTMatrix(F, n, tuple(rng.randrange(F.q)
-                                        for _ in range(n * (n + 1) // 2)))
+    C = rand_matrix(rng, F, n)
     if mode == "power":
-        return mat_pow(rand(), k), None
+        return mat_pow(C, k), None
     if mode == "random":
-        return rand(), None
+        return C, None
     size = n + rng.choice((0, 0, 0, 0, 0, 1, -1)) if n else n
     if mode == "given":
-        return rand(), [rng.randrange(-2 * F.q, 3 * F.q) for _ in range(size)]
+        return C, [rng.randrange(-2 * F.q, 3 * F.q) for _ in range(size)]
     two = [rng.randrange(F.q) for _ in range(2)]
-    return rand(), [rng.choice(two) for _ in range(size)]
+    return C, [rng.choice(two) for _ in range(size)]
 
 
 ROOT_MODES = ("power", "random", "given", "repeated")
