@@ -42,6 +42,7 @@ from .fields import Element, FieldSpec, kth_power_image, minus_one_is_kth_power
 from .power_sums import enum_guard, in_power_sums
 from .tri_matrix import (
     UTMatrix,
+    _product_terms,
     check_in_field,
     elementary,
     jordan_block,
@@ -105,17 +106,9 @@ def all_kth_powers(F: FieldSpec, n: int, k: int) -> dict[UTMatrix, UTMatrix]:
     return {UTMatrix(F, n, P): UTMatrix(F, n, A) for P, A in first.items()}
 
 
-def _terms(m: int, rows: int) -> tuple:
-    """Per packed entry (i, j) of x y, x with `rows` rows of T_m's packed
-    layout and y in T_m: the index pairs of its terms x_il y_lj, l = i..j.
-    `rows` = 1 reads x as the first row, i.e. a vector x_0l = x[l]."""
-    at = [i * m - i * (i - 1) // 2 for i in range(m)]  # packed (i, i)
-    return tuple(tuple((at[i] + l - i, at[l] + j - l) for l in range(i, j + 1))
-                 for i in range(rows) for j in range(i, m))
-
-
 def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
-    """The sums of x_u y_v over each entry's (u, v) in `terms` (`_terms`)."""
+    """The sums of x_u y_v over each entry's (u, v) in `terms`
+    (`_product_terms`)."""
     out = []
     for pairs in terms:
         acc = 0
@@ -140,7 +133,7 @@ def _power_walk(F: FieldSpec, n: int, k: int, add, mul):
         return
     m = n - 1
     sub = list(_power_walk(F, m, k, add, mul))
-    terms, row_terms = _terms(m, m), _terms(m, 1)
+    terms, row_terms = _product_terms(m, m), _product_terms(m, 1)
     diag = {i * m - i * (i - 1) // 2 for i in range(m)}
     eye = tuple(int(t in diag) for t in range(len(terms)))
     bits = bin(k)[3:]  # after the leading 1: S(1) = I

@@ -12,6 +12,7 @@ entries (i,i),(i,i+1),...,(i,n) comma-separated as element encodings, e.g.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -111,7 +112,8 @@ def check_compatible(A: UTMatrix, B: UTMatrix) -> None:
     size and one field, as every sum and product of two needs."""
     if A.n != B.n:
         raise SizeMismatchError(f"sizes {A.n} and {B.n} differ")
-    if A.field != B.field:
+    # make_field hands out one object per field; equality is the fallback
+    if A.field is not B.field and A.field != B.field:
         raise FieldMismatchError("matrices live over different fields")
 
 
@@ -173,21 +175,27 @@ def junction_matrix(F: FieldSpec, partition) -> UTMatrix:
         {(N, N + 1): 1 for N in itertools.accumulate(parts[:-1])})
 
 
+@functools.lru_cache
+def _product_terms(m: int, rows: int) -> tuple:
+    """Per packed entry (i, j) of x y, x with `rows` rows of T_m's packed
+    layout and y in T_m: the index pairs of its terms x_il y_lj, l = i..j.
+    `rows` = 1 reads x as the first row, i.e. a vector x_0l = x[l]."""
+    at = [i * m - i * (i - 1) // 2 for i in range(m)]  # packed (i, i)
+    return tuple(tuple((at[i] + l - i, at[l] + j - l) for l in range(i, j + 1))
+                 for i in range(rows) for j in range(i, m))
+
+
 def _packed_mul(F: FieldSpec, n: int, ae, be) -> tuple[Element, ...]:
     """The packed entries of AB from the packed entries of A and B."""
     add, mul = F.add, F.mul
-    # precomputed row start offsets into the packed layout
-    starts = [r * n - r * (r - 1) // 2 for r in range(n)]
     out = []
-    for i0 in range(n):
-        arow = starts[i0] - i0
-        for j0 in range(i0, n):
-            acc = 0
-            for l0 in range(i0, j0 + 1):
-                a = ae[arow + l0]
-                if a:
-                    acc = add(acc, mul(a, be[starts[l0] + j0 - l0]))
-            out.append(acc)
+    for pairs in _product_terms(n, n):
+        acc = 0
+        for u, v in pairs:
+            a, b = ae[u], be[v]
+            if a and b:
+                acc = add(acc, mul(a, b))
+        out.append(acc)
     return tuple(out)
 
 
@@ -290,17 +298,19 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
         for o in starts:
             M[o] = mul(X[o], X[o] if square else A[o])
         chain.append(M)
+    terms = _product_terms(n, n)
     for d in range(1, n):
         for i in range(n - d):
             j, o = i + d, starts[i] + d
+            inner = terms[o][1:-1]  # the terms X_rl Y_ls, r < l < s
             base, coef, filled = 0, 1, []
             for X, square in zip(chain, steps):
                 Y = X if square else A
                 acc = 0
-                for l in range(i + 1, j):
-                    x = X[o - j + l]
-                    if x:
-                        acc = add(acc, mul(x, Y[starts[l] + j - l]))
+                for u, v in inner:
+                    x, w = X[u], Y[v]
+                    if x and w:
+                        acc = add(acc, mul(x, w))
                 # XX scales base_X and coef_X by X_rr + X_ss; XA has
                 # base_A = 0 and coef_A = 1
                 if square:
