@@ -12,8 +12,8 @@ machinery runs on nonzero, pairwise distinct targets. Small fields can run
 out of solution classes (the theorem only promises q > 4 n^2 k^16); the
 shift is then retried around the shortage, and failing that a per-position
 route picks the lex-least root elements a_i with c_ii - a_i^k a sum of two
-k-th powers and all pdq(a_i, a_j) nonzero, in one pass over the positions
-with a bipartite matching check.
+k-th powers and all pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots`,
+which the oracle's diagonal verdict asks too).
 
 Structured (constant diagonal): the diagonal coloring and the entry split
 are the first proper 2-colorings of the entry graph and the chain graph.
@@ -27,17 +27,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .canonical import _matchable, bipartition, label_graph
+from .canonical import bipartition, label_graph
 from .errors import (
     InsufficientClassesError,
     NoAdmissibleShiftError,
     PreconditionViolatedError,
 )
-from .fields import Element, kth_root_map
+from .fields import Element
 from .power_sums import (
     AssignmentEntry,
     classified,
-    in_power_sums,
+    diagonal_roots,
     lex_min_solution,
     select_system_pairs,
     shift_to_two_variable,
@@ -189,40 +189,17 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
 
 
 def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
-    """Fallback: the lex-least root elements a_1..a_n with c_ii - a_i^k a
-    sum of two k-th powers and pdq(a_i, a_j) nonzero for all pairs, so the
-    back-substitution root always exists; the diagonal parts take the
-    lex-min solution (y, z) of y^k + z^k = c_ii - a_i^k.
-
-    Least roots suffice: every root of a value meets the same constraints,
-    two distinct least roots have distinct powers (pdq nonzero), and a
-    least root with pdq(a, a) = 0 (0 when k >= 2; every root when p | k)
-    may serve one position only. Each position takes its least option that
-    still leaves the later positions a matching into the unused once-only
-    roots."""
-    F, n = C.field, C.n
-    d = C.diagonal()
-    least = [(r[0], v) for v, r in kth_root_map(F, k).items()]  # ascending
-    inside = in_power_sums(F, k, 2)
-    # pdq(a, a) = k a^(k-1)
-    once = {a for a, _ in least if k % F.p == 0 or (a == 0 and k > 1)}
-    options = [[a for a, v in least if inside(F.sub(c, v))] for c in d]
-    free = set(once)
-    chosen: list[Element] = []
-    for i in range(n):
-        # a later position with a reusable option never blocks the others
-        later = [opts for opts in options[i + 1:] if set(opts) <= once]
-        a = next((a for a in options[i] if (a not in once or a in free)
-                  and _matchable(later, free - {a})), None)
-        if a is None:
-            raise InsufficientClassesError(
-                f"no three-power assignment found over F_{F.q} (k={k}); "
-                f"sufficient only for q > 4 n^2 k^16")
-        free.discard(a)
-        chosen.append(a)
-    rests = [F.sub(c, F.pow(a, k)) for c, a in zip(d, chosen)]
-    entries = [AssignmentEntry(c, a, *lex_min_solution(F, r, k))
-               for c, a, r in zip(d, chosen, rests)]
+    """Fallback: A's diagonal roots from `diagonal_roots` with s = 3, so
+    the back-substitution root always exists; the diagonal parts take the
+    lex-min solution (y, z) of y^k + z^k = c_ii - a_i^k."""
+    F, d = C.field, C.diagonal()
+    chosen = diagonal_roots(F, d, k, 3)
+    if chosen is None:
+        raise InsufficientClassesError(
+            f"no three-power assignment found over F_{F.q} (k={k}); "
+            f"sufficient only for q > 4 n^2 k^16")
+    entries = [AssignmentEntry(c, a, *lex_min_solution(
+        F, F.sub(c, F.pow(a, k)), k)) for c, a in zip(d, chosen)]
     return _assemble(C, k, chosen, [[e.y for e in entries],
                                     [e.z for e in entries]], entries)
 

@@ -10,10 +10,13 @@ first root per power, and answers every count by one query, which builds
 no sumset P^2, P^3, ...: the diagonal of C decides most queries by two
 exact facts (the diagonal map is a homomorphism, so a sum of s powers has
 its diagonal entries in W_s, the sums of s k-th powers in F_q, as decided
-by `power_sums.in_power_sums`; a pairwise distinct diagonal of k-th powers
-makes a k-th power), and a memoised search of C - P over the powers P
-settles the rest. `all_kth_powers` enumerates afresh on every call, by a
-walk over the first-row split A = [[a, b], [0, A']].
+by `power_sums.in_power_sums`; roots a_i with c_ii - a_i^k in W_(s-1)
+and every divisor pdq(a_i, a_j) nonzero, from `power_sums.diagonal_roots`,
+make C a sum of s powers, as back-substitution from them roots C minus
+diagonal (s-1)-sums whatever its strict part), and a memoised search of
+C - P over the powers P settles the rest. The image is one packed dict,
+built by a walk over the first-row split A = [[a, b], [0, A']];
+`all_kth_powers` is a fresh UTMatrix view of it.
 Conjugacy under the invertible-triangular group B_n is decided exactly by
 a search of the kernel of P -> AP - PB, which returns the same witness as
 a scan of B_n in `iter_bn` order. One elimination of the n(n+1)/2
@@ -32,16 +35,16 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .canonical import _matchable
 from .errors import (
     EnumerationTooLargeError,
     FieldMismatchError,
     SizeMismatchError,
 )
 from .fields import Element, FieldSpec, kth_power_image, minus_one_is_kth_power
-from .power_sums import enum_guard, in_power_sums
+from .power_sums import diagonal_roots, enum_guard, in_power_sums
 from .tri_matrix import (
     UTMatrix,
+    _diagonal_at,
     _product_terms,
     check_in_field,
     elementary,
@@ -82,7 +85,22 @@ def iter_matrices(F: FieldSpec, n: int):
 
 def all_kth_powers(F: FieldSpec, n: int, k: int) -> dict[UTMatrix, UTMatrix]:
     """{A^k : A in T_n(F_q)} as a dict power -> first root in enumeration
-    order (the keys are the image; roots witness membership).
+    order, built afresh by `_power_image`. ValueError for k < 1."""
+    _check_image(F, n, k)
+    return {UTMatrix(F, n, P): UTMatrix(F, n, A)
+            for P, A in _power_image(F, n, k).items()}
+
+
+def _check_image(F: FieldSpec, n: int, k: int) -> None:
+    """ValueError for k < 1, then the enumeration guard of T_n(F_q)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    enum_guard(F.q ** (n * (n + 1) // 2))
+
+
+def _power_image(F: FieldSpec, n: int, k: int
+                 ) -> dict[tuple[Element, ...], tuple[Element, ...]]:
+    """`all_kth_powers` as packed entries, unchecked (`_check_image`).
 
     Built by a walk over the first-row split A = [[a, b], [0, A']], with a
     in F, b in F^(n-1) and A' in T_(n-1):
@@ -94,16 +112,13 @@ def all_kth_powers(F: FieldSpec, n: int, k: int) -> dict[UTMatrix, UTMatrix]:
     costs one product b M and one dict check. The walk visits a, then b,
     then A', each in encoding order, which is `iter_matrices` order, so
     the first root of every power is the one a plain enumeration finds."""
-    width = n * (n + 1) // 2
-    enum_guard(F.q ** width)
     add = mul = None
     if n >= 2:  # q^2 <= q^3 <= |T_n|: the tables never outweigh the walk
         add, _, mul = _field_tables(F)
     first: dict[tuple[Element, ...], tuple[Element, ...]] = {}
     for A, P in _power_walk(F, n, k, add, mul):
-        if P not in first:
-            first[P] = A
-    return {UTMatrix(F, n, P): UTMatrix(F, n, A) for P, A in first.items()}
+        first.setdefault(P, A)
+    return first
 
 
 def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
@@ -120,7 +135,7 @@ def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
 
 def _power_walk(F: FieldSpec, n: int, k: int, add, mul):
     """(A, A^k) as packed entries for every A in T_n(F_q), in
-    `iter_matrices` order, by the split of `all_kth_powers`; add and mul
+    `iter_matrices` order, by the split of `_power_image`; add and mul
     are F's q x q tables (None for n <= 1).
 
     The pairs (A', A'^k) come from the same walk one size down, kept as a
@@ -134,7 +149,7 @@ def _power_walk(F: FieldSpec, n: int, k: int, add, mul):
     m = n - 1
     sub = list(_power_walk(F, m, k, add, mul))
     terms, row_terms = _product_terms(m, m), _product_terms(m, 1)
-    diag = {i * m - i * (i - 1) // 2 for i in range(m)}
+    diag = set(_diagonal_at(m))
     eye = tuple(int(t in diag) for t in range(len(terms)))
     bits = bin(k)[3:]  # after the leading 1: S(1) = I
     for a in F.elements():
@@ -180,9 +195,7 @@ def _power_layers(F: FieldSpec, n: int, k: int) -> _SumsetLayers:
     """The engine of (F, n, k), behind the enumeration guard, which runs on
     every call so a lowered WARING_MAX_ENUM applies to warm entries too.
     ValueError for k < 1."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    enum_guard(F.q ** (n * (n + 1) // 2))
+    _check_image(F, n, k)
     return _cached_layers(F, n, k)
 
 
@@ -191,26 +204,23 @@ class _SumsetLayers:
     P^s = P^(s-1) + P^1.
 
     `roots` maps each power of P^1, as packed entries, to its first root
-    in `all_kth_powers` order. No P^s, s >= 2, is built: `min_count`
-    decides "is C in P^s?" from the diagonal of C, by two exact facts, and
-    by a search of C - P over the powers P only where both are silent.
+    in enumeration order (`_power_image`). No P^s, s >= 2, is built:
+    `min_count` decides "is C in P^s?" from the diagonal of C, by two
+    exact facts, and by a search of C - P over the powers P only where
+    both are silent.
     Differences go through a q x q table when it costs no more than the
     image it serves (q^2 <= |P^1|), else through F itself: T_1(F_q) has at
     most q elements, so a q^2 table would dwarf it."""
 
     def __init__(self, F: FieldSpec, n: int, k: int):
         self.field, self.k = F, k
-        images = all_kth_powers(F, n, k)
-        self.roots = {P.entries: A.entries for P, A in images.items()}
+        self.roots = _power_image(F, n, k)
         self._table = None  # x - y, indexed [x][y]
         if F.q * F.q <= len(self.roots):
             self._table = _field_tables(F)[1]
         self._kth = kth_power_image(F, k)  # K
-        # packed index of each diagonal entry: row i starts after n - j
-        # entries for every row j above it
-        self._diag_at = [i * n - i * (i - 1) // 2 for i in range(n)]
-        # memos keyed by value, diagonal or matrix, and summand count
-        self._opts: dict[tuple[Element, int], tuple[Element, ...]] = {}
+        self._diag_at = _diagonal_at(n)
+        # memos keyed by diagonal or matrix, and summand count
         self._verdicts: dict[tuple[tuple[Element, ...], int], bool | None] = {}
         self._groups: dict[tuple[tuple[Element, ...], int], tuple] = {}
         self._searched: dict[tuple[tuple[Element, ...], int], bool] = {}
@@ -231,42 +241,30 @@ class _SumsetLayers:
             return [functools.partial(self.field.sub, x) for x in a]
         return [self._table[x].__getitem__ for x in a]
 
-    def _options(self, x: Element, s: int) -> tuple[Element, ...]:
-        """The v in K with x - v in W_(s-1) (`in_power_sums`), memoised
-        per value; none exactly when x is outside W_s."""
-        key = (x, s)
-        if key not in self._opts:
-            sub = self.field.sub
-            inside = in_power_sums(self.field, self.k, s - 1)
-            self._opts[key] = tuple(v for v in self._kth if inside(sub(x, v)))
-        return self._opts[key]
-
     def _verdict(self, d: tuple[Element, ...], s: int) -> bool | None:
         """What the diagonal d alone says of "C in P^s?" (memoised).
 
         False when an entry of d is outside W_s: the diagonal map is a
-        homomorphism. True when d splits as d_1 + ... + d_s, every d_j in
-        K^n and d_1 pairwise distinct: C minus the diagonal powers
-        diag(d_2), ..., diag(d_s) has the pairwise distinct k-th powers d_1
-        on its diagonal, so it is a k-th power (see `min_count`). d_1 takes
-        at position i one of the `_options` of d_i, a bipartite matching.
-        None otherwise."""
+        homomorphism. True when `diagonal_roots` finds roots for d at s
+        (see `min_count`). None otherwise."""
         key = (d, s)
         if key not in self._verdicts:
-            options = [self._options(x, s) for x in d]
-            self._verdicts[key] = all(options) and (
-                _matchable(options, self._kth) or None)
+            F, k = self.field, self.k
+            self._verdicts[key] = diagonal_roots(F, d, k, s) is not None or (
+                None if all(map(in_power_sums(F, k, s), d)) else False)
         return self._verdicts[key]
 
     def _candidates(self, d: tuple[Element, ...], s: int) -> tuple:
         """The groups of powers P, by diagonal D, that can leave c - P in
-        P^(s-1) when c has the diagonal d: each D_i among the `_options` of
-        d_i (memoised)."""
+        P^(s-1) when c has the diagonal d: each D_i in K with d_i - D_i in
+        W_(s-1) (`in_power_sums`; memoised)."""
         key = (d, s)
         if key not in self._groups:
-            self._groups[key] = tuple(self._by_diag[D] for D in
-                                      itertools.product(*[
-                                          self._options(x, s) for x in d]))
+            sub = self.field.sub
+            inside = in_power_sums(self.field, self.k, s - 1)
+            options = [[v for v in self._kth if inside(sub(x, v))] for x in d]
+            self._groups[key] = tuple(
+                self._by_diag[D] for D in itertools.product(*options))
         return self._groups[key]
 
     def _search(self, c: tuple[Element, ...], s: int) -> bool:
@@ -291,14 +289,15 @@ class _SumsetLayers:
     def min_count(self, c: tuple[Element, ...], cap: int) -> int | None:
         """`min_waring_number` for the packed entries c.
 
-        P^1 answers by lookup. For r >= 2 the diagonal comes first
-        (`_verdict`), by two facts. Its entries in a member of P^s lie in
-        W_s. And a matrix whose diagonal entries are pairwise distinct k-th
-        powers d is a k-th power: `canonical.diagonalize_distinct` gives it
-        as S diag(d) S^-1, and diag(d) = diag(a)^k, so it is
-        (S diag(a) S^-1)^k. Only where neither settles it does `_search`
-        run; it never needs the diagonal test again, since a residual whose
-        diagonal split would have split the diagonal of c."""
+        P^1 answers by lookup. For r >= 2 the diagonal d comes first
+        (`_verdict`), by two facts. Its entries in a member of P^r lie in
+        W_r. And roots a_i with every d_i - a_i^k in W_(r-1) and every
+        pdq(a_i, a_j) nonzero (`diagonal_roots`) put c in P^r: c minus
+        diagonal powers summing to diag(d_i - a_i^k) has the diagonal
+        (a_i^k), and back-substitution from the a_i roots it, as no
+        divisor vanishes. Only where neither settles it does `_search`
+        run; it never needs the diagonal test again, since roots that
+        serve a residual's diagonal at r - 1 serve d at r."""
         if c in self.roots:
             return 1
         d = tuple([c[i] for i in self._diag_at])
@@ -393,17 +392,10 @@ def iter_bn(F: FieldSpec, n: int):
     """All invertible upper-triangular matrices, deterministic order: the
     diagonal first, then the strict upper entries row-major, each in
     encoding order. `bn_conjugate` returns the first conjugator in it."""
-    nonzero = range(1, F.q)
-    strict = n * (n - 1) // 2
-    for diag_vals in itertools.product(nonzero, repeat=n):
-        for uppers in itertools.product(F.elements(), repeat=strict):
-            entries = []
-            it = iter(uppers)
-            for i in range(1, n + 1):
-                entries.append(diag_vals[i - 1])
-                for _ in range(i + 1, n + 1):
-                    entries.append(next(it))
-            yield UTMatrix(F, n, tuple(entries))
+    _, unknown_of = _bn_system(n)
+    ranges = [range(1, F.q)] * n + [F.elements()] * (len(unknown_of) - n)
+    for v in itertools.product(*ranges):
+        yield UTMatrix(F, n, tuple([v[c] for c in unknown_of]))
 
 
 @functools.lru_cache(maxsize=LAYER_CACHE_SIZE)
@@ -414,16 +406,17 @@ def _bn_system(n: int) -> tuple[tuple, tuple[int, ...]]:
     strict upper entries row-major. Per equation (i, j), in packed order,
     (AP - PB)_ij = sum_l A_il P_lj - P_il B_lj over i <= l <= j, as its
     (unknown, packed index into A) and (unknown, packed index into B)
-    pairs. With it comes the unknown of each packed entry of P."""
-    at = [i * n - i * (i - 1) // 2 for i in range(n)]  # packed (i, i)
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    unknowns = [(i, i) for i in range(n)] + [(i, j) for i, j in upper if i < j]
-    col = {ij: c for c, ij in enumerate(unknowns)}
+    pairs, read off the product terms (u, v) = ((i, l), (l, j)). With it
+    comes the unknown of each packed entry of P."""
+    terms, diagonal = _product_terms(n, n), _diagonal_at(n)
+    # the packed entry of each unknown, and its inverse
+    order = sorted(range(len(terms)), key=lambda t: (t not in diagonal, t))
+    unknown_of = tuple(map(order.index, range(len(terms))))
     equations = tuple(
-        (tuple((col[l, j], at[i] + l - i) for l in range(i, j + 1)),
-         tuple((col[i, l], at[l] + j - l) for l in range(i, j + 1)))
-        for i, j in upper)
-    return equations, tuple(col[ij] for ij in upper)
+        (tuple((unknown_of[v], u) for u, v in pairs),
+         tuple((unknown_of[u], v) for u, v in pairs))
+        for pairs in terms)
+    return equations, unknown_of
 
 
 def _kernel_rref(F: FieldSpec, rows, ncols: int):

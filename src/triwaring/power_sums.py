@@ -138,6 +138,52 @@ def in_power_sums(F: FieldSpec, k: int, s: int):
     return lambda v: F.pow(v, order) in classes
 
 
+def diagonal_roots(F: FieldSpec, d, k: int, s: int
+                   ) -> tuple[Element, ...] | None:
+    """The lex-least roots a_i, one per d_i, with every d_i - a_i^k in
+    W_(s-1) and every divisor pdq(a_i, a_j), i < j, nonzero, or None:
+    `backsub_root` then roots any C with the diagonal d minus diagonal
+    (s-1)-sums, so C is a sum of s k-th powers.
+
+    Least roots suffice: two distinct ones have distinct powers, so pdq
+    vanishes only on a root shared by two positions whose pdq(a, a) =
+    k a^(k-1) is 0 (0 when k >= 2, every root when p | k). Such once-only
+    roots serve one position each: every position takes its least option
+    that leaves the later ones a matching into the unused once-only roots."""
+    least = [(r[0], v) for v, r in kth_root_map(F, k).items()]  # ascending
+    inside = in_power_sums(F, k, s - 1)
+    once = {a for a, _ in least if k % F.p == 0 or (a == 0 and k > 1)}
+    options = [[a for a, v in least if inside(F.sub(c, v))] for c in d]
+    free, chosen = set(once), []
+    for i, opts in enumerate(options):
+        # a later position with a reusable option never blocks the others
+        later = [o for o in options[i + 1:] if set(o) <= once]
+        a = next((a for a in opts if (a not in once or a in free)
+                  and _matchable(later, free - {a})), None)
+        if a is None:
+            return None
+        free.discard(a)
+        chosen.append(a)
+    return tuple(chosen)
+
+
+def _matchable(option_lists, free) -> bool:
+    """Can each list get its own element of `free`? One augmenting-path
+    search per list (Hopcroft & Karp, SIAM J. Comput. 2, 1973)."""
+    owner: dict[Element, int] = {}
+
+    def augment(i: int, seen: set[Element]) -> bool:
+        for a in option_lists[i]:
+            if a in free and a not in seen:
+                seen.add(a)
+                if a not in owner or augment(owner[a], seen):
+                    owner[a] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(option_lists)))
+
+
 @functools.lru_cache(maxsize=ROOT_MAP_CACHE_SIZE)
 def _coset_walk(F: FieldSpec, k: int) -> tuple[frozenset[Element], ...]:
     """The classes of W_1, W_2, ... by the walk of `in_power_sums`."""

@@ -29,6 +29,12 @@ from .errors import (
 from .fields import Element, FieldSpec, kth_root_map
 
 
+@functools.lru_cache
+def _diagonal_at(n: int) -> tuple[int, ...]:
+    """Packed index of each (i, i): row i follows n - j entries per row j."""
+    return tuple(i * n - i * (i - 1) // 2 for i in range(n))
+
+
 @dataclass(frozen=True, slots=True)
 class UTMatrix:
     field: FieldSpec
@@ -42,17 +48,12 @@ class UTMatrix:
                 f"size {self.n} needs {expect} packed entries, "
                 f"got {len(self.entries)}")
 
-    def _offset(self, i: int, j: int) -> int:
-        # row i (1-based) starts after rows 1..i-1, which hold
-        # n + (n-1) + ... + (n-i+2) entries
-        return (i - 1) * self.n - (i - 1) * (i - 2) // 2 + (j - i)
-
     def get(self, i: int, j: int) -> Element:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexOutOfRangeError(f"position ({i},{j}) outside size {self.n}")
         if i > j:
             return 0
-        return self.entries[self._offset(i, j)]
+        return self.entries[_diagonal_at(self.n)[i - 1] + j - i]
 
     def __getitem__(self, ij: tuple[int, int]) -> Element:
         return self.get(*ij)
@@ -64,16 +65,16 @@ class UTMatrix:
         """A copy with the entries at the upper-triangle positions (i, j)
         of the mapping `values` replaced by their values mod q."""
         e = list(self.entries)
-        q = self.field.q
+        q, at = self.field.q, _diagonal_at(self.n)
         for (i, j), value in values.items():
             if not (1 <= i <= j <= self.n):
                 raise IndexOutOfRangeError(
                     f"({i},{j}) not in the upper triangle")
-            e[self._offset(i, j)] = value % q
+            e[at[i - 1] + j - i] = value % q
         return UTMatrix(self.field, self.n, tuple(e))
 
     def diagonal(self) -> tuple[Element, ...]:
-        return tuple(self.get(i, i) for i in range(1, self.n + 1))
+        return tuple([self.entries[o] for o in _diagonal_at(self.n)])
 
     def is_strictly_upper(self) -> bool:
         return all(d == 0 for d in self.diagonal())
@@ -180,7 +181,7 @@ def _product_terms(m: int, rows: int) -> tuple:
     """Per packed entry (i, j) of x y, x with `rows` rows of T_m's packed
     layout and y in T_m: the index pairs of its terms x_il y_lj, l = i..j.
     `rows` = 1 reads x as the first row, i.e. a vector x_0l = x[l]."""
-    at = [i * m - i * (i - 1) // 2 for i in range(m)]  # packed (i, i)
+    at = _diagonal_at(m)
     return tuple(tuple((at[i] + l - i, at[l] + j - l) for l in range(i, j + 1))
                  for i in range(rows) for j in range(i, m))
 
@@ -283,7 +284,7 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
     if len(roots) != n:
         raise SizeMismatchError(f"{len(roots)} diagonal roots for size {n}")
     add, mul = F.add, F.mul
-    starts = [i * n - i * (i - 1) // 2 for i in range(n)]  # offsets of (i,i)
+    starts = _diagonal_at(n)
     steps = []  # True squares M_(t-1), False multiplies it by A
     for bit in bin(k)[3:]:
         steps.append(True)
@@ -359,10 +360,9 @@ def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int
 
 
 def to_text(A: UTMatrix) -> str:
-    rows = []
-    for i in range(1, A.n + 1):
-        rows.append(",".join(str(A.get(i, j)) for j in range(i, A.n + 1)))
-    return ";".join(rows)
+    bounds = _diagonal_at(A.n) + (len(A.entries),)  # row i: bounds[i:i+2]
+    return ";".join(",".join(map(str, A.entries[bounds[i]:bounds[i + 1]]))
+                    for i in range(A.n))
 
 
 def from_text(F: FieldSpec, text: str) -> UTMatrix:

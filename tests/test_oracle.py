@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -16,6 +17,7 @@ from triwaring.errors import (
 )
 from triwaring import oracle
 from triwaring.fields import kth_power_image, make_field
+from triwaring.power_sums import _matchable, in_power_sums
 from triwaring.oracle import (
     all_kth_powers,
     bn_conjugate,
@@ -699,3 +701,115 @@ def test_min_waring_large_t1_skips_tables():
         C = UTMatrix(F, 1, (c,))
         assert min_waring_number(F, C, 2, 3) == (1 if c in squares else 2)
     assert oracle._cached_layers(F, 1, 2)._table is None
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_all_kth_powers_rejects_exponents_below_one(F3, k):
+    # mat_pow(A, 0) is I for every A, so no enumeration could give the image
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        all_kth_powers(F3, 2, k)
+
+
+class DistinctValueLayers(oracle._SumsetLayers):
+    """Reference: the engine with the diagonal verdict `diagonal_roots`
+    replaced. True when d splits as d_1 + ... + d_s, every d_j in K^n and
+    d_1 pairwise distinct (a matching of the positions into K), since a
+    pairwise distinct diagonal of k-th powers makes a k-th power."""
+
+    def _verdict(self, d, s):
+        key = (d, s)
+        if key not in self._verdicts:
+            F, inside = self.field, in_power_sums(self.field, self.k, s - 1)
+            options = [[v for v in self._kth if inside(F.sub(x, v))]
+                       for x in d]
+            self._verdicts[key] = all(options) and (
+                _matchable(options, self._kth) or None)
+        return self._verdicts[key]
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Counts `_SumsetLayers._search` calls, the recursive ones included."""
+    calls = [0]
+    search = oracle._SumsetLayers._search
+
+    def counted(self, c, s):
+        calls[0] += 1
+        return search(self, c, s)
+
+    monkeypatch.setattr(oracle._SumsetLayers, "_search", counted)
+    return calls
+
+
+def reports_by_both_engines(monkeypatch, calls, F, n, k):
+    """waring_report by the engine and by DistinctValueLayers, each built
+    cold in a cache of its own, with the `_search` calls each made."""
+    out = []
+    for engine in (oracle._SumsetLayers, DistinctValueLayers):
+        monkeypatch.setattr(oracle, "_cached_layers", functools.lru_cache(
+            maxsize=oracle.LAYER_CACHE_SIZE)(engine))
+        calls[0] = 0
+        out.append((waring_report(F, n, k), calls[0]))
+    return out
+
+
+@pytest.mark.parametrize("p, m, n, k", [
+    (p, m, 2, k) for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                              (2, 3), (3, 2)] for k in (2, 3)]
+    + [(3, 1, 3, 2), (3, 1, 3, 3), (2, 2, 3, 2), (5, 1, 3, 2)])
+def test_report_matches_distinct_value_engine(monkeypatch, search_calls,
+                                              p, m, n, k):
+    F = make_field(p, m)
+    (rep, made), (ref, ref_made) = reports_by_both_engines(
+        monkeypatch, search_calls, F, n, k)
+    assert list(rep.per_matrix_min.items()) == list(
+        ref.per_matrix_min.items())
+    assert rep.histogram() == ref.histogram()
+    assert rep.witnesses == ref.witnesses
+    assert made <= ref_made
+
+
+def test_report_search_work(monkeypatch, search_calls):
+    # a diagonal of squares with 0 at most once (p does not divide k) makes
+    # a square, distinct or not, so no query on T_3(F_5) searches
+    (_, made), (_, ref_made) = reports_by_both_engines(
+        monkeypatch, search_calls, make_field(5), 3, 2)
+    assert (made, ref_made) == (0, 4000)
+    (_, made), (_, ref_made) = reports_by_both_engines(
+        monkeypatch, search_calls, make_field(3), 3, 2)
+    assert ref_made == 1562 and made < ref_made
+
+
+def bn_system_reference(n):
+    """Reference: _bn_system's equations and unknowns from the positions."""
+    at = [i * n - i * (i - 1) // 2 for i in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    unknowns = [(i, i) for i in range(n)] + [(i, j) for i, j in upper if i < j]
+    col = {ij: c for c, ij in enumerate(unknowns)}
+    equations = tuple(
+        (tuple((col[l, j], at[i] + l - i) for l in range(i, j + 1)),
+         tuple((col[i, l], at[l] + j - l) for l in range(i, j + 1)))
+        for i, j in upper)
+    return equations, tuple(col[ij] for ij in upper)
+
+
+def iter_bn_reference(F, n):
+    """Reference: B_n with the diagonal, then the strict upper entries
+    row-major, each in encoding order, placed entry by entry."""
+    for diag_vals in itertools.product(range(1, F.q), repeat=n):
+        for uppers in itertools.product(F.elements(), repeat=n * (n - 1) // 2):
+            entries, it = [], iter(uppers)
+            for i in range(n):
+                entries.append(diag_vals[i])
+                entries.extend(next(it) for _ in range(i + 1, n))
+            yield UTMatrix(F, n, tuple(entries))
+
+
+def test_bn_system_and_order_match_reference():
+    for n in range(9):
+        assert oracle._bn_system(n) == bn_system_reference(n), n
+    for (p, m), sizes in [((2, 1), range(5)), ((3, 1), range(4)),
+                          ((2, 2), range(4)), ((5, 1), range(3))]:
+        F = make_field(p, m)
+        for n in sizes:
+            assert list(iter_bn(F, n)) == list(iter_bn_reference(F, n))

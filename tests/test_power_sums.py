@@ -25,6 +25,7 @@ from triwaring.power_sums import (
     classification_report,
     classified,
     count_zero_sum_classes,
+    diagonal_roots,
     in_power_sums,
     lang_weil_check,
     lex_min_solution,
@@ -510,3 +511,37 @@ def test_in_power_sums_matches_brute_force_sumsets(all_fields):
                 assert {v for v in F.elements() if inside(v)} == sums, \
                     (F.q, k, s)
                 sums = {F.add(w, v) for w in sums for v in K}
+
+
+def diagonal_roots_reference(F, d, k, s):
+    """Reference: the first tuple, in lex order over all of F^n, with every
+    d_i - a_i^k a sum of s - 1 k-th powers and every
+    power_diff_quotient(a_i, a_j), i < j, nonzero."""
+    sums = {0}
+    for _ in range(s - 1):
+        sums = {F.add(w, F.pow(a, k)) for w in sums for a in F.elements()}
+    divides = {(a, b): power_diff_quotient(F, a, b, k) != 0
+               for a in F.elements() for b in F.elements()}
+    allowed = [[a for a in F.elements() if F.sub(c, F.pow(a, k)) in sums]
+               for c in d]
+    return next((roots for roots in itertools.product(*allowed)
+                 if all(divides[pair]
+                        for pair in itertools.combinations(roots, 2))), None)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                  (2, 3), (3, 2)])
+def test_diagonal_roots_matches_brute_force(p, m):
+    # every diagonal of size <= 3, so a value repeated at two or three
+    # positions, 0 among them, and p | k all occur
+    F = make_field(p, m)
+    outcomes = set()
+    for k in sorted({1, 2, 3, p, F.q - 1}):
+        for s in (2, 3):
+            for n in range(4):
+                for d in itertools.product(F.elements(), repeat=n):
+                    got = diagonal_roots(F, d, k, s)
+                    assert got == diagonal_roots_reference(F, d, k, s), (
+                        F.q, k, s, d)
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}

@@ -27,6 +27,7 @@ from triwaring.oracle import all_kth_powers
 from triwaring.power_sums import power_diff_quotient
 from triwaring.tri_matrix import (
     UTMatrix,
+    _diagonal_at,
     backsub_root,
     diag,
     elementary,
@@ -484,6 +485,23 @@ def test_text_format(F3, F13):
         from_text(F3, "x,1;0")
     M = from_rows(F13, [[1, 2, 3], [0, 4, 5], [0, 0, 6]])
     assert from_text(F13, to_text(M)) == M
+
+
+def test_packed_layout_reads_full_rows(F13):
+    # row i of the packed layout starts after the n - j entries of each
+    # row j above it and holds (i, i), ..., (i, n)
+    rng = random.Random(21)
+    for n in range(8):
+        assert _diagonal_at(n) == tuple(sum(n - j for j in range(i))
+                                        for i in range(n))
+        rows = [[0] * i + [rng.randrange(13) for _ in range(n - i)]
+                for i in range(n)]
+        M = from_rows(F13, rows)
+        assert M.diagonal() == tuple(rows[i][i] for i in range(n))
+        assert to_text(M) == ";".join(",".join(map(str, row[i:]))
+                                      for i, row in enumerate(rows))
+        assert all(M[i + 1, j + 1] == rows[i][j]
+                   for i in range(n) for j in range(n))
 
 
 @settings(max_examples=150, deadline=None)
