@@ -204,10 +204,9 @@ class _SumsetLayers:
     P^s = P^(s-1) + P^1.
 
     `roots` maps each power of P^1, as packed entries, to its first root
-    in enumeration order (`_power_image`). No P^s, s >= 2, is built:
-    `min_count` decides "is C in P^s?" from the diagonal of C, by two
-    exact facts, and by a search of C - P over the powers P only where
-    both are silent.
+    in `_power_image` order. No P^s, s >= 2, is built: `min_count`
+    decides "is C in P^s?" from the diagonal of C, by two exact facts, and
+    by a search of C - P over the powers P only where both are silent.
     Differences go through a q x q table when it costs no more than the
     image it serves (q^2 <= |P^1|), else through F itself: T_1(F_q) has at
     most q elements, so a q^2 table would dwarf it."""
@@ -245,8 +244,9 @@ class _SumsetLayers:
         """What the diagonal d alone says of "C in P^s?" (memoised).
 
         False when an entry of d is outside W_s: the diagonal map is a
-        homomorphism. True when `diagonal_roots` finds roots for d at s
-        (see `min_count`). None otherwise."""
+        homomorphism. True when `diagonal_roots` finds roots a for d at s:
+        no divisor pdq(a_i, a_j) vanishes, so back-substitution from a
+        roots C minus diagonal (s-1)-sums (`min_count`). None otherwise."""
         key = (d, s)
         if key not in self._verdicts:
             F, k = self.field, self.k
