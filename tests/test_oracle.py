@@ -711,9 +711,9 @@ def test_all_kth_powers_rejects_exponents_below_one(F3, k):
 
 
 class DistinctValueLayers(oracle._SumsetLayers):
-    """Reference: the engine with the diagonal verdict `diagonal_roots`
-    replaced. True when d splits as d_1 + ... + d_s, every d_j in K^n and
-    d_1 pairwise distinct (a matching of the positions into K), since a
+    """Reference: the engine under the distinct-value diagonal verdict,
+    True when d splits as d_1 + ... + d_s, every d_j in K^n and d_1
+    pairwise distinct (a matching of the positions into K), since a
     pairwise distinct diagonal of k-th powers makes a k-th power."""
 
     def _verdict(self, d, s):
