@@ -12,8 +12,8 @@ machinery runs on nonzero, pairwise distinct targets. Small fields can run
 out of solution classes (the theorem only promises q > 4 n^2 k^16); the
 shift is then retried around the shortage, and failing that a per-position
 route picks the lex-least root elements a_i with c_ii - a_i^k a sum of two
-k-th powers and all pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots`,
-which the oracle's diagonal verdict asks too).
+k-th powers and all pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots` on
+the `diagonal_options` lists, which the oracle's diagonal verdict reads).
 
 Structured (constant diagonal): the diagonal coloring and the entry split
 are the first proper 2-colorings of the entry graph and the chain graph.
@@ -37,6 +37,7 @@ from .fields import Element
 from .power_sums import (
     AssignmentEntry,
     classified,
+    diagonal_options,
     diagonal_roots,
     lex_min_solution,
     select_system_pairs,
@@ -189,11 +190,11 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
 
 
 def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
-    """Fallback: A's diagonal roots from `diagonal_roots` with s = 3, so
-    the back-substitution root always exists; the diagonal parts take the
-    lex-min solution (y, z) of y^k + z^k = c_ii - a_i^k."""
+    """Fallback: A's diagonal roots from `diagonal_roots` on the options
+    at s = 3 (`diagonal_options`), so the back-substitution root exists;
+    the diagonal parts take the lex-min (y, z) of y^k + z^k = c_ii - a_i^k."""
     F, d = C.field, C.diagonal()
-    chosen = diagonal_roots(F, d, k, 3)
+    chosen = diagonal_roots(F, diagonal_options(F, d, k, 3), k)
     if chosen is None:
         raise InsufficientClassesError(
             f"no three-power assignment found over F_{F.q} (k={k}); "
@@ -253,7 +254,7 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         raise InsufficientClassesError(
             f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
             f"need 2 for the structured split", lam=lam, found=cl.r, needed=2)
-    (s1, _), (s2, _) = cl._candidates[:2]
+    s1, s2 = [(xs[0], ys[0]) for xs, ys in cl.fibers[:2]]
     sols = {1: s1, 2: s2}
 
     coloring = bipartition(C)

@@ -7,16 +7,15 @@ claims (non-squares, non-conjugacy, the p | k obstruction).
 memoised engine per (F, n, k), and at most LAYER_CACHE_SIZE engines are
 kept. The engine enumerates the power image P^1 once per process, with a
 first root per power, and answers every count by one query, which builds
-no sumset P^2, P^3, ...: the diagonal of C decides most queries by two
-exact facts (the diagonal map is a homomorphism, so a sum of s powers has
-its diagonal entries in W_s, the sums of s k-th powers in F_q, as decided
-by `power_sums.in_power_sums`; roots a_i with c_ii - a_i^k in W_(s-1)
-and every divisor pdq(a_i, a_j) nonzero, from `power_sums.diagonal_roots`,
-make C a sum of s powers, as back-substitution from them roots C minus
-diagonal (s-1)-sums whatever its strict part), and a memoised search of
-C - P over the powers P settles the rest. The image is one packed dict,
-built by a walk over the first-row split A = [[a, b], [0, A']];
-`all_kth_powers` is a fresh UTMatrix view of it.
+no sumset P^2, P^3, ...: `power_sums.diagonal_options` lists per c_ii
+the least roots a with c_ii - a^k in W_(s-1), W_s being the sums of s
+k-th powers in F_q. An empty list puts c_ii outside W_s, which holds the
+diagonal of every sum of s powers, and roots from the lists with every
+divisor pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots`) make C a sum
+of s powers whatever its strict part. Where neither settles a query, a
+memoised search of C - P over the powers P the lists allow does. The
+image is one packed dict, built by a walk over the first-row split
+A = [[a, b], [0, A']]; `all_kth_powers` is a fresh UTMatrix view of it.
 Conjugacy under the invertible-triangular group B_n is decided exactly by
 a search of the kernel of P -> AP - PB, which returns the same witness as
 a scan of B_n in `iter_bn` order. One elimination of the n(n+1)/2
@@ -40,8 +39,8 @@ from .errors import (
     FieldMismatchError,
     SizeMismatchError,
 )
-from .fields import Element, FieldSpec, kth_power_image, minus_one_is_kth_power
-from .power_sums import diagonal_roots, enum_guard, in_power_sums
+from .fields import Element, FieldSpec, minus_one_is_kth_power
+from .power_sums import diagonal_options, diagonal_roots, enum_guard
 from .tri_matrix import (
     UTMatrix,
     _diagonal_at,
@@ -217,11 +216,9 @@ class _SumsetLayers:
         self._table = None  # x - y, indexed [x][y]
         if F.q * F.q <= len(self.roots):
             self._table = _field_tables(F)[1]
-        self._kth = kth_power_image(F, k)  # K
         self._diag_at = _diagonal_at(n)
         # memos keyed by diagonal or matrix, and summand count
-        self._verdicts: dict[tuple[tuple[Element, ...], int], bool | None] = {}
-        self._groups: dict[tuple[tuple[Element, ...], int], tuple] = {}
+        self._diagonals: dict[tuple[tuple[Element, ...], int], tuple] = {}
         self._searched: dict[tuple[tuple[Element, ...], int], bool] = {}
 
     @functools.cached_property
@@ -240,32 +237,23 @@ class _SumsetLayers:
             return [functools.partial(self.field.sub, x) for x in a]
         return [self._table[x].__getitem__ for x in a]
 
-    def _verdict(self, d: tuple[Element, ...], s: int) -> bool | None:
-        """What the diagonal d alone says of "C in P^s?" (memoised).
+    def _diagonal(self, d: tuple[Element, ...], s: int) -> tuple:
+        """`_verdict` and `diagonal_options` of the diagonal d at s."""
+        key = (d, s)
+        if key not in self._diagonals:
+            options = diagonal_options(self.field, d, self.k, s)
+            self._diagonals[key] = (self._verdict(options), options)
+        return self._diagonals[key]
 
-        False when an entry of d is outside W_s: the diagonal map is a
-        homomorphism. True when `diagonal_roots` finds roots a for d at s:
+    def _verdict(self, options) -> bool | None:
+        """What the options of a diagonal d at s say of "C in P^s?".
+        False when a list is empty: d_i is outside W_s, and the diagonal
+        map is a homomorphism. True when `diagonal_roots` finds roots a:
         no divisor pdq(a_i, a_j) vanishes, so back-substitution from a
-        roots C minus diagonal (s-1)-sums (`min_count`). None otherwise."""
-        key = (d, s)
-        if key not in self._verdicts:
-            F, k = self.field, self.k
-            self._verdicts[key] = diagonal_roots(F, d, k, s) is not None or (
-                None if all(map(in_power_sums(F, k, s), d)) else False)
-        return self._verdicts[key]
-
-    def _candidates(self, d: tuple[Element, ...], s: int) -> tuple:
-        """The groups of powers P, by diagonal D, that can leave c - P in
-        P^(s-1) when c has the diagonal d: each D_i in K with d_i - D_i in
-        W_(s-1) (`in_power_sums`; memoised)."""
-        key = (d, s)
-        if key not in self._groups:
-            sub = self.field.sub
-            inside = in_power_sums(self.field, self.k, s - 1)
-            options = [[v for v in self._kth if inside(sub(x, v))] for x in d]
-            self._groups[key] = tuple(
-                self._by_diag[D] for D in itertools.product(*options))
-        return self._groups[key]
+        roots C minus diagonal (s-1)-sums. None otherwise."""
+        if not all(options):
+            return False
+        return diagonal_roots(self.field, options, self.k) is not None or None
 
     def _search(self, c: tuple[Element, ...], s: int) -> bool:
         """Is c in P^s (s >= 2)? Some power P leaves c - P in P^(s-1): a
@@ -276,8 +264,11 @@ class _SumsetLayers:
         if key in self._searched:
             return self._searched[key]
         found = False
-        groups = self._candidates(tuple([c[i] for i in self._diag_at]), s)
-        shifts = self._shifts(c) if groups else ()
+        _, options = self._diagonal(tuple([c[i] for i in self._diag_at]), s)
+        shifts = self._shifts(c)
+        # the powers whose diagonal D has every d_i - D_i in W_(s-1)
+        groups = (self._by_diag[D] for D in itertools.product(
+            *[[v for _, v in opts] for opts in options]))
         for P in itertools.chain.from_iterable(groups):
             rest = tuple([f(y) for f, y in zip(shifts, P)])
             if rest in self.roots if s == 2 else self._search(rest, s - 1):
@@ -289,20 +280,15 @@ class _SumsetLayers:
     def min_count(self, c: tuple[Element, ...], cap: int) -> int | None:
         """`min_waring_number` for the packed entries c.
 
-        P^1 answers by lookup. For r >= 2 the diagonal d comes first
-        (`_verdict`), by two facts. Its entries in a member of P^r lie in
-        W_r. And roots a_i with every d_i - a_i^k in W_(r-1) and every
-        pdq(a_i, a_j) nonzero (`diagonal_roots`) put c in P^r: c minus
-        diagonal powers summing to diag(d_i - a_i^k) has the diagonal
-        (a_i^k), and back-substitution from the a_i roots it, as no
-        divisor vanishes. Only where neither settles it does `_search`
-        run; it never needs the diagonal test again, since roots that
+        P^1 answers by lookup. For r >= 2 the verdict of the diagonal d
+        comes first (`_diagonal`), and only where it is None does
+        `_search` run; it never needs the verdict again, since roots that
         serve a residual's diagonal at r - 1 serve d at r."""
         if c in self.roots:
             return 1
         d = tuple([c[i] for i in self._diag_at])
         for r in range(2, cap + 1):
-            verdict = self._verdict(d, r)
+            verdict, _ = self._diagonal(d, r)
             if verdict or verdict is None and self._search(c, r):
                 return r
         return None

@@ -138,10 +138,21 @@ def in_power_sums(F: FieldSpec, k: int, s: int):
     return lambda v: F.pow(v, order) in classes
 
 
-def diagonal_roots(F: FieldSpec, d, k: int, s: int
+def diagonal_options(F: FieldSpec, d, k: int, s: int
+                     ) -> tuple[tuple[tuple[Element, Element], ...], ...]:
+    """Per d_i, the pairs (a, a^k), a a least root, with d_i - a^k in
+    W_(s-1) (W_0 = {0}), ascending in a: empty exactly when d_i is
+    outside W_s = K + W_(s-1)."""
+    least = [(r[0], v) for v, r in kth_root_map(F, k).items()]  # ascending
+    inside = in_power_sums(F, k, s - 1)
+    return tuple([tuple([(a, v) for a, v in least if inside(F.sub(c, v))])
+                  for c in d])
+
+
+def diagonal_roots(F: FieldSpec, options, k: int
                    ) -> tuple[Element, ...] | None:
-    """The lex-least roots a_i, one per d_i, with every d_i - a_i^k in
-    W_(s-1) and every divisor pdq(a_i, a_j), i < j, nonzero, or None:
+    """The lex-least roots a_i, one from each list of `diagonal_options`
+    for d at s, with every divisor pdq(a_i, a_j), i < j, nonzero, or None:
     `backsub_root` then roots any C with the diagonal d minus diagonal
     (s-1)-sums, so C is a sum of s k-th powers.
 
@@ -150,29 +161,28 @@ def diagonal_roots(F: FieldSpec, d, k: int, s: int
     k a^(k-1) is 0 (0 when k >= 2, every root when p | k). Such once-only
     roots serve one position each: every position takes its least option
     that leaves the later ones a matching into the unused once-only roots."""
-    least = [(r[0], v) for v, r in kth_root_map(F, k).items()]  # ascending
-    inside = in_power_sums(F, k, s - 1)
-    once = {a for a, _ in least if k % F.p == 0 or (a == 0 and k > 1)}
-    options = [[a for a, v in least if inside(F.sub(c, v))] for c in d]
+    # the once-only options: all when p | k, else (0, 0^k) when k >= 2
+    once = (set().union(*options) if k % F.p == 0
+            else {(0, 0)} if k > 1 else set())
     free, chosen = set(once), []
     for i, opts in enumerate(options):
         # a later position with a reusable option never blocks the others
         later = [o for o in options[i + 1:] if set(o) <= once]
-        a = next((a for a in opts if (a not in once or a in free)
-                  and _matchable(later, free - {a})), None)
-        if a is None:
+        pick = next((o for o in opts if (o not in once or o in free)
+                     and _matchable(later, free - {o})), None)
+        if pick is None:
             return None
-        free.discard(a)
-        chosen.append(a)
+        free.discard(pick)
+        chosen.append(pick[0])
     return tuple(chosen)
 
 
 def _matchable(option_lists, free) -> bool:
     """Can each list get its own element of `free`? One augmenting-path
     search per list (Hopcroft & Karp, SIAM J. Comput. 2, 1973)."""
-    owner: dict[Element, int] = {}
+    owner: dict = {}
 
-    def augment(i: int, seen: set[Element]) -> bool:
+    def augment(i: int, seen: set) -> bool:
         for a in option_lists[i]:
             if a in free and a not in seen:
                 seen.add(a)
@@ -268,10 +278,13 @@ def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
 def lex_min_solution(F: FieldSpec, lam: Element, k: int
                      ) -> tuple[Element, Element] | None:
     """The (x, y)-least solution of x^k + y^k = lam, or None when there is
-    none. Each part's least member pairs the least roots of its fibers, and
-    the selection candidates hold those pairs of every class and of U."""
-    return min((xy for xy, _ in classified(F, lam, k)._candidates),
-               default=None)
+    none: x is the root of lam's first option at s = 2
+    (`diagonal_options`), and y the least root of lam - x^k."""
+    if not 0 <= lam < F.q:
+        raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
+    (options,) = diagonal_options(F, (lam,), k, 2)
+    return next(((x, kth_root_map(F, k)[F.sub(lam, v)][0])
+                 for x, v in options), None)
 
 
 def classification_report(F: FieldSpec, lam: Element, k: int) -> dict:

@@ -23,6 +23,7 @@ from triwaring.errors import (
     SizeMismatchError,
     TriwaringError,
 )
+from triwaring import power_sums
 from triwaring.fields import kth_roots, make_field
 from triwaring.oracle import all_kth_powers, iter_matrices, waring_report
 from triwaring.power_sums import (
@@ -181,6 +182,44 @@ def test_decompose_three_sweep_t2():
                 assert decompose_three(C, k).verified
 
 
+def diagonal_outcome(decompose, C, k):
+    """What decompose reads off the diagonal: the assignment rows and the
+    diagonal parts, or the typed error."""
+    try:
+        res = decompose(C, k)
+    except TriwaringError as err:
+        return err.to_json()
+    return [e.as_row() for e in res.assignment], res.parts[1:]
+
+
+def test_decomposers_decide_by_the_diagonal_alone():
+    # the strict part enters only A's back-substitution, whose divisors
+    # the chosen diagonal keeps nonzero, so two matrices with one diagonal
+    # get one assignment and one set of diagonal parts, or one error
+    rng = random.Random(23)
+    cells = [((p, m), n, k) for p, m in [(5, 1), (3, 2), (3, 1), (2, 3)]
+             for n in (2, 3, 4) for k in (2, 3)]
+    cells += [((13, 1), n, 2) for n in (6, 7, 8)]
+    cells += [((31, 1), n, 3) for n in (9, 10, 11)]
+    outcomes = set()
+    for (p, m), n, k in cells:
+        F = make_field(p, m)
+        strict = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for _ in range(10):
+            C = diag(F, [rng.randrange(F.q) for _ in range(n)])
+            twins = []
+            while len(twins) < 2:
+                D = C.with_entries({ij: rng.randrange(F.q) for ij in strict})
+                if D not in twins:
+                    twins.append(D)
+            for decompose in (decompose_two, decompose_three):
+                got, other = (diagonal_outcome(decompose, D, k)
+                              for D in twins)
+                assert got == other, (F.q, k, to_text(twins[0]))
+                outcomes.add(isinstance(got, dict))
+    assert outcomes == {True, False}
+
+
 def test_structured_table_row_123(F13):
     C = presentation_matrix(F13, "123", 3)
     res = decompose_structured(C, 2)
@@ -260,14 +299,20 @@ def two_witness_map(F, k):
     return out
 
 
-def test_lex_min_solution_matches_witness_scan():
-    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)]:
+def test_lex_min_solution_matches_witness_scan(monkeypatch):
+    # in characteristic 2, U spans several fibers at lambda = 0
+    asked = []
+    monkeypatch.setattr(power_sums, "classified", lambda *a: asked.append(a))
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (2, 2), (2, 3),
+                 (2, 4), (3, 3), (5, 2), (13, 2)]:
         F = make_field(p, m)
-        for k in (2, 3, 4):
+        q = F.q
+        for k in sorted({*range(1, 13), q - 1, 2 * (q - 1), q + 1}):
             witness = two_witness_map(F, k)
             for v in F.elements():
                 assert lex_min_solution(F, v, k) == witness.get(v), \
                     (F.q, k, v)
+    assert asked == []  # no classification is built
 
 
 def test_obstruction_7x7(F13):

@@ -17,7 +17,7 @@ from triwaring.errors import (
 )
 from triwaring import oracle
 from triwaring.fields import kth_power_image, make_field
-from triwaring.power_sums import _matchable, in_power_sums
+from triwaring.power_sums import _matchable
 from triwaring.oracle import (
     all_kth_powers,
     bn_conjugate,
@@ -716,15 +716,10 @@ class DistinctValueLayers(oracle._SumsetLayers):
     pairwise distinct (a matching of the positions into K), since a
     pairwise distinct diagonal of k-th powers makes a k-th power."""
 
-    def _verdict(self, d, s):
-        key = (d, s)
-        if key not in self._verdicts:
-            F, inside = self.field, in_power_sums(self.field, self.k, s - 1)
-            options = [[v for v in self._kth if inside(F.sub(x, v))]
-                       for x in d]
-            self._verdicts[key] = all(options) and (
-                _matchable(options, self._kth) or None)
-        return self._verdicts[key]
+    def _verdict(self, options):
+        values = [[v for _, v in opts] for opts in options]
+        return all(values) and (
+            _matchable(values, kth_power_image(self.field, self.k)) or None)
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from triwaring.power_sums import (
     classification_report,
     classified,
     count_zero_sum_classes,
+    diagonal_options,
     diagonal_roots,
     in_power_sums,
     lang_weil_check,
@@ -513,6 +514,25 @@ def test_in_power_sums_matches_brute_force_sumsets(all_fields):
                 sums = {F.add(w, v) for w in sums for v in K}
 
 
+def test_diagonal_options_matches_brute_force(all_fields):
+    # W_0 = {0}, W_s = W_(s-1) + K; each v in K with its least root,
+    # ascending in that root, wherever c - v is in W_(s-1)
+    for F in (F for F in all_fields if F.q <= 9):
+        for k in sorted({1, 2, 3, F.p, F.q - 1}):
+            least = {}  # v -> least root, in ascending order of the root
+            for a in F.elements():
+                least.setdefault(F.pow(a, k), a)
+            sums = {0}
+            for s in (1, 2, 3):
+                got = diagonal_options(F, tuple(F.elements()), k, s)
+                wider = {F.add(w, v) for w in sums for v in least}
+                for c, opts in zip(F.elements(), got):
+                    assert list(opts) == [(a, v) for v, a in least.items()
+                                          if F.sub(c, v) in sums], (F.q, k, s)
+                    assert (not opts) == (c not in wider), (F.q, k, s, c)
+                sums = wider
+
+
 def diagonal_roots_reference(F, d, k, s):
     """Reference: the first tuple, in lex order over all of F^n, with every
     d_i - a_i^k a sum of s - 1 k-th powers and every
@@ -540,7 +560,7 @@ def test_diagonal_roots_matches_brute_force(p, m):
         for s in (2, 3):
             for n in range(4):
                 for d in itertools.product(F.elements(), repeat=n):
-                    got = diagonal_roots(F, d, k, s)
+                    got = diagonal_roots(F, diagonal_options(F, d, k, s), k)
                     assert got == diagonal_roots_reference(F, d, k, s), (
                         F.q, k, s, d)
                     outcomes.add(got is None)
