@@ -131,14 +131,16 @@ def _verified(C: UTMatrix, k: int, parts, entries, plan=None
                                plan=plan)
 
 
-def _assemble(C: UTMatrix, k: int, roots, diag_parts, entries
+def _assemble(C: UTMatrix, k: int, entries, parts: int, plan=None
               ) -> DecompositionResult:
-    """The construction the two- and three-power routes share: A by
-    back-substitution from the diagonal roots `roots` under C's strict
-    upper part, one diagonal part per list in `diag_parts`, verified."""
-    return _verified(C, k, (backsub_root(C, k, roots),
-                            *(diag(C.field, values) for values in diag_parts)),
-                     entries)
+    """The construction every diagonal-part route shares, from the
+    assignment rows `entries`: A by back-substitution from the x column
+    under C's strict upper part, then one diagonal part per further
+    column (y, then z when parts = 3), verified."""
+    rows = [e.as_row() for e in entries]
+    A = backsub_root(C, k, [row[0] for row in rows])
+    return _verified(C, k, (A, *(diag(C.field, [row[c] for row in rows])
+                                 for c in range(1, parts))), entries, plan)
 
 
 def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
@@ -146,9 +148,7 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     diagonal. Selection reads the diagonal as given, so one code path
     covers the single-eigenvalue, all-distinct and mixed cases."""
     check_in_field(C)
-    entries = select_system_pairs(C.field, C.diagonal(), k)
-    return _assemble(C, k, [e.x for e in entries], [[e.y for e in entries]],
-                     entries)
+    return _assemble(C, k, select_system_pairs(C.field, C.diagonal(), k), 2)
 
 
 def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
@@ -181,11 +181,8 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
                 raise
             banned[source[err.lam]].add(err.lam)
             continue
-        entries = [AssignmentEntry(c, e.x, e.y, shifts[c][0])
-                   for c, e in zip(d, pairs)]
-        return _assemble(C, k, [e.x for e in entries],
-                         [[e.y for e in entries], [e.z for e in entries]],
-                         entries)
+        return _assemble(C, k, [AssignmentEntry(c, e.x, e.y, shifts[c][0])
+                                for c, e in zip(d, pairs)], 3)
     raise NoAdmissibleShiftError("shift retries exhausted")  # unreachable
 
 
@@ -199,10 +196,8 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
         raise InsufficientClassesError(
             f"no three-power assignment found over F_{F.q} (k={k}); "
             f"sufficient only for q > 4 n^2 k^16")
-    entries = [AssignmentEntry(c, a, *lex_min_solution(
-        F, F.sub(c, F.pow(a, k)), k)) for c, a in zip(d, chosen)]
-    return _assemble(C, k, chosen, [[e.y for e in entries],
-                                    [e.z for e in entries]], entries)
+    return _assemble(C, k, [AssignmentEntry(c, a, *lex_min_solution(
+        F, F.sub(c, F.pow(a, k)), k)) for c, a in zip(d, chosen)], 3)
 
 
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
@@ -244,10 +239,8 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
             raise InsufficientClassesError(
                 f"x^{k} + y^{k} = {lam} has no solutions over F_{F.q}",
                 lam=lam, found=0, needed=1)
-        x, y = s
-        plan = StructuredPlan((1,) * n, (), (), (s,))
-        return _verified(C, k, (diag(F, [x] * n), diag(F, [y] * n)),
-                         [AssignmentEntry(lam, x, y)] * n, plan)
+        return _assemble(C, k, [AssignmentEntry(lam, *s)] * n, 2,
+                         StructuredPlan((1,) * n, (), (), (s,)))
 
     cl = classified(F, lam, k)
     if cl.r < 2:

@@ -329,27 +329,26 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 def parse_field(text: str) -> FieldSpec:
-    """Field text form: "p", "p^m", or "p^m/c0,c1,...,cm"."""
-    body, _, mod_part = text.partition("/")
-    base, _, exp = body.partition("^")
+    """Field text form: "p", "p^m", or either followed by "/c0,c1,...,cm";
+    a "^" or "/" with nothing after it is refused."""
+    body, slash, mod_part = text.partition("/")
+    base, caret, exp = body.partition("^")
     try:
         p = int(base)
-        m = int(exp) if exp else 1
+        m = int(exp) if caret else 1
+        modulus = tuple(int(c) for c in mod_part.split(",")) if slash else None
     except ValueError:
         raise DegreeMismatchError(f"cannot parse field spec {text!r}") from None
-    modulus = None
-    if mod_part:
-        try:
-            modulus = tuple(int(c) for c in mod_part.split(","))
-        except ValueError:
-            raise DegreeMismatchError(f"cannot parse modulus in {text!r}") from None
     return make_field(p, m, modulus)
 
 
 def field_text(F: FieldSpec) -> str:
-    if F.m == 1:
+    """The text form `parse_field` reads back as F: "p" for F_p under the
+    modulus x, else the modulus written out."""
+    if F.modulus == (0, 1):
         return str(F.p)
-    return f"{F.p}^{F.m}/" + ",".join(str(c) for c in F.modulus)
+    power = f"^{F.m}" if F.m > 1 else ""
+    return f"{F.p}{power}/" + ",".join(str(c) for c in F.modulus)
 
 
 # -- power-map structure --------------------------------------------------

@@ -6,10 +6,10 @@ claims (non-squares, non-conjugacy, the p | k obstruction).
 `min_waring_number`, `waring_report` and `negative_checks` share one
 memoised engine per (F, n, k), and at most LAYER_CACHE_SIZE engines are
 kept. The engine enumerates the power image P^1 once per process, with a
-first root per power, and answers every count by one query, which builds
-no sumset P^2, P^3, ...: `power_sums.diagonal_options` lists per c_ii
-the least roots a with c_ii - a^k in W_(s-1), W_s being the sums of s
-k-th powers in F_q. An empty list puts c_ii outside W_s, which holds the
+first root per power, is its one reader, and answers every count by one
+query, which builds no sumset P^2, P^3, ...: `power_sums.diagonal_options`
+lists per c_ii the least roots a with c_ii - a^k in W_(s-1), W_s being
+the sums of s k-th powers in F_q. An empty list puts c_ii outside W_s, which holds the
 diagonal of every sum of s powers, and roots from the lists with every
 divisor pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots`) make C a sum
 of s powers whatever its strict part. Where neither settles a query, a
@@ -43,9 +43,11 @@ from .fields import Element, FieldSpec, minus_one_is_kth_power
 from .power_sums import diagonal_options, diagonal_roots, enum_guard
 from .tri_matrix import (
     UTMatrix,
+    _chain,
     _diagonal_at,
     _product_terms,
     check_in_field,
+    diag,
     elementary,
     jordan_block,
     junction_matrix,
@@ -139,8 +141,8 @@ def _power_walk(F: FieldSpec, n: int, k: int, add, mul):
 
     The pairs (A', A'^k) come from the same walk one size down, kept as a
     list, and T_1 (or T_0) ends it with F.pow. M = S(k), where
-    S(m) = sum_(j<m) a^(m-1-j) A'^j, by binary splitting:
-    S(2m) = (a^m I + A'^m) S(m) and S(m+1) = a S(m) + A'^m."""
+    S(m) = sum_(j<m) a^(m-1-j) A'^j, by binary splitting along `_chain(k)`
+    from S(1) = I: S(2m) = (a^m I + A'^m) S(m) and S(m+1) = a S(m) + A'^m."""
     if n <= 1:
         for A in itertools.product(F.elements(), repeat=n):
             yield A, tuple([F.pow(a, k) for a in A])
@@ -148,20 +150,21 @@ def _power_walk(F: FieldSpec, n: int, k: int, add, mul):
     m = n - 1
     sub = list(_power_walk(F, m, k, add, mul))
     terms, row_terms = _product_terms(m, m), _product_terms(m, 1)
-    diag = set(_diagonal_at(m))
-    eye = tuple(int(t in diag) for t in range(len(terms)))
-    bits = bin(k)[3:]  # after the leading 1: S(1) = I
+    on_diag = set(_diagonal_at(m))
+    eye = tuple(int(t in on_diag) for t in range(len(terms)))
+    steps = _chain(k)
     for a in F.elements():
         ak, scale = F.pow(a, k), mul[a]
         blocks = []
         for Ap, Apk in sub:
             S, P, am = eye, Ap, a  # S(m), A'^m, a^m for m = 1
-            for bit in bits:
-                shifted = tuple([add[x][am] if t in diag else x
-                                 for t, x in enumerate(P)])
-                S = _combine(shifted, S, terms, add, mul)
-                P, am = _combine(P, P, terms, add, mul), mul[am][am]
-                if bit == "1":
+            for square in steps:
+                if square:
+                    shifted = tuple([add[x][am] if t in on_diag else x
+                                     for t, x in enumerate(P)])
+                    S = _combine(shifted, S, terms, add, mul)
+                    P, am = _combine(P, P, terms, add, mul), mul[am][am]
+                else:
                     S = tuple([add[scale[s]][x] for s, x in zip(S, P)])
                     P, am = _combine(P, Ap, terms, add, mul), mul[am][a]
             blocks.append((Ap, S, Apk))
@@ -203,9 +206,10 @@ class _SumsetLayers:
     P^s = P^(s-1) + P^1.
 
     `roots` maps each power of P^1, as packed entries, to its first root
-    in `_power_image` order. No P^s, s >= 2, is built: `min_count`
-    decides "is C in P^s?" from the diagonal of C, by two exact facts, and
-    by a search of C - P over the powers P only where both are silent.
+    in `_power_image` order, and only the engine reads it. No P^s, s >= 2,
+    is built: `min_count` decides "is C in P^s?" from the diagonal of C,
+    by two exact facts, and by a search of C - P over the powers P only
+    where both are silent; `witness` descends from P^s to P^1.
     Differences go through a q x q table when it costs no more than the
     image it serves (q^2 <= |P^1|), else through F itself: T_1(F_q) has at
     most q elements, so a q^2 table would dwarf it."""
@@ -293,6 +297,22 @@ class _SumsetLayers:
                 return r
         return None
 
+    def witness(self, c: tuple[Element, ...], count: int) -> tuple:
+        """Roots of `count` powers summing to c, c in P^count, descending
+        from P^count to P^1: each the first root, in image order, whose
+        power leaves the rest in P^(s-1) for s = count, ..., 2."""
+        parts = []
+        for s in range(count - 1, 0, -1):
+            shifts = self._shifts(c)
+            for P, A in self.roots.items():
+                rest = tuple([f(y) for f, y in zip(shifts, P)])
+                if self.min_count(rest, s) is not None:
+                    break
+            parts.append(A)
+            c = rest
+        parts.append(self.roots[c])
+        return tuple(parts)
+
 
 _cached_layers = functools.lru_cache(maxsize=LAYER_CACHE_SIZE)(_SumsetLayers)
 
@@ -344,10 +364,8 @@ class WaringReport:
 def waring_report(F: FieldSpec, n: int, k: int, cap: int = 4) -> WaringReport:
     """Min summand count for every matrix in T_n(F_q), each asked of the
     engine's `min_count`, as `min_waring_number` asks it. The witness of a
-    count v is its first matrix in `matrix_encoding` order; its parts
-    descend from P^v to P^1, each step taking the first root whose power
-    leaves the rest in P^(s-1) for s = v, ..., 2. ValueError for n, cap or
-    k below 1."""
+    count v is its first matrix in `matrix_encoding` order, with the parts
+    of the engine's `witness`. ValueError for n, cap or k below 1."""
     if cap < 1 or n < 1:
         raise ValueError(f"n and cap must be >= 1, got n={n}, cap={cap}")
     engine = _power_layers(F, n, k)
@@ -356,17 +374,8 @@ def waring_report(F: FieldSpec, n: int, k: int, cap: int = 4) -> WaringReport:
     for M in sorted(per, key=matrix_encoding):
         v = per[M]
         if v is not None and v not in witnesses:
-            rest, parts = M.entries, []
-            for s in range(v - 1, 0, -1):
-                shifts = engine._shifts(rest)
-                for P, A in engine.roots.items():
-                    S = tuple([f(y) for f, y in zip(shifts, P)])
-                    if engine.min_count(S, s) is not None:
-                        break
-                parts.append(A)
-                rest = S
-            parts.append(engine.roots[rest])
-            witnesses[v] = (M, tuple(UTMatrix(F, n, a) for a in parts))
+            witnesses[v] = (M, tuple(UTMatrix(F, n, a)
+                                     for a in engine.witness(M.entries, v)))
     return WaringReport(F, n, k, cap, per, witnesses)
 
 
@@ -547,13 +556,13 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
 
     if k == 2:
         try:
-            powers = _power_layers(F, 4, k).roots
+            engine = _power_layers(F, 4, k)
         except EnumerationTooLargeError:
             results.append(_too_large("junction_(2,2)_not_square", F, 4))
         else:
             j22 = junction_matrix(F, (2, 2))
             split = elementary(F, 4, 1, 2) + elementary(F, 4, 3, 4)
-            ok = j22.entries not in powers and split.entries not in powers
+            ok = not any(engine.min_count(C.entries, 1) for C in (j22, split))
             results.append(CheckResult(
                 "junction_(2,2)_not_square", True, ok,
                 f"E_23 and E_12+E_34 outside the square image of T_4(F_{F.q})"))
@@ -583,14 +592,14 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
 
     if k % F.p == 0 and k >= 2:
         try:
-            powers2 = _power_layers(F, 2, k).roots
+            engine = _power_layers(F, 2, k)
         except EnumerationTooLargeError:
             results.append(_too_large("scalar_plus_nilpotent_not_power", F, 2))
         else:
-            # packed [[b^k, a], [0, b^k]]
-            ok = not any((bk, alpha, bk) in powers2
-                         for bk in {F.pow(beta, k) for beta in range(1, F.q)}
-                         for alpha in range(1, F.q))
+            ok = not any(engine.min_count(
+                diag(F, [bk, bk]).with_entry(1, 2, alpha).entries, 1)
+                for bk in {F.pow(beta, k) for beta in range(1, F.q)}
+                for alpha in range(1, F.q))
             results.append(CheckResult(
                 "scalar_plus_nilpotent_not_power", True, ok,
                 f"[[b^k, a],[0, b^k]] with a, b nonzero "

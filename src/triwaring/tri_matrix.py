@@ -206,23 +206,25 @@ def mat_mul(A: UTMatrix, B: UTMatrix) -> UTMatrix:
                     _packed_mul(A.field, A.n, A.entries, B.entries))
 
 
+def _chain(k: int) -> list[bool]:
+    """The square-and-multiply chain from A to A^k, k >= 1: per bit of k
+    after the leading one, a square (True), then a product with A (False)
+    where the bit is 1."""
+    return [step for bit in bin(k)[3:]
+            for step in ((True, False) if bit == "1" else (True,))]
+
+
 def mat_pow(A: UTMatrix, k: int) -> UTMatrix:
-    """A^k by square-and-multiply on packed entries; one UTMatrix is
+    """A^k by walking `_chain(k)` on packed entries; one UTMatrix is
     built, at the end."""
     if k < 0:
         raise ValueError("negative powers not supported; use mat_inv")
     if k == 0:
         return identity(A.field, A.n)
-    F, n = A.field, A.n
-    square, result = A.entries, None
-    while True:
-        if k & 1:
-            result = (square if result is None
-                      else _packed_mul(F, n, result, square))
-        k >>= 1
-        if not k:
-            return UTMatrix(F, n, result)
-        square = _packed_mul(F, n, square, square)
+    F, n, M = A.field, A.n, A.entries
+    for square in _chain(k):
+        M = _packed_mul(F, n, M, M if square else A.entries)
+    return UTMatrix(F, n, M)
 
 
 def mat_inv(A: UTMatrix) -> UTMatrix:
@@ -243,8 +245,8 @@ def mat_inv(A: UTMatrix) -> UTMatrix:
 
 def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
     """A with A^k = C above the diagonal, by one walk of the
-    square-and-multiply chain A = M_0, M_1, ..., M_T = A^k, in which each
-    M_t is M_(t-1) squared or M_(t-1) A.
+    square-and-multiply chain A = M_0, M_1, ..., M_T = A^k (`_chain`), in
+    which each M_t is M_(t-1) squared or M_(t-1) A.
 
     The diagonals come first. Then, superdiagonal by superdiagonal, each
     chain matrix's (r,s) entry is carried as base_t + coef_t a_rs, since
@@ -285,11 +287,7 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
         raise SizeMismatchError(f"{len(roots)} diagonal roots for size {n}")
     add, mul = F.add, F.mul
     starts = _diagonal_at(n)
-    steps = []  # True squares M_(t-1), False multiplies it by A
-    for bit in bin(k)[3:]:
-        steps.append(True)
-        if bit == "1":
-            steps.append(False)
+    steps = _chain(k)  # True squares M_(t-1), False multiplies it by A
     A = [0] * (n * (n + 1) // 2)
     for o, v in zip(starts, roots):
         A[o] = v

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from triwaring.canonical import (
+    ConjugationWitness,
     annihilate_entry,
     bipartition,
     diagonalize_distinct,
@@ -61,6 +62,9 @@ def test_annihilate_example(F7):
     assert after == diag(F7, [1, 2])
     assert w.S == identity(F7, 2).with_entry(1, 2, 1)
     assert w.verify()
+    # a singular S conjugates nothing, though D S = S D here
+    D = diag(F7, [1, 2])
+    assert not ConjugationWitness(diag(F7, [1, 0]), D, D).verify()
 
 
 def test_annihilate_noop_when_zero(F7):
@@ -82,6 +86,8 @@ def test_witness_serialization(F7):
 def test_annihilate_equal_diagonal(F7):
     with pytest.raises(EqualDiagonalError):
         annihilate_entry(diag(F7, [1, 1]).with_entry(1, 2, 1), 1, 2)
+    with pytest.raises(EqualDiagonalError, match="need 1 <= l < r <= n"):
+        annihilate_entry(diag(F7, [1, 2]), 2, 1)
 
 
 def test_annihilate_preserves_earlier_entries(F13):
@@ -171,6 +177,14 @@ def test_parse_errors():
         parse_presentation("12|3:31", 3)  # arc not strictly upper
     with pytest.raises(ParseError):
         parse_presentation("", 2)
+    with pytest.raises(ParseError, match="empty block or arc"):
+        parse_presentation("1||2", 2)
+    with pytest.raises(ParseError, match="bad label in '1,x'"):
+        parse_presentation("1,x|2,3,4,5,6,7,8,9,10", 10)
+    with pytest.raises(ParseError, match="block minima not ascending"):
+        parse_presentation("3|12", 3)
+    with pytest.raises(ParseError, match="arc '123' is not a pair"):
+        parse_presentation("12|3:123", 3)
 
 
 def test_parse_comma_labels_for_large_n(F13):

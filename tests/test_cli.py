@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -289,9 +290,22 @@ def run_alone(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def run_as_module(*argv):
+    """The same call through the `python -m triwaring.cli` entry point, in
+    this process: its exit code."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "argv", ["triwaring", *argv])
+        # runpy warns when the module it runs is already imported
+        mp.delitem(sys.modules, "triwaring.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("triwaring.cli", run_name="__main__")
+    return exc.value.code
+
+
 def test_calls_in_one_process_match_calls_alone(capsys):
     # the parser is built once per process: no state may leak from one
-    # call into the next, and the --matrix append lists must not pile up
+    # call into the next, and the --matrix append lists must not pile up;
+    # the module entry point run here exits as the fresh interpreter does
     calls = [
         ["oracle", "--q", "3", "--k", "2", "--n", "0"],
         ["decompose", "--q", "13", "--k", "2", "--matrix", "0,1;0",
@@ -305,7 +319,9 @@ def test_calls_in_one_process_match_calls_alone(capsys):
         except SystemExit as exc:
             code = exc.code
         out = capsys.readouterr()
-        assert (code, out.out, out.err) == run_alone(*argv), argv
+        alone = run_alone(*argv)
+        assert (code, out.out, out.err) == alone, argv
+        assert (run_as_module(*argv), *capsys.readouterr()) == alone, argv
 
 
 def test_conjugate_size_mismatch_is_typed(capsys):

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -35,6 +37,7 @@ from triwaring.fields import (
     minus_one_is_kth_power,
     parse_field,
 )
+from triwaring.cli import main
 from tests.conftest import PRIME_POWERS_49
 
 
@@ -67,6 +70,8 @@ def test_make_field_rejects_reducible_modulus():
 def test_make_field_rejects_bad_shapes():
     with pytest.raises(DegreeMismatchError):
         make_field(3, 2, (1, 1))
+    with pytest.raises(DegreeMismatchError, match="must be >= 1, got 0"):
+        make_field(3, 0)
     with pytest.raises(DegreeMismatchError):
         make_field(3, 2, (1, 0, 2))  # not monic
     with pytest.raises(DegreeMismatchError):
@@ -104,6 +109,8 @@ def test_pow_examples(F7, F13):
         for a in F.elements():
             assert F.pow(a, 1) == a
     assert F7.pow(0, 0) == 1
+    with pytest.raises(ValueError, match="negative exponent"):
+        F7.pow(3, -1)
 
 
 def test_field_axioms_exhaustive(all_fields):
@@ -400,13 +407,39 @@ def test_minus_one_literal_in_char_two():
     assert minus_one_is_kth_power(F4, 3) is True
 
 
-def test_field_text_round_trip(all_fields):
-    for F in all_fields:
-        assert parse_field(field_text(F)) == F
+def test_field_text_round_trip():
+    # every field with q <= 49 under every modulus: the monic
+    # irreducibles of degree m, linear ones included
+    count = 0
+    for p, m in PRIME_POWERS_49:
+        for low in itertools.product(range(p), repeat=m):
+            if m > 1 and not _is_irreducible(low + (1,), p):
+                continue
+            F = make_field(p, m, low + (1,))
+            assert parse_field(field_text(F)) == F, (p, m, low)
+            assert repr(F) == f"FieldSpec({field_text(F)!r})"
+            count += 1
+    assert count == 328 + 35 + 10 + 3  # moduli of degree 1, 2, 3, 4
     assert field_text(make_field(7)) == "7"
     assert field_text(make_field(3, 2)) == "3^2/1,0,1"
+    # a prime field under a modulus other than x writes it out
+    for text in ("3/1,1", "3/2,1", "13/5,1"):
+        assert field_text(parse_field(text)) == text
+        assert parse_field(text) != parse_field(text.split("/")[0])
     assert parse_field("13").q == 13
     assert parse_field("3^2").q == 9
+    assert parse_field("3/0,1") == make_field(3)
+
+
+@pytest.mark.parametrize("text", ["3^", "3/", "3^2/", "3^/0,1", "3^2/1,x",
+                                  "x"])
+def test_malformed_field_spec_is_refused(capsys, text):
+    with pytest.raises(DegreeMismatchError, match="cannot parse field spec"):
+        parse_field(text)
+    assert main(["field", "--q", text, "--json"]) == 1
+    failure = json.loads(capsys.readouterr().out)["failure"]
+    assert failure == {"type": "DegreeMismatchError",
+                       "message": f"cannot parse field spec {text!r}"}
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -438,6 +439,16 @@ def test_negative_checks_f7_k2(F7):
     assert not results["junction_(2,2)_not_square"].applicable
 
 
+def test_negative_checks_match_recorded_results():
+    # the results on F_2, F_3 and F_4 for k = 1..6, as JSON, recorded
+    # while checks (a) and (c) still tested membership in the image dict
+    results = [[r.to_json() for r in negative_checks(make_field(p, m), k)]
+               for p, m in [(2, 1), (3, 1), (2, 2)] for k in range(1, 7)]
+    assert {r["applicable"] for rs in results for r in rs} == {True, False}
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == (
+        "2217e99ccd23aac908250d9dd25285fc5a9f6172ec7062385072b5d0c87aabec")
+
+
 def test_negative_checks_report_the_count_found(F7, monkeypatch):
     monkeypatch.setattr(oracle, "min_waring_number", lambda *a, **kw: 2)
     jordan = {r.name: r for r in negative_checks(F7, 2)}[
@@ -522,6 +533,20 @@ def assert_witnesses_valid(rep):
         assert total == M
 
 
+def witness_parts_reference(F, k, roots, M, count):
+    """Reference: the witness descent waring_report once ran inline, on
+    the public image and counts: per s = count, ..., 2 the first root, in
+    image order, whose power leaves the rest a sum of s - 1 powers."""
+    parts = []
+    for s in range(count - 1, 0, -1):
+        for P, A in roots.items():
+            if min_waring_number(F, M - P, k, s) is not None:
+                break
+        parts.append(A)
+        M = M - P
+    return (*parts, roots[M])
+
+
 REPORT_CORPUS = ([(p, m, n, k) for p, m, n in [
     (3, 1, 1), (5, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
     (7, 1, 2), (2, 1, 3)] for k in (1, 2, 3, 4)] + [(3, 2, 2, 2), (3, 1, 3, 2)])
@@ -545,6 +570,9 @@ def test_report_matches_reference(p, m, n, k):
                 v: M for v, (M, _) in want.witnesses.items()}
             assert_witnesses_valid(got)
         assert cold.witnesses == warm.witnesses  # parts are deterministic
+        roots = all_kth_powers(F, n, k)
+        for v, (M, parts) in cold.witnesses.items():
+            assert parts == witness_parts_reference(F, k, roots, M, v), cap
 
 
 def test_report_matches_recorded_facts():

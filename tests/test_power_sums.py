@@ -47,6 +47,8 @@ def test_quotient_examples(F7, F13):
     assert power_diff_quotient(F13, 1, 5, 2) == 6
     # degree 0 for k = 1
     assert power_diff_quotient(F7, 4, 6, 1) == 1
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        power_diff_quotient(F7, 1, 2, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -467,6 +469,8 @@ def test_lang_weil_rejects_m_below_one(F7):
     for m in (0, -1):
         with pytest.raises(ValueError, match="m must be >= 1"):
             lang_weil_check(F7, 2, m, [])
+    with pytest.raises(ValueError, match="need 2 coefficients, got 1"):
+        lang_weil_check(F7, 2, 2, [1])
 
 
 def test_lang_weil_matches_raw_scan():

@@ -39,6 +39,23 @@ def test_typed_failures_are_counted_not_raised():
     assert out.endswith("\n25 rows, 25 failures\n")
 
 
+def test_survey_output_is_pinned():
+    # recorded while every matrix ran both decomposers; the survey now
+    # runs each once per diagonal
+    code, out, err = run_script("waring_survey.py", "--q", "3", "--n", "3",
+                                "--k", "2", "3")
+    assert (code, err) == (0, "")
+    assert out == (
+        "q=3   n=3 k=2: histogram {'1': 138, '2': 495, '3': 96}  "
+        "two-power algorithm 0/729 (misses 633 the oracle puts at <= 2), "
+        "three-power 729/729 (misses 0 the oracle puts at <= 3), "
+        "oracle disagreements 0\n"
+        "q=3   n=3 k=3: histogram {'1': 327, '2': 402}  "
+        "two-power algorithm 243/729 (misses 486 the oracle puts at <= 2), "
+        "three-power 729/729 (misses 0 the oracle puts at <= 3), "
+        "oracle disagreements 0\n")
+
+
 def test_even_characteristic_survey_runs():
     code, out, err = run_script("waring_survey.py", "--q", "2", "--n", "2",
                                 "--k", "3")

@@ -25,8 +25,10 @@ from triwaring.fields import (
 )
 from triwaring.oracle import all_kth_powers
 from triwaring.power_sums import power_diff_quotient
+from triwaring import tri_matrix
 from triwaring.tri_matrix import (
     UTMatrix,
+    _chain,
     _diagonal_at,
     backsub_root,
     diag,
@@ -74,6 +76,52 @@ def test_mat_pow_examples(F7, F13):
     assert mat_pow(A, 2) == from_rows(F7, [[1, 1], [0, 4]])
     B = from_rows(F13, [[1, 11], [0, 5]])
     assert mat_pow(B, 2) == from_rows(F13, [[1, 1], [0, 12]])
+    with pytest.raises(ValueError, match="negative powers"):
+        mat_pow(A, -1)
+
+
+def mat_pow_reference(A, k):
+    """Reference: A^k by the right-to-left square-and-multiply loop."""
+    if k == 0:
+        return identity(A.field, A.n)
+    square, result = A, None
+    while True:
+        if k & 1:
+            result = square if result is None else mat_mul(result, square)
+        k >>= 1
+        if not k:
+            return result
+        square = mat_mul(square, square)
+
+
+def test_mat_pow_matches_right_to_left_reference(monkeypatch):
+    # the chain builds k from 1 by doubling and adding one, bit by bit
+    for k in range(1, 300):
+        e = 1
+        for square in _chain(k):
+            e = 2 * e if square else e + 1
+        assert e == k
+    products = [0]
+    packed_mul = tri_matrix._packed_mul
+
+    def counted(*args):
+        products[0] += 1
+        return packed_mul(*args)
+
+    monkeypatch.setattr(tri_matrix, "_packed_mul", counted)
+    rng = random.Random(24)
+    for spec in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (13, 1), (31, 1)]:
+        F = make_field(*spec)
+        for n in range(7):
+            A = rand_matrix(rng, F, n)
+            for k in sorted({*range(41), F.q - 1, F.q, F.q + 1}):
+                counts = []
+                for power in (mat_pow, mat_pow_reference):
+                    products[0] = 0
+                    counts.append((power(A, k), products[0]))
+                # one value, and as many products in either order
+                assert counts[0] == counts[1], (F.q, n, k, to_text(A))
 
 
 def test_mat_pow_diagonal_is_entrywise(F13):
@@ -122,6 +170,8 @@ def test_backsub_root_given_roots(F7):
     for roots in ([1], [1, 1, 1]):
         with pytest.raises(SizeMismatchError):
             backsub_root(C, 2, roots)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        backsub_root(C, 0, [1, 1])
 
 
 def test_backsub_root_default_repeated_diagonal(all_fields):
@@ -537,5 +587,7 @@ def test_packing_and_get(F7):
         M.get(0, 1)
     with pytest.raises(SizeMismatchError):
         UTMatrix(F7, 2, (1, 2))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(SizeMismatchError, match="below the diagonal"):
         from_rows(F7, [[1, 2], [3, 4]])
+    with pytest.raises(SizeMismatchError, match="ragged rows"):
+        from_rows(F7, [[1, 2], [4]])
