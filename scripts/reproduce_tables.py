@@ -22,6 +22,11 @@ from triwaring.errors import TriwaringError
 from triwaring.fields import parse_field
 from triwaring.tri_matrix import to_text
 
+# The catalogue of indecomposable presentations for sizes 3..6, which the
+# regression suite reads too. Two raw rows were normalized to the canonical grammar
+# ("1236|245" duplicates vertex 2 and means "1236|45:34"; "1234|56:34"
+# repeats a block arc and means "1234|56:35"), and one duplicate row is
+# listed once.
 ROWS = [
     ("123", 3), ("1234", 4), ("12|34:13", 4),
     ("12345", 5), ("12|345:13", 5), ("123|45:24", 5), ("145|23:24", 5),

@@ -20,6 +20,7 @@ from .errors import (
     LabelOutOfRangeError,
     NotNilpotentError,
     ParseError,
+    RootMismatchError,
 )
 from .fields import FieldSpec
 from .tri_matrix import UTMatrix, identity, mat_mul, to_text, zero
@@ -84,7 +85,8 @@ def diagonalize_distinct(A: UTMatrix) -> tuple[UTMatrix, ConjugationWitness]:
             current, w = annihilate_entry(current, l, r)
             S_total = mat_mul(S_total, w.S)
     witness = ConjugationWitness(S_total, A, current)
-    assert witness.verify()
+    if not witness.verify():
+        raise RootMismatchError("diagonalization failed verification")
     return current, witness
 
 

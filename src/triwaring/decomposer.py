@@ -32,6 +32,7 @@ from .errors import (
     InsufficientClassesError,
     NoAdmissibleShiftError,
     PreconditionViolatedError,
+    RootMismatchError,
 )
 from .fields import Element
 from .power_sums import (
@@ -125,10 +126,9 @@ def _verified(C: UTMatrix, k: int, parts, entries, plan=None
     """Every construction's last step: the sum of the parts' k-th powers
     checked against C, then the result recording `entries` as its
     assignment."""
-    verified = verify_decomposition(C, parts, k)
-    assert verified, f"{len(parts)}-power construction failed verification"
-    return DecompositionResult(parts, k, C, tuple(entries), verified,
-                               plan=plan)
+    if not verify_decomposition(C, parts, k):
+        raise RootMismatchError(f"{len(parts)}-power sum failed verification")
+    return DecompositionResult(parts, k, C, tuple(entries), True, plan=plan)
 
 
 def _assemble(C: UTMatrix, k: int, entries, parts: int, plan=None
@@ -187,9 +187,9 @@ def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
 
 
 def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
-    """Fallback: A's diagonal roots from `diagonal_roots` on the options
-    at s = 3 (`diagonal_options`), so the back-substitution root exists;
-    the diagonal parts take the lex-min (y, z) of y^k + z^k = c_ii - a_i^k."""
+    """Fallback: A's diagonal options (a_i, a_i^k) by `diagonal_roots` at
+    s = 3 (`diagonal_options`), so the back-substitution root exists; the
+    diagonal parts take the lex-min (y, z) of y^k + z^k = c_ii - a_i^k."""
     F, d = C.field, C.diagonal()
     chosen = diagonal_roots(F, diagonal_options(F, d, k, 3), k)
     if chosen is None:
@@ -197,7 +197,7 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
             f"no three-power assignment found over F_{F.q} (k={k}); "
             f"sufficient only for q > 4 n^2 k^16")
     return _assemble(C, k, [AssignmentEntry(c, a, *lex_min_solution(
-        F, F.sub(c, F.pow(a, k)), k)) for c, a in zip(d, chosen)], 3)
+        F, F.sub(c, v), k)) for c, (a, v) in zip(d, chosen)], 3)
 
 
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:

@@ -34,18 +34,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    EnumerationTooLargeError,
-    FieldMismatchError,
-    SizeMismatchError,
-)
-from .fields import Element, FieldSpec, minus_one_is_kth_power
+from .errors import EnumerationTooLargeError, FieldMismatchError
+from .fields import Element, FieldSpec, kth_root_map, minus_one_is_kth_power
 from .power_sums import diagonal_options, diagonal_roots, enum_guard
 from .tri_matrix import (
     UTMatrix,
     _chain,
     _diagonal_at,
     _product_terms,
+    check_compatible,
     check_in_field,
     diag,
     elementary,
@@ -474,10 +471,7 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     enum_guard(bn_size(F, A.n), BN_GUARD)
     if A.field != F:
         raise FieldMismatchError("matrices live over different fields")
-    if B.n != A.n:
-        raise SizeMismatchError(f"sizes {A.n} and {B.n} differ")
-    if B.field != F:
-        raise FieldMismatchError("matrices live over different fields")
+    check_compatible(A, B)
     n, ae, be = A.n, A.entries, B.entries
     if n <= 1:
         return UTMatrix(F, n, (1,) * n) if ae == be else None
@@ -598,7 +592,7 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
         else:
             ok = not any(engine.min_count(
                 diag(F, [bk, bk]).with_entry(1, 2, alpha).entries, 1)
-                for bk in {F.pow(beta, k) for beta in range(1, F.q)}
+                for bk in kth_root_map(F, k) if bk
                 for alpha in range(1, F.q))
             results.append(CheckResult(
                 "scalar_plus_nilpotent_not_power", True, ok,

@@ -150,11 +150,11 @@ def diagonal_options(F: FieldSpec, d, k: int, s: int
 
 
 def diagonal_roots(F: FieldSpec, options, k: int
-                   ) -> tuple[Element, ...] | None:
-    """The lex-least roots a_i, one from each list of `diagonal_options`
-    for d at s, with every divisor pdq(a_i, a_j), i < j, nonzero, or None:
-    `backsub_root` then roots any C with the diagonal d minus diagonal
-    (s-1)-sums, so C is a sum of s k-th powers.
+                   ) -> tuple[tuple[Element, Element], ...] | None:
+    """The options (a_i, a_i^k), one from each list of `diagonal_options`
+    for d at s, lex-least in the roots a_i with every pdq(a_i, a_j), i < j,
+    nonzero, or None: `backsub_root` then roots any C with the diagonal d
+    minus diagonal (s-1)-sums, so C is a sum of s k-th powers.
 
     Least roots suffice: two distinct ones have distinct powers, so pdq
     vanishes only on a root shared by two positions whose pdq(a, a) =
@@ -173,7 +173,7 @@ def diagonal_roots(F: FieldSpec, options, k: int
         if pick is None:
             return None
         free.discard(pick)
-        chosen.append(pick[0])
+        chosen.append(pick)
     return tuple(chosen)
 
 
@@ -238,7 +238,7 @@ def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
     zeros = []
     violations = []
     checked = 0
-    pow_map = {a: F.pow(a, k) for a in F.elements()}
+    pow_map = {a: v for v, roots in kth_root_map(F, k).items() for a in roots}
     for a in F.elements():
         for b in F.elements():
             if a == 0 and b == 0:
@@ -384,13 +384,15 @@ def select_system_pairs(F: FieldSpec, targets, k: int
 def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,
                           forbidden=frozenset()) -> tuple[Element, Element]:
     """Pick z so that lam' = lam - z^k is nonzero and outside `forbidden`,
-    reducing a three-power target to a two-power one. z scans encodings
-    upward, so z = 0 wins whenever lam itself is admissible."""
+    reducing a three-power target to a two-power one. z is the least root
+    of the first admissible value in the root map's least-root order (the
+    least admissible z), so z = 0 wins whenever lam itself is admissible;
+    k < 1 raises ValueError."""
     forbidden = frozenset(forbidden)
-    for z in F.elements():
-        shifted = F.sub(lam, F.pow(z, k))
+    for v, roots in kth_root_map(F, k).items():
+        shifted = F.sub(lam, v)
         if shifted != 0 and shifted not in forbidden:
-            return z, shifted
+            return roots[0], shifted
     raise NoAdmissibleShiftError(
         f"no shift keeps {lam} - z^{k} nonzero and outside "
         f"{sorted(forbidden)} over F_{F.q}")
@@ -415,7 +417,8 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     F_q^m, compared against |N - q^(m-1)| <= k^(2m) sqrt(q^(m-1)).
 
     The count folds the per-variable value histograms together, which is
-    the exhaustive scan reorganized (identical N, m*q^2 work).
+    the exhaustive scan reorganized (identical N, m*q^2 work), each a * v
+    counted |fiber(v)| times. k < 1 raises ValueError (kth_root_map).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -431,11 +434,11 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     hist = [1] + [0] * (F.q - 1)  # the empty sum is 0
     for a in alphas:
         nxt = [0] * F.q
-        counts = collections.Counter(F.mul(a, F.pow(x, k))
-                                     for x in F.elements())
+        counts = [(F.mul(a, v), len(roots))
+                  for v, roots in kth_root_map(F, k).items()]
         for acc_v, acc_c in enumerate(hist):
             if acc_c:
-                for v, c in counts.items():
+                for v, c in counts:
                     nxt[F.add(acc_v, v)] += acc_c * c
         hist = nxt
     N = hist[1]

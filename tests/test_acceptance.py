@@ -54,7 +54,7 @@ from triwaring.tri_matrix import (
     zero,
 )
 from tests.conftest import ODD_PRIME_POWERS_49
-from tests.test_canonical import TABLE_ROWS
+from scripts.reproduce_tables import ROWS
 
 ODD_FIELDS_49 = [make_field(p, m) for (p, m) in ODD_PRIME_POWERS_49]
 
@@ -222,7 +222,7 @@ def test_criterion_09_table_regression():
     t0 = time.perf_counter()
     F13 = make_field(13)
     rows = 0
-    for row, n in TABLE_ROWS:
+    for row, n in ROWS:
         pres = parse_presentation(row, n)
         C = pres.matrix(F13)
         assert is_indecomposable(C), row

@@ -19,41 +19,11 @@ from triwaring.errors import (
     LabelOutOfRangeError,
     NotNilpotentError,
     ParseError,
+    RootMismatchError,
 )
 from triwaring.tri_matrix import diag, elementary, from_rows, identity, zero
 
-# The catalogue of indecomposable presentations for sizes 3..6 used by the
-# regression suite. Two raw rows were normalized to the canonical grammar
-# ("1236|245" duplicates vertex 2 and means "1236|45:34"; "1234|56:34"
-# repeats a block arc and means "1234|56:35"), and one duplicate row is
-# listed once.
-TABLE_ROWS = [
-    ("123", 3),
-    ("1234", 4),
-    ("12|34:13", 4),
-    ("12345", 5),
-    ("12|345:13", 5),
-    ("123|45:24", 5),
-    ("145|23:24", 5),
-    ("125|34:13", 5),
-    ("123456", 6),
-    ("12|3456:13", 6),
-    ("123|456:14", 6),
-    ("1456|23:24", 6),
-    ("123|456:24", 6),
-    ("124|356:13", 6),
-    ("14|23|56:15|25", 6),
-    ("1256|34:13", 6),
-    ("12|34|56:13|35", 6),
-    ("134|256:35", 6),
-    ("156|234:35", 6),
-    ("1234|56:35", 6),
-    ("12|36|45:13|14", 6),
-    ("145|236:24", 6),
-    ("1236|45:34", 6),
-    ("126|345:13", 6),
-    ("1256|34:13|35", 6),
-]
+from scripts.reproduce_tables import ROWS
 
 
 def test_annihilate_example(F7):
@@ -142,6 +112,13 @@ def test_diagonalize_rejects_repeats(F7):
         diagonalize_distinct(diag(F7, [1, 1, 2]))
 
 
+def test_diagonalize_raises_on_a_failed_check(F7, monkeypatch):
+    # a raise, not an assert, so python -O cannot strip it
+    monkeypatch.setattr(ConjugationWitness, "verify", lambda self: False)
+    with pytest.raises(RootMismatchError):
+        diagonalize_distinct(from_rows(F7, [[1, 1], [0, 2]]))
+
+
 def test_diagonalize_extension_field(F9):
     M = from_rows(F9, [[0, 3, 7], [0, 4, 1], [0, 0, 8]])
     D, w = diagonalize_distinct(M)
@@ -195,7 +172,7 @@ def test_parse_comma_labels_for_large_n(F13):
 
 
 def test_render_round_trip_on_all_table_rows():
-    for row, n in TABLE_ROWS:
+    for row, n in ROWS:
         assert render_presentation(parse_presentation(row, n)) == row
 
 
@@ -208,7 +185,7 @@ def test_indecomposable_examples(F13):
 
 
 def test_all_table_rows_connected(F13):
-    for row, n in TABLE_ROWS:
+    for row, n in ROWS:
         assert is_indecomposable(presentation_matrix(F13, row, n)), row
 
 

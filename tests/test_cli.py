@@ -99,6 +99,17 @@ def test_decompose_failure_exit_code(capsys):
     assert payload["parts"] == []
 
 
+def test_decompose_failed_verification_exits_1(capsys, monkeypatch):
+    # the post-construction check raises, so python -O cannot strip it
+    monkeypatch.setattr("triwaring.decomposer.verify_decomposition",
+                        lambda *a: False)
+    code, payload = run_json(capsys, "decompose", "--q", "13", "--k", "2",
+                             "--matrix", "0,1;0", "--parts", "2", "--json")
+    assert code == 1
+    assert payload["verified"] is False
+    assert payload["failure"]["type"] == "RootMismatchError"
+
+
 def test_decompose_failure_text_goes_to_stderr(capsys):
     code, out, err = run(capsys, "decompose", "--q", "7", "--k", "2",
                          "--matrix", "0,1;0", "--parts", "2")

@@ -20,10 +20,11 @@ from triwaring.errors import (
     FieldMismatchError,
     InsufficientClassesError,
     PreconditionViolatedError,
+    RootMismatchError,
     SizeMismatchError,
     TriwaringError,
 )
-from triwaring import power_sums
+from triwaring import decomposer, power_sums
 from triwaring.fields import kth_roots, make_field
 from triwaring.oracle import all_kth_powers, iter_matrices, waring_report
 from triwaring.power_sums import (
@@ -327,8 +328,8 @@ def test_obstruction_7x7(F13):
 
 
 def test_structured_diagonal_patterns_match_bipartition(F13):
-    from tests.test_canonical import TABLE_ROWS
-    for row, n in TABLE_ROWS:
+    from scripts.reproduce_tables import ROWS
+    for row, n in ROWS:
         C = presentation_matrix(F13, row, n)
         expected = bipartition(C)
         for k in (2, 3):
@@ -360,6 +361,13 @@ def test_verify_decomposition_fails_closed(F7, F13):
         verify_decomposition(C, [*parts, zero(F7, 3)], 2)
     with pytest.raises(SizeMismatchError):
         verify_decomposition(C, [zero(F7, 2)], 2)
+
+
+def test_failed_verification_raises(F13, monkeypatch):
+    # a raise, not an assert, so python -O cannot strip it
+    monkeypatch.setattr(decomposer, "verify_decomposition", lambda *a: False)
+    with pytest.raises(RootMismatchError, match="2-power sum failed"):
+        decompose_two(from_text(F13, "0,1;0"), 2)
 
 
 def test_result_json_shape(F13):

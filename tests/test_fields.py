@@ -56,8 +56,9 @@ def test_make_field_extension_default_modulus():
 
 
 def test_make_field_rejects_composite_characteristic():
-    with pytest.raises(NotPrimeError):
-        make_field(4)
+    for p in (4, 1, 0):
+        with pytest.raises(NotPrimeError):
+            make_field(p)
 
 
 def test_make_field_rejects_reducible_modulus():

@@ -32,6 +32,7 @@ from triwaring.oracle import (
 )
 from triwaring.tri_matrix import (
     UTMatrix,
+    _packed_mul,
     diag,
     elementary,
     from_rows,
@@ -195,9 +196,12 @@ def test_bn_guard(F13):
 
 
 def scan_bn(F, A, B):
-    """Reference: the first P of iter_bn with A P = P B, by brute force."""
-    for P in iter_bn(F, A.n):
-        if mat_mul(A, P) == mat_mul(P, B):
+    """Reference: the first P of iter_bn with A P = P B, by brute force
+    over the packed products."""
+    n, ae, be = A.n, A.entries, B.entries
+    for P in iter_bn(F, n):
+        pe = P.entries
+        if _packed_mul(F, n, ae, pe) == _packed_mul(F, n, pe, be):
             return P
     return None
 
@@ -233,8 +237,8 @@ def random_pairs(F, n, rng, count):
                           random_matrix(F, n, rng, d)))
 
 
-# T_3(F_9) is left out: B_3(F_9) has 373,248 elements, and scanning all of
-# them for one pair that is not conjugate takes about 10 s
+# T_3(F_7) and T_3(F_8) take 6 pairs each (test_..._t3_wide). T_3(F_9) is
+# left out: B_3(F_9) has 373,248 elements, and 6 pairs take about 3.4 s
 @pytest.mark.parametrize("n,p,m", [
     (n, p, m) for n in (2, 3) for p, m in [(2, 1), (3, 1), (2, 2), (5, 1)]
 ] + [(2, 3, 2)])
@@ -243,6 +247,18 @@ def test_bn_conjugate_matches_scan(n, p, m):
     rng = random.Random(f"bn/{p}^{m}/{n}")
     outcomes = set()
     for A, B in random_pairs(F, n, rng, 24):
+        w = scan_bn(F, A, B)
+        assert bn_conjugate(F, A, B) == w
+        outcomes.add(w is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3)])
+def test_bn_conjugate_matches_scan_t3_wide(p, m):
+    F = make_field(p, m)
+    rng = random.Random(f"bn/{p}^{m}/3")
+    outcomes = set()
+    for A, B in random_pairs(F, 3, rng, 6):
         w = scan_bn(F, A, B)
         assert bn_conjugate(F, A, B) == w
         outcomes.add(w is None)

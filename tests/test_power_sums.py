@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triwaring import power_sums
 from triwaring.cli import main
 from triwaring.errors import (
     EnumerationTooLargeError,
@@ -74,6 +75,15 @@ def test_quotient_zero_report_examples(F7, F3, F13):
     rep132 = quotient_zero_report(F13, 2)
     assert rep132.ok
     assert all(a != b for a, b in rep132.zero_pairs)
+
+
+def test_quotient_zero_report_lists_violations(F7, monkeypatch):
+    # a quotient that never vanishes misses every predicted zero: the pairs
+    # b = -a != 0, as a^2 = b^2 there
+    monkeypatch.setattr(power_sums, "power_diff_quotient", lambda *a: 1)
+    rep = quotient_zero_report(F7, 2)
+    assert rep.zero_pairs == () and not rep.ok
+    assert rep.violations == tuple((a, 7 - a) for a in range(1, 7))
 
 
 def test_quotient_zero_report_is_guarded(F7, monkeypatch):
@@ -443,6 +453,43 @@ def test_shift_exhaustion(F3):
         shift_to_two_variable(F3, 0, 2, {2})
 
 
+def shift_reference(F, lam, k, forbidden):
+    """Reference: the least z, scanning encodings upward, with lam - z^k
+    nonzero and outside `forbidden`, and that shift; None if there is none."""
+    for z in F.elements():
+        shifted = F.sub(lam, F.pow(z, k))
+        if shifted != 0 and shifted not in forbidden:
+            return z, shifted
+    return None
+
+
+def test_shift_matches_element_scan(all_fields):
+    # every lam, with the forbidden set grown from the reference's own
+    # picks until it finds no shift
+    cases = 0
+    for F in all_fields:
+        for k in range(1, 7):
+            for lam in F.elements():
+                forbidden = set()
+                while (want := shift_reference(F, lam, k, forbidden)):
+                    assert shift_to_two_variable(F, lam, k, forbidden) == want
+                    forbidden.add(want[1])
+                    cases += 1
+                with pytest.raises(NoAdmissibleShiftError):
+                    shift_to_two_variable(F, lam, k, forbidden)
+                cases += 1
+    assert cases == 55986
+
+
+def test_shift_and_lang_weil_refuse_k_below_one(F7):
+    # both read the root map, which refuses k < 1 (no x^0 = 1 counting)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be positive"):
+            shift_to_two_variable(F7, 3, k)
+        with pytest.raises(ValueError, match="k must be positive"):
+            lang_weil_check(F7, k, 2, (1, 1))
+
+
 def test_lang_weil_examples(F7, F13):
     r = lang_weil_check(F7, 2, 2, (1, 1))
     assert r.N == 8 and abs(r.N - 7) <= r.bound and r.ok
@@ -494,6 +541,14 @@ def test_count_zero_sum_classes_examples(F7, F13):
         count_zero_sum_classes(F7, 2)
     with pytest.raises(HypothesisViolatedError):
         count_zero_sum_classes(make_field(2, 2), 2)
+
+
+def test_count_zero_sum_classes_self_check(F13, monkeypatch):
+    # lam = 1's classification has 4 classes against the formula's 7
+    one = classified(F13, 1, 2)
+    monkeypatch.setattr(power_sums, "classified", lambda *a: one)
+    with pytest.raises(RuntimeError, match="formula 7, observed 4"):
+        count_zero_sum_classes(F13, 2)
 
 
 def test_count_zero_sum_classes_sweep(odd_fields):
@@ -565,7 +620,9 @@ def test_diagonal_roots_matches_brute_force(p, m):
             for n in range(4):
                 for d in itertools.product(F.elements(), repeat=n):
                     got = diagonal_roots(F, diagonal_options(F, d, k, s), k)
-                    assert got == diagonal_roots_reference(F, d, k, s), (
+                    roots = got and tuple(a for a, _ in got)
+                    assert roots == diagonal_roots_reference(F, d, k, s), (
                         F.q, k, s, d)
+                    assert all(v == F.pow(a, k) for a, v in got or ())
                     outcomes.add(got is None)
     assert outcomes == {True, False}

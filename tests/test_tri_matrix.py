@@ -55,7 +55,8 @@ def rand_matrix(rng, F, n):
 
 def test_mat_mul_examples(F7):
     A = from_rows(F7, [[2, 3], [0, 3]])
-    assert mat_mul(A, A) == from_rows(F7, [[4, 1], [0, 2]])
+    assert mat_mul(A, A) == A @ A == from_rows(F7, [[4, 1], [0, 2]])
+    assert repr(A) == "UTMatrix(F_7, '2,3;3')"
     assert mat_mul(identity(F7, 2), A) == A
     E12 = elementary(F7, 3, 1, 2)
     E23 = elementary(F7, 3, 2, 3)
