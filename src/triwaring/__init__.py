@@ -5,7 +5,6 @@ from . import errors
 from .fields import (
     FieldSpec,
     field_text,
-    kth_power_image,
     kth_roots,
     make_field,
     minus_one_is_kth_power,
@@ -48,7 +47,6 @@ from .canonical import (
     diagonalize_distinct,
     is_indecomposable,
     parse_presentation,
-    presentation_matrix,
     render_presentation,
 )
 from .decomposer import (

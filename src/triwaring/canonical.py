@@ -186,10 +186,6 @@ def render_presentation(pres: Presentation) -> str:
     return block_part + (":" + arc_part if pres.extra_arcs else "")
 
 
-def presentation_matrix(F: FieldSpec, text: str, n: int) -> UTMatrix:
-    return parse_presentation(text, n).matrix(F)
-
-
 def label_graph(m: int, edges) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
     """Breadth-first labelling of the undirected graph on 0..m-1: per
     vertex the least vertex of its component and its distance parity from

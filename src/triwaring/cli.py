@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import canonical, decomposer, oracle, power_sums, tri_matrix
-from .errors import TriwaringError
+from .errors import RootMismatchError, TriwaringError
 from .fields import field_text, parse_field
 from .tri_matrix import from_text, to_text
 
@@ -150,11 +150,11 @@ def _cmd_decompose(F, args):
 def _cmd_root(F, args):
     C = _single_matrix(F, args)
     A = tri_matrix.backsub_root(C, args.k)
-    verified = tri_matrix.mat_pow(A, args.k) == C
+    if tri_matrix.mat_pow(A, args.k) != C:
+        raise RootMismatchError(f"root {to_text(A)} failed verification")
     payload = {"matrix": to_text(C), "k": args.k, "root": to_text(A),
-               "verified": verified}
-    _emit(payload, args.json,
-          [f"root: {to_text(A)}", f"verified: {verified}"])
+               "verified": True}
+    _emit(payload, args.json, [f"root: {to_text(A)}", "verified: True"])
     return 0
 
 
@@ -195,8 +195,7 @@ def _cmd_oracle(F, args):
         m = oracle.min_waring_number(F, C, args.k, args.cap)
         shown = m if m is not None else f">{args.cap}"
         payload = {"q": F.q, "n": C.n, "k": args.k, "cap": args.cap,
-                   "matrix": to_text(C),
-                   "min_powers": m if m is not None else f">{args.cap}"}
+                   "matrix": to_text(C), "min_powers": shown}
         _emit(payload, args.json, [f"min summand count: {shown}"])
         return 0
     if args.n is None:

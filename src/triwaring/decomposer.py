@@ -65,7 +65,6 @@ class StructuredPlan:
     coloring: tuple[int, ...]
     owned_a: tuple[tuple[int, int], ...]
     owned_b: tuple[tuple[int, int], ...]
-    pairs: tuple[tuple[Element, Element], ...]
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,10 @@ class Obstruction:
 def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
     """Does the sum of the k-th powers of the parts equal C exactly? The
     powers are summed entrywise on packed tuples; a part of another size
-    or over another field raises, as adding it to C would."""
+    or over another field raises, as adding it to C would; so does k < 1,
+    where every part's power is I."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     add = C.field.add
     total = (0,) * len(C.entries)
     for part in parts:
@@ -240,7 +242,7 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
                 f"x^{k} + y^{k} = {lam} has no solutions over F_{F.q}",
                 lam=lam, found=0, needed=1)
         return _assemble(C, k, [AssignmentEntry(lam, *s)] * n, 2,
-                         StructuredPlan((1,) * n, (), (), (s,)))
+                         StructuredPlan((1,) * n, (), ()))
 
     cl = classified(F, lam, k)
     if cl.r < 2:
@@ -263,7 +265,7 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
                      [sols[c][0] for c in coloring])
     B = backsub_root(C.with_entries(dict.fromkeys(owned_a, 0)), k,
                      [sols[c][1] for c in coloring])
-    plan = StructuredPlan(coloring, owned_a, owned_b, (s1, s2))
+    plan = StructuredPlan(coloring, owned_a, owned_b)
     return _verified(C, k, (A, B),
                      [AssignmentEntry(lam, *sols[c]) for c in coloring], plan)
 

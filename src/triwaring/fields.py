@@ -261,9 +261,6 @@ class FieldSpec:
         order = self.q - 1
         return self._exp[(order - self._log[a]) % order]
 
-    def div(self, a: Element, b: Element) -> Element:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: Element, e: int) -> Element:
         """a**e with 0**0 = 1."""
         if e < 0:
@@ -354,16 +351,12 @@ def field_text(F: FieldSpec) -> str:
 # -- power-map structure --------------------------------------------------
 
 
-def kth_power_image(F: FieldSpec, k: int) -> frozenset[Element]:
-    """{a^k : a in F_q} (kth_root_map's keys). The nonzero part is the
-    subgroup of index gcd(k, q-1) in F_q^*, of size (q-1)/gcd(k, q-1)."""
-    return frozenset(kth_root_map(F, k))
-
-
 @functools.lru_cache(maxsize=ROOT_MAP_CACHE_SIZE)
 def kth_root_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, ...]]:
     """value -> sorted tuple of its k-th roots (empty key absent), keyed in
-    order of least root.
+    order of least root. The keys are the image {a^k : a in F_q}, whose
+    nonzero part is the subgroup of index gcd(k, q-1) in F_q^*, of size
+    (q-1)/gcd(k, q-1).
 
     A prime field raises each element with builtin pow. An extension field
     reads the fibers off the exp table in one pass: the k-th power of

@@ -18,7 +18,8 @@ image is one packed dict, built by a walk over the first-row split
 A = [[a, b], [0, A']]; `all_kth_powers` is a fresh UTMatrix view of it.
 Conjugacy under the invertible-triangular group B_n is decided exactly by
 a search of the kernel of P -> AP - PB, which returns the same witness as
-a scan of B_n in `iter_bn` order. One elimination of the n(n+1)/2
+a scan of B_n with the diagonal first, then the strict upper entries
+row-major, each in encoding order. One elimination of the n(n+1)/2
 equations, over the columns from last to first, gives the kernel basis in
 reduced row echelon form (a pivot row is 0 after its pivot, so the kernel
 vector of each free column is 0 before it); at most q^n leaves follow.
@@ -380,24 +381,14 @@ def bn_size(F: FieldSpec, n: int) -> int:
     return (F.q - 1) ** n * F.q ** (n * (n - 1) // 2)
 
 
-def iter_bn(F: FieldSpec, n: int):
-    """All invertible upper-triangular matrices, deterministic order: the
-    diagonal first, then the strict upper entries row-major, each in
-    encoding order. `bn_conjugate` returns the first conjugator in it."""
-    _, unknown_of = _bn_system(n)
-    ranges = [range(1, F.q)] * n + [F.elements()] * (len(unknown_of) - n)
-    for v in itertools.product(*ranges):
-        yield UTMatrix(F, n, tuple([v[c] for c in unknown_of]))
-
-
 @functools.lru_cache(maxsize=LAYER_CACHE_SIZE)
 def _bn_system(n: int) -> tuple[tuple, tuple[int, ...]]:
     """The system A P = P B of T_n, which depends on n alone.
 
-    The unknowns are P's entries in `iter_bn` order: the diagonal, then the
-    strict upper entries row-major. Per equation (i, j), in packed order,
-    (AP - PB)_ij = sum_l A_il P_lj - P_il B_lj over i <= l <= j, as its
-    (unknown, packed index into A) and (unknown, packed index into B)
+    The unknowns are P's entries in `bn_conjugate`'s order: the diagonal,
+    then the strict upper entries row-major. Per equation (i, j), in packed
+    order, (AP - PB)_ij = sum_l A_il P_lj - P_il B_lj over i <= l <= j, as
+    its (unknown, packed index into A) and (unknown, packed index into B)
     pairs, read off the product terms (u, v) = ((i, l), (l, j)). With it
     comes the unknown of each packed entry of P."""
     terms, diagonal = _product_terms(n, n), _diagonal_at(n)
@@ -451,15 +442,16 @@ def _kernel_rref(F: FieldSpec, rows, ncols: int):
 
 
 def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
-    """First P in `iter_bn` order with P^-1 A P = B, or None.
+    """First P of B_n with P^-1 A P = B, or None. B_n is ordered by the
+    diagonal first, then the strict upper entries row-major, each in
+    encoding order.
 
     A P = P B is linear in P, so the candidates are the invertible points
-    of a kernel. The unknowns are ordered as `iter_bn` orders them
-    (diagonal first, then the strict upper entries row-major), and the
-    kernel basis w_1..w_d is in reduced echelon form with leading columns
+    of a kernel. The unknowns are ordered as B_n is, and the kernel basis
+    w_1..w_d is in reduced echelon form with leading columns
     c_1 < ... < c_d, from one elimination of the n(n+1)/2 equations over
     the columns from last to first (`_kernel_rref`). For v = sum a_i w_i,
-    v[c_i] = a_i, so the order of the coefficient vectors is the `iter_bn`
+    v[c_i] = a_i, so the order of the coefficient vectors is the B_n
     order of the points. Only the coefficients of diagonal leading columns
     (at most n) touch the diagonal; a depth-first search over them in
     encoding order, pruned as soon as a fixed diagonal entry is 0, with
@@ -497,7 +489,7 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
         if i == len(diag_leads):
             return v
         lo, hi = fixed[i]
-        # v[lo] = a: the diagonal entry itself, nonzero as in iter_bn
+        # v[lo] = a: the diagonal entry itself, nonzero as in B_n
         for a in range(1, F.q):
             times = mul[a]
             w = [add[x][times[y]] for x, y in zip(v, basis[i])]
@@ -525,12 +517,6 @@ class CheckResult:
                 "ok": self.ok, "detail": self.detail}
 
 
-def _too_large(name: str, F: FieldSpec, n: int) -> CheckResult:
-    """A check whose algebra T_n(F_q) is beyond the enumeration guard."""
-    return CheckResult(name, False, None,
-                       f"T_{n}(F_{F.q}) too large to enumerate")
-
-
 def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
     """Machine checks of the negative claims, where hypotheses apply:
 
@@ -541,66 +527,54 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
     (c) when p | k, beta^k(I + E_12 scaled) has no k-th root in T_2.
 
     A check whose algebra is beyond the enumeration guard is reported as
-    not applicable; a direct oracle call keeps the guard as a hard error.
+    not applicable, naming the first size refused; a direct oracle call
+    keeps the guard as a hard error.
     """
     # a WARING_MAX_ENUM that is not an integer fails closed here, where no
     # check can mistake its error for an algebra too large to enumerate
     enum_guard(0)
+
+    def junction():
+        engine = _power_layers(F, 4, k)
+        j22 = junction_matrix(F, (2, 2))
+        split = elementary(F, 4, 1, 2) + elementary(F, 4, 3, 4)
+        return (not any(engine.min_count(C.entries, 1) for C in (j22, split)),
+                f"E_23 and E_12+E_34 outside the square image of T_4(F_{F.q})")
+
+    def jordan():
+        mins = [(n, min_waring_number(F, jordan_block(F, 0, n), k, cap=2))
+                for n in (2, 3)]
+        return (all(m is None for _, m in mins),
+                "; ".join(f"n={n}: min " + ("> 2" if m is None else f"= {m}")
+                          for n, m in mins))
+
+    def scalar_plus_nilpotent():
+        engine = _power_layers(F, 2, k)
+        return (not any(engine.min_count(
+                    diag(F, [bk, bk]).with_entry(1, 2, alpha).entries, 1)
+                    for bk in kth_root_map(F, k) if bk
+                    for alpha in range(1, F.q)),
+                f"[[b^k, a],[0, b^k]] with a, b nonzero never a {k}-th power")
+
+    # (name, algebra sizes, check, reason it does not apply or None)
+    checks = (
+        ("junction_(2,2)_not_square", (4,), junction,
+         None if k == 2 else "stated for k = 2"),
+        ("jordan_not_two_powers", (2, 3), jordan,
+         f"-1 is a {k}-th power in F_{F.q}"
+         if minus_one_is_kth_power(F, k) else None),
+        ("scalar_plus_nilpotent_not_power", (2,), scalar_plus_nilpotent,
+         None if k % F.p == 0 and k >= 2
+         else f"needs p | k; p = {F.p}, k = {k}"),
+    )
     results = []
-
-    if k == 2:
-        try:
-            engine = _power_layers(F, 4, k)
-        except EnumerationTooLargeError:
-            results.append(_too_large("junction_(2,2)_not_square", F, 4))
-        else:
-            j22 = junction_matrix(F, (2, 2))
-            split = elementary(F, 4, 1, 2) + elementary(F, 4, 3, 4)
-            ok = not any(engine.min_count(C.entries, 1) for C in (j22, split))
-            results.append(CheckResult(
-                "junction_(2,2)_not_square", True, ok,
-                f"E_23 and E_12+E_34 outside the square image of T_4(F_{F.q})"))
-    else:
-        results.append(CheckResult(
-            "junction_(2,2)_not_square", False, None, "stated for k = 2"))
-
-    if not minus_one_is_kth_power(F, k):
-        details = []
-        ok = True
-        try:
-            for n in (2, 3):
-                J = jordan_block(F, 0, n)
-                m = min_waring_number(F, J, k, cap=2)
-                ok = ok and m is None
-                details.append(f"n={n}: min > 2" if m is None
-                               else f"n={n}: min = {m}")
-        except EnumerationTooLargeError:
-            results.append(_too_large("jordan_not_two_powers", F, n))
-        else:
-            results.append(CheckResult(
-                "jordan_not_two_powers", True, ok, "; ".join(details)))
-    else:
-        results.append(CheckResult(
-            "jordan_not_two_powers", False, None,
-            f"-1 is a {k}-th power in F_{F.q}"))
-
-    if k % F.p == 0 and k >= 2:
-        try:
-            engine = _power_layers(F, 2, k)
-        except EnumerationTooLargeError:
-            results.append(_too_large("scalar_plus_nilpotent_not_power", F, 2))
-        else:
-            ok = not any(engine.min_count(
-                diag(F, [bk, bk]).with_entry(1, 2, alpha).entries, 1)
-                for bk in kth_root_map(F, k) if bk
-                for alpha in range(1, F.q))
-            results.append(CheckResult(
-                "scalar_plus_nilpotent_not_power", True, ok,
-                f"[[b^k, a],[0, b^k]] with a, b nonzero "
-                f"never a {k}-th power"))
-    else:
-        results.append(CheckResult(
-            "scalar_plus_nilpotent_not_power", False, None,
-            f"needs p | k; p = {F.p}, k = {k}"))
-
+    for name, sizes, check, reason in checks:
+        if reason is None:
+            try:
+                for n in sizes:
+                    _check_image(F, n, k)
+            except EnumerationTooLargeError:
+                reason = f"T_{n}(F_{F.q}) too large to enumerate"
+        results.append(CheckResult(name, False, None, reason) if reason
+                       else CheckResult(name, True, *check()))
     return tuple(results)

@@ -129,7 +129,9 @@ def in_power_sums(F: FieldSpec, k: int, s: int):
     W_(s-1): each coset is walked once, as one representative times
     H, until a level adds none. No W_s is built as a set of elements:
     over a large field that would cost q |K| sums. One walk per (F, k)
-    is kept, as the root map is."""
+    is kept, as the root map is. s < 0 raises ValueError."""
+    if s < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
     kth = kth_root_map(F, k)
     if s <= 1:
         return (kth if s else {0}).__contains__
@@ -386,8 +388,10 @@ def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,
     """Pick z so that lam' = lam - z^k is nonzero and outside `forbidden`,
     reducing a three-power target to a two-power one. z is the least root
     of the first admissible value in the root map's least-root order (the
-    least admissible z), so z = 0 wins whenever lam itself is admissible;
-    k < 1 raises ValueError."""
+    least admissible z), so z = 0 wins whenever lam itself is admissible.
+    lam outside [0, q) raises FieldMismatchError, and k < 1 ValueError."""
+    if not 0 <= lam < F.q:
+        raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
     forbidden = frozenset(forbidden)
     for v, roots in kth_root_map(F, k).items():
         shifted = F.sub(lam, v)

@@ -9,7 +9,6 @@ from triwaring.canonical import (
     diagonalize_distinct,
     is_indecomposable,
     parse_presentation,
-    presentation_matrix,
     render_presentation,
 )
 from triwaring.errors import (
@@ -127,12 +126,12 @@ def test_diagonalize_extension_field(F9):
 
 
 def test_parse_example(F13):
-    M = presentation_matrix(F13, "12|34:13", 4)
+    M = parse_presentation("12|34:13", 4).matrix(F13)
     assert M == (elementary(F13, 4, 1, 2) + elementary(F13, 4, 3, 4)
                  + elementary(F13, 4, 1, 3))
-    assert presentation_matrix(F13, "123", 3) == (
+    assert parse_presentation("123", 3).matrix(F13) == (
         elementary(F13, 3, 1, 2) + elementary(F13, 3, 2, 3))
-    assert presentation_matrix(F13, "1234", 4) == (
+    assert parse_presentation("1234", 4).matrix(F13) == (
         elementary(F13, 4, 1, 2) + elementary(F13, 4, 2, 3)
         + elementary(F13, 4, 3, 4))
 
@@ -177,21 +176,22 @@ def test_render_round_trip_on_all_table_rows():
 
 
 def test_indecomposable_examples(F13):
-    assert is_indecomposable(presentation_matrix(F13, "12|34:13", 4))
+    assert is_indecomposable(parse_presentation("12|34:13", 4).matrix(F13))
     assert not is_indecomposable(elementary(F13, 3, 1, 2))
-    assert is_indecomposable(presentation_matrix(F13, "123456", 6))
+    assert is_indecomposable(parse_presentation("123456", 6).matrix(F13))
     with pytest.raises(NotNilpotentError):
         is_indecomposable(diag(F13, [1, 0]))
 
 
 def test_all_table_rows_connected(F13):
     for row, n in ROWS:
-        assert is_indecomposable(presentation_matrix(F13, row, n)), row
+        assert is_indecomposable(parse_presentation(row, n).matrix(F13)), row
 
 
 def test_bipartition(F13):
-    assert bipartition(presentation_matrix(F13, "123", 3)) == (1, 2, 1)
-    assert bipartition(presentation_matrix(F13, "1234", 4)) == (1, 2, 1, 2)
+    assert bipartition(parse_presentation("123", 3).matrix(F13)) == (1, 2, 1)
+    assert bipartition(parse_presentation("1234", 4).matrix(F13)) == (
+        1, 2, 1, 2)
     # triangle graph: no proper 2-coloring
     tri = (elementary(F13, 3, 1, 2) + elementary(F13, 3, 2, 3)
            + elementary(F13, 3, 1, 3))

@@ -151,6 +151,23 @@ def test_root_failure(capsys):
     assert payload["failure"]["type"] == "DiagNotKthPowerError"
 
 
+def test_root_failed_verification_exits_1(capsys, monkeypatch):
+    # a root whose square is not C is a typed failure, not "verified":
+    # false with exit 0
+    monkeypatch.setattr("triwaring.tri_matrix.backsub_root",
+                        lambda C, k: from_text(C.field, "1,0;2"))
+    code, payload = run_json(capsys, "root", "--q", "7", "--k", "2",
+                             "--matrix", "1,1;4", "--json")
+    assert code == 1
+    assert payload["verified"] is False
+    assert payload["failure"]["type"] == "RootMismatchError"
+    code, out, err = run(capsys, "root", "--q", "7", "--k", "2",
+                         "--matrix", "1,1;4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("RootMismatchError: root 1,0;2 failed")
+
+
 def test_table_subcommand(capsys):
     code, payload = run_json(capsys, "table", "--row", "12|34:13",
                              "--q", "13", "--k", "2", "--json")

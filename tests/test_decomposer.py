@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triwaring.canonical import bipartition, presentation_matrix
+from triwaring.canonical import bipartition, parse_presentation
 from triwaring.decomposer import (
     DecompositionResult,
     Obstruction,
@@ -222,7 +222,7 @@ def test_decomposers_decide_by_the_diagonal_alone():
 
 
 def test_structured_table_row_123(F13):
-    C = presentation_matrix(F13, "123", 3)
+    C = parse_presentation("123", 3).matrix(F13)
     res = decompose_structured(C, 2)
     assert isinstance(res, DecompositionResult) and res.verified
     assert res.plan.coloring == (1, 2, 1)
@@ -261,14 +261,15 @@ def test_structured_plans_past_the_obstruction_cap(F13):
     # n <= 8: a chain (a bipartite path with a bipartite chain graph) and
     # the zero matrix get verified plans past it
     chains = [",".join(map(str, range(1, n + 1))) for n in (10, 20)]
-    for C in [zero(F13, 9), presentation_matrix(F13, "123456789", 9)] + [
-            presentation_matrix(F13, row, row.count(",") + 1)
+    for C in [zero(F13, 9),
+              parse_presentation("123456789", 9).matrix(F13)] + [
+            parse_presentation(row, row.count(",") + 1).matrix(F13)
             for row in chains]:
         res = decompose_structured(C, 2)
         assert isinstance(res, DecompositionResult) and res.verified
         assert verify_decomposition(C, res.parts, 2)
     # a 3-cycle on 1, 2, 3 has no plan, and n = 9 is past the cap
-    odd_cycle = presentation_matrix(F13, "123|4|5|6|7|8|9:13", 9)
+    odd_cycle = parse_presentation("123|4|5|6|7|8|9:13", 9).matrix(F13)
     with pytest.raises(PreconditionViolatedError, match="n <= 8"):
         decompose_structured(odd_cycle, 2)
 
@@ -330,7 +331,7 @@ def test_obstruction_7x7(F13):
 def test_structured_diagonal_patterns_match_bipartition(F13):
     from scripts.reproduce_tables import ROWS
     for row, n in ROWS:
-        C = presentation_matrix(F13, row, n)
+        C = parse_presentation(row, n).matrix(F13)
         expected = bipartition(C)
         for k in (2, 3):
             res = decompose_structured(C, k)
@@ -361,6 +362,15 @@ def test_verify_decomposition_fails_closed(F7, F13):
         verify_decomposition(C, [*parts, zero(F7, 3)], 2)
     with pytest.raises(SizeMismatchError):
         verify_decomposition(C, [zero(F7, 2)], 2)
+
+
+def test_verify_decomposition_refuses_k_below_one(F7):
+    # at k = 0 every part's power is I, so any C = s I would pass
+    C = diag(F7, [2, 2])
+    parts = (from_text(F7, "3,5;6"), from_text(F7, "0,1;4"))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            verify_decomposition(C, parts, k)
 
 
 def test_failed_verification_raises(F13, monkeypatch):
@@ -457,8 +467,7 @@ def structured_reference(C, k):
             A0 = diag(F, [F.pow(sols[c][side], k) for c in coloring])
             roots.append(backsub_root(
                 A0.with_entries({ij: C[ij] for ij in owned_side}), k))
-        plan = StructuredPlan(coloring, tuple(owned[0]), tuple(owned[1]),
-                              (s1, s2))
+        plan = StructuredPlan(coloring, tuple(owned[0]), tuple(owned[1]))
         entries = tuple(AssignmentEntry(lam, *sols[c]) for c in coloring)
         return DecompositionResult(tuple(roots), k, C, entries, True,
                                    plan=plan)

@@ -30,7 +30,6 @@ from triwaring.fields import (
     _poly_trim,
     field_text,
     is_prime,
-    kth_power_image,
     kth_root_map,
     kth_roots,
     make_field,
@@ -99,8 +98,6 @@ def test_arith_examples(F7, F9):
 def test_division_by_zero(F7):
     with pytest.raises(ZeroDivisionError):
         F7.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        F7.div(3, 0)
 
 
 def test_pow_examples(F7, F13):
@@ -143,21 +140,21 @@ def test_frobenius_fixed_points(all_fields):
 
 
 def test_kth_power_image_examples(F7, F13):
-    assert kth_power_image(F7, 2) == frozenset({0, 1, 2, 4})
-    img = kth_power_image(F13, 3)
-    assert img == frozenset({0, 1, 5, 8, 12})
+    # the image of x -> x^k is the root map's keys
+    assert set(kth_root_map(F7, 2)) == {0, 1, 2, 4}
+    img = set(kth_root_map(F13, 3))
+    assert img == {0, 1, 5, 8, 12}
     assert len(img - {0}) == 12 // 3
-    assert kth_power_image(F7, 1) == frozenset(range(7))
+    assert set(kth_root_map(F7, 1)) == set(range(7))
     with pytest.raises(ValueError, match="k must be positive"):
-        kth_power_image(F7, 0)
+        kth_root_map(F7, 0)
 
 
 def test_kth_power_image_size_formula(all_fields):
     for F in all_fields:
         for k in range(1, 13):
-            image = kth_power_image(F, k)
+            image = set(kth_root_map(F, k))
             assert len(image - {0}) == (F.q - 1) // math.gcd(k, F.q - 1)
-            assert image == frozenset(kth_root_map(F, k))
 
 
 def root_map_reference(F, k):
@@ -462,4 +459,4 @@ def test_sub_div_consistency(pm, data):
     b = data.draw(st.integers(0, F.q - 1))
     assert F.add(F.sub(a, b), b) == a
     if b:
-        assert F.mul(F.div(a, b), b) == a
+        assert F.mul(F.mul(a, F.inv(b)), b) == a

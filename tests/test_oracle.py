@@ -17,13 +17,12 @@ from triwaring.errors import (
     SizeMismatchError,
 )
 from triwaring import oracle
-from triwaring.fields import kth_power_image, make_field
+from triwaring.fields import kth_root_map, make_field
 from triwaring.power_sums import _matchable
 from triwaring.oracle import (
     all_kth_powers,
     bn_conjugate,
     bn_size,
-    iter_bn,
     iter_matrices,
     matrix_encoding,
     min_waring_number,
@@ -158,7 +157,7 @@ def test_waring_report(F3):
 
 
 def test_bn_iteration(F3):
-    mats = list(iter_bn(F3, 2))
+    mats = list(iter_bn_reference(F3, 2))
     assert len(mats) == bn_size(F3, 2) == 4 * 3
     assert len(set(mats)) == len(mats)
     assert all(0 not in P.diagonal() for P in mats)
@@ -196,10 +195,10 @@ def test_bn_guard(F13):
 
 
 def scan_bn(F, A, B):
-    """Reference: the first P of iter_bn with A P = P B, by brute force
-    over the packed products."""
+    """Reference: the first P of iter_bn_reference with A P = P B, by
+    brute force over the packed products."""
     n, ae, be = A.n, A.entries, B.entries
-    for P in iter_bn(F, n):
+    for P in iter_bn_reference(F, n):
         pe = P.entries
         if _packed_mul(F, n, ae, pe) == _packed_mul(F, n, pe, be):
             return P
@@ -667,7 +666,7 @@ def test_distinct_kth_power_diagonal_is_a_kth_power(p, m, n, k):
     powers = all_kth_powers(F, n, k)
     strict = n * (n - 1) // 2
     count = 0
-    for d in itertools.permutations(sorted(kth_power_image(F, k)), n):
+    for d in itertools.permutations(sorted(kth_root_map(F, k)), n):
         for upper in itertools.product(F.elements(), repeat=strict):
             it = iter(upper)
             C = UTMatrix(F, n, tuple(d[i] if i == j else next(it)
@@ -763,7 +762,7 @@ class DistinctValueLayers(oracle._SumsetLayers):
     def _verdict(self, options):
         values = [[v for _, v in opts] for opts in options]
         return all(values) and (
-            _matchable(values, kth_power_image(self.field, self.k)) or None)
+            _matchable(values, kth_root_map(self.field, self.k)) or None)
 
 
 @pytest.fixture
@@ -851,4 +850,10 @@ def test_bn_system_and_order_match_reference():
                           ((2, 2), range(4)), ((5, 1), range(3))]:
         F = make_field(p, m)
         for n in sizes:
-            assert list(iter_bn(F, n)) == list(iter_bn_reference(F, n))
+            # bn_conjugate's unknowns, in product order (the last varying
+            # fastest), place B_n in the reference order
+            _, unknown_of = oracle._bn_system(n)
+            ranges = [range(1, F.q)] * n + [F.elements()] * (n * (n - 1) // 2)
+            assert [UTMatrix(F, n, tuple(v[c] for c in unknown_of))
+                    for v in itertools.product(*ranges)] == \
+                list(iter_bn_reference(F, n)), (F.q, n)

@@ -490,6 +490,16 @@ def test_shift_and_lang_weil_refuse_k_below_one(F7):
             lang_weil_check(F7, k, 2, (1, 1))
 
 
+def test_shift_and_power_sums_refuse_out_of_range(F7, F9):
+    # lam must be a field element, s a count of summands
+    for F in (F7, F9):
+        for lam in (-1, F.q):
+            with pytest.raises(FieldMismatchError, match="outside"):
+                shift_to_two_variable(F, lam, 2)
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            in_power_sums(F, 2, -1)
+
+
 def test_lang_weil_examples(F7, F13):
     r = lang_weil_check(F7, 2, 2, (1, 1))
     assert r.N == 8 and abs(r.N - 7) <= r.bound and r.ok

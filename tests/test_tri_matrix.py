@@ -18,7 +18,6 @@ from triwaring.errors import (
 )
 from triwaring.fields import (
     FieldSpec,
-    kth_power_image,
     kth_root_map,
     kth_roots,
     make_field,
@@ -184,7 +183,7 @@ def test_backsub_root_default_repeated_diagonal(all_fields):
         F = rng.choice(all_fields)
         k = rng.randint(1, 6)
         n = rng.randint(2, 5)
-        image = sorted(kth_power_image(F, k))
+        image = sorted(kth_root_map(F, k))
         C = diag(F, [rng.choice(image[:2]) for _ in range(n)])
         C = C.with_entries({(i, j): rng.randrange(F.q)
                             for i in range(1, n + 1)
@@ -206,7 +205,7 @@ def test_root_round_trip_random(all_fields):
         F = rng.choice(fields)
         k = rng.randint(1, 6)
         n = rng.randint(1, 6)
-        image = sorted(kth_power_image(F, k))
+        image = sorted(kth_root_map(F, k))
         if len(image) < n:
             continue
         C = diag(F, rng.sample(image, n))
@@ -354,7 +353,7 @@ def test_backsub_root_work_count():
 
 
 def sparse_instance(rng, F, n, k):
-    image = sorted(kth_power_image(F, k))
+    image = sorted(kth_root_map(F, k))
     dvals = [rng.choice(image) for _ in range(n)]
     C = diag(F, dvals)
     placed = []
@@ -481,7 +480,7 @@ def test_embed_power_example(F7):
 
 def test_embed_power_all_indices(F13):
     rng = random.Random(3)
-    image = sorted(kth_power_image(F13, 3))
+    image = sorted(kth_root_map(F13, 3))
     for _ in range(25):
         n = rng.randint(1, 4)
         C = diag(F13, rng.sample(image, n))
