@@ -46,10 +46,9 @@ from .power_sums import (
 )
 from .tri_matrix import (
     UTMatrix,
-    backsub_root,
+    _root_parts,
     check_compatible,
     check_in_field,
-    diag,
     mat_pow,
     to_text,
 )
@@ -123,26 +122,20 @@ def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
     return total == C.entries
 
 
-def _verified(C: UTMatrix, k: int, parts, entries, plan=None
-              ) -> DecompositionResult:
-    """Every construction's last step: the sum of the parts' k-th powers
-    checked against C, then the result recording `entries` as its
-    assignment."""
-    if not verify_decomposition(C, parts, k):
-        raise RootMismatchError(f"{len(parts)}-power sum failed verification")
-    return DecompositionResult(parts, k, C, tuple(entries), True, plan=plan)
-
-
-def _assemble(C: UTMatrix, k: int, entries, parts: int, plan=None
-              ) -> DecompositionResult:
-    """The construction every diagonal-part route shares, from the
-    assignment rows `entries`: A by back-substitution from the x column
-    under C's strict upper part, then one diagonal part per further
-    column (y, then z when parts = 3), verified."""
+def _assemble(C: UTMatrix, k: int, entries, parts: int, plan=None,
+              owners=None) -> DecompositionResult:
+    """The construction every route shares, from the assignment rows
+    `entries`: one diagonal per column (x, y, then z when parts = 3), the
+    strict upper part of C rooted by one `_root_parts` walk under the
+    owner map `owners` (A owns every position when it is None, and the
+    other parts stay diagonal), then the sum of the parts' k-th powers
+    checked against C."""
     rows = [e.as_row() for e in entries]
-    A = backsub_root(C, k, [row[0] for row in rows])
-    return _verified(C, k, (A, *(diag(C.field, [row[c] for row in rows])
-                                 for c in range(1, parts))), entries, plan)
+    found = tuple(_root_parts(C, k, [[row[c] for row in rows]
+                                     for c in range(parts)], owners))
+    if not verify_decomposition(C, found, k):
+        raise RootMismatchError(f"{parts}-power sum failed verification")
+    return DecompositionResult(found, k, C, tuple(entries), True, plan=plan)
 
 
 def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
@@ -213,8 +206,9 @@ def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
 
 def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstruction:
     """Two-power decomposition of a constant-diagonal matrix from a
-    diagonal two-coloring and an entry ownership split, each side rooted by
-    back-substitution from the least roots of its color's solution.
+    diagonal two-coloring and an entry ownership split: one back-substitution
+    walk roots both sides from the least roots of each color's solution,
+    each owned entry solved in its own side and every other entry left 0.
 
     A successful plan needs the entry graph properly 2-colored (every
     nonzero entry joins the two color classes, on both sides, so no
@@ -261,13 +255,9 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         refuted = tuple(itertools.product((1, 2), repeat=n))
         return Obstruction(C, k, len(refuted), refuted)
     owned_a, owned_b = split
-    A = backsub_root(C.with_entries(dict.fromkeys(owned_b, 0)), k,
-                     [sols[c][0] for c in coloring])
-    B = backsub_root(C.with_entries(dict.fromkeys(owned_a, 0)), k,
-                     [sols[c][1] for c in coloring])
-    plan = StructuredPlan(coloring, owned_a, owned_b)
-    return _verified(C, k, (A, B),
-                     [AssignmentEntry(lam, *sols[c]) for c in coloring], plan)
+    return _assemble(C, k, [AssignmentEntry(lam, *sols[c]) for c in coloring],
+                     2, StructuredPlan(coloring, owned_a, owned_b),
+                     dict.fromkeys(owned_a, 0) | dict.fromkeys(owned_b, 1))
 
 
 def _split_entries(entries):

@@ -38,17 +38,37 @@ FIELD_CACHE_SIZE = 64  # (p, m, modulus) fields kept, least recently used out
 ROOT_MAP_CACHE_SIZE = 64  # (F, k) root maps kept, least recently used out
 
 
+# Miller-Rabin to the first 13 prime bases decides primality for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86 (2017)); the
+# bound itself is a strong pseudoprime to all 13.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; fields here are desk scale."""
+    """Deterministic Miller-Rabin for n < PRIME_TEST_BOUND (ValueError
+    beyond it): n - 1 = 2^s d with d odd, and n is prime iff every base b
+    has b^d = 1 or b^(2^r d) = -1 mod n for some r < s."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -283,6 +303,10 @@ class FieldSpec:
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _make_field_cached(p: int, m: int, modulus: tuple[int, ...] | None) -> FieldSpec:
+    if p >= PRIME_TEST_BOUND:
+        raise EnumerationTooLargeError(
+            f"p = {p} is too large: primality is decided for p < "
+            f"{PRIME_TEST_BOUND} (Miller-Rabin to the bases 2..41)")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if m < 1:

@@ -421,8 +421,11 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     F_q^m, compared against |N - q^(m-1)| <= k^(2m) sqrt(q^(m-1)).
 
     The count folds the per-variable value histograms together, which is
-    the exhaustive scan reorganized (identical N, m*q^2 work), each a * v
-    counted |fiber(v)| times. k < 1 raises ValueError (kth_root_map).
+    the exhaustive scan reorganized (identical N), each a * v counted
+    |fiber(v)| times. Each of the m folds adds |K| values to each of q
+    sums, K the k-th powers, so the guard counts m q |K| steps, with
+    |K| = (q-1)/gcd(k, q-1) + 1 read before any map is built. k < 1
+    raises ValueError (kth_root_map).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -434,7 +437,7 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
             f"coefficients {alphas} are not all inside [0, {F.q})")
     if any(a == 0 for a in alphas):
         raise ValueError("coefficients must be nonzero")
-    enum_guard(F.q ** m)
+    enum_guard(m * F.q * ((F.q - 1) // math.gcd(k, F.q - 1) + 1))
     hist = [1] + [0] * (F.q - 1)  # the empty sum is 0
     for a in alphas:
         nxt = [0] * F.q

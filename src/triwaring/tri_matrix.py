@@ -243,32 +243,112 @@ def mat_inv(A: UTMatrix) -> UTMatrix:
     return zero(F, n).with_entries(x)
 
 
-def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
-    """A with A^k = C above the diagonal, by one walk of the
-    square-and-multiply chain A = M_0, M_1, ..., M_T = A^k (`_chain`), in
-    which each M_t is M_(t-1) squared or M_(t-1) A.
+def _root_parts(C: UTMatrix, k: int, diagonals, owners=None
+                ) -> list[UTMatrix]:
+    """Parts A_1, ..., A_s, one per list of diagonal values in
+    `diagonals`, whose k-th powers sum to C above the diagonal, by one
+    walk of the square-and-multiply chain M_0 = A_p, ..., M_T = A_p^k
+    (`_chain`) per part, in which each M_t is M_(t-1) squared or
+    M_(t-1) A_p.
 
-    The diagonals come first. Then, superdiagonal by superdiagonal, each
-    chain matrix's (r,s) entry is carried as base_t + coef_t a_rs, since
-    every other entry it depends on lies nearer the diagonal and is known.
-    For a product XY,
+    Each strict position (r,s) belongs to the part `owners[(r, s)]`; part
+    0 owns every position when `owners` is None, and a position missing
+    from the map belongs to no part. A part that owns no position is not
+    walked and comes back diagonal.
+
+    Superdiagonal by superdiagonal, each walked chain matrix's (r,s) entry
+    is carried as base_t + coef_t a_rs, since every other entry it depends
+    on lies nearer the diagonal and is known. For a product XY,
         base = sum_(r<l<s) X_rl Y_ls + X_rr base_Y + base_X Y_ss,
         coef = X_rr coef_Y + coef_X Y_ss.
     The slope coef_T of (A^k)_rs in a_rs is pdq(a_rr, a_ss): the words
     a_rr^j a_rs a_ss^(k-1-j), j < k, are the only ones of (A^k)_rs that
-    use a_rs. So
-        a_rs = (c_rs - base_T) / pdq(a_rr, a_ss),
-    and a_rs is then filled into every M_t. Entries at one distance never
-    feed each other, so their order does not matter. Where the divisor
-    vanishes the residue must already be zero, else the chosen diagonal
-    cannot work and PreconditionViolatedError is raised. The walk costs
-    O(n^3 log k) field operations.
+    use a_rs. So the owner takes
+        a_rs = (c_rs - sum_p base_T,p) / pdq(a_rr, a_ss),
+    every other part takes 0, and the entries are then filled into every
+    M_t. Entries at one distance never feed each other, so their order
+    does not matter. Where the owner's divisor vanishes, or no part owns
+    the position, the residue must already be zero, else the chosen
+    diagonals cannot work and PreconditionViolatedError is raised. The
+    walk costs O(n^3 log k) field operations per walked part.
+    """
+    F, n = C.field, C.n
+    add, mul = F.add, F.mul
+    starts = _diagonal_at(n)
+    owner_at = None if owners is None else {
+        starts[r - 1] + s - r: p for (r, s), p in owners.items()}
+    steps = _chain(k)  # True squares M_(t-1), False multiplies it by A_p
+    parts = []
+    for values in diagonals:
+        A = [0] * len(C.entries)
+        for o, v in zip(starts, values):
+            A[o] = v
+        parts.append(A)
+    walked = []  # (part, A_p, M_0 .. M_(T-1)); A_p^k itself is never read
+    for p in [0] if owner_at is None else sorted(set(owner_at.values())):
+        A = parts[p]
+        chain = [A]
+        for square in steps[:-1]:
+            X, M = chain[-1], [0] * len(A)
+            for o in starts:
+                M[o] = mul(X[o], X[o] if square else A[o])
+            chain.append(M)
+        walked.append((p, A, chain))
+    terms = _product_terms(n, n)
+    for d in range(1, n):
+        for i in range(n - d):
+            j, o = i + d, starts[i] + d
+            inner = terms[o][1:-1]  # the terms X_rl Y_ls, r < l < s
+            owner = 0 if owner_at is None else owner_at.get(o)
+            delta, divisor, carried = C.entries[o], 0, []
+            for p, A, chain in walked:
+                base, coef, filled = 0, 1, []
+                for X, square in zip(chain, steps):
+                    Y = X if square else A
+                    acc = 0
+                    for u, v in inner:
+                        x, w = X[u], Y[v]
+                        if x and w:
+                            acc = add(acc, mul(x, w))
+                    # XX scales base_X and coef_X by X_rr + X_ss; XA has
+                    # base_A = 0 and coef_A = 1
+                    if square:
+                        s = add(X[starts[i]], X[starts[j]])
+                        base, coef = add(acc, mul(base, s)), mul(coef, s)
+                    else:
+                        y = A[starts[j]]
+                        base = add(acc, mul(base, y))
+                        coef = add(X[starts[i]], mul(coef, y))
+                    filled.append((base, coef))
+                delta = F.sub(delta, base)
+                if p == owner:
+                    divisor = coef
+                carried.append((p == owner, chain, filled))
+            if not divisor and delta:
+                raise PreconditionViolatedError(
+                    f"divisor vanishes at ({i + 1},{j + 1}) with residue "
+                    f"{delta}")
+            a = mul(delta, F.inv(divisor)) if divisor else 0
+            if a:
+                parts[owner][o] = a
+            for mine, chain, filled in carried:
+                x = a if mine else 0
+                for M, (b, c) in zip(chain[1:], filled):
+                    M[o] = add(b, mul(c, x)) if x else b
+    return [UTMatrix(F, n, tuple(A)) for A in parts]
+
+
+def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
+    """A with A^k = C above the diagonal, by back-substitution: the one
+    part of `_root_parts`, owning every strict position.
 
     Without `roots` each a_ii is the least k-th root of c_ii
     (DiagNotKthPowerError if there is none), and A^k = C. Given roots fix
     A's diagonal as they are, mod q, one per position (SizeMismatchError
     otherwise), and only C's strict upper part is matched: A^k agrees
-    with C on the diagonal only if every a_ii^k = c_ii.
+    with C on the diagonal only if every a_ii^k = c_ii. Where a divisor
+    pdq(a_rr, a_ss) vanishes under a nonzero residue,
+    PreconditionViolatedError is raised.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -285,50 +365,7 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
     roots = [v % F.q for v in roots]
     if len(roots) != n:
         raise SizeMismatchError(f"{len(roots)} diagonal roots for size {n}")
-    add, mul = F.add, F.mul
-    starts = _diagonal_at(n)
-    steps = _chain(k)  # True squares M_(t-1), False multiplies it by A
-    A = [0] * (n * (n + 1) // 2)
-    for o, v in zip(starts, roots):
-        A[o] = v
-    chain = [A]  # M_0 .. M_(T-1); A^k itself is never read
-    for square in steps[:-1]:
-        X, M = chain[-1], [0] * len(A)
-        for o in starts:
-            M[o] = mul(X[o], X[o] if square else A[o])
-        chain.append(M)
-    terms = _product_terms(n, n)
-    for d in range(1, n):
-        for i in range(n - d):
-            j, o = i + d, starts[i] + d
-            inner = terms[o][1:-1]  # the terms X_rl Y_ls, r < l < s
-            base, coef, filled = 0, 1, []
-            for X, square in zip(chain, steps):
-                Y = X if square else A
-                acc = 0
-                for u, v in inner:
-                    x, w = X[u], Y[v]
-                    if x and w:
-                        acc = add(acc, mul(x, w))
-                # XX scales base_X and coef_X by X_rr + X_ss; XA has
-                # base_A = 0 and coef_A = 1
-                if square:
-                    s = add(X[starts[i]], X[starts[j]])
-                    base, coef = add(acc, mul(base, s)), mul(coef, s)
-                else:
-                    y = A[starts[j]]
-                    base = add(acc, mul(base, y))
-                    coef = add(X[starts[i]], mul(coef, y))
-                filled.append((base, coef))
-            delta = F.sub(C.entries[o], base)
-            if not coef and delta:
-                raise PreconditionViolatedError(
-                    f"divisor vanishes at ({i + 1},{j + 1}) with residue "
-                    f"{delta}")
-            a = A[o] = mul(delta, F.inv(coef)) if coef else 0
-            for M, (b, c) in zip(chain[1:], filled):
-                M[o] = add(b, mul(c, a)) if a else b
-    return UTMatrix(F, n, tuple(A))
+    return _root_parts(C, k, [roots])[0]
 
 
 def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int

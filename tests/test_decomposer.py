@@ -24,7 +24,7 @@ from triwaring.errors import (
     SizeMismatchError,
     TriwaringError,
 )
-from triwaring import decomposer, power_sums
+from triwaring import decomposer, power_sums, tri_matrix
 from triwaring.fields import kth_roots, make_field
 from triwaring.oracle import all_kth_powers, iter_matrices, waring_report
 from triwaring.power_sums import (
@@ -36,13 +36,14 @@ from triwaring.power_sums import (
 from triwaring.tri_matrix import (
     UTMatrix,
     backsub_root,
+    check_in_field,
     diag,
     from_text,
     mat_pow,
     to_text,
     zero,
 )
-from tests.conftest import assert_distinct_power_solutions
+from tests.conftest import PRIME_POWERS_49, assert_distinct_power_solutions
 
 OBSTRUCTION_ENTRIES = ((1, 2), (1, 3), (2, 6), (3, 4), (4, 5), (4, 6), (6, 7))
 
@@ -662,3 +663,118 @@ def test_decompose_three_verified_or_typed(pm, k, n, data):
     except TriwaringError:
         return
     assert res.verified and verify_decomposition(C, res.parts, k)
+
+
+def masked_structured(C, k):
+    """Reference: decompose_structured as it was before one walk rooted
+    both sides. Each side is its own `backsub_root` call on C with the
+    other side's entries zeroed, and the pair is verified apart."""
+    F, n = C.field, C.n
+    check_in_field(C)
+    d = C.diagonal()
+    if len(set(d)) != 1:
+        raise PreconditionViolatedError(
+            f"structured search needs a constant diagonal, got {d}")
+    entries = C.nonzero_strict_positions()
+    lam = d[0]
+    if not entries:
+        s = lex_min_solution(F, lam, k)
+        if s is None:
+            raise InsufficientClassesError(
+                f"x^{k} + y^{k} = {lam} has no solutions over F_{F.q}",
+                lam=lam, found=0, needed=1)
+        parts = (backsub_root(C, k, [s[0]] * n), diag(F, [s[1]] * n))
+        return parts, StructuredPlan((1,) * n, (), ()), \
+            (AssignmentEntry(lam, *s),) * n
+    cl = classified(F, lam, k)
+    if cl.r < 2:
+        raise InsufficientClassesError(
+            f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
+            f"need 2 for the structured split", lam=lam, found=cl.r, needed=2)
+    s1, s2 = [(xs[0], ys[0]) for xs, ys in cl.fibers[:2]]
+    sols = {1: s1, 2: s2}
+    coloring = bipartition(C)
+    split = decomposer._split_entries(entries)
+    if coloring is None or split is None:
+        if n > decomposer.STRUCTURED_MAX_N:
+            raise PreconditionViolatedError(
+                f"no plan, and obstructions stop at n <= "
+                f"{decomposer.STRUCTURED_MAX_N}")
+        refuted = tuple(itertools.product((1, 2), repeat=n))
+        return Obstruction(C, k, len(refuted), refuted)
+    owned_a, owned_b = split
+    A = backsub_root(C.with_entries(dict.fromkeys(owned_b, 0)), k,
+                     [sols[c][0] for c in coloring])
+    B = backsub_root(C.with_entries(dict.fromkeys(owned_a, 0)), k,
+                     [sols[c][1] for c in coloring])
+    assert verify_decomposition(C, (A, B), k)
+    return (A, B), StructuredPlan(coloring, owned_a, owned_b), \
+        tuple(AssignmentEntry(lam, *sols[c]) for c in coloring)
+
+
+def structured_outcome(route, C, k):
+    """(parts, plan, assignment), an Obstruction's JSON, or a typed
+    error's type and message."""
+    try:
+        got = route(C, k)
+    except TriwaringError as err:
+        return type(err).__name__, str(err)
+    if isinstance(got, Obstruction):
+        return got.to_json()
+    if isinstance(got, DecompositionResult):
+        assert got.verified
+        return got.parts, got.plan, got.assignment
+    return got
+
+
+def test_structured_matches_the_masked_construction():
+    # every catalogue row and the two extra golden rows over prime,
+    # extension and larger fields, and a seeded constant-diagonal corpus
+    from scripts.reproduce_tables import ROWS
+    from tests.test_golden import EXTRA_TABLE_ROWS
+    planned = 0
+    for p, m in [(13, 1), (31, 1), (3, 4), (7, 2), (5, 3), (13, 2)]:
+        F = make_field(p, m)
+        for row, n in [*ROWS, *EXTRA_TABLE_ROWS]:
+            C = parse_presentation(row, n).matrix(F)
+            for k in (2, 3, 12):
+                got = structured_outcome(decompose_structured, C, k)
+                assert got == structured_outcome(masked_structured, C, k), \
+                    (F.q, row, k)
+                planned += len(got) == 3 and bool(got[1].owned_a)
+    rng = random.Random(27)
+    for _ in range(300):
+        F = make_field(*rng.choice(PRIME_POWERS_49))
+        n = rng.randint(1, 7)
+        density = rng.random()
+        C = diag(F, [rng.randrange(F.q)] * n).with_entries({
+            (i, j): rng.randrange(1, F.q)
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if rng.random() < density})
+        k = rng.choice((1, 2, 3, 4, 12, F.p, F.q - 1))
+        got = structured_outcome(decompose_structured, C, k)
+        assert got == structured_outcome(masked_structured, C, k), \
+            (F.q, to_text(C), k)
+        planned += len(got) == 3 and bool(got[1].owned_a)
+    assert planned > 400
+
+
+def test_every_route_walks_once(F7, F13, monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args[1])
+        return tri_matrix._root_parts(*args)
+
+    monkeypatch.setattr(decomposer, "_root_parts", counted)
+    routes = [
+        (decompose_two, from_text(F13, "1,2,3;4,5;6"), 2),
+        (decompose_three, from_text(F13, "1,2,3;4,5;6"), 2),
+        (_three_by_position_search, from_text(F7, "0,1;0"), 2),
+        (decompose_structured, parse_presentation("123", 3).matrix(F13), 2),
+        (decompose_structured, zero(F13, 3), 3),
+    ]
+    for route, C, k in routes:
+        walks.clear()
+        res = route(C, k)
+        assert res.verified and walks == [k], route.__name__

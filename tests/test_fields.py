@@ -18,6 +18,7 @@ from triwaring.errors import (
 )
 from triwaring.fields import (
     FIELD_CACHE_SIZE,
+    PRIME_TEST_BOUND,
     ROOT_MAP_CACHE_SIZE,
     FieldSpec,
     _default_modulus,
@@ -86,6 +87,73 @@ def test_make_field_refuses_huge_extension_fields():
         with pytest.raises(EnumerationTooLargeError, match=str(p ** m)):
             make_field(p, m)
     assert time.perf_counter() - start < 1.0
+
+
+def is_prime_reference(n):
+    """Trial division, the primality test make_field once ran."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def strong_probable_prime(n, b):
+    """Does odd n > b pass the Miller-Rabin round to the base b?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(b, d, n)
+    return x in (1, n - 1) or any(
+        pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(2 * 10 ** 5) if is_prime(n)] == \
+        [n for n in range(2 * 10 ** 5) if is_prime_reference(n)]
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    # each passes every base before the listed one, which catches it
+    for n, catcher in ((2047, 3), (3215031751, 11),
+                       (3825123056546413051, 37),
+                       (318665857834031151167461, 41)):
+        before = bases[:bases.index(catcher)]
+        assert all(strong_probable_prime(n, b) for b in before), n
+        assert not strong_probable_prime(n, catcher), n
+        assert not is_prime(n), n
+    # the bound passes all 13 bases and is composite: a base outside the
+    # set catches it
+    assert all(strong_probable_prime(PRIME_TEST_BOUND, b) for b in bases)
+    assert not strong_probable_prime(PRIME_TEST_BOUND, 43)
+    with pytest.raises(ValueError, match=str(PRIME_TEST_BOUND)):
+        is_prime(PRIME_TEST_BOUND)
+
+
+def test_is_prime_decides_large_primes_fast():
+    for n in (2 ** 61 - 1, 10 ** 16 + 61):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert is_prime(n)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01, n
+        assert not is_prime(n * 3)
+    F = make_field(10 ** 16 + 61)
+    assert F.q == 10 ** 16 + 61 and F.mul(F.inv(12345), 12345) == 1
+
+
+def test_make_field_refuses_characteristic_past_the_prime_test_bound():
+    for p in (PRIME_TEST_BOUND, 10 ** 30 + 57):
+        with pytest.raises(EnumerationTooLargeError,
+                           match=str(PRIME_TEST_BOUND)):
+            make_field(p)
 
 
 def test_arith_examples(F7, F9):

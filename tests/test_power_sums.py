@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -542,6 +543,30 @@ def test_lang_weil_matches_raw_scan():
             if total == 1:
                 raw += 1
         assert lang_weil_check(F, k, arity, [1] * arity).N == raw
+
+
+def test_lang_weil_guard_counts_the_fold(monkeypatch, capsys):
+    # m folds of |K| values into q sums: 2 * 13 * 7 steps over F_13, k = 2
+    monkeypatch.setenv("WARING_MAX_ENUM", "182")
+    assert lang_weil_check(make_field(13), 2, 2, (1, 1)).N == 12
+    monkeypatch.setenv("WARING_MAX_ENUM", "181")
+    with pytest.raises(EnumerationTooLargeError, match="size 182 exceeds"):
+        lang_weil_check(make_field(13), 2, 2, (1, 1))
+    monkeypatch.delenv("WARING_MAX_ENUM")
+    # q^m = 1009^3 is past 10^8, but the fold is 3 * 1009 * 505 steps
+    assert lang_weil_check(make_field(1009), 2, 3, (1, 1, 1)).N == 1019090
+    assert main(["bound", "--q", "1009", "--k", "2", "--m", "3",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 1019090
+    # q^m = 9973^2 is under 10^8, but k = 1 folds q values into q sums:
+    # refused before any map is built
+    for q, k, m in ((9973, 1, 2), (10007, 1, 1)):
+        F = make_field(q)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLargeError,
+                           match=f"size {m * q * q} exceeds guard"):
+            lang_weil_check(F, k, m, [1] * m)
+        assert time.perf_counter() - start < 0.01
 
 
 def test_count_zero_sum_classes_examples(F7, F13):

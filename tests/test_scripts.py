@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,23 @@ def test_survey_output_is_pinned():
         "two-power algorithm 243/729 (misses 486 the oracle puts at <= 2), "
         "three-power 729/729 (misses 0 the oracle puts at <= 3), "
         "oracle disagreements 0\n")
+
+
+def test_structured_tables_over_an_extension_field_are_pinned():
+    # recorded while each structured side was rooted by its own call on a
+    # masked copy of C; the digest covers every part of all 50 plans
+    code, out, err = run_script("reproduce_tables.py", "--q", "3^4",
+                                "--k", "2", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith(
+        "123                n=3  connected=True\n"
+        "    k=2: coloring 121  A=1,44,0;42,0;1  B=42,0,0;1,44;42  "
+        "verified=True\n"
+        "    k=3: coloring 121  A=1,1,0;2,0;1  B=2,0,0;1,1;2  "
+        "verified=True\n")
+    assert out.endswith("\n25 rows, 0 failures\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cdb1466275a0526fc8b9f47577baea0b0aee991052841d2d2053f85c6331aeb7")
 
 
 def test_even_characteristic_survey_runs():

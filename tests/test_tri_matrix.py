@@ -29,6 +29,7 @@ from triwaring.tri_matrix import (
     UTMatrix,
     _chain,
     _diagonal_at,
+    _root_parts,
     backsub_root,
     diag,
     elementary,
@@ -322,6 +323,81 @@ def test_backsub_root_first_power_is_identity(all_fields):
             assert backsub_root(C, 1) == C
 
 
+def root_parts_reference(C, k, diagonals, owners):
+    """backsub_root_reference over s parts: per superdiagonal, the residue
+    c_rs - (sum_p A_p^k)_rs, divided by pdq in the owner's diagonal."""
+    F, n = C.field, C.n
+    parts = [diag(F, values) for values in diagonals]
+    for dist in range(1, n):
+        P = zero(F, n)
+        for A in parts:
+            P = P + mat_pow(A, k)
+        found = [{} for _ in parts]
+        for r in range(1, n - dist + 1):
+            s = r + dist
+            delta = F.sub(C.get(r, s), P.get(r, s))
+            owner = owners.get((r, s))
+            f = 0 if owner is None else power_diff_quotient(
+                F, parts[owner].get(r, r), parts[owner].get(s, s), k)
+            if f == 0:
+                if delta != 0:
+                    raise PreconditionViolatedError(
+                        f"divisor vanishes at ({r},{s}) with residue {delta}")
+                continue
+            found[owner][r, s] = F.mul(delta, F.inv(f))
+        parts = [A.with_entries(v) for A, v in zip(parts, found)]
+    return parts
+
+
+def test_root_parts_unowned_position(F7):
+    # (1,2) belongs to no part, so its residue 5 has no divisor
+    C = from_text(F7, "1,5,3;2,0;4")
+    with pytest.raises(PreconditionViolatedError,
+                       match=r"divisor vanishes at \(1,2\) with residue 5"):
+        _root_parts(C, 2, [[1, 3, 2], [2, 2, 2]], {(1, 3): 0})
+    # under a zero residue an unowned entry stays 0, and a part that owns
+    # no position comes back diagonal
+    A, B = _root_parts(C.with_entry(1, 2, 0), 2, [[1, 3, 2], [2, 2, 2]],
+                       {(1, 3): 0})
+    assert (A, B) == (from_text(F7, "1,0,1;3,0;2"), diag(F7, [2, 2, 2]))
+    assert (mat_pow(A, 2) + mat_pow(B, 2)).get(1, 3) == 3
+
+
+def test_root_parts_matches_reference():
+    # random owner maps over one to three parts, some positions unowned
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(600):
+        F = make_field(*rng.choice(PRIME_POWERS_49[:12]))
+        n, s = rng.randint(1, 5), rng.randint(1, 3)
+        k = rng.choice((1, 2, 3, 4, F.p, F.q - 1, F.q + 1))
+        two = [rng.randrange(F.q) for _ in range(2)]
+        diagonals = [[rng.choice(two) for _ in range(n)] for _ in range(s)]
+        strict = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        owners = {ij: rng.randrange(s) for ij in strict
+                  if rng.random() < 0.9}
+        C = rand_matrix(rng, F, n)
+        if rng.random() < 0.5:
+            C = C.with_entries({ij: 0 for ij in strict if ij not in owners})
+        try:
+            expected = [A.entries for A in
+                        root_parts_reference(C, k, diagonals, owners)]
+        except PreconditionViolatedError as err:
+            with pytest.raises(PreconditionViolatedError) as got:
+                _root_parts(C, k, diagonals, owners)
+            assert str(got.value) == str(err)
+            seen.add("refused")
+            continue
+        parts = _root_parts(C, k, diagonals, owners)
+        assert [A.entries for A in parts] == expected, (F, k, C, owners)
+        total = zero(F, n)
+        for A in parts:
+            total = total + mat_pow(A, k)
+        assert all(total[ij] == C[ij] for ij in owners)
+        seen.add("rooted")
+    assert seen == {"rooted", "refused"}
+
+
 class MulCountingField(FieldSpec):
     """F_p that counts its multiplications."""
 
@@ -350,6 +426,23 @@ def test_backsub_root_work_count():
         # given roots: A^k matches C above the diagonal
         assert mat_pow(A, k).with_entries(
             {(i, i): C[i, i] for i in range(1, n + 1)}) == C
+
+
+def test_root_parts_walks_only_the_owning_parts():
+    # parts that own no position cost nothing: three parts under part 0's
+    # ownership take the products of one
+    F = MulCountingField(101, 1, (0, 1))
+    rng = random.Random(31)
+    reps = [fiber[0] for v, fiber in kth_root_map(F, 5).items() if v]
+    diagonals = [[rng.choice(reps) for _ in range(8)] for _ in range(3)]
+    C = rand_matrix(rng, F, 8)
+    MulCountingField.muls = 0
+    A = backsub_root(C, 5, diagonals[0])
+    one = MulCountingField.muls
+    MulCountingField.muls = 0
+    parts = _root_parts(C, 5, diagonals)
+    assert MulCountingField.muls == one
+    assert parts == [A, diag(F, diagonals[1]), diag(F, diagonals[2])]
 
 
 def sparse_instance(rng, F, n, k):
