@@ -122,15 +122,17 @@ def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
     return total == C.entries
 
 
-def _assemble(C: UTMatrix, k: int, entries, parts: int, plan=None,
-              owners=None) -> DecompositionResult:
+def _assemble(C: UTMatrix, k: int, entries, parts: int, plan=None
+              ) -> DecompositionResult:
     """The construction every route shares, from the assignment rows
     `entries`: one diagonal per column (x, y, then z when parts = 3), the
     strict upper part of C rooted by one `_root_parts` walk under the
-    owner map `owners` (A owns every position when it is None, and the
-    other parts stay diagonal), then the sum of the parts' k-th powers
-    checked against C."""
+    owner map of `plan`, A's entries to part 0 and B's to part 1 (A owns
+    every position without a plan, and the other parts stay diagonal),
+    then the sum of the parts' k-th powers checked against C."""
     rows = [e.as_row() for e in entries]
+    owners = None if plan is None else (dict.fromkeys(plan.owned_a, 0)
+                                        | dict.fromkeys(plan.owned_b, 1))
     found = tuple(_root_parts(C, k, [[row[c] for row in rows]
                                      for c in range(parts)], owners))
     if not verify_decomposition(C, found, k):
@@ -229,7 +231,8 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     lam = d[0]
 
     if not entries:
-        # no constraints: one solution covers every position
+        # no constraints: one solution covers every position, and the plan
+        # owns none, so no part is walked
         s = lex_min_solution(F, lam, k)
         if s is None:
             raise InsufficientClassesError(
@@ -256,8 +259,7 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         return Obstruction(C, k, len(refuted), refuted)
     owned_a, owned_b = split
     return _assemble(C, k, [AssignmentEntry(lam, *sols[c]) for c in coloring],
-                     2, StructuredPlan(coloring, owned_a, owned_b),
-                     dict.fromkeys(owned_a, 0) | dict.fromkeys(owned_b, 1))
+                     2, StructuredPlan(coloring, owned_a, owned_b))
 
 
 def _split_entries(entries):

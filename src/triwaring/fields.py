@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -36,6 +37,25 @@ Element = int
 MAX_EXTENSION_Q = 10 ** 6
 FIELD_CACHE_SIZE = 64  # (p, m, modulus) fields kept, least recently used out
 ROOT_MAP_CACHE_SIZE = 64  # (F, k) root maps kept, least recently used out
+# The one enumeration budget: the steps any guarded call may take.
+DEFAULT_ENUM_GUARD = 10 ** 8
+
+
+def enum_guard(work: int) -> None:
+    """Hard error when a call would take more than the budget's steps;
+    `work` is the number of steps the guarded call takes, counted before it
+    starts. WARING_MAX_ENUM overrides DEFAULT_ENUM_GUARD (documented as
+    at-your-own-risk); a value that is not an integer fails closed with the
+    same error."""
+    raw = os.environ.get("WARING_MAX_ENUM")
+    try:
+        limit = DEFAULT_ENUM_GUARD if raw is None else int(raw)
+    except ValueError:
+        raise EnumerationTooLargeError(
+            f"WARING_MAX_ENUM={raw!r} is not an integer") from None
+    if work > limit:
+        raise EnumerationTooLargeError(
+            f"enumeration of size {work} exceeds guard {limit}")
 
 
 # Miller-Rabin to the first 13 prime bases decides primality for every
@@ -386,9 +406,12 @@ def kth_root_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, ...]]:
     reads the fibers off the exp table in one pass: the k-th power of
     exp[i] is exp[k i mod (q - 1)], which depends on i mod (q - 1)/d only,
     d = gcd(k, q - 1), so each nonzero fiber is the slice exp[i::(q - 1)/d]
-    of d entries, and no power is computed per element."""
+    of d entries, and no power is computed per element. Either walks q
+    elements, so the guard is asked for q before the map is built; a map
+    already cached is not asked again."""
     if k < 1:
         raise ValueError("k must be positive")
+    enum_guard(F.q)
     if F.m == 1:
         p = F.p
         fibers: dict[Element, list[Element]] = {}

@@ -36,8 +36,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EnumerationTooLargeError, FieldMismatchError
-from .fields import Element, FieldSpec, kth_root_map, minus_one_is_kth_power
-from .power_sums import diagonal_options, diagonal_roots, enum_guard
+from .fields import (Element, FieldSpec, enum_guard, kth_root_map,
+                     minus_one_is_kth_power)
+from .power_sums import diagonal_options, diagonal_roots
 from .tri_matrix import (
     UTMatrix,
     _chain,
@@ -52,7 +53,6 @@ from .tri_matrix import (
     to_text,
 )
 
-BN_GUARD = 10 ** 7
 # entries kept per cache, least recently used out: (F, n, k) engines, field
 # tables, B_n systems
 LAYER_CACHE_SIZE = 32
@@ -377,10 +377,6 @@ def waring_report(F: FieldSpec, n: int, k: int, cap: int = 4) -> WaringReport:
     return WaringReport(F, n, k, cap, per, witnesses)
 
 
-def bn_size(F: FieldSpec, n: int) -> int:
-    return (F.q - 1) ** n * F.q ** (n * (n - 1) // 2)
-
-
 @functools.lru_cache(maxsize=LAYER_CACHE_SIZE)
 def _bn_system(n: int) -> tuple[tuple, tuple[int, ...]]:
     """The system A P = P B of T_n, which depends on n alone.
@@ -458,18 +454,23 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     the rest set to 0, finds the first invertible point in at most q^n
     leaves. Elimination and search read F's q x q tables, which cost no
     more than the q^n leaves for n >= 2; T_1 is F itself, where x P = P y
-    has an invertible solution exactly when x = y, the first being 1. The
-    B_n-size guard is kept as the domain limit."""
-    enum_guard(bn_size(F, A.n), BN_GUARD)
+    has an invertible solution exactly when x = y, the first being 1.
+
+    The guard counts that work, with w = n(n+1)/2 unknowns: w^3 steps of
+    elimination, w steps at each of at most (q-1)^n leaves, and 3 q^2 for
+    the tables when n >= 2. At n = 1 that is q."""
+    n, q = A.n, F.q
+    width = n * (n + 1) // 2
+    enum_guard(width ** 3 + width * (q - 1) ** n
+               + (3 * q * q if n >= 2 else 0))
     if A.field != F:
         raise FieldMismatchError("matrices live over different fields")
     check_compatible(A, B)
-    n, ae, be = A.n, A.entries, B.entries
+    ae, be = A.entries, B.entries
     if n <= 1:
         return UTMatrix(F, n, (1,) * n) if ae == be else None
     add, sub, mul = _field_tables(F)
     equations, unknown_of = _bn_system(n)
-    width = len(unknown_of)
     rows = []
     for a_terms, b_terms in equations:
         row = [0] * width

@@ -26,39 +26,21 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import (
-    EnumerationTooLargeError,
     FieldMismatchError,
     HypothesisViolatedError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
 )
-from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, kth_root_map,
-                     minus_one_is_kth_power)
+from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, enum_guard,
+                     kth_root_map, minus_one_is_kth_power)
 
-DEFAULT_ENUM_GUARD = 10 ** 8
 # (F, lam, k) classifications kept, least recently used out; every lam of
 # F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them. Each holds
 # its classes as root fiber pairs.
 CLASS_CACHE_SIZE = 1024
-
-
-def enum_guard(size: int, cap: int = DEFAULT_ENUM_GUARD) -> None:
-    """Hard error when an exhaustive enumeration would exceed the guard.
-    WARING_MAX_ENUM overrides the cap (documented as at-your-own-risk); a
-    value that is not an integer fails closed with the same error."""
-    raw = os.environ.get("WARING_MAX_ENUM")
-    try:
-        limit = cap if raw is None else int(raw)
-    except ValueError:
-        raise EnumerationTooLargeError(
-            f"WARING_MAX_ENUM={raw!r} is not an integer") from None
-    if size > limit:
-        raise EnumerationTooLargeError(
-            f"enumeration of size {size} exceeds guard {limit}")
 
 
 Fiber = tuple[Element, ...]
@@ -109,12 +91,15 @@ def power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int) -> Element
 
     Satisfies x^k - y^k = (x - y) * power_diff_quotient(x, y); its
     nonvanishing is what lets triangular root-building divide by it.
+    Horner's rule in x, acc <- acc x + y^i for i < k, with y^i carried
+    along: k steps of one product and one sum each, and no power.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    acc = 0
-    for i in range(k):
-        acc = F.add(acc, F.mul(F.pow(x, k - 1 - i), F.pow(y, i)))
+    acc, yi = 0, 1
+    for _ in range(k):
+        acc = F.add(F.mul(acc, x), yi)
+        yi = F.mul(yi, y)
     return acc
 
 
@@ -234,8 +219,9 @@ class QuotientZeroReport:
 
 def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
     """Scan F_q x F_q minus (0,0) and compare the observed zero set of the
-    quotient against the predicted characterization."""
-    enum_guard(F.q ** 2)
+    quotient against the predicted characterization. Each of the q^2 pairs
+    takes the k steps of `power_diff_quotient`, so the guard counts q^2 k."""
+    enum_guard(F.q ** 2 * k)
     p = F.p
     zeros = []
     violations = []
@@ -332,6 +318,10 @@ def select_system_pairs(F: FieldSpec, targets, k: int
     powers unused. Chronological backtracking (a stack of one candidate
     iterator per entered position) handles sub-threshold fields where
     greedy dead-ends; the result is the first assignment of that scan.
+    Positions of one target are interchangeable: swapping their picks
+    keeps an assignment feasible, so the first one picks increasing
+    candidates within a target, and a position whose target repeats the
+    previous one's starts just after that position's pick.
     More targets than k-th power values fail at once, as does a target with
     fewer classes than occurrences; an exhausted search names the first
     target scanned.
@@ -361,7 +351,12 @@ def select_system_pairs(F: FieldSpec, targets, k: int
     used_x, used_y = set(), set()
     while len(placed) < n:
         if len(stack) == len(placed):
-            stack.append(iter(cands[scan[len(placed)]]))
+            depth = len(placed)
+            todo = cands[scan[depth]]
+            if depth and scan[depth] == scan[depth - 1]:
+                xy, sx, sy = placed[-1]
+                todo = todo[todo.index((xy, (sx, sy))) + 1:]
+            stack.append(iter(todo))
         for xy, (sx, sy) in stack[-1]:
             if sx not in used_x and sy not in used_y:
                 placed.append((xy, sx, sy))

@@ -369,6 +369,17 @@ def test_conjugate_malformed_entry_is_parse_error(capsys):
     assert payload["failure"]["type"] == "ParseError"
 
 
+def test_solve_past_the_budget_is_refused_before_the_root_map(capsys):
+    # the k-th root map of F_q walks q elements; q = 10^9 + 7 is past the
+    # budget, so the command fails typed instead of building it
+    code, payload = run_json(capsys, "solve", "--q", "1000000007", "--k",
+                             "2", "--lambda", "1", "--json")
+    assert code == 1
+    assert payload["failure"] == {
+        "type": "EnumerationTooLargeError",
+        "message": "enumeration of size 1000000007 exceeds guard 100000000"}
+
+
 def test_conjugate_bad_guard_override_is_typed(capsys, monkeypatch):
     monkeypatch.setenv("WARING_MAX_ENUM", "1e6")
     code, payload = run_json(capsys, "conjugate", "--q", "3",

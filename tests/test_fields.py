@@ -17,6 +17,7 @@ from triwaring.errors import (
     ReducibleModulusError,
 )
 from triwaring.fields import (
+    DEFAULT_ENUM_GUARD,
     FIELD_CACHE_SIZE,
     PRIME_TEST_BOUND,
     ROOT_MAP_CACHE_SIZE,
@@ -38,6 +39,9 @@ from triwaring.fields import (
     parse_field,
 )
 from triwaring.cli import main
+from triwaring.oracle import all_kth_powers, bn_conjugate
+from triwaring.power_sums import lang_weil_check, quotient_zero_report
+from triwaring.tri_matrix import zero
 from tests.conftest import PRIME_POWERS_49
 
 
@@ -87,6 +91,81 @@ def test_make_field_refuses_huge_extension_fields():
         with pytest.raises(EnumerationTooLargeError, match=str(p ** m)):
             make_field(p, m)
     assert time.perf_counter() - start < 1.0
+
+
+def conjugacy(p, n):
+    F = make_field(p)
+    return bn_conjugate, F, zero(F, n), zero(F, n)
+
+
+# Every guarded call, as (name, inputs -> call, work) on a small input,
+# then on the first input the default budget refuses. The unit of each is
+# the steps it takes: matrices walked by the image, m q |K| fold steps,
+# q^2 k quotient steps, w^3 + w (q-1)^n + 3 q^2 (n >= 2, w = n(n+1)/2)
+# for conjugacy, and the q elements a root map walks.
+GUARDED = [
+    ("image",
+     lambda: (all_kth_powers, make_field(3), 2, 2), 27,
+     lambda: (all_kth_powers, make_field(467), 2, 2), 467 ** 3),
+    ("fold",
+     lambda: (lang_weil_check, make_field(13), 2, 2, (1, 1)), 182,
+     lambda: (lang_weil_check, make_field(7079), 1, 2, (1, 1)),
+     2 * 7079 ** 2),
+    ("quotient report",
+     lambda: (quotient_zero_report, make_field(7), 2), 98,
+     lambda: (quotient_zero_report, make_field(7), 2_040_817),
+     49 * 2_040_817),
+    ("conjugacy",
+     lambda: conjugacy(7, 2), 282,
+     lambda: conjugacy(2, 30), 100_545_102),
+    ("root map",
+     lambda: (kth_root_map, make_field(101), 2), 101,
+     lambda: (kth_root_map, make_field(100_000_007), 2), 100_000_007),
+]
+
+
+@pytest.mark.parametrize("small, work", [(g[1], g[2]) for g in GUARDED],
+                         ids=[g[0] for g in GUARDED])
+def test_each_guard_counts_the_steps_of_its_call(monkeypatch, small, work):
+    # a cached root map is not asked again, so each call starts cold
+    fn, *args = small()
+    monkeypatch.setenv("WARING_MAX_ENUM", str(work - 1))
+    kth_root_map.cache_clear()
+    with pytest.raises(EnumerationTooLargeError,
+                       match=f"^enumeration of size {work} exceeds guard "
+                             f"{work - 1}$"):
+        fn(*args)
+    monkeypatch.setenv("WARING_MAX_ENUM", str(work))
+    kth_root_map.cache_clear()
+    fn(*args)
+
+
+@pytest.mark.parametrize("first, work", [(g[3], g[4]) for g in GUARDED],
+                         ids=[g[0] for g in GUARDED])
+def test_first_refused_input_refuses_fast(monkeypatch, first, work):
+    monkeypatch.delenv("WARING_MAX_ENUM", raising=False)
+    assert work > DEFAULT_ENUM_GUARD
+    fn, *args = first()
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLargeError,
+                       match=f"^enumeration of size {work} exceeds guard "
+                             f"{DEFAULT_ENUM_GUARD}$"):
+        fn(*args)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_root_map_guard_is_asked_once_per_build(monkeypatch):
+    F = make_field(101)
+    kth_root_map.cache_clear()
+    built = kth_root_map(F, 3)
+    monkeypatch.setenv("WARING_MAX_ENUM", "100")
+    assert kth_root_map(F, 3) is built  # warm: the guard is not asked
+    with pytest.raises(EnumerationTooLargeError, match="size 101"):
+        kth_root_map(F, 5)
+    # a value that is not an integer fails closed where a map is built
+    monkeypatch.setenv("WARING_MAX_ENUM", "1e6")
+    with pytest.raises(EnumerationTooLargeError, match="WARING_MAX_ENUM"):
+        kth_root_map(F, 5)
 
 
 def is_prime_reference(n):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import signal
 import time
@@ -17,12 +18,12 @@ from triwaring.errors import (
     SizeMismatchError,
 )
 from triwaring import oracle
+from triwaring.canonical import ConjugationWitness
 from triwaring.fields import kth_root_map, make_field
 from triwaring.power_sums import _matchable
 from triwaring.oracle import (
     all_kth_powers,
     bn_conjugate,
-    bn_size,
     iter_matrices,
     matrix_encoding,
     min_waring_number,
@@ -158,7 +159,7 @@ def test_waring_report(F3):
 
 def test_bn_iteration(F3):
     mats = list(iter_bn_reference(F3, 2))
-    assert len(mats) == bn_size(F3, 2) == 4 * 3
+    assert len(mats) == 2 ** 2 * 3  # (q-1)^n diagonals, q strict entries
     assert len(set(mats)) == len(mats)
     assert all(0 not in P.diagonal() for P in mats)
 
@@ -189,9 +190,72 @@ def test_bn_conjugate_equivalence_spot_checks(F3):
             assert bn_conjugate(F3, A, C) is not None  # transitive
 
 
-def test_bn_guard(F13):
-    with pytest.raises(EnumerationTooLargeError):
-        bn_conjugate(F13, zero(F13, 6), zero(F13, 6))
+def conjugacy_work(F, n):
+    """`bn_conjugate`'s guard unit, w = n(n+1)/2: w^3 elimination steps,
+    w per leaf over (q-1)^n leaves, and 3 q^2 table entries for n >= 2."""
+    w = n * (n + 1) // 2
+    return w ** 3 + w * (F.q - 1) ** n + (3 * F.q ** 2 if n >= 2 else 0)
+
+
+def test_bn_guard():
+    # the first refused shapes: T_30(F_2) (T_29 counts 82,313,322 steps),
+    # and T_1 past 10^8
+    for F, n in [(make_field(2), 30), (make_field(100_000_007), 1)]:
+        work = conjugacy_work(F, n)
+        with pytest.raises(EnumerationTooLargeError,
+                           match=f"size {work} exceeds guard 100000000"):
+            bn_conjugate(F, zero(F, n), zero(F, n))
+    assert conjugacy_work(make_field(2), 30) == 100_545_102
+    assert conjugacy_work(make_field(2), 29) <= 10 ** 8
+
+
+class Refused(Exception):
+    pass
+
+
+def test_bn_guard_admits_every_shape_the_bn_size_guard_did(monkeypatch):
+    # the former guard admitted |B_n| = (q-1)^n q^(n(n-1)/2) <= 10^7; the
+    # work unit admits all of those shapes, which stop at q <= 215
+    asked = []
+
+    def record(work):
+        asked.append(work)
+        raise Refused
+
+    monkeypatch.setattr(oracle, "enum_guard", record)
+    shapes = 0
+    for q in range(2, 216):
+        F = prime_power_field(q)
+        n = 1
+        while F is not None and (q - 1) ** n * q ** (n * (n - 1) // 2) <= 10 ** 7:
+            with pytest.raises(Refused):
+                bn_conjugate(F, zero(F, n), zero(F, n))
+            assert asked.pop() == conjugacy_work(F, n) <= 10 ** 8, (q, n)
+            shapes, n = shapes + 1, n + 1
+    assert shapes > 100
+
+
+def prime_power_field(q):
+    """F_q when q is a prime power the package builds (m <= 4), else None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m = round(math.log(q, p))
+    return make_field(p, m) if p ** m == q and m <= 4 else None
+
+
+# Shapes the |B_n| <= 10^7 guard refused and the work unit admits: a
+# conjugate pair's witness verifies, and a matrix is conjugate to itself by
+# the identity, the first element of B_n
+@pytest.mark.parametrize("p, n", [(13, 5), (13, 6), (5, 8), (3, 12), (2, 20)])
+def test_bn_conjugate_newly_admitted_shapes(p, n):
+    F = make_field(p)
+    rng = random.Random(f"bn/admitted/{p}/{n}")
+    for _ in range(2):
+        A = random_matrix(F, n, rng)
+        P = random_matrix(F, n, rng, [rng.randrange(1, p) for _ in range(n)])
+        B = mat_mul(mat_mul(mat_inv(P), A), P)
+        S = bn_conjugate(F, A, B)
+        assert S is not None and ConjugationWitness(S, A, B).verify()
+        assert bn_conjugate(F, A, A) == diag(F, [1] * n)
 
 
 def scan_bn(F, A, B):
@@ -310,11 +374,11 @@ def test_bn_conjugate_property(F3, n, data):
 
 
 def test_bn_conjugate_large_prime_t1():
-    # BN_GUARD admits T_1 over a prime near 10^7, where a q x q table would
-    # hold 10^14 entries; the timer stops such a build within a quarter
-    # second, before it can take much memory
-    F = make_field(9_999_991)
-    assert bn_size(F, 1) <= oracle.BN_GUARD
+    # the guard counts q steps on T_1, so it admits the largest prime below
+    # 10^8, where a q x q table would hold 10^16 entries; the timer stops
+    # such a build within a quarter second, before it can take much memory
+    F = make_field(99_999_989)
+    assert conjugacy_work(F, 1) == F.q <= 10 ** 8
     x, y = (UTMatrix(F, 1, (v,)) for v in (1_234_567, 7_654_321))
 
     def overrun(signum, frame):

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+import random
 import time
 
 import pytest
@@ -24,6 +26,7 @@ from triwaring.fields import (
 )
 from triwaring.power_sums import (
     CLASS_CACHE_SIZE,
+    AssignmentEntry,
     classification_report,
     classified,
     count_zero_sum_classes,
@@ -88,12 +91,31 @@ def test_quotient_zero_report_lists_violations(F7, monkeypatch):
 
 
 def test_quotient_zero_report_is_guarded(F7, monkeypatch):
-    # the scan covers F_q x F_q, so q^2 = 49 must fit under the guard
-    monkeypatch.setenv("WARING_MAX_ENUM", "48")
-    with pytest.raises(EnumerationTooLargeError):
+    # the scan covers F_q x F_q, each pair's quotient in k steps, so
+    # q^2 k = 98 must fit under the guard
+    monkeypatch.setenv("WARING_MAX_ENUM", "97")
+    with pytest.raises(EnumerationTooLargeError, match="size 98 exceeds"):
         quotient_zero_report(F7, 2)
-    monkeypatch.setenv("WARING_MAX_ENUM", "49")
+    monkeypatch.setenv("WARING_MAX_ENUM", "98")
     assert quotient_zero_report(F7, 2).ok
+
+
+def power_diff_quotient_reference(F, x, y, k):
+    """The definition: the sum of x^(k-1-i) y^i over i < k."""
+    acc = 0
+    for i in range(k):
+        acc = F.add(acc, F.mul(F.pow(x, k - 1 - i), F.pow(y, i)))
+    return acc
+
+
+def test_quotient_recurrence_matches_the_sum():
+    for F in (make_field(7), make_field(2, 3), make_field(3, 2),
+              make_field(13)):
+        for k in range(1, 30):
+            for x, y in itertools.product(F.elements(), repeat=2):
+                assert (power_diff_quotient(F, x, y, k)
+                        == power_diff_quotient_reference(F, x, y, k)), \
+                    (F, x, y, k)
 
 
 def expand(cl):
@@ -429,6 +451,104 @@ def test_select_system_pairs_invariants(pm, k, data):
     got = select_system_pairs(F, targets, k)
     assert [(e.lam, e.x, e.y) for e in got] == want
     assert_distinct_power_solutions(F, k, got)
+
+
+def select_scan_reference(F, targets, k):
+    """The scan `select_system_pairs` made before it skipped the orderings
+    of interchangeable positions: every position tries its target's
+    candidates from the first, so picks of one target are retried in every
+    order. Same result, or the same failure, as `select_system_pairs`."""
+    targets = list(targets)
+    n, values = len(targets), len(kth_root_map(F, k))
+    if n > values:
+        raise InsufficientClassesError(
+            f"{n} positions need pairwise distinct values of x^{k}, but "
+            f"x^{k} takes only {values} values over F_{F.q}",
+            found=values, needed=n)
+    mult = collections.Counter(targets)
+    cands = {lam: classified(F, lam, k)._candidates for lam in mult}
+    for lam, need in sorted(mult.items(), key=lambda d: (-d[1], d[0])):
+        found = len(cands[lam])
+        if found < need:
+            raise InsufficientClassesError(
+                f"x^{k} + y^{k} = {lam} has {found} usable classes over "
+                f"F_{F.q}, need {need} (sufficient only for q > 4 n^2 k^16)",
+                lam=lam, found=found, needed=need)
+    order = sorted(range(n), key=lambda i: (-mult[targets[i]], targets[i]))
+    scan = [targets[i] for i in order]
+    placed, stack = [], []
+    used_x, used_y = set(), set()
+    while len(placed) < n:
+        if len(stack) == len(placed):
+            stack.append(iter(cands[scan[len(placed)]]))
+        for xy, (sx, sy) in stack[-1]:
+            if sx not in used_x and sy not in used_y:
+                placed.append((xy, sx, sy))
+                used_x.add(sx)
+                used_y.add(sy)
+                break
+        else:
+            stack.pop()
+            if not placed:
+                raise InsufficientClassesError(
+                    f"no compatible class assignment for targets "
+                    f"{sorted(mult)} over F_{F.q} (k={k}); "
+                    f"sufficient only for q > 4 n^2 k^16",
+                    lam=scan[0], found=len(cands[scan[0]]), needed=n)
+            _, sx, sy = placed.pop()
+            used_x.remove(sx)
+            used_y.remove(sy)
+    chosen = sorted(zip(order, placed))
+    return tuple(AssignmentEntry(targets[i], *xy) for i, (xy, _, _) in chosen)
+
+
+def selection_outcome(select, F, targets, k):
+    """The parts, or the failure's type, message, lam, found and needed."""
+    try:
+        return select(F, targets, k)
+    except InsufficientClassesError as err:
+        return (type(err), str(err), err.lam, err.found, err.needed)
+
+
+def test_selection_matches_the_scan_without_offsets():
+    # every multiset diagonal of size n <= 4 over q <= 13, as many of
+    # size 5 and 6 over the larger fields, and k in {1, 2, 3, 4, 6}
+    rng = random.Random("select/offset")
+    cases = 0
+    for pm in PRIME_POWERS_49:
+        F = make_field(*pm)
+        for k in (1, 2, 3, 4, 6):
+            if F.q <= 13:
+                diagonals = [d for n in range(1, 5) for d in
+                             itertools.combinations_with_replacement(
+                                 range(F.q), n)]
+            else:
+                diagonals = [[rng.choice(pool) for _ in range(n)]
+                             for n in (5, 6) for _ in range(40)
+                             for pool in [rng.sample(range(F.q), 3)]]
+            for d in diagonals:
+                assert (selection_outcome(select_system_pairs, F, d, k)
+                        == selection_outcome(select_scan_reference, F, d, k)
+                        ), (F, d, k)
+                cases += 1
+    assert cases > 10_000
+
+
+def test_selection_skips_the_orderings_on_wide_failing_diagonals():
+    # T_13..T_15(F_31), k = 2, seeded diagonals: the same parts or the
+    # same failure as the scan that retries every ordering. Seed 24 of T_15
+    # fails after a search (0.2 s here, 1.3 s for the reference), seed 17
+    # of T_13 before one; the others succeed
+    F = make_field(31)
+    outcomes = set()
+    for n, seed in [(13, 0), (13, 1), (13, 17), (14, 0), (14, 1), (15, 0),
+                    (15, 24)]:
+        rng = random.Random(f"select/T{n}/{seed}")
+        d = [rng.randrange(F.q) for _ in range(n)]
+        got = selection_outcome(select_system_pairs, F, d, 2)
+        assert got == selection_outcome(select_scan_reference, F, d, 2)
+        outcomes.add(got[0] is InsufficientClassesError)
+    assert outcomes == {True, False}
 
 
 def test_select_system_pairs_wide():
