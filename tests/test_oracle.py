@@ -213,6 +213,13 @@ class Refused(Exception):
     pass
 
 
+def prime_power_field(q):
+    """F_q when q is a prime power the package builds (m <= 4), else None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m = round(math.log(q, p))
+    return make_field(p, m) if p ** m == q and m <= 4 else None
+
+
 def test_bn_guard_admits_every_shape_the_bn_size_guard_did(monkeypatch):
     # the former guard admitted |B_n| = (q-1)^n q^(n(n-1)/2) <= 10^7; the
     # work unit admits all of those shapes, which stop at q <= 215
@@ -224,22 +231,14 @@ def test_bn_guard_admits_every_shape_the_bn_size_guard_did(monkeypatch):
 
     monkeypatch.setattr(oracle, "enum_guard", record)
     shapes = 0
-    for q in range(2, 216):
-        F = prime_power_field(q)
+    for F in filter(None, map(prime_power_field, range(2, 216))):
         n = 1
-        while F is not None and (q - 1) ** n * q ** (n * (n - 1) // 2) <= 10 ** 7:
+        while (F.q - 1) ** n * F.q ** (n * (n - 1) // 2) <= 10 ** 7:
             with pytest.raises(Refused):
                 bn_conjugate(F, zero(F, n), zero(F, n))
-            assert asked.pop() == conjugacy_work(F, n) <= 10 ** 8, (q, n)
+            assert asked.pop() == conjugacy_work(F, n) <= 10 ** 8, (F, n)
             shapes, n = shapes + 1, n + 1
     assert shapes > 100
-
-
-def prime_power_field(q):
-    """F_q when q is a prime power the package builds (m <= 4), else None."""
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    m = round(math.log(q, p))
-    return make_field(p, m) if p ** m == q and m <= 4 else None
 
 
 # Shapes the |B_n| <= 10^7 guard refused and the work unit admits: a
