@@ -2,8 +2,8 @@
 
 Every subcommand validates input, dispatches to the library and prints
 either aligned text or (with --json) a stable machine-readable object.
-Exit codes: 0 success, 1 typed domain failure (legitimate at small q),
-2 usage error.
+Exit codes: 0 success, 1 typed domain failure (legitimate at small q)
+or a reader that closed the pipe, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import canonical, decomposer, oracle, power_sums, tri_matrix
@@ -250,6 +251,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head`): as the Python docs advise, stdout
+        # goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     for name in ("k", "m", "n"):

@@ -37,7 +37,7 @@ from .errors import (
 from .fields import Element
 from .power_sums import (
     AssignmentEntry,
-    classified,
+    class_walk,
     diagonal_options,
     diagonal_roots,
     lex_min_solution,
@@ -111,14 +111,17 @@ def verify_decomposition(C: UTMatrix, parts, k: int) -> bool:
     """Does the sum of the k-th powers of the parts equal C exactly? The
     powers are summed entrywise on packed tuples; a part of another size
     or over another field raises, as adding it to C would; so does k < 1,
-    where every part's power is I."""
+    where every part's power is I. A part whose strict entries are all 0
+    is raised entrywise (each 0 stays 0), any other by `mat_pow`."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    add = C.field.add
+    F = C.field
     total = (0,) * len(C.entries)
     for part in parts:
         check_compatible(C, part)
-        total = tuple(map(add, total, mat_pow(part, k).entries))
+        power = (tuple(F.pow(e, k) for e in part.entries)
+                 if part.is_diagonal() else mat_pow(part, k).entries)
+        total = tuple(map(F.add, total, power))
     return total == C.entries
 
 
@@ -241,13 +244,14 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
         return _assemble(C, k, [AssignmentEntry(lam, *s)] * n, 2,
                          StructuredPlan((1,) * n, (), ()))
 
-    cl = classified(F, lam, k)
-    if cl.r < 2:
+    walk = class_walk(F, lam, k)
+    walk.reach(2)
+    r = len(walk.signatures)
+    if r < 2:
         raise InsufficientClassesError(
-            f"x^{k} + y^{k} = {lam} has {cl.r} classes over F_{F.q}, "
-            f"need 2 for the structured split", lam=lam, found=cl.r, needed=2)
-    s1, s2 = [(xs[0], ys[0]) for xs, ys in cl.fibers[:2]]
-    sols = {1: s1, 2: s2}
+            f"x^{k} + y^{k} = {lam} has {r} classes over F_{F.q}, "
+            f"need 2 for the structured split", lam=lam, found=r, needed=2)
+    sols = {1: walk.candidates[0][0], 2: walk.candidates[1][0]}
 
     coloring = bipartition(C)
     split = _split_entries(entries)

@@ -17,7 +17,6 @@ for every degree.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -402,28 +401,26 @@ def kth_root_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, ...]]:
     nonzero part is the subgroup of index gcd(k, q-1) in F_q^*, of size
     (q-1)/gcd(k, q-1).
 
-    A prime field raises each element with builtin pow. An extension field
-    reads the fibers off the exp table in one pass: the k-th power of
-    exp[i] is exp[k i mod (q - 1)], which depends on i mod (q - 1)/d only,
-    d = gcd(k, q - 1), so each nonzero fiber is the slice exp[i::(q - 1)/d]
-    of d entries, and no power is computed per element. Either walks q
-    elements, so the guard is asked for q before the map is built; a map
-    already cached is not asked again."""
+    Both walk a = 0, 1, ..., q - 1 once, appending a to the fiber of a^k,
+    so fibers come out sorted and keyed by least root with no sort. A
+    prime field raises a with builtin pow; an extension field reads a^k
+    off the tables as exp[k log(a) mod (q - 1)], computing no power. The
+    walk takes q steps, so the guard is asked for q before the map is
+    built; a map already cached is not asked again."""
     if k < 1:
         raise ValueError("k must be positive")
     enum_guard(F.q)
+    fibers: dict[Element, list[Element]] = {}
     if F.m == 1:
         p = F.p
-        fibers: dict[Element, list[Element]] = {}
         for a in range(p):
             fibers.setdefault(pow(a, k, p), []).append(a)
-        return {v: tuple(roots) for v, roots in fibers.items()}
-    order = F.q - 1
-    exp = F._exp
-    step = order // math.gcd(k, order)
-    cosets = sorted((tuple(sorted(exp[i:order:step])), exp[k * i % order])
-                    for i in range(step))
-    return {0: (0,), **{v: roots for roots, v in cosets}}
+    else:
+        order, exp, log = F.q - 1, F._exp, F._log
+        fibers[0] = [0]
+        for a in range(1, F.q):
+            fibers.setdefault(exp[k * log[a] % order], []).append(a)
+    return {v: tuple(roots) for v, roots in fibers.items()}
 
 
 def kth_roots(F: FieldSpec, lam: Element, k: int) -> tuple[Element, ...]:

@@ -14,11 +14,16 @@ yields diagonal assignments whose k-th powers never collide.
 
 The classes are read off the cached k-th root map: V_i with signature
 (v, lam - v) is exactly fiber(v) x fiber(lam - v), and U collects the
-products with v = lam - v. O(q) work per lam once that map exists, and no
-k-th power is recomputed. A classification is cached as those fiber pairs
-and signatures only; the decomposer reads no more than one solution per
-class (its pair of least roots), and records each chosen solution as an
-AssignmentEntry.
+products with v = lam - v. One lazy walk per (F, lam, k), cached, meets
+them by walking the k-th power values v upward, and goes on only when a
+reader asks for a class it has not met: selection asks for as many
+candidates as its scan reaches, and the structured route for two
+classes, so neither pays O(q) for a large field. Only a failure (whose
+counts name every class), `classified` (the whole partition) and its
+readers, `solve`, `classify` and `count_zero_sum_classes`, walk to the end.
+No k-th power is recomputed; the decomposer reads no more than one
+solution per class (its pair of least roots), and records each chosen
+solution as an AssignmentEntry.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from .errors import (
 from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, enum_guard,
                      kth_root_map, minus_one_is_kth_power)
 
-# (F, lam, k) classifications kept, least recently used out; every lam of
+# (F, lam, k) class walks kept, least recently used out; every lam of
 # F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them. Each holds
-# its classes as root fiber pairs.
+# the classes it has met as root fiber pairs.
 CLASS_CACHE_SIZE = 1024
 
 
@@ -56,8 +61,7 @@ class SolutionClassification:
     signature. U is the union of u_fibers[j][0] x u_fibers[j][1] over the
     signatures u_signatures[j] = (v, v), in the same order; it spans
     several fibers only in characteristic 2 with lam = 0, and then the
-    first is fiber(0) = (0,), so u_fibers[0] holds U's least member. The
-    selection candidates are built on first access and kept.
+    first is fiber(0) = (0,), so u_fibers[0] holds U's least member.
     r = len(signatures).
     """
 
@@ -72,18 +76,75 @@ class SolutionClassification:
     def r(self) -> int:
         return len(self.signatures)
 
-    @functools.cached_property
-    def _candidates(self) -> tuple[tuple[tuple[Element, Element],
-                                         tuple[Element, Element]], ...]:
-        """What selection scans: (representative (x, y), signature) per
-        class in class order, then U's least member (when U is nonempty)
-        as a last resort for sub-threshold fields. A representative is its
-        class's lex-smallest member, the least roots of its signature. In
-        the theorem regime the V representatives alone always suffice, so
-        the U candidate never changes theorem-regime outputs."""
-        parts = zip(self.fibers + self.u_fibers[:1],
-                    self.signatures + self.u_signatures[:1])
-        return tuple(((xs[0], ys[0]), sig) for (xs, ys), sig in parts)
+
+class ClassWalk:
+    """The classes of x^k + y^k = lam as far as they have been met: one
+    walk over the k-th power values v in ascending order, each v with
+    lam - v also a k-th power a class fiber(v) x fiber(lam - v) with
+    signature (v, lam - v), in V when the two differ and in U otherwise.
+
+    `candidates` is what selection scans: (representative (x, y),
+    signature) per V class in class order, then, once the walk is done,
+    U's least member (when U is nonempty) as a last resort for
+    sub-threshold fields. A representative is its class's lex-smallest
+    member, the least roots of its signature. In the theorem regime the
+    V representatives alone always suffice, so the U candidate never
+    changes theorem-regime outputs. lam outside [0, q) raises
+    FieldMismatchError, and k < 1 ValueError (from kth_root_map)."""
+
+    def __init__(self, F: FieldSpec, lam: Element, k: int):
+        if not 0 <= lam < F.q:
+            raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
+        self._roots = kth_root_map(F, k)
+        self._lam, self._sub = lam, F.sub
+        # the k-th power values not yet walked, ascending
+        self._values = filter(self._roots.__contains__, range(F.q))
+        # the V classes and the U parts met, as SolutionClassification
+        # keeps them, and ((x, y), signature) of each candidate
+        self.signatures, self.fibers = [], []
+        self.u_signatures, self.u_fibers = [], []
+        self.candidates = []
+        self.done = False
+
+    def reach(self, need: float = math.inf) -> int:
+        """Walk on until `need` candidates are met, or to the end: the
+        number of candidates met, fewer than `need` only when every one
+        has been."""
+        cands = self.candidates
+        if len(cands) >= need or self.done:
+            return len(cands)
+        roots, lam, sub = self._roots, self._lam, self._sub
+        for v in self._values:
+            w = sub(lam, v)
+            if w not in roots:
+                continue
+            xs, ys = roots[v], roots[w]
+            if v == w:
+                self.u_signatures.append((v, w))
+                self.u_fibers.append((xs, ys))
+                continue
+            self.signatures.append((v, w))
+            self.fibers.append((xs, ys))
+            cands.append(((xs[0], ys[0]), (v, w)))
+            if len(cands) >= need:
+                return len(cands)
+        self.done = True
+        if self.u_fibers:
+            (xs, ys), sig = self.u_fibers[0], self.u_signatures[0]
+            cands.append(((xs[0], ys[0]), sig))
+        return len(cands)
+
+    def scan(self, start: int = 0):
+        """(index, candidate) for the candidates from `start` on, walking
+        on only past the last one met."""
+        cands, i = self.candidates, start
+        while i < len(cands) or self.reach(i + 1) > i:
+            yield i, cands[i]
+            i += 1
+
+
+# the one class cache: class_walk(F, lam, k) is the (F, lam, k) walk
+class_walk = functools.lru_cache(maxsize=CLASS_CACHE_SIZE)(ClassWalk)
 
 
 def power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int) -> Element:
@@ -241,26 +302,14 @@ def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
     return QuotientZeroReport(F.q, k, tuple(zeros), tuple(violations), checked)
 
 
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
-    """The partition of the solutions of x^k + y^k = lam, cached; the
-    decomposer hammers this. Walking the k-th power values v upward yields
-    the classes fiber(v) x fiber(lam - v) in signature order. k < 1 raises
-    ValueError (from kth_root_map), and lam outside [0, q) raises
-    FieldMismatchError."""
-    if not 0 <= lam < F.q:
-        raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
-    roots = kth_root_map(F, k)
-    classes = []
-    U = []
-    for v in sorted(roots):
-        w = F.sub(lam, v)
-        if w not in roots:
-            continue
-        (U if v == w else classes).append(((v, w), (roots[v], roots[w])))
-    return SolutionClassification(
-        lam, k, tuple(sig for sig, _ in classes), tuple(f for _, f in classes),
-        tuple(sig for sig, _ in U), tuple(f for _, f in U))
+    """The partition of the solutions of x^k + y^k = lam, from the cached
+    `class_walk` walked to the end. k < 1 raises ValueError (from
+    kth_root_map), and lam outside [0, q) raises FieldMismatchError."""
+    walk = class_walk(F, lam, k)
+    walk.reach()
+    return SolutionClassification(lam, k, *map(tuple, (
+        walk.signatures, walk.fibers, walk.u_signatures, walk.u_fibers)))
 
 
 def lex_min_solution(F: FieldSpec, lam: Element, k: int
@@ -324,7 +373,8 @@ def select_system_pairs(F: FieldSpec, targets, k: int
     previous one's starts just after that position's pick.
     More targets than k-th power values fail at once, as does a target with
     fewer classes than occurrences; an exhausted search names the first
-    target scanned.
+    target scanned. Each target's `class_walk` goes only as far as the
+    scan reads it, and to the end only for a failure's count.
     """
     targets = list(targets)
     n, values = len(targets), len(kth_root_map(F, k))
@@ -335,9 +385,9 @@ def select_system_pairs(F: FieldSpec, targets, k: int
             found=values, needed=n)
 
     mult = collections.Counter(targets)
-    cands = {lam: classified(F, lam, k)._candidates for lam in mult}
+    walks = {lam: class_walk(F, lam, k) for lam in mult}
     for lam, need in sorted(mult.items(), key=lambda d: (-d[1], d[0])):
-        found = len(cands[lam])
+        found = walks[lam].reach(need)
         if found < need:
             raise InsufficientClassesError(
                 f"x^{k} + y^{k} = {lam} has {found} usable classes over "
@@ -346,20 +396,18 @@ def select_system_pairs(F: FieldSpec, targets, k: int
 
     order = sorted(range(n), key=lambda i: (-mult[targets[i]], targets[i]))
     scan = [targets[i] for i in order]
-    placed = []  # ((x, y), x^k, y^k) of each position placed so far
-    stack = []  # the candidate iterator of each position entered
+    placed = []  # (index, (x, y), x^k, y^k) of each position placed so far
+    stack = []  # the candidate scan of each position entered
     used_x, used_y = set(), set()
     while len(placed) < n:
         if len(stack) == len(placed):
             depth = len(placed)
-            todo = cands[scan[depth]]
-            if depth and scan[depth] == scan[depth - 1]:
-                xy, sx, sy = placed[-1]
-                todo = todo[todo.index((xy, (sx, sy))) + 1:]
-            stack.append(iter(todo))
-        for xy, (sx, sy) in stack[-1]:
+            start = (placed[-1][0] + 1 if depth
+                     and scan[depth] == scan[depth - 1] else 0)
+            stack.append(walks[scan[depth]].scan(start))
+        for i, (xy, (sx, sy)) in stack[-1]:
             if sx not in used_x and sy not in used_y:
-                placed.append((xy, sx, sy))
+                placed.append((i, xy, sx, sy))
                 used_x.add(sx)
                 used_y.add(sy)
                 break
@@ -370,12 +418,13 @@ def select_system_pairs(F: FieldSpec, targets, k: int
                     f"no compatible class assignment for targets "
                     f"{sorted(mult)} over F_{F.q} (k={k}); "
                     f"sufficient only for q > 4 n^2 k^16",
-                    lam=scan[0], found=len(cands[scan[0]]), needed=n)
-            _, sx, sy = placed.pop()
+                    lam=scan[0], found=walks[scan[0]].reach(), needed=n)
+            _, _, sx, sy = placed.pop()
             used_x.remove(sx)
             used_y.remove(sy)
     chosen = sorted(zip(order, placed))
-    return tuple(AssignmentEntry(targets[i], *xy) for i, (xy, _, _) in chosen)
+    return tuple(AssignmentEntry(targets[i], *xy)
+                 for i, (_, xy, _, _) in chosen)
 
 
 def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,

@@ -79,6 +79,11 @@ class UTMatrix:
     def is_strictly_upper(self) -> bool:
         return all(d == 0 for d in self.diagonal())
 
+    def is_diagonal(self) -> bool:
+        """Are all strict entries 0? Every entry is, or is on the diagonal."""
+        nonzero = len(self.entries) - self.entries.count(0)
+        return nonzero == self.n - self.diagonal().count(0)
+
     def positions(self):
         """Upper-triangle positions (i, j), i <= j, row-major."""
         for i in range(1, self.n + 1):

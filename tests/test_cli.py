@@ -318,6 +318,23 @@ def run_alone(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_closed_pipe_exits_without_a_traceback():
+    # the reader is gone before the first write, as after `| head -c 1`:
+    # exit 1, nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(triwaring.__file__).resolve().parent.parent
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triwaring.cli", "decompose", "--q", "13",
+             "--k", "3", "--matrix", "1,2,3;4,5;6", "--parts", "2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def run_as_module(*argv):
     """The same call through the `python -m triwaring.cli` entry point, in
     this process: its exit code."""

@@ -25,7 +25,7 @@ from triwaring.errors import (
     TriwaringError,
 )
 from triwaring import decomposer, power_sums, tri_matrix
-from triwaring.fields import kth_roots, make_field
+from triwaring.fields import kth_root_map, kth_roots, make_field
 from triwaring.oracle import all_kth_powers, iter_matrices, waring_report
 from triwaring.power_sums import (
     AssignmentEntry,
@@ -342,11 +342,77 @@ def test_structured_diagonal_patterns_match_bipartition(F13):
             assert expected in (got, flipped), (row, k)
 
 
+def test_cold_decompose_two_reads_a_few_values(monkeypatch):
+    # over F_10007, k = 3, every element is a cube: a cold class walk
+    # meets a class at nearly every value, so selection reads a handful
+    # of values per eigenvalue, where walking them all takes 10,007 F.sub
+    # calls per eigenvalue
+    F = make_field(10007)
+    kth_root_map(F, 3)  # built (and cached) before counting
+    rng = random.Random("decompose/cold/10007")
+    calls = []
+    real = type(F).sub
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(type(F), "sub", counted)
+    for _ in range(20):
+        C = UTMatrix(F, 3, tuple(rng.randrange(F.q) for _ in range(6)))
+        power_sums.class_walk.cache_clear()
+        calls.clear()
+        assert decompose_two(C, 3).verified
+        assert len(calls) <= 30
+
+
 def test_verify_decomposition(F13):
     C = from_text(F13, "0,1;0")
     assert verify_decomposition(C, [C], 1)
     bad = [from_text(F13, "1,0;5"), diag(F13, [5, 1])]
     assert not verify_decomposition(C, bad, 2)
+
+
+def powers_sum_to(C, parts, k):
+    """Reference: every part raised by mat_pow, the powers summed."""
+    total = zero(C.field, C.n)
+    for part in parts:
+        total = total + mat_pow(part, k)
+    return total == C
+
+
+def test_verify_decomposition_raises_diagonal_parts_entrywise():
+    # diagonal parts take the entrywise route, the others mat_pow: the
+    # verdict is mat_pow's on a seeded corpus, a wrong diagonal entry of
+    # C is rejected, and so is a part given a single nonzero strict entry
+    rng = random.Random("verify/diagonal")
+    for pm in [(7, 1), (13, 1), (2, 3), (3, 2), (5, 2)]:
+        F = make_field(*pm)
+        for _ in range(60):
+            n, k = rng.randint(1, 5), rng.randint(1, 7)
+            parts = [diag(F, [rng.randrange(F.q) for _ in range(n)])
+                     for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                parts.append(UTMatrix(F, n, tuple(
+                    rng.randrange(F.q) for _ in range(n * (n + 1) // 2))))
+            C = zero(F, n)
+            for part in parts:
+                C = C + mat_pow(part, k)
+            assert verify_decomposition(C, parts, k)
+            i = rng.randint(1, n)
+            wrong = C.with_entry(i, i, C[i, i] + 1)
+            assert not verify_decomposition(wrong, parts, k)
+            if n > 1:
+                j = rng.randint(2, n)
+                r = rng.randint(1, j - 1)
+                bent = [parts[0].with_entry(r, j, rng.randrange(1, F.q)),
+                        *parts[1:]]
+                assert verify_decomposition(C, bent, k) == \
+                    powers_sum_to(C, bent, k)
+    F13 = make_field(13)
+    C = diag(F13, [1, 4])  # diag(1, 2)^2, whose (1, 2) entry x gives 3x
+    assert verify_decomposition(C, [diag(F13, [1, 2])], 2)
+    assert not verify_decomposition(C, [from_text(F13, "1,1;2")], 2)
 
 
 def test_verify_decomposition_fails_closed(F7, F13):
@@ -714,11 +780,12 @@ def masked_structured(C, k):
 
 def structured_outcome(route, C, k):
     """(parts, plan, assignment), an Obstruction's JSON, or a typed
-    error's type and message."""
+    error's JSON: its type and message, and lambda, found and needed
+    where it has them."""
     try:
         got = route(C, k)
     except TriwaringError as err:
-        return type(err).__name__, str(err)
+        return err.to_json()
     if isinstance(got, Obstruction):
         return got.to_json()
     if isinstance(got, DecompositionResult):

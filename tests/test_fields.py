@@ -326,6 +326,38 @@ def test_kth_root_map_matches_per_element_powers(all_fields):
                 assert got == {0: (0,), 1: tuple(range(1, F.q))}
 
 
+def root_map_by_slices(F, k):
+    """Reference: the slice construction the extension-field branch used
+    before its one pass. exp[i]^k = exp[k i mod (q - 1)] depends on i mod
+    (q - 1)/d only, d = gcd(k, q - 1), so each nonzero fiber is the slice
+    exp[i::(q - 1)/d], sorted, and the fibers are sorted by least root."""
+    order = F.q - 1
+    step = order // math.gcd(k, order)
+    cosets = sorted((tuple(sorted(F._exp[i:order:step])),
+                     F._exp[k * i % order]) for i in range(step))
+    return {0: (0,), **{v: roots for roots, v in cosets}}
+
+
+def test_kth_root_map_one_pass_matches_the_slices():
+    # every modulus of every extension field up to F_169; the maps are
+    # built uncached, so the caches other tests read stay as they were
+    cases = 0
+    for p, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2),
+                 (5, 3), (7, 2), (11, 2), (13, 2)]:
+        q = p ** m
+        for t in range(q):
+            modulus = (*_digits(t, p, m), 1)
+            if not _is_irreducible(modulus, p):
+                continue
+            F = FieldSpec(p, m, modulus)
+            for k in [*range(1, 13), q - 1, q, q + 1, 2 * (q - 1)]:
+                got = kth_root_map.__wrapped__(F, k)
+                assert list(got.items()) == \
+                    list(root_map_by_slices(F, k).items()), (modulus, k)
+                cases += 1
+    assert cases == 3824
+
+
 def test_kth_roots_examples(F7, F13):
     assert kth_roots(F13, 1, 3) == (1, 3, 9)
     assert kth_roots(F7, 0, 4) == (0,)

@@ -27,6 +27,9 @@ from triwaring.fields import (
 from triwaring.power_sums import (
     CLASS_CACHE_SIZE,
     AssignmentEntry,
+    ClassWalk,
+    SolutionClassification,
+    class_walk,
     classification_report,
     classified,
     count_zero_sum_classes,
@@ -125,6 +128,55 @@ def expand(cl):
     classes = tuple(tuple((x, y) for x in xs for y in ys)
                     for xs, ys in cl.fibers)
     return tuple(U), classes
+
+
+def candidates_of(F, lam, k):
+    """The whole candidate sequence of the cached class walk."""
+    walk = class_walk(F, lam, k)
+    walk.reach()
+    return tuple(walk.candidates)
+
+
+def eager_classification(F, lam, k):
+    """Reference: the eager loop `classified` ran before its walk became
+    lazy, over every k-th power value in ascending order; the
+    classification and the candidate sequence built from it, the V
+    representatives in class order and then U's least member."""
+    roots = kth_root_map(F, k)
+    classes, U = [], []
+    for v in sorted(roots):
+        w = F.sub(lam, v)
+        if w not in roots:
+            continue
+        (U if v == w else classes).append(((v, w), (roots[v], roots[w])))
+    cl = SolutionClassification(
+        lam, k, tuple(sig for sig, _ in classes), tuple(f for _, f in classes),
+        tuple(sig for sig, _ in U), tuple(f for _, f in U))
+    parts = zip(cl.fibers + cl.u_fibers[:1],
+                cl.signatures + cl.u_signatures[:1])
+    return cl, tuple(((xs[0], ys[0]), sig) for (xs, ys), sig in parts)
+
+
+def test_class_walk_matches_the_eager_loop(all_fields):
+    # every lam of every field with q <= 49 and of F_169, k = 1..6: a
+    # fresh walk grows its candidates one at a time, in the eager order,
+    # and its finished classification is the eager one
+    for F in all_fields + [make_field(13, 2)]:
+        for k in range(1, 7):
+            for lam in F.elements():
+                cl, cands = eager_classification(F, lam, k)
+                walk = ClassWalk(F, lam, k)
+                for need in range(len(cands) + 2):
+                    assert walk.reach(need) == min(need, len(cands))
+                    assert tuple(walk.candidates) == cands[:need]
+                    # lazy: the walk ends only when asked past what it met
+                    assert walk.done or need <= len(cands)
+                    assert not walk.done or need >= len(cands)
+                start = len(cands) // 2
+                assert list(ClassWalk(F, lam, k).scan(start)) == \
+                    list(enumerate(cands))[start:]
+                assert classified(F, lam, k) == cl
+                assert candidates_of(F, lam, k) == cands
 
 
 def solution_set(F, lam, k):
@@ -255,11 +307,11 @@ def test_classified_cache_past_its_bound_gives_equal_answers():
             for lam in F.elements()]
     assert len(keys) > CLASS_CACHE_SIZE
     first = [classified(F, lam, k) for lam, k in keys]
-    misses = classified.cache_info().misses
-    # cycling through more keys than the cache holds evicts every key
+    misses = class_walk.cache_info().misses
+    # cycling through more keys than the walk cache holds evicts every key
     assert [classified(F, lam, k) for lam, k in keys] == first
-    assert classified.cache_info().misses == misses + len(keys)
-    assert classified.cache_info().currsize <= CLASS_CACHE_SIZE
+    assert class_walk.cache_info().misses == misses + len(keys)
+    assert class_walk.cache_info().currsize <= CLASS_CACHE_SIZE
 
 
 def test_representatives_are_least_roots(all_fields):
@@ -271,7 +323,7 @@ def test_representatives_are_least_roots(all_fields):
             for lam in F.elements():
                 cl = classified(F, lam, k)
                 U, classes = expand(cl)
-                cands = cl._candidates
+                cands = candidates_of(F, lam, k)
                 assert len(cands) == cl.r + (1 if U else 0)
                 for (xy, (v, w)), members in zip(cands, classes):
                     assert xy == (kth_roots(F, v, k)[0],
@@ -301,9 +353,9 @@ def test_classes_and_selection_read_powers_off_the_root_map(monkeypatch):
     F = make_field(5, 2)
     kth_root_map(F, 3)  # built (and cached) before counting
     calls = count_pow_calls(monkeypatch)
-    cl = classified.__wrapped__(F, 7, 3)
-    assert cl.r > 0 and calls == []
-    assert cl._candidates and calls == []
+    walk = ClassWalk(F, 7, 3)
+    assert walk.reach() and walk.signatures and calls == []
+    assert classified(F, 7, 3).r > 0 and calls == []
     # the U candidates read their stored signatures, so selection takes no
     # power either
     targets = [0, 7, 0, 11]
@@ -379,7 +431,7 @@ def test_select_pairs_distinctness(odd_fields):
                 for n in range(2, min(cl.r, 4) + 1):
                     chosen = select_system_pairs(F, [lam] * n, k)
                     assert [(e.x, e.y) for e in chosen] == \
-                        [xy for xy, _ in cl._candidates[:n]]
+                        [xy for xy, _ in candidates_of(F, lam, k)[:n]]
                     assert_distinct_power_solutions(F, k, chosen)
                     for e in chosen:
                         assert F.pow(e.x, k) != F.pow(e.y, k)
@@ -420,7 +472,7 @@ def reference_selection(F, targets, k):
     no tuple qualifies."""
     order = sorted(range(len(targets)),
                    key=lambda i: (-targets.count(targets[i]), targets[i]))
-    lists = [classified(F, targets[i], k)._candidates for i in order]
+    lists = [eager_classification(F, targets[i], k)[1] for i in order]
     for combo in itertools.product(*lists):
         xs = {sx for _, (sx, _) in combo}
         ys = {sy for _, (_, sy) in combo}
@@ -457,7 +509,9 @@ def select_scan_reference(F, targets, k):
     """The scan `select_system_pairs` made before it skipped the orderings
     of interchangeable positions: every position tries its target's
     candidates from the first, so picks of one target are retried in every
-    order. Same result, or the same failure, as `select_system_pairs`."""
+    order, reading the candidates of the eager classification. Same result,
+    or the same failure (message, lam, found and needed), as
+    `select_system_pairs`."""
     targets = list(targets)
     n, values = len(targets), len(kth_root_map(F, k))
     if n > values:
@@ -466,7 +520,7 @@ def select_scan_reference(F, targets, k):
             f"x^{k} takes only {values} values over F_{F.q}",
             found=values, needed=n)
     mult = collections.Counter(targets)
-    cands = {lam: classified(F, lam, k)._candidates for lam in mult}
+    cands = {lam: eager_classification(F, lam, k)[1] for lam in mult}
     for lam, need in sorted(mult.items(), key=lambda d: (-d[1], d[0])):
         found = len(cands[lam])
         if found < need:
@@ -556,7 +610,7 @@ def test_select_system_pairs_wide():
     # with no backtracking and no recursion
     F = make_field(1103)
     got = select_system_pairs(F, [5] * 1100, 1)
-    cands = classified(F, 5, 1)._candidates
+    cands = candidates_of(F, 5, 1)
     assert [(e.x, e.y) for e in got] == [xy for xy, _ in cands[:1100]]
     assert {e.lam for e in got} == {5}
     assert_distinct_power_solutions(F, 1, got)
