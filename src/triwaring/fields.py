@@ -423,6 +423,11 @@ def kth_root_map(F: FieldSpec, k: int) -> dict[Element, tuple[Element, ...]]:
     return {v: tuple(roots) for v, roots in fibers.items()}
 
 
+def kth_power_map(F: FieldSpec, k: int) -> dict[Element, Element]:
+    """a -> a^k for every a in F_q: `kth_root_map` inverted."""
+    return {a: v for v, roots in kth_root_map(F, k).items() for a in roots}
+
+
 def kth_roots(F: FieldSpec, lam: Element, k: int) -> tuple[Element, ...]:
     """All a with a^k = lam, sorted by encoding; empty iff lam is not a
     k-th power. The canonical root choice elsewhere is the first entry."""

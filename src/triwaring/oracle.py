@@ -6,7 +6,7 @@ claims (non-squares, non-conjugacy, the p | k obstruction).
 `min_waring_number`, `waring_report` and `negative_checks` share one
 memoised engine per (F, n, k), and at most LAYER_CACHE_SIZE engines are
 kept. The engine enumerates the power image P^1 once per process, with a
-first root per power, is its one reader, and answers every count by one
+first root per power, is its one owner, and answers every count by one
 query, which builds no sumset P^2, P^3, ...: `power_sums.diagonal_options`
 lists per c_ii the least roots a with c_ii - a^k in W_(s-1), W_s being
 the sums of s k-th powers in F_q. An empty list puts c_ii outside W_s, which holds the
@@ -23,10 +23,10 @@ row-major, each in encoding order. One elimination of the n(n+1)/2
 equations, over the columns from last to first, gives the kernel basis in
 reduced row echelon form (a pivot row is 0 after its pivot, so the kernel
 vector of each free column is 0 before it); at most q^n leaves follow.
-The walk, the elimination and the search read F's q x q tables, built once
-per field (`_field_tables`) and only where q^2 is no more than the work
-they serve. Guards are hard errors, checked on every call, cached or not;
-an oracle must never truncate silently.
+The walk, the engine, the elimination and the search read F's q x q
+tables, built once per field (`_field_tables`) and only for n >= 2.
+Guards are hard errors, checked on every call, cached or not; an oracle
+must never truncate silently.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EnumerationTooLargeError, FieldMismatchError
-from .fields import (Element, FieldSpec, enum_guard, kth_root_map,
-                     minus_one_is_kth_power)
+from .fields import (Element, FieldSpec, enum_guard, kth_power_map,
+                     kth_root_map, minus_one_is_kth_power)
 from .power_sums import diagonal_options, diagonal_roots
 from .tri_matrix import (
     UTMatrix,
@@ -60,8 +60,8 @@ LAYER_CACHE_SIZE = 32
 
 @functools.lru_cache(maxsize=LAYER_CACHE_SIZE)
 def _field_tables(F: FieldSpec) -> tuple[tuple, tuple, tuple]:
-    """F's q x q add, sub and mul tables, each indexed [x][y]. Callers
-    build them only where q^2 is no more than the work they serve."""
+    """F's q x q add, sub and mul tables, each indexed [x][y], built only
+    for n >= 2: T_1 is F itself, and q^2 entries would dwarf it."""
     elems = F.elements()
     return tuple(tuple(tuple(op(x, y) for y in elems) for x in elems)
                  for op in (F.add, F.sub, F.mul))
@@ -84,10 +84,9 @@ def iter_matrices(F: FieldSpec, n: int):
 
 def all_kth_powers(F: FieldSpec, n: int, k: int) -> dict[UTMatrix, UTMatrix]:
     """{A^k : A in T_n(F_q)} as a dict power -> first root in enumeration
-    order, built afresh by `_power_image`. ValueError for k < 1."""
-    _check_image(F, n, k)
+    order, a fresh view of the engine's image. ValueError for k < 1."""
     return {UTMatrix(F, n, P): UTMatrix(F, n, A)
-            for P, A in _power_image(F, n, k).items()}
+            for P, A in _power_layers(F, n, k).roots.items()}
 
 
 def _check_image(F: FieldSpec, n: int, k: int) -> None:
@@ -99,7 +98,7 @@ def _check_image(F: FieldSpec, n: int, k: int) -> None:
 
 def _power_image(F: FieldSpec, n: int, k: int
                  ) -> dict[tuple[Element, ...], tuple[Element, ...]]:
-    """`all_kth_powers` as packed entries, unchecked (`_check_image`).
+    """The engine's image as packed entries, unchecked (`_check_image`).
 
     Built by a walk over the first-row split A = [[a, b], [0, A']], with a
     in F, b in F^(n-1) and A' in T_(n-1):
@@ -111,11 +110,8 @@ def _power_image(F: FieldSpec, n: int, k: int
     costs one product b M and one dict check. The walk visits a, then b,
     then A', each in encoding order, which is `iter_matrices` order, so
     the first root of every power is the one a plain enumeration finds."""
-    add = mul = None
-    if n >= 2:  # q^2 <= q^3 <= |T_n|: the tables never outweigh the walk
-        add, _, mul = _field_tables(F)
     first: dict[tuple[Element, ...], tuple[Element, ...]] = {}
-    for A, P in _power_walk(F, n, k, add, mul):
+    for A, P in _power_walk(F, n, k):
         first.setdefault(P, A)
     return first
 
@@ -132,27 +128,29 @@ def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
     return tuple(out)
 
 
-def _power_walk(F: FieldSpec, n: int, k: int, add, mul):
+def _power_walk(F: FieldSpec, n: int, k: int):
     """(A, A^k) as packed entries for every A in T_n(F_q), in
-    `iter_matrices` order, by the split of `_power_image`; add and mul
-    are F's q x q tables (None for n <= 1).
+    `iter_matrices` order, by the split of `_power_image`.
 
     The pairs (A', A'^k) come from the same walk one size down, kept as a
-    list, and T_1 (or T_0) ends it with F.pow. M = S(k), where
+    list, and T_1 (or T_0) ends it. a^k comes from the root map, sums and
+    products from F's tables (n >= 2). M = S(k), where
     S(m) = sum_(j<m) a^(m-1-j) A'^j, by binary splitting along `_chain(k)`
     from S(1) = I: S(2m) = (a^m I + A'^m) S(m) and S(m+1) = a S(m) + A'^m."""
+    powers = kth_power_map(F, k) if n else ()
     if n <= 1:
         for A in itertools.product(F.elements(), repeat=n):
-            yield A, tuple([F.pow(a, k) for a in A])
+            yield A, tuple([powers[a] for a in A])
         return
+    add, _, mul = _field_tables(F)
     m = n - 1
-    sub = list(_power_walk(F, m, k, add, mul))
+    sub = list(_power_walk(F, m, k))
     terms, row_terms = _product_terms(m, m), _product_terms(m, 1)
     on_diag = set(_diagonal_at(m))
     eye = tuple(int(t in on_diag) for t in range(len(terms)))
     steps = _chain(k)
     for a in F.elements():
-        ak, scale = F.pow(a, k), mul[a]
+        ak, scale = powers[a], mul[a]
         blocks = []
         for Ap, Apk in sub:
             S, P, am = eye, Ap, a  # S(m), A'^m, a^m for m = 1
@@ -204,20 +202,16 @@ class _SumsetLayers:
     P^s = P^(s-1) + P^1.
 
     `roots` maps each power of P^1, as packed entries, to its first root
-    in `_power_image` order, and only the engine reads it. No P^s, s >= 2,
-    is built: `min_count` decides "is C in P^s?" from the diagonal of C,
-    by two exact facts, and by a search of C - P over the powers P only
-    where both are silent; `witness` descends from P^s to P^1.
-    Differences go through a q x q table when it costs no more than the
-    image it serves (q^2 <= |P^1|), else through F itself: T_1(F_q) has at
-    most q elements, so a q^2 table would dwarf it."""
+    in `_power_image` order. No P^s, s >= 2, is built: `min_count`
+    decides "is C in P^s?" from the diagonal of C, by two exact facts, and
+    by a search of C - P over the powers P only where both are silent;
+    `witness` descends from P^s to P^1. Differences read the sub table the
+    walk built (n >= 2), else F itself."""
 
     def __init__(self, F: FieldSpec, n: int, k: int):
         self.field, self.k = F, k
         self.roots = _power_image(F, n, k)
-        self._table = None  # x - y, indexed [x][y]
-        if F.q * F.q <= len(self.roots):
-            self._table = _field_tables(F)[1]
+        self._table = _field_tables(F)[1] if n >= 2 else None  # x - y
         self._diag_at = _diagonal_at(n)
         # memos keyed by diagonal or matrix, and summand count
         self._diagonals: dict[tuple[tuple[Element, ...], int], tuple] = {}

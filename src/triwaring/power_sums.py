@@ -40,7 +40,7 @@ from .errors import (
     NoAdmissibleShiftError,
 )
 from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, enum_guard,
-                     kth_root_map, minus_one_is_kth_power)
+                     kth_power_map, kth_root_map, minus_one_is_kth_power)
 
 # (F, lam, k) class walks kept, least recently used out; every lam of
 # F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them. Each holds
@@ -287,14 +287,14 @@ def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
     zeros = []
     violations = []
     checked = 0
-    pow_map = {a: v for v, roots in kth_root_map(F, k).items() for a in roots}
+    powers = kth_power_map(F, k)
     for a in F.elements():
         for b in F.elements():
             if a == 0 and b == 0:
                 continue
             checked += 1
             is_zero = power_diff_quotient(F, a, b, k) == 0
-            predicted = (a == b and k % p == 0) or (a != b and pow_map[a] == pow_map[b])
+            predicted = (a == b and k % p == 0) or (a != b and powers[a] == powers[b])
             if is_zero:
                 zeros.append((a, b))
             if is_zero != predicted:

@@ -19,7 +19,7 @@ from triwaring.errors import (
 )
 from triwaring import oracle
 from triwaring.canonical import ConjugationWitness
-from triwaring.fields import kth_root_map, make_field
+from triwaring.fields import FieldSpec, kth_root_map, make_field
 from triwaring.power_sums import _matchable
 from triwaring.oracle import (
     all_kth_powers,
@@ -634,8 +634,8 @@ REPORT_CORPUS = ([(p, m, n, k) for p, m, n in [
 def test_report_matches_reference(p, m, n, k):
     F = make_field(p, m)
     for cap in (1, 2, 3, 4):
-        _fresh_layers()
         want = report_reference(F, n, k, cap)
+        _fresh_layers()  # the reference's image built an engine
         cold, warm = (waring_report(F, n, k, cap) for _ in range(2))
         for got in (cold, warm):
             assert list(got.per_matrix_min.items()) == list(
@@ -807,6 +807,46 @@ def test_min_waring_large_t1_skips_tables():
         C = UTMatrix(F, 1, (c,))
         assert min_waring_number(F, C, 2, 3) == (1 if c in squares else 2)
     assert oracle._cached_layers(F, 1, 2)._table is None
+
+
+def test_image_reads_no_field_power(monkeypatch):
+    calls = []
+    pow_ = FieldSpec.pow
+    monkeypatch.setattr(FieldSpec, "pow",
+                        lambda *a: calls.append(a) or pow_(*a))
+    for (p, m), n, k in [((5, 1), 3, 3), ((2, 2), 3, 2), ((3, 2), 2, 4)]:
+        F = make_field(p, m)
+        kth_root_map.cache_clear()  # the root map is built pow-free too
+        image = oracle._power_image(F, n, k)
+        assert calls == [], (F.q, n, k)
+        assert image == {P.entries: A.entries for P, A in
+                         kth_powers_reference(F, n, k).items()}
+
+
+def test_all_kth_powers_reads_the_engine_image(F3, monkeypatch):
+    builds = []
+    image = oracle._power_image
+    monkeypatch.setattr(oracle, "_power_image",
+                        lambda *a: builds.append(a) or image(*a))
+    _fresh_layers()
+    assert min_waring_number(F3, from_text(F3, "0,1;0"), 2, 3) == 3
+    assert builds == [(F3, 2, 2)]
+    powers = all_kth_powers(F3, 2, 2)
+    assert builds == [(F3, 2, 2)]  # no second walk
+    assert list(powers.items()) == list(
+        kth_powers_reference(F3, 2, 2).items())
+
+
+def test_engine_reads_the_sub_table_from_n_two(F13):
+    # 40 twelfth powers in T_2(F_13), fewer than the 169 table entries:
+    # the walk built the tables, so the engine subtracts through them
+    _fresh_layers()
+    engine = oracle._power_layers(F13, 2, 12)
+    assert len(engine.roots) == 40
+    assert engine._table is oracle._field_tables(F13)[1]
+    rep = waring_report(F13, 2, 12, cap=4)
+    assert rep.per_matrix_min == report_reference(F13, 2, 12, 4).per_matrix_min
+    assert_witnesses_valid(rep)
 
 
 @pytest.mark.parametrize("k", [0, -1])
