@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -213,8 +214,10 @@ def _cmd_oracle(F, args):
 
 def _cmd_bound(F, args):
     rep = power_sums.lang_weil_check(F, args.k, args.m, [1] * args.m)
+    # strict JSON has no infinity: a bound past float range is null
+    bound = rep.bound if math.isfinite(rep.bound) else None
     payload = {"q": rep.q, "k": rep.k, "m": rep.m, "N": rep.N,
-               "expected": rep.expected, "bound": rep.bound, "ok": rep.ok}
+               "expected": rep.expected, "bound": bound, "ok": rep.ok}
     _emit(payload, args.json, [
         f"N = {rep.N}, q^(m-1) = {rep.expected}, "
         f"bound = {rep.bound:.3f}, ok = {rep.ok}"])

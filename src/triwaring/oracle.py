@@ -22,11 +22,12 @@ a scan of B_n with the diagonal first, then the strict upper entries
 row-major, each in encoding order. One elimination of the n(n+1)/2
 equations, over the columns from last to first, gives the kernel basis in
 reduced row echelon form (a pivot row is 0 after its pivot, so the kernel
-vector of each free column is 0 before it); at most q^n leaves follow.
-The walk, the engine, the elimination and the search read F's q x q
-tables, built once per field (`_field_tables`) and only for n >= 2.
-Guards are hard errors, checked on every call, cached or not; an oracle
-must never truncate silently.
+vector of each free column is 0 before it); at most q^n leaves follow,
+and the witness is checked before it is returned. The walk, the engine,
+the elimination and the search read F's q x q tables, built once per
+field (`_field_tables`) and only for n >= 2. Guards are hard errors,
+checked on every call, cached or not; an oracle must never truncate
+silently.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationTooLargeError, FieldMismatchError
+from .errors import (EnumerationTooLargeError, FieldMismatchError,
+                     RootMismatchError)
 from .fields import (Element, FieldSpec, enum_guard, kth_power_map,
                      kth_root_map, minus_one_is_kth_power)
 from .power_sums import diagonal_options, diagonal_roots
@@ -448,7 +450,9 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     the rest set to 0, finds the first invertible point in at most q^n
     leaves. Elimination and search read F's q x q tables, which cost no
     more than the q^n leaves for n >= 2; T_1 is F itself, where x P = P y
-    has an invertible solution exactly when x = y, the first being 1.
+    has an invertible solution exactly when x = y, the first being 1. The
+    witness is checked on the same tables, A P = P B with P's diagonal
+    nonzero, and RootMismatchError raised if it fails.
 
     The guard counts that work, with w = n(n+1)/2 unknowns: w^3 steps of
     elimination, w steps at each of at most (q-1)^n leaves, and 3 q^2 for
@@ -497,7 +501,13 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     v = search(0, [0] * width)
     if v is None:
         return None
-    return UTMatrix(F, n, tuple([v[c] for c in unknown_of]))
+    P = tuple([v[c] for c in unknown_of])
+    terms = _product_terms(n, n)
+    if (not all(P[t] for t in _diagonal_at(n))
+            or _combine(ae, P, terms, add, mul)
+            != _combine(P, be, terms, add, mul)):
+        raise RootMismatchError("conjugation witness failed verification")
+    return UTMatrix(F, n, P)
 
 
 @dataclass(frozen=True)

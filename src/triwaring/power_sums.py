@@ -38,6 +38,7 @@ from .errors import (
     HypothesisViolatedError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
+    RootMismatchError,
 )
 from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, enum_guard,
                      kth_power_map, kth_root_map, minus_one_is_kth_power)
@@ -453,11 +454,14 @@ class LangWeilReport:
     m: int
     N: int
     expected: int
-    bound: float
+    bound: float  # k^(2m) sqrt(q^(m-1)), math.inf past float range
 
     @property
     def ok(self) -> bool:
-        return abs(self.N - self.expected) <= self.bound
+        """|N - E| <= k^(2m) sqrt(E) with E = q^(m-1), decided in exact
+        integers as (N - E)^2 <= k^(4m) E."""
+        return ((self.N - self.expected) ** 2
+                <= self.k ** (4 * self.m) * self.expected)
 
 
 def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
@@ -468,8 +472,9 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     the exhaustive scan reorganized (identical N), each a * v counted
     |fiber(v)| times. Each of the m folds adds |K| values to each of q
     sums, K the k-th powers, so the guard counts m q |K| steps, with
-    |K| = (q-1)/gcd(k, q-1) + 1 read before any map is built. k < 1
-    raises ValueError (kth_root_map).
+    |K| = (q-1)/gcd(k, q-1) + 1 read before any map is built. The
+    report's `ok` is exact; its `bound` is a float, math.inf where it
+    leaves float range. k < 1 raises ValueError (kth_root_map).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -494,7 +499,10 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
         hist = nxt
     N = hist[1]
     expected = F.q ** (m - 1)
-    bound = (k ** (2 * m)) * math.sqrt(expected)
+    try:
+        bound = k ** (2 * m) * math.sqrt(expected)
+    except OverflowError:  # an integer operand past float range
+        bound = math.inf
     return LangWeilReport(F.q, k, m, N, expected, bound)
 
 
@@ -511,7 +519,7 @@ def count_zero_sum_classes(F: FieldSpec, k: int) -> int:
     cl = classified(F, 0, k)
     observed = cl.r + (1 if cl.u_fibers else 0)
     if observed != formula:
-        raise RuntimeError(
+        raise RootMismatchError(
             f"class-count self-check failed over F_{F.q}, k={k}: "
             f"formula {formula}, observed {observed}")
     return formula

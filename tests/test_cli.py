@@ -212,6 +212,19 @@ def test_bound_subcommand(capsys):
     assert payload["ok"] is True
 
 
+def test_bound_past_float_range(capsys):
+    # k^(2m) = 10^400 has no float: the verdict is exact, the bound infinite
+    argv = ("bound", "--q", "3", "--k", "10", "--m", "200")
+    code, out, err = run(capsys, *argv, "--json")
+    payload = json.loads(out, parse_constant=pytest.fail)  # strict JSON
+    assert (code, err) == (0, "")
+    assert payload["expected"] == 3 ** 199 and payload["bound"] is None
+    assert payload["ok"] is True
+    assert (payload["N"] - 3 ** 199) ** 2 <= 10 ** 800 * 3 ** 199
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith(", bound = inf, ok = True\n")
+
+
 def test_conjugate_subcommand(capsys):
     code, payload = run_json(capsys, "conjugate", "--q", "7",
                              "--matrix", "1,1;2", "--matrix", "1,0;2",

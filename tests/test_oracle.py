@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from triwaring.errors import (
     EnumerationTooLargeError,
     FieldMismatchError,
+    RootMismatchError,
     SizeMismatchError,
 )
 from triwaring import oracle
@@ -468,6 +469,21 @@ def test_kernel_matches_two_pass_reference(p, m):
         ranks.add("zero" if len(leads) == ncols else
                   "full" if not leads else "partial")
     assert ranks == {"zero", "full", "partial"}
+
+
+def test_bn_conjugate_checks_its_witness(F3, monkeypatch):
+    kernel = oracle._kernel_rref
+
+    def corrupted(F, rows, ncols):
+        basis, leads = kernel(F, rows, ncols)
+        basis[0][1] = F.add(basis[0][1], 1)  # P_22 off P_11, lead untouched
+        return basis, leads
+
+    J = jordan_block(F3, 0, 3)  # its centralizer has P_11 = P_22 = P_33
+    assert bn_conjugate(F3, J, J) == UTMatrix(F3, 3, (1, 0, 0, 1, 0, 1))
+    monkeypatch.setattr(oracle, "_kernel_rref", corrupted)
+    with pytest.raises(RootMismatchError, match="witness failed"):
+        bn_conjugate(F3, J, J)
 
 
 def test_bn_conjugate_typed_mismatch(F3, F7):

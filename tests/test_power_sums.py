@@ -16,6 +16,7 @@ from triwaring.errors import (
     HypothesisViolatedError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
+    RootMismatchError,
 )
 from triwaring.fields import (
     FieldSpec,
@@ -684,6 +685,15 @@ def test_lang_weil_examples(F7, F13):
     assert r3.N == 13 and r3.ok
 
 
+def test_lang_weil_verdict_is_exact():
+    # E = 9, k = 1, m = 2: the bound is exactly 3, reached at N = 12
+    assert power_sums.LangWeilReport(9, 1, 2, 12, 9, 3.0).ok
+    assert not power_sums.LangWeilReport(9, 1, 2, 13, 9, 3.0).ok
+    # past float range the bound is infinite, and still not every N passes
+    assert not power_sums.LangWeilReport(3, 10, 200, 10 ** 600, 3 ** 199,
+                                         math.inf).ok
+
+
 def test_lang_weil_rejects_zero_coefficient(F7):
     with pytest.raises(ValueError):
         lang_weil_check(F7, 2, 2, (1, 0))
@@ -756,7 +766,7 @@ def test_count_zero_sum_classes_self_check(F13, monkeypatch):
     # lam = 1's classification has 4 classes against the formula's 7
     one = classified(F13, 1, 2)
     monkeypatch.setattr(power_sums, "classified", lambda *a: one)
-    with pytest.raises(RuntimeError, match="formula 7, observed 4"):
+    with pytest.raises(RootMismatchError, match="formula 7, observed 4"):
         count_zero_sum_classes(F13, 2)
 
 
