@@ -48,7 +48,6 @@ from .tri_matrix import (
     UTMatrix,
     _root_parts,
     check_compatible,
-    check_in_field,
     mat_pow,
     to_text,
 )
@@ -147,7 +146,6 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     """C = A^k + B^k with A's diagonal k-th powers pairwise distinct and B
     diagonal. Selection reads the diagonal as given, so one code path
     covers the single-eigenvalue, all-distinct and mixed cases."""
-    check_in_field(C)
     return _assemble(C, k, select_system_pairs(C.field, C.diagonal(), k), 2)
 
 
@@ -202,7 +200,6 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
 
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
     """C = A^k + B^k + D^k with B, D diagonal."""
-    check_in_field(C)
     try:
         return _three_by_shifts(C, k)
     except (InsufficientClassesError, NoAdmissibleShiftError):
@@ -225,7 +222,6 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     carrying all 2^n diagonal patterns is returned (n <= STRUCTURED_MAX_N).
     """
     F, n = C.field, C.n
-    check_in_field(C)
     d = C.diagonal()
     if len(set(d)) != 1:
         raise PreconditionViolatedError(

@@ -47,7 +47,6 @@ from .tri_matrix import (
     _diagonal_at,
     _product_terms,
     check_compatible,
-    check_in_field,
     diag,
     elementary,
     jordan_block,
@@ -187,7 +186,6 @@ def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int
         raise ValueError(f"cap must be >= 1, got {cap}")
     if C.field != F:
         raise FieldMismatchError("C lives over another field")
-    check_in_field(C)
     return _power_layers(F, C.n, k).min_count(C.entries, cap)
 
 

@@ -5,6 +5,11 @@ Entries are stored packed row-major for positions (i, j) with
 indices are 1-based throughout, matching how positions, presentations and
 elementary matrices are written in this domain.
 
+A UTMatrix holds elements of F_q by construction: its constructor raises
+FieldMismatchError for an entry outside [0, q). `with_entries`, `from_rows`
+and `diag` reduce the values they are given mod q, `from_text` refuses bad
+text with ParseError, and `backsub_root` checks the root it returns.
+
 Matrix text format (bit-exact): rows separated by ';', row i listing the
 entries (i,i),(i,i+1),...,(i,n) comma-separated as element encodings, e.g.
 "0,1;0" is the 2x2 nilpotent Jordan block.
@@ -47,6 +52,9 @@ class UTMatrix:
             raise SizeMismatchError(
                 f"size {self.n} needs {expect} packed entries, "
                 f"got {len(self.entries)}")
+        q = self.field.q
+        if self.entries and (min(self.entries) < 0 or max(self.entries) >= q):
+            raise FieldMismatchError(f"matrix has an entry outside [0, {q})")
 
     def get(self, i: int, j: int) -> Element:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -121,15 +129,6 @@ def check_compatible(A: UTMatrix, B: UTMatrix) -> None:
     # make_field hands out one object per field; equality is the fallback
     if A.field is not B.field and A.field != B.field:
         raise FieldMismatchError("matrices live over different fields")
-
-
-def check_in_field(C: UTMatrix) -> None:
-    """FieldMismatchError unless every entry of C encodes an element of
-    C.field, i.e. lies in [0, q). The constructor does not check this: it
-    runs on every product."""
-    q = C.field.q
-    if not all(0 <= e < q for e in C.entries):
-        raise FieldMismatchError(f"matrix has an entry outside [0, {q})")
 
 
 def zero(F: FieldSpec, n: int) -> UTMatrix:
@@ -353,12 +352,14 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
     otherwise), and only C's strict upper part is matched: A^k agrees
     with C on the diagonal only if every a_ii^k = c_ii. Where a divisor
     pdq(a_rr, a_ss) vanishes under a nonzero residue,
-    PreconditionViolatedError is raised.
+    PreconditionViolatedError is raised. One mat_pow checks A before it
+    is returned: RootMismatchError if A^k misses C where it must match.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     F, n = C.field, C.n
-    if roots is None:
+    given = roots is not None
+    if not given:
         root_map = kth_root_map(F, k)
         roots = []
         for i, c in enumerate(C.diagonal(), start=1):
@@ -370,17 +371,28 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
     roots = [v % F.q for v in roots]
     if len(roots) != n:
         raise SizeMismatchError(f"{len(roots)} diagonal roots for size {n}")
-    return _root_parts(C, k, [roots])[0]
+    A = _root_parts(C, k, [roots])[0]
+    power = mat_pow(A, k)
+    if given:  # only C's strict upper part must match
+        power = power.with_entries(
+            {(i, i): c for i, c in enumerate(C.diagonal(), start=1)})
+    if power != C:
+        raise RootMismatchError(f"root {to_text(A)} failed verification")
+    return A
 
 
 def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int
                 ) -> tuple[UTMatrix, UTMatrix]:
     """Insert a fresh row/column l (1-based, 1..n+1) with x^k on the
     diagonal and zeros elsewhere into C; the same insertion with x keeps
-    the root property. Returns (B, rootB) with rootB^k = B verified."""
+    the root property. Returns (B, rootB) with rootB^k = B verified. x
+    must be a nonzero element of F_q: FieldMismatchError outside [0, q),
+    ValueError for 0."""
     F, n = C.field, C.n
     if not (1 <= l <= n + 1):
         raise IndexOutOfRangeError(f"insertion index {l} not in 1..{n + 1}")
+    if not 0 <= x < F.q:
+        raise FieldMismatchError(f"x {x} is outside [0, {F.q})")
     if x == 0:
         raise ValueError("inserted diagonal root must be nonzero")
     if mat_pow(rootC, k) != C:

@@ -154,8 +154,9 @@ def test_root_failure(capsys):
 def test_root_failed_verification_exits_1(capsys, monkeypatch):
     # a root whose square is not C is a typed failure, not "verified":
     # false with exit 0
-    monkeypatch.setattr("triwaring.tri_matrix.backsub_root",
-                        lambda C, k: from_text(C.field, "1,0;2"))
+    monkeypatch.setattr("triwaring.tri_matrix._root_parts",
+                        lambda C, k, diagonals, owners=None:
+                        [from_text(C.field, "1,0;2")])
     code, payload = run_json(capsys, "root", "--q", "7", "--k", "2",
                              "--matrix", "1,1;4", "--json")
     assert code == 1

@@ -428,6 +428,24 @@ def test_backsub_root_work_count():
             {(i, i): C[i, i] for i in range(1, n + 1)}) == C
 
 
+def test_backsub_root_checks_its_root(F7, monkeypatch):
+    # a root that misses C above the diagonal never leaves backsub_root,
+    # with least roots or with given ones (whose squares miss c_22 here)
+    C = from_rows(F7, [[1, 1], [0, 4]])
+    walk = tri_matrix._root_parts
+
+    def corrupt(C, k, diagonals, owners=None):
+        A, *rest = walk(C, k, diagonals, owners)
+        return [A.with_entry(1, 2, A[1, 2] + 1), *rest]
+
+    for roots in (None, [1, 1]):
+        backsub_root(C, 2, roots)
+    monkeypatch.setattr(tri_matrix, "_root_parts", corrupt)
+    for roots in (None, [1, 1]):
+        with pytest.raises(RootMismatchError, match="failed verification"):
+            backsub_root(C, 2, roots)
+
+
 def test_root_parts_walks_only_the_owning_parts():
     # parts that own no position cost nothing: three parts under part 0's
     # ownership take the products of one
@@ -437,8 +455,9 @@ def test_root_parts_walks_only_the_owning_parts():
     diagonals = [[rng.choice(reps) for _ in range(8)] for _ in range(3)]
     C = rand_matrix(rng, F, 8)
     MulCountingField.muls = 0
-    A = backsub_root(C, 5, diagonals[0])
+    (A,) = _root_parts(C, 5, diagonals[:1])  # backsub_root adds its check
     one = MulCountingField.muls
+    assert A == backsub_root(C, 5, diagonals[0])
     MulCountingField.muls = 0
     parts = _root_parts(C, 5, diagonals)
     assert MulCountingField.muls == one
@@ -588,7 +607,7 @@ def test_embed_power_all_indices(F13):
             assert B.get(l, l) == F13.pow(x, 3)
 
 
-def test_embed_power_errors(F7):
+def test_embed_power_errors(F7, F9):
     C = from_rows(F7, [[1, 1], [0, 4]])
     with pytest.raises(RootMismatchError):
         embed_power(C, identity(F7, 2), 1, 3, 2)
@@ -597,6 +616,13 @@ def test_embed_power_errors(F7):
         embed_power(C, root, 1, 0, 2)
     with pytest.raises(IndexOutOfRangeError):
         embed_power(C, root, 4, 3, 2)
+    # x = q would insert a zero root under the nonzero x^k; over F_9 an
+    # unchecked x = 12 ends in F.pow's IndexError
+    for x in (7, -1):
+        with pytest.raises(FieldMismatchError, match=r"outside \[0, 7\)"):
+            embed_power(C, root, 2, x, 2)
+    with pytest.raises(FieldMismatchError, match=r"outside \[0, 9\)"):
+        embed_power(identity(F9, 1), identity(F9, 1), 1, 12, 2)
 
 
 def test_constructors(F3, F7):
@@ -669,6 +695,35 @@ def test_mat_inv(F13):
         assert mat_mul(mat_inv(M), M) == identity(F13, n)
     with pytest.raises(ZeroDivisionError):
         mat_inv(diag(F13, [1, 0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIME_POWERS_49), st.integers(0, 4), st.data())
+def test_constructor_refuses_entries_outside_field(pm, n, data):
+    F = make_field(*pm)
+    q, width = F.q, n * (n + 1) // 2
+    for v in (0, q - 1):
+        assert UTMatrix(F, n, (v,) * width).entries == (v,) * width
+    entries = tuple(data.draw(st.lists(st.integers(-q, 2 * q - 1),
+                                       min_size=width, max_size=width)))
+    if all(0 <= e < q for e in entries):
+        assert UTMatrix(F, n, entries).entries == entries
+    else:
+        with pytest.raises(FieldMismatchError, match=rf"outside \[0, {q}\)"):
+            UTMatrix(F, n, entries)
+
+
+def test_out_of_field_matrices_are_refused_when_built():
+    # once these reached bn_conjugate, backsub_root and
+    # verify_decomposition: an IndexError over F_9, a wrong True over F_5
+    F5 = make_field(5)
+    with pytest.raises(FieldMismatchError):
+        UTMatrix(make_field(3, 2), 2, (1, 12, 1))
+    with pytest.raises(FieldMismatchError):
+        UTMatrix(F5, 2, (7, 0, 7))
+    # the builders that take values reduce them mod q
+    assert diag(F5, [7, -1]).entries == (2, 0, 4)
+    assert from_rows(F5, [[7, 5], [0, -1]]).entries == (2, 0, 4)
 
 
 def test_packing_and_get(F7):
