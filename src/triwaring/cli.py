@@ -26,7 +26,8 @@ class _UsageError(Exception):
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="triwaring",
         description="sums of k-th powers of upper-triangular matrices "
@@ -78,20 +79,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("conjugate", "test conjugacy under invertible triangular "
                          "matrices (pass --matrix twice)")
     p.add_argument("--matrix", action="append", required=True)
-    return parser
+    return parser, sub.choices
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
+def _emit(payload: dict, as_json: bool, text) -> None:
+    """Print the payload as JSON, or the lines of `text()`, which is
+    called only here, so --json never formats them."""
     if as_json:
         print(json.dumps(payload))
     else:
-        for line in lines:
+        for line in text():
             print(line)
 
 
 def _cmd_field(F, args):
     payload = {"p": F.p, "m": F.m, "q": F.q, "modulus": list(F.modulus)}
-    _emit(payload, args.json, [
+    _emit(payload, args.json, lambda: [
         f"field {field_text(F)}",
         f"p = {F.p}  m = {F.m}  q = {F.q}",
         f"modulus coefficients (low first): {list(F.modulus)}",
@@ -101,14 +104,16 @@ def _cmd_field(F, args):
 
 def _cmd_solve(F, args):
     payload = power_sums.classification_report(F, args.lam, args.k)
-    lines = [f"x^{args.k} + y^{args.k} = {args.lam} over F_{F.q}:",
-             f"  U size {payload['U_size']}"]
-    for c in payload["classes"]:
-        lines.append(f"  class sig={tuple(c['sig'])} size={c['size']} "
-                     f"rep={tuple(c['rep'])}")
-    total = len(payload["classes"]) + (1 if payload["U_size"] else 0)
-    lines.append(f"  distinct-power classes (incl. U): {total}")
-    _emit(payload, args.json, lines)
+
+    def text():
+        yield f"x^{args.k} + y^{args.k} = {args.lam} over F_{F.q}:"
+        yield f"  U size {payload['U_size']}"
+        for c in payload["classes"]:
+            yield (f"  class sig={tuple(c['sig'])} size={c['size']} "
+                   f"rep={tuple(c['rep'])}")
+        total = len(payload["classes"]) + (1 if payload["U_size"] else 0)
+        yield f"  distinct-power classes (incl. U): {total}"
+    _emit(payload, args.json, text)
     return 0
 
 
@@ -121,11 +126,13 @@ def _cmd_classify(F, args):
         "classes": [{"sig": sig, "solutions": cls}
                     for sig, cls in zip(cl.signatures, classes)],
     }
-    lines = [f"x^{args.k} + y^{args.k} = {args.lam} over F_{F.q}:",
-             f"  U = {U}"]
-    for sig, cls in zip(cl.signatures, classes):
-        lines.append(f"  V{sig} = {cls}")
-    _emit(payload, args.json, lines)
+
+    def text():
+        yield f"x^{args.k} + y^{args.k} = {args.lam} over F_{F.q}:"
+        yield f"  U = {U}"
+        for sig, cls in zip(cl.signatures, classes):
+            yield f"  V{sig} = {cls}"
+    _emit(payload, args.json, text)
     return 0
 
 
@@ -142,10 +149,10 @@ def _cmd_decompose(F, args):
     else:
         res = decomposer.decompose_three(C, args.k)
     payload = res.to_json()
-    lines = [f"target {to_text(C)} = " +
-             " + ".join(f"({to_text(p)})^{args.k}" for p in res.parts),
-             f"verified: {res.verified}"]
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: [
+        f"target {payload['target']} = " +
+        " + ".join(f"({p})^{args.k}" for p in payload["parts"]),
+        f"verified: {res.verified}"])
     return 0
 
 
@@ -154,7 +161,8 @@ def _cmd_root(F, args):
     A = tri_matrix.backsub_root(C, args.k)
     payload = {"matrix": to_text(C), "k": args.k, "root": to_text(A),
                "verified": True}
-    _emit(payload, args.json, [f"root: {to_text(A)}", "verified: True"])
+    _emit(payload, args.json,
+          lambda: [f"root: {payload['root']}", "verified: True"])
     return 0
 
 
@@ -172,15 +180,18 @@ def _cmd_table(F, args):
     res = decomposer.decompose_structured(C, args.k)
     payload = {"row": args.row, "n": n, "matrix": to_text(C),
                "connected": connected, "decomposition": res.to_json()}
-    lines = [f"matrix {to_text(C)}", f"connected: {connected}"]
     obstructed = isinstance(res, decomposer.Obstruction)
-    if obstructed:
-        lines.append(f"obstruction after {res.explored} colorings")
-    else:
-        lines += [f"parts: " + " + ".join(f"({to_text(p)})^{args.k}"
-                                          for p in res.parts),
-                  f"verified: {res.verified}"]
-    _emit(payload, args.json, lines)
+
+    def text():
+        yield f"matrix {payload['matrix']}"
+        yield f"connected: {connected}"
+        if obstructed:
+            yield f"obstruction after {res.explored} colorings"
+        else:
+            parts = payload["decomposition"]["parts"]
+            yield "parts: " + " + ".join(f"({p})^{args.k}" for p in parts)
+            yield f"verified: {res.verified}"
+    _emit(payload, args.json, text)
     return 1 if obstructed else 0
 
 
@@ -196,17 +207,19 @@ def _cmd_oracle(F, args):
         shown = m if m is not None else f">{args.cap}"
         payload = {"q": F.q, "n": C.n, "k": args.k, "cap": args.cap,
                    "matrix": to_text(C), "min_powers": shown}
-        _emit(payload, args.json, [f"min summand count: {shown}"])
+        _emit(payload, args.json, lambda: [f"min summand count: {shown}"])
         return 0
     if args.n is None:
         raise _UsageError("oracle needs --n or --matrix")
     rep = oracle.waring_report(F, args.n, args.k, args.cap)
     payload = rep.to_json()
-    lines = [f"T_{args.n}(F_{F.q}), k = {args.k}, cap = {args.cap}:"]
-    for key, count in rep.histogram().items():
-        lines.append(f"  min {key}: {count} matrices")
-    lines.append(f"  max over field: {rep.max_over_field}")
-    _emit(payload, args.json, lines)
+
+    def text():
+        yield f"T_{args.n}(F_{F.q}), k = {args.k}, cap = {args.cap}:"
+        for key, count in rep.histogram().items():
+            yield f"  min {key}: {count} matrices"
+        yield f"  max over field: {rep.max_over_field}"
+    _emit(payload, args.json, text)
     return 0
 
 
@@ -216,7 +229,7 @@ def _cmd_bound(F, args):
     bound = rep.bound if math.isfinite(rep.bound) else None
     payload = {"q": rep.q, "k": rep.k, "m": rep.m, "N": rep.N,
                "expected": rep.expected, "bound": bound, "ok": rep.ok}
-    _emit(payload, args.json, [
+    _emit(payload, args.json, lambda: [
         f"N = {rep.N}, q^(m-1) = {rep.expected}, "
         f"bound = {rep.bound:.3f}, ok = {rep.ok}"])
     return 0 if rep.ok else 1
@@ -232,9 +245,10 @@ def _cmd_conjugate(F, args):
                "conjugate": w is not None}
     if w is not None:
         payload["witness"] = to_text(w)
-        _emit(payload, args.json, [f"conjugate via {to_text(w)}"])
+        _emit(payload, args.json,
+              lambda: [f"conjugate via {payload['witness']}"])
     else:
-        _emit(payload, args.json, ["not conjugate"])
+        _emit(payload, args.json, lambda: ["not conjugate"])
     return 0
 
 
@@ -264,8 +278,15 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # what the subparsers action would do after a top-level pass
+        args = commands[argv[0]].parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # no command, -h, an unknown command or an option before one
+        args = parser.parse_args(argv)
+    parser = commands[args.command]  # usage errors name the command
     for name in ("k", "m", "n"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

@@ -10,8 +10,11 @@ discrete exp/log tables at construction, from one walk over the powers of
 the least multiplicative generator g through the table of v -> g v, and a
 Zech table log(1 + g^n) read off them, which keeps add/sub/neg as well as
 mul/inv/pow at table-lookup cost during the exhaustive scans this package
-lives on. A modulus is accepted by Ben-Or's irreducibility test, one rule
-for every degree.
+lives on. For p > 2, a degree-1 candidate g = a x + b is skipped with no
+table when its norm (-a)^m f(-b/a) mod p is not a primitive root mod p: the
+norm of a generator of F_q^* generates F_p^*. A modulus is accepted by
+Ben-Or's irreducibility test, one rule for every degree, before any table
+is built.
 """
 
 from __future__ import annotations
@@ -194,13 +197,36 @@ class FieldSpec:
         table, back to 1, skipping every g inside a subgroup already walked
         (encodings below p are constants, of order dividing p - 1). The first
         walk of q - 1 powers is the exp table, the log table inverts it, and
-        the Zech table holds log(1 + g^n), or -1 where 1 + g^n = 0."""
-        p, q = self.p, self.q
+        the Zech table holds log(1 + g^n), or -1 where 1 + g^n = 0.
+
+        For p > 2, a degree-1 candidate g = a x + b (p <= g < p^2) is first
+        put to the norm test and skipped, with no table, when its norm
+        N(g) = g^((q - 1)/(p - 1)) is not a primitive root mod p. Proof: if g
+        has order q - 1, then N(g) has order p - 1. The norm is the product
+        of g's conjugates a (alpha_i - c), c = -b/a, over the roots alpha_i
+        of f, so N(g) = (-a)^m f(-b/a), one Horner evaluation mod p. A
+        generator always passes, so the least one, and every table, is what
+        the walk alone would give."""
+        p, m, q = self.p, self.m, self.q
         order = q - 1
+        # n is a primitive root mod p iff n^((p - 1)/r) != 1 for each prime
+        # r dividing p - 1, found by trial division (p <= 1000, as an
+        # extension field has q <= 10^6)
+        cofactors = [(p - 1) // r for r in range(2, p)
+                     if (p - 1) % r == 0 and is_prime(r)]
         walked = bytearray(q)
         for g in range(p, q):
             if walked[g]:
                 continue
+            if p > 2 and g < p * p:
+                a, b = divmod(g, p)
+                c = -b * pow(a, p - 2, p) % p
+                norm = 0
+                for coef in reversed(self.modulus):
+                    norm = (norm * c + coef) % p
+                norm = norm * pow(-a, m, p) % p
+                if norm == 0 or any(pow(norm, e, p) == 1 for e in cofactors):
+                    continue
             times = self._times_table(g)
             powers = [1]
             e = g

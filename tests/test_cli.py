@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import runpy
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import triwaring
-from triwaring.cli import main
+from triwaring.cli import _build_parser, main
 from triwaring.fields import make_field
 from triwaring.tri_matrix import from_text, mat_pow, to_text
 
@@ -349,6 +350,66 @@ def test_closed_pipe_exits_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+COMMANDS = ("field", "solve", "classify", "decompose", "root", "table",
+            "oracle", "bound", "conjugate")
+SOLVE = ["solve", "--q", "7", "--k", "2", "--lambda", "1"]
+
+
+def run_caught(capsys, argv):
+    """main(argv) in this process, a SystemExit read as its exit code:
+    (exit code, stdout, stderr), as `run_alone` returns them."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, code, stream, wanted", [
+    ([], 2, "err", ["the following arguments are required: command"]),
+    (["--help"], 0, "out", COMMANDS),
+    (["frobnicate", "--q", "7"], 2, "err", ["invalid choice: 'frobnicate'"]),
+    (["solve", "-h"], 0, "out", ["usage: triwaring solve"]),
+    ([*SOLVE, "--bogus"], 2, "err", ["usage: triwaring solve",
+                                     "unrecognized arguments: --bogus"]),
+    (["--q", "7", "solve"], 2, "err", ["usage: triwaring [-h]"]),
+    (["solve", "--q", "7", "--k", "0", "--lambda", "1"], 2, "err",
+     ["usage: triwaring solve",
+      "triwaring solve: error: --k must be at least 1"]),
+])
+def test_dispatch_in_process_and_alone(capsys, monkeypatch, argv, code,
+                                       stream, wanted):
+    # an argv led by a command is parsed by that command's parser alone;
+    # anything else goes to the top-level parser. A usage error, during
+    # parsing or after it, prints the usage of the command it names
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run_caught(capsys, argv)
+    assert got == run_alone(*argv)
+    _, out, err = got
+    shown, silent = (out, err) if stream == "out" else (err, out)
+    assert got[0] == code
+    assert silent == ""
+    for text in wanted:
+        assert text in shown, text
+
+
+def test_double_dash_goes_to_the_top_level_parser(capsys, monkeypatch):
+    # argparse's own rule decides: 3.11 reads "--" as an unknown command,
+    # 3.13 drops it and runs the command after it
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--", *SOLVE, "--json"]
+    try:
+        _build_parser()[0].parse_args(argv)
+    except SystemExit as exc:
+        expected = exc.code, "", capsys.readouterr().err
+    else:
+        expected = run_caught(capsys, argv[1:])
+    got = run_caught(capsys, argv)
+    assert got == expected
+    assert got == run_alone(*argv)
+
+
 def run_as_module(*argv):
     """The same call through the `python -m triwaring.cli` entry point, in
     this process: its exit code."""
@@ -453,6 +514,30 @@ def test_readme_cli_examples_exit_zero(capsys):
         assert argv[0] == "triwaring", argv
         assert main(argv[1:]) == 0, argv
         capsys.readouterr()
+
+
+# recorded before text lines were built on demand; the other goldens pin
+# --json output only
+README_CLI_DIGEST = "55e6e1826889d2fe35338693d850fe5f1e043c3c9118de7dc2ae0774b0f86423"
+
+
+def readme_cli_transcript(capsys) -> str:
+    """Exit code, stdout and stderr of every README CLI example, run once
+    without --json and once with it."""
+    lines = []
+    for argv in readme_cli_lines():
+        plain = [a for a in argv[1:] if a != "--json"]
+        for call in (plain, [*plain, "--json"]):
+            code = main(call)
+            out = capsys.readouterr()
+            lines.append(f"{' '.join(call)}\t{code}\t{out.out}\t{out.err}\n")
+    return "".join(lines)
+
+
+def test_readme_cli_text_and_json_output_is_pinned(capsys):
+    transcript = readme_cli_transcript(capsys)
+    got = hashlib.sha256(transcript.encode()).hexdigest()
+    assert got == README_CLI_DIGEST
 
 
 def test_readme_library_example_runs(capsys):

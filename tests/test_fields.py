@@ -471,18 +471,61 @@ def test_irreducibility_matches_reference():
                         == irreducible_reference(coeffs, p)), (p, coeffs)
 
 
+# every extension field up to F_169, then two where the norm test leaves
+# more candidates: q = 17^2 (p - 1 = 2^4) and q = 7^3 (degree 3)
+EXTENSION_FIELDS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2),
+                    (5, 3), (7, 2), (11, 2), (13, 2), (17, 2), (7, 3))
+# the fields of the benchmark's cold CLI calls: 230 moduli in all
+CLI_COLD_FIELDS = ((3, 3), (5, 2), (7, 2), (3, 4), (11, 2), (5, 3), (13, 2))
+
+
+def irreducible_moduli(p, m):
+    """Every monic irreducible of degree m over F_p, by the reference
+    rule, in increasing order of encoding."""
+    return [c for c in (tuple(_digits(t, p, m)) + (1,)
+                        for t in range(p ** m))
+            if irreducible_reference(c, p)]
+
+
 def test_tables_match_reference_on_every_modulus():
-    # every irreducible modulus of every extension field up to F_169
-    for p, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2),
-                 (5, 3), (7, 2), (11, 2), (13, 2)):
-        moduli = [c for c in (tuple(_digits(t, p, m)) + (1,)
-                              for t in range(p ** m))
-                  if irreducible_reference(c, p)]
+    for p, m in EXTENSION_FIELDS:
+        moduli = irreducible_moduli(p, m)
         assert _default_modulus(p, m) == moduli[0]
         for modulus in moduli:
             F = FieldSpec(p, m, modulus)
             assert (F._exp, F._log) == tables_reference(p, m, modulus), \
                 (p, m, modulus)
+
+
+def test_norm_of_a_degree_one_candidate_is_one_horner_evaluation():
+    # N(g) = g^((q - 1)/(p - 1)) = (-a)^m f(-b/a) for g = a x + b, a != 0
+    for p, m in EXTENSION_FIELDS:
+        for modulus in irreducible_moduli(p, m):
+            F = FieldSpec(p, m, modulus)
+            e = (F.q - 1) // (p - 1)
+            for g in range(p, p * p):
+                a, b = divmod(g, p)
+                c = -b * pow(a, p - 2, p) % p
+                f_c = sum(coef * c ** i for i, coef in enumerate(modulus))
+                assert (-a) ** m * f_c % p == F.pow(g, e), (p, modulus, g)
+
+
+def test_norm_test_skips_the_tables_of_non_generators(monkeypatch):
+    # 479 multiplication tables before the norm test, for the same tables
+    walked = []
+    times_table = FieldSpec._times_table
+    monkeypatch.setattr(FieldSpec, "_times_table",
+                        lambda F, g: walked.append(g) or times_table(F, g))
+    moduli = [(p, m, modulus) for p, m in CLI_COLD_FIELDS
+              for modulus in irreducible_moduli(p, m)]
+    assert len(moduli) == 230
+    for p, m, modulus in moduli:
+        FieldSpec(p, m, modulus)
+    assert len(walked) == 264
+    # a reducible modulus is refused by Ben-Or before any table is built
+    with pytest.raises(ReducibleModulusError):
+        make_field(5, 2, (4, 0, 1))
+    assert len(walked) == 264
 
 
 def test_table_walk_is_bounded_on_a_reducible_modulus():
