@@ -1,71 +1,54 @@
 """Sums of k-th powers of upper-triangular matrices over finite fields,
-with exhaustive verification oracles at desk scale."""
+with exhaustive verification oracles at desk scale.
 
-from . import errors
-from .fields import (
-    FieldSpec,
-    field_text,
-    kth_roots,
-    make_field,
-    minus_one_is_kth_power,
-    parse_field,
-)
-from .power_sums import (
-    SolutionClassification,
-    classification_report,
-    classified,
-    count_zero_sum_classes,
-    in_power_sums,
-    lang_weil_check,
-    power_diff_quotient,
-    quotient_zero_report,
-    select_system_pairs,
-    shift_to_two_variable,
-)
-from .tri_matrix import (
-    UTMatrix,
-    backsub_root,
-    diag,
-    elementary,
-    embed_power,
-    from_rows,
-    from_text,
-    identity,
-    jordan_block,
-    junction_matrix,
-    mat_inv,
-    mat_mul,
-    mat_pow,
-    to_text,
-    zero,
-)
-from .canonical import (
-    ConjugationWitness,
-    Presentation,
-    annihilate_entry,
-    bipartition,
-    diagonalize_distinct,
-    is_indecomposable,
-    parse_presentation,
-    render_presentation,
-)
-from .decomposer import (
-    DecompositionResult,
-    Obstruction,
-    StructuredPlan,
-    decompose_structured,
-    decompose_three,
-    decompose_two,
-    verify_decomposition,
-)
-from .oracle import (
-    WaringReport,
-    all_kth_powers,
-    bn_conjugate,
-    min_waring_number,
-    negative_checks,
-    waring_report,
-)
+Importing the package loads none of its submodules, so a one-shot CLI
+call loads only what its command runs. Each exported name is imported
+from its submodule on first use (PEP 562) and then bound here, so later
+reads are plain attribute reads."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+_SUBMODULE_EXPORTS = {
+    "errors": (),
+    "fields": ("FieldSpec", "field_text", "kth_roots", "make_field",
+               "minus_one_is_kth_power", "parse_field"),
+    "power_sums": ("SolutionClassification", "classification_report",
+                   "classified", "count_zero_sum_classes", "in_power_sums",
+                   "lang_weil_check", "power_diff_quotient",
+                   "quotient_zero_report", "select_system_pairs",
+                   "shift_to_two_variable"),
+    "tri_matrix": ("UTMatrix", "backsub_root", "diag", "elementary",
+                   "embed_power", "from_rows", "from_text", "identity",
+                   "jordan_block", "junction_matrix", "mat_inv", "mat_mul",
+                   "mat_pow", "to_text", "zero"),
+    "canonical": ("ConjugationWitness", "Presentation", "annihilate_entry",
+                  "bipartition", "diagonalize_distinct", "is_indecomposable",
+                  "parse_presentation", "render_presentation"),
+    "decomposer": ("DecompositionResult", "Obstruction", "StructuredPlan",
+                   "decompose_structured", "decompose_three",
+                   "decompose_two", "verify_decomposition"),
+    "oracle": ("WaringReport", "all_kth_powers", "bn_conjugate",
+               "min_waring_number", "negative_checks", "waring_report"),
+}
+# each exported name -> the submodule that defines it; a submodule's own
+# name maps to itself
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items()
+            for name in (module, *names)}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # the next read does not come back here
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

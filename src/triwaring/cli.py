@@ -4,6 +4,13 @@ Every subcommand validates input, dispatches to the library and prints
 either aligned text or (with --json) a stable machine-readable object.
 Exit codes: 0 success, 1 typed domain failure (legitimate at small q)
 or a reader that closed the pipe, 2 usage error.
+
+A one-shot call pays for what its command runs and little more: this
+module imports only `errors` and `fields`, each subcommand imports the
+library modules it calls, and an argv led by a command builds that
+command's parser alone. The top-level parser, with every command under
+it, is built only for no command, -h, an unknown command or an option
+before the command.
 """
 
 from __future__ import annotations
@@ -15,17 +22,51 @@ import math
 import os
 import sys
 
-from . import canonical, decomposer, oracle, power_sums, tri_matrix
 from .errors import TriwaringError
 from .fields import field_text, parse_field
-from .tri_matrix import from_text, to_text
 
 
 class _UsageError(Exception):
     """Arguments the parser accepts but the subcommand cannot use."""
 
 
-@functools.cache  # one parser per process; parse_args leaves it unchanged
+def _add_arguments(p: argparse.ArgumentParser,
+                   name: str) -> argparse.ArgumentParser:
+    """Give `p` the arguments of command `name`; `p` is either that
+    command's own parser or its entry in the top-level subparsers."""
+    p.add_argument("--q", required=True,
+                   help="field spec: P, P^M, or P^M/c0,c1,...,cm")
+    p.add_argument("--json", action="store_true")
+    if name not in ("field", "conjugate"):
+        p.add_argument("--k", type=int, required=True)
+    if name in ("solve", "classify"):
+        p.add_argument("--lambda", dest="lam", type=int, required=True)
+    elif name == "decompose":
+        p.add_argument("--matrix", action="append", required=True,
+                       help='rows "r0;r1;..." with comma-separated encodings')
+        p.add_argument("--parts", type=int, choices=(2, 3), required=True)
+    elif name in ("root", "conjugate"):
+        p.add_argument("--matrix", action="append", required=True)
+    elif name == "table":
+        p.add_argument("--row", required=True)
+        p.add_argument("--n", type=int)
+    elif name == "oracle":
+        p.add_argument("--n", type=int)
+        p.add_argument("--matrix", action="append")
+        p.add_argument("--cap", type=int, default=4)
+    elif name == "bound":
+        p.add_argument("--m", type=int, required=True)
+    return p
+
+
+@functools.cache  # parse_args leaves a parser unchanged
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as the top-level subparsers build it."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"triwaring {name}"),
+                          name)
+
+
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(
@@ -33,52 +74,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="sums of k-th powers of upper-triangular matrices "
                     "over finite fields")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--q", required=True,
-                       help="field spec: P, P^M, or P^M/c0,c1,...,cm")
-        p.add_argument("--json", action="store_true")
-        return p
-
-    p = add("field", "describe a field")
-
-    p = add("solve", "classify solutions of x^k + y^k = lambda")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-
-    p = add("classify", "full solution partition of x^k + y^k = lambda")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-
-    p = add("decompose", "write a matrix as a sum of 2 or 3 k-th powers")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--matrix", action="append", required=True,
-                   help='rows "r0;r1;..." with comma-separated encodings')
-    p.add_argument("--parts", type=int, choices=(2, 3), required=True)
-
-    p = add("root", "extract a k-th root of a triangular matrix")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--matrix", action="append", required=True)
-
-    p = add("table", "parse a presentation row and decompose it")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--row", required=True)
-    p.add_argument("--n", type=int)
-
-    p = add("oracle", "brute-force minimum summand counts")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--matrix", action="append")
-    p.add_argument("--cap", type=int, default=4)
-
-    p = add("bound", "empirical point-count bound for diagonal equations")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("conjugate", "test conjugacy under invertible triangular "
-                         "matrices (pass --matrix twice)")
-    p.add_argument("--matrix", action="append", required=True)
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser, sub.choices
 
 
@@ -103,6 +100,7 @@ def _cmd_field(F, args):
 
 
 def _cmd_solve(F, args):
+    from . import power_sums
     payload = power_sums.classification_report(F, args.lam, args.k)
 
     def text():
@@ -118,6 +116,7 @@ def _cmd_solve(F, args):
 
 
 def _cmd_classify(F, args):
+    from . import power_sums
     cl = power_sums.classified(F, args.lam, args.k)
     U = sorted((x, y) for xs, ys in cl.u_fibers for x in xs for y in ys)
     classes = [[(x, y) for x in xs for y in ys] for xs, ys in cl.fibers]
@@ -137,12 +136,14 @@ def _cmd_classify(F, args):
 
 
 def _single_matrix(F, args):
+    from .tri_matrix import from_text
     if len(args.matrix) != 1:
         raise _UsageError(f"{args.command} takes exactly one --matrix")
     return from_text(F, args.matrix[0])
 
 
 def _cmd_decompose(F, args):
+    from . import decomposer
     C = _single_matrix(F, args)
     if args.parts == 2:
         res = decomposer.decompose_two(C, args.k)
@@ -157,8 +158,9 @@ def _cmd_decompose(F, args):
 
 
 def _cmd_root(F, args):
+    from .tri_matrix import backsub_root, to_text
     C = _single_matrix(F, args)
-    A = tri_matrix.backsub_root(C, args.k)
+    A = backsub_root(C, args.k)
     payload = {"matrix": to_text(C), "k": args.k, "root": to_text(A),
                "verified": True}
     _emit(payload, args.json,
@@ -167,6 +169,8 @@ def _cmd_root(F, args):
 
 
 def _cmd_table(F, args):
+    from . import canonical, decomposer
+    from .tri_matrix import to_text
     n = args.n
     if n is None:
         if "," in args.row:
@@ -196,6 +200,8 @@ def _cmd_table(F, args):
 
 
 def _cmd_oracle(F, args):
+    from . import oracle
+    from .tri_matrix import to_text
     if args.cap < 1:
         raise _UsageError("--cap must be at least 1")
     if args.matrix:
@@ -224,6 +230,7 @@ def _cmd_oracle(F, args):
 
 
 def _cmd_bound(F, args):
+    from . import power_sums
     rep = power_sums.lang_weil_check(F, args.k, args.m, [1] * args.m)
     # strict JSON has no infinity: a bound past float range is null
     bound = rep.bound if math.isfinite(rep.bound) else None
@@ -236,6 +243,8 @@ def _cmd_bound(F, args):
 
 
 def _cmd_conjugate(F, args):
+    from . import oracle
+    from .tri_matrix import from_text, to_text
     if len(args.matrix) != 2:
         raise _UsageError("conjugate takes exactly two --matrix")
     A = from_text(F, args.matrix[0])
@@ -252,16 +261,20 @@ def _cmd_conjugate(F, args):
     return 0
 
 
-_COMMANDS = {
-    "field": _cmd_field,
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "decompose": _cmd_decompose,
-    "root": _cmd_root,
-    "table": _cmd_table,
-    "oracle": _cmd_oracle,
-    "bound": _cmd_bound,
-    "conjugate": _cmd_conjugate,
+_COMMANDS = {  # name -> (runner, help in the top-level listing)
+    "field": (_cmd_field, "describe a field"),
+    "solve": (_cmd_solve, "classify solutions of x^k + y^k = lambda"),
+    "classify": (_cmd_classify,
+                 "full solution partition of x^k + y^k = lambda"),
+    "decompose": (_cmd_decompose,
+                  "write a matrix as a sum of 2 or 3 k-th powers"),
+    "root": (_cmd_root, "extract a k-th root of a triangular matrix"),
+    "table": (_cmd_table, "parse a presentation row and decompose it"),
+    "oracle": (_cmd_oracle, "brute-force minimum summand counts"),
+    "bound": (_cmd_bound,
+              "empirical point-count bound for diagonal equations"),
+    "conjugate": (_cmd_conjugate, "test conjugacy under invertible "
+                                  "triangular matrices (pass --matrix twice)"),
 }
 
 
@@ -278,22 +291,22 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
+    if argv and argv[0] in _COMMANDS:
         # what the subparsers action would do after a top-level pass
-        args = commands[argv[0]].parse_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
+        parser = _command_parser(argv[0])
+        args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     else:  # no command, -h, an unknown command or an option before one
-        args = parser.parse_args(argv)
-    parser = commands[args.command]  # usage errors name the command
+        top, commands = _build_parser()
+        args = top.parse_args(argv)
+        parser = commands[args.command]  # usage errors name the command
     for name in ("k", "m", "n"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             parser.error(f"--{name} must be at least 1")
     try:
         F = parse_field(args.q)
-        return _COMMANDS[args.command](F, args)
+        return _COMMANDS[args.command][0](F, args)
     except _UsageError as err:
         parser.error(str(err))  # prints usage and the message, exits 2
     except TriwaringError as err:

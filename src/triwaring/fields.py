@@ -143,23 +143,38 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _poly_pow_mod(base: list[int], e: int, mod: list[int],
+                  p: int) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, base, p), mod, p)
+        base = _poly_mod(_poly_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Ben-Or's test: a monic f of degree m is irreducible iff
     gcd(f, x^(p^i) - x) = 1 for every i <= m // 2. A reducible f has an
     irreducible factor of degree i <= m // 2, and x^(p^i) - x is the
-    product of the monic irreducibles of degree dividing i."""
+    product of the monic irreducibles of degree dividing i. Step i = 1
+    asks whether f has a root in F_p (p Horner evaluations), so x is
+    raised to a power of p only from m = 4 on."""
     poly = list(coeffs)
+    half = (len(poly) - 1) // 2
+    if half == 0:
+        return True
+    for a in range(p):
+        value = 0
+        for c in reversed(poly):
+            value = (value * a + c) % p
+        if value == 0:  # x - a divides f
+            return False
     acc = [0, 1]
-    for _ in range((len(poly) - 1) // 2):
-        result = [1]  # acc <- acc^p = x^(p^i) mod f
-        base = acc
-        e = p
-        while e:
-            if e & 1:
-                result = _poly_mod(_poly_mul(result, base, p), poly, p)
-            base = _poly_mod(_poly_mul(base, base, p), poly, p)
-            e >>= 1
-        acc = result
+    for i in range(2, half + 1):
+        # acc = x^(p^i) mod f; the root scan took no x^p, so step 2 takes p^2
+        acc = _poly_pow_mod(acc, p * p if i == 2 else p, poly, p)
         diff = acc + [0] * (2 - len(acc))
         diff[1] = (diff[1] - 1) % p
         # when f divides x^(p^i) - x, diff is empty and the gcd is f itself

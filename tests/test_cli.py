@@ -410,6 +410,57 @@ def test_double_dash_goes_to_the_top_level_parser(capsys, monkeypatch):
     assert got == run_alone(*argv)
 
 
+# `triwaring -h`, each command's -h, and each command with no arguments
+# (a usage error: its required arguments are missing)
+HELP_AND_USAGE_CALLS = [["-h"], *([c, "-h"] for c in COMMANDS),
+                        *([c] for c in COMMANDS)]
+# recorded before each command got a parser of its own; argparse lays out
+# help differently from one Python version to the next
+HELP_AND_USAGE_DIGESTS = {
+    **dict.fromkeys([(3, 10), (3, 11), (3, 12)],
+                    "32570305b359f0eacd83aabc204c4894d9ce12bb177a62dbf47fe923347b1924"),
+    (3, 13): "4217b438ef2dc8de845d4a0ae95e3857b3e030e758ffd4066c353079e9ac799d",
+}
+
+
+def test_help_and_usage_text_is_pinned(monkeypatch):
+    digest = HELP_AND_USAGE_DIGESTS.get(sys.version_info[:2])
+    if digest is None:
+        pytest.skip(f"no digest recorded for Python {sys.version_info[:2]}")
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = "".join(
+        "{}\t{}\t{}\t{}\n".format(" ".join(argv), *run_alone(*argv))
+        for argv in HELP_AND_USAGE_CALLS)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (SOLVE, ["power_sums"]),
+    (["root", "--q", "7", "--k", "2", "--matrix", "1,1;4"], ["tri_matrix"]),
+    (["decompose", "--q", "13", "--k", "2", "--matrix", "0,1;0",
+      "--parts", "2"],
+     ["canonical", "decomposer", "power_sums", "tri_matrix"]),
+    (["oracle", "--q", "3", "--k", "2", "--n", "2"],
+     ["oracle", "power_sums", "tri_matrix"]),
+])
+def test_a_command_imports_only_what_it_runs(argv, loaded):
+    # a cold call loads the cli, errors, fields and the modules its
+    # command calls, nothing more
+    code = ("import sys\n"
+            "from triwaring.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.startswith('triwaring.')))")
+    src = Path(triwaring.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    modules = sorted(f"triwaring.{m}" for m in ["cli", "errors", "fields",
+                                                *loaded])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == f"0 {modules}"
+
+
 def run_as_module(*argv):
     """The same call through the `python -m triwaring.cli` entry point, in
     this process: its exit code."""

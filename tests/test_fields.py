@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -26,10 +27,8 @@ from triwaring.fields import (
     _digits,
     _is_irreducible,
     _make_field_cached,
-    _poly_gcd,
     _poly_mod,
     _poly_mul,
-    _poly_trim,
     field_text,
     is_prime,
     kth_root_map,
@@ -390,40 +389,21 @@ def test_irreducibility_counts_match_moebius_formula():
             assert counted == expected, (p, d)
 
 
+@functools.cache
+def reducible_monics(p, d):
+    """Every reducible monic of degree d over F_p, as a product g h of
+    monics with 1 <= deg g <= d // 2: a brute-force factor search."""
+    def monics(e):
+        return [tuple(_digits(t, p, e)) + (1,) for t in range(p ** e)]
+    return {tuple(_poly_mul(list(g), list(h), p))
+            for i in range(1, d // 2 + 1)
+            for g in monics(i) for h in monics(d - i)}
+
+
 def irreducible_reference(coeffs, p):
-    """Root scan, plus a gcd with x^(p^2) - x at degree 4: a separate rule
-    for degree <= 4 that _is_irreducible must agree with."""
-    poly = list(coeffs)
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    for t in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * t + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
-    acc = [0, 1]
-    for _ in range(2):
-        acc = _poly_pow_mod(acc, p, poly, p)
-    diff = acc + [0] * (2 - len(acc))
-    diff[1] = (diff[1] - 1) % p
-    diff = _poly_trim(diff)
-    if not diff:
-        return False
-    return len(_poly_gcd(poly, diff, p)) == 1
-
-
-def _poly_pow_mod(base, e, mod, p):
-    result = [1]
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+    """Whether no factor search finds the monic `coeffs`: a separate rule
+    that _is_irreducible must agree with."""
+    return tuple(coeffs) not in reducible_monics(p, len(coeffs) - 1)
 
 
 def _undigits(coeffs, p):
@@ -463,8 +443,9 @@ def tables_reference(p, m, modulus):
 
 
 def test_irreducibility_matches_reference():
-    for p, dmax in ((2, 4), (3, 4), (5, 4), (7, 4), (11, 3), (13, 3)):
-        for d in range(1, dmax + 1):
+    # every monic of degree 1-4 over every p <= 13
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, 5):
             for t in range(p ** d):
                 coeffs = tuple(_digits(t, p, d)) + (1,)
                 assert (_is_irreducible(coeffs, p)
