@@ -11,8 +11,6 @@ annihilation step provably leaves every earlier entry untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DiagNotDistinctError,
     DuplicateVertexError,
@@ -22,21 +20,23 @@ from .errors import (
     ParseError,
     RootMismatchError,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, Record
 from .tri_matrix import UTMatrix, identity, mat_mul, to_text, zero
 
 
-@dataclass(frozen=True)
-class ConjugationWitness:
+class ConjugationWitness(Record):
     """after = S^-1 * before * S, with S invertible upper-triangular.
 
     Verified by multiplication (before * S == S * after), which avoids
     inverting S.
     """
 
-    S: UTMatrix
-    before: UTMatrix
-    after: UTMatrix
+    __slots__ = ("S", "before", "after")
+
+    def __init__(self, S: UTMatrix, before: UTMatrix, after: UTMatrix):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
     def verify(self) -> bool:
         if any(d == 0 for d in self.S.diagonal()):
@@ -90,8 +90,7 @@ def diagonalize_distinct(A: UTMatrix) -> tuple[UTMatrix, ConjugationWitness]:
     return current, witness
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Blocks-and-arcs encoding of a 0/1 nilpotent matrix.
 
     blocks partition {1..n}; consecutive elements of a block are arcs, and
@@ -99,9 +98,13 @@ class Presentation:
     ascending within blocks, block minima ascending, no duplicate arcs.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-    extra_arcs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "blocks", "extra_arcs")
+
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...],
+                 extra_arcs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "extra_arcs", extra_arcs)
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         out = []

@@ -25,7 +25,6 @@ exists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .canonical import bipartition, label_graph
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     PreconditionViolatedError,
     RootMismatchError,
 )
-from .fields import Element
+from .fields import Element, Record
 from .power_sums import (
     AssignmentEntry,
     class_walk,
@@ -55,24 +54,36 @@ from .tri_matrix import (
 STRUCTURED_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class StructuredPlan:
+class StructuredPlan(Record):
     """A two-coloring of the diagonal plus an ownership split of the
     off-diagonal entries between the two summands."""
 
-    coloring: tuple[int, ...]
-    owned_a: tuple[tuple[int, int], ...]
-    owned_b: tuple[tuple[int, int], ...]
+    __slots__ = ("coloring", "owned_a", "owned_b")
+
+    def __init__(self, coloring: tuple[int, ...],
+                 owned_a: tuple[tuple[int, int], ...],
+                 owned_b: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "owned_a", owned_a)
+        object.__setattr__(self, "owned_b", owned_b)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    parts: tuple[UTMatrix, ...]
-    k: int
-    target: UTMatrix
-    assignment: tuple[AssignmentEntry, ...]
-    verified: bool
-    plan: StructuredPlan | None = field(default=None, compare=False)
+class DecompositionResult(Record, compare=("parts", "k", "target",
+                                           "assignment", "verified")):
+    """The parts of C and the diagonal solutions they were built from;
+    the plan, when the structured route ran, is not compared."""
+
+    __slots__ = ("parts", "k", "target", "assignment", "verified", "plan")
+
+    def __init__(self, parts: tuple[UTMatrix, ...], k: int, target: UTMatrix,
+                 assignment: tuple[AssignmentEntry, ...], verified: bool,
+                 plan: StructuredPlan | None = None):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "plan", plan)
 
     def to_json(self) -> dict:
         return {
@@ -84,17 +95,20 @@ class DecompositionResult:
         }
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """Exhaustion certificate: no structured plan works for this target.
 
     refuted_colorings lists every diagonal pattern ruled out (improper
     colorings and proper ones with no legal entry split)."""
 
-    target: UTMatrix
-    k: int
-    explored: int
-    refuted_colorings: tuple[tuple[int, ...], ...]
+    __slots__ = ("target", "k", "explored", "refuted_colorings")
+
+    def __init__(self, target: UTMatrix, k: int, explored: int,
+                 refuted_colorings: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "explored", explored)
+        object.__setattr__(self, "refuted_colorings", refuted_colorings)
 
     def to_json(self) -> dict:
         return {

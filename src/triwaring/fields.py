@@ -20,12 +20,13 @@ is built.
 from __future__ import annotations
 
 import functools
+import operator
 import os
-from dataclasses import dataclass, field
 
 from .errors import (
     DegreeMismatchError,
     EnumerationTooLargeError,
+    FieldMismatchError,
     NotPrimeError,
     ReducibleModulusError,
 )
@@ -183,21 +184,87 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """Base of the package's immutable value types.
+
+    A record lists its fields in `__slots__` and sets them in its own
+    `__init__` through object.__setattr__; assigning or deleting a field
+    afterwards raises AttributeError. Two records are equal, and hash
+    alike, on the fields named by `compare` in the class statement (all
+    of `__slots__` by default), and only when their classes are the same.
+    repr is `Name(field=value, ...)` over `__slots__`. Nothing is
+    generated or compiled when a record class is defined, which keeps a
+    one-shot call's start-up short."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*(compare or cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots (state[1]) past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def check_elements(F: FieldSpec, values, what: str = "element") -> None:
+    """FieldMismatchError naming the first of `values` outside [0, q): the
+    one element check, made once by each public function on what it is
+    given. FieldSpec's arithmetic itself trusts its arguments."""
+    q = F.q
+    for v in values:
+        if not 0 <= v < q:
+            raise FieldMismatchError(f"{what} {v} is outside [0, {q})")
+
+
+class FieldSpec(Record):
     """The ambient field F_q with a pinned modulus.
 
     Immutable and hashable on (p, m, modulus); safe to share across workers.
-    All arithmetic methods are pure functions of their integer arguments.
+    All arithmetic methods are pure functions of their integer arguments,
+    which they trust to be elements of F_q (integers in [0, q)): they are
+    the hot path of every product, so a value outside that range is not
+    caught here but by the public function that took it (`check_elements`).
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-    q: int = field(init=False, compare=False, repr=False)
-    _exp: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _log: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _zech: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech")
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "modulus", modulus)
+        self.__post_init__()
+
+    # written out, as in UTMatrix: every cache lookup hashes a field, and
+    # the attrgetter call of Record's versions costs more than the tuple
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.p, self.m, self.modulus)
+                    == (other.p, other.m, other.modulus))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.modulus))
 
     def __post_init__(self):
         object.__setattr__(self, "q", self.p ** self.m)
@@ -471,7 +538,9 @@ def kth_power_map(F: FieldSpec, k: int) -> dict[Element, Element]:
 
 def kth_roots(F: FieldSpec, lam: Element, k: int) -> tuple[Element, ...]:
     """All a with a^k = lam, sorted by encoding; empty iff lam is not a
-    k-th power. The canonical root choice elsewhere is the first entry."""
+    k-th power. The canonical root choice elsewhere is the first entry.
+    lam outside [0, q) raises FieldMismatchError."""
+    check_elements(F, (lam,), "lambda")
     return kth_root_map(F, k).get(lam, ())
 
 

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import (EnumerationTooLargeError, FieldMismatchError,
                      RootMismatchError)
-from .fields import (Element, FieldSpec, enum_guard, kth_power_map,
+from .fields import (Element, FieldSpec, Record, enum_guard, kth_power_map,
                      kth_root_map, minus_one_is_kth_power)
 from .power_sums import diagonal_options, diagonal_roots
 from .tri_matrix import (
@@ -309,16 +308,20 @@ class _SumsetLayers:
 _cached_layers = functools.lru_cache(maxsize=LAYER_CACHE_SIZE)(_SumsetLayers)
 
 
-@dataclass(frozen=True)
-class WaringReport:
+class WaringReport(Record):
     """Minimum summand counts over all of T_n(F_q), capped."""
 
-    field: FieldSpec
-    n: int
-    k: int
-    cap: int
-    per_matrix_min: dict[UTMatrix, int | None]
-    witnesses: dict[int, tuple[UTMatrix, tuple[UTMatrix, ...]]]
+    __slots__ = ("field", "n", "k", "cap", "per_matrix_min", "witnesses")
+
+    def __init__(self, field: FieldSpec, n: int, k: int, cap: int,
+                 per_matrix_min: dict[UTMatrix, int | None],
+                 witnesses: dict[int, tuple[UTMatrix, tuple[UTMatrix, ...]]]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "per_matrix_min", per_matrix_min)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def max_over_field(self) -> int | None:
@@ -508,12 +511,15 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
     return UTMatrix(F, n, P)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    applicable: bool
-    ok: bool | None
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "applicable", "ok", "detail")
+
+    def __init__(self, name: str, applicable: bool, ok: bool | None,
+                 detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "applicable": self.applicable,

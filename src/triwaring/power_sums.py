@@ -31,17 +31,16 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import (
-    FieldMismatchError,
     HypothesisViolatedError,
     InsufficientClassesError,
     NoAdmissibleShiftError,
     RootMismatchError,
 )
-from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, enum_guard,
-                     kth_power_map, kth_root_map, minus_one_is_kth_power)
+from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, Record,
+                     check_elements, enum_guard, kth_power_map, kth_root_map,
+                     minus_one_is_kth_power)
 
 # (F, lam, k) class walks kept, least recently used out; every lam of
 # F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them. Each holds
@@ -52,8 +51,7 @@ CLASS_CACHE_SIZE = 1024
 Fiber = tuple[Element, ...]
 
 
-@dataclass(frozen=True)
-class SolutionClassification:
+class SolutionClassification(Record):
     """Partition S = U u V_1 u ... u V_r of the solutions of
     x^k + y^k = lam, kept as root fibers.
 
@@ -66,12 +64,20 @@ class SolutionClassification:
     r = len(signatures).
     """
 
-    lam: Element
-    k: int
-    signatures: tuple[tuple[Element, Element], ...]
-    fibers: tuple[tuple[Fiber, Fiber], ...]
-    u_signatures: tuple[tuple[Element, Element], ...]
-    u_fibers: tuple[tuple[Fiber, Fiber], ...]
+    __slots__ = ("lam", "k", "signatures", "fibers", "u_signatures",
+                 "u_fibers")
+
+    def __init__(self, lam: Element, k: int,
+                 signatures: tuple[tuple[Element, Element], ...],
+                 fibers: tuple[tuple[Fiber, Fiber], ...],
+                 u_signatures: tuple[tuple[Element, Element], ...],
+                 u_fibers: tuple[tuple[Fiber, Fiber], ...]):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "signatures", signatures)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "u_signatures", u_signatures)
+        object.__setattr__(self, "u_fibers", u_fibers)
 
     @property
     def r(self) -> int:
@@ -94,8 +100,7 @@ class ClassWalk:
     FieldMismatchError, and k < 1 ValueError (from kth_root_map)."""
 
     def __init__(self, F: FieldSpec, lam: Element, k: int):
-        if not 0 <= lam < F.q:
-            raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
+        check_elements(F, (lam,), "lambda")
         self._roots = kth_root_map(F, k)
         self._lam, self._sub = lam, F.sub
         # the k-th power values not yet walked, ascending
@@ -154,8 +159,15 @@ def power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int) -> Element
     Satisfies x^k - y^k = (x - y) * power_diff_quotient(x, y); its
     nonvanishing is what lets triangular root-building divide by it.
     Horner's rule in x, acc <- acc x + y^i for i < k, with y^i carried
-    along: k steps of one product and one sum each, and no power.
+    along: k steps of one product and one sum each, and no power. x or y
+    outside [0, q) raises FieldMismatchError.
     """
+    check_elements(F, (x, y))
+    return _power_diff_quotient(F, x, y, k)
+
+
+def _power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int
+                         ) -> Element:
     if k < 1:
         raise ValueError("k must be >= 1")
     acc, yi = 0, 1
@@ -176,7 +188,19 @@ def in_power_sums(F: FieldSpec, k: int, s: int):
     W_(s-1): each coset is walked once, as one representative times
     H, until a level adds none. No W_s is built as a set of elements:
     over a large field that would cost q |K| sums. One walk per (F, k)
-    is kept, as the root map is. s < 0 raises ValueError."""
+    is kept, as the root map is. s < 0 raises ValueError, and the
+    predicate raises FieldMismatchError for a value outside [0, q)."""
+    inside = _in_power_sums(F, k, s)
+
+    def member(v: Element) -> bool:
+        check_elements(F, (v,), "value")
+        return inside(v)
+    return member
+
+
+def _in_power_sums(F: FieldSpec, k: int, s: int):
+    """`in_power_sums` without the element check, for values that are
+    elements by construction."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     kth = kth_root_map(F, k)
@@ -191,9 +215,11 @@ def diagonal_options(F: FieldSpec, d, k: int, s: int
                      ) -> tuple[tuple[tuple[Element, Element], ...], ...]:
     """Per d_i, the pairs (a, a^k), a a least root, with d_i - a^k in
     W_(s-1) (W_0 = {0}), ascending in a: empty exactly when d_i is
-    outside W_s = K + W_(s-1)."""
+    outside W_s = K + W_(s-1). A d_i outside [0, q) raises
+    FieldMismatchError."""
+    check_elements(F, d, "diagonal entry")
     least = [(r[0], v) for v, r in kth_root_map(F, k).items()]  # ascending
-    inside = in_power_sums(F, k, s - 1)
+    inside = _in_power_sums(F, k, s - 1)
     return tuple([tuple([(a, v) for a, v in least if inside(F.sub(c, v))])
                   for c in d])
 
@@ -263,16 +289,21 @@ def _coset_walk(F: FieldSpec, k: int) -> tuple[frozenset[Element], ...]:
     return tuple(levels)
 
 
-@dataclass(frozen=True)
-class QuotientZeroReport:
+class QuotientZeroReport(Record):
     """Exhaustive check of when power_diff_quotient vanishes off (0,0):
     exactly at pairs with (a = b and p | k) or (a != b and a^k = b^k)."""
 
-    q: int
-    k: int
-    zero_pairs: tuple[tuple[Element, Element], ...]
-    violations: tuple[tuple[Element, Element], ...]
-    checked: int
+    __slots__ = ("q", "k", "zero_pairs", "violations", "checked")
+
+    def __init__(self, q: int, k: int,
+                 zero_pairs: tuple[tuple[Element, Element], ...],
+                 violations: tuple[tuple[Element, Element], ...],
+                 checked: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "zero_pairs", zero_pairs)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "checked", checked)
 
     @property
     def ok(self) -> bool:
@@ -294,7 +325,7 @@ def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
             if a == 0 and b == 0:
                 continue
             checked += 1
-            is_zero = power_diff_quotient(F, a, b, k) == 0
+            is_zero = _power_diff_quotient(F, a, b, k) == 0
             predicted = (a == b and k % p == 0) or (a != b and powers[a] == powers[b])
             if is_zero:
                 zeros.append((a, b))
@@ -317,9 +348,9 @@ def lex_min_solution(F: FieldSpec, lam: Element, k: int
                      ) -> tuple[Element, Element] | None:
     """The (x, y)-least solution of x^k + y^k = lam, or None when there is
     none: x is the root of lam's first option at s = 2
-    (`diagonal_options`), and y the least root of lam - x^k."""
-    if not 0 <= lam < F.q:
-        raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
+    (`diagonal_options`), and y the least root of lam - x^k. lam outside
+    [0, q) raises FieldMismatchError."""
+    check_elements(F, (lam,), "lambda")
     (options,) = diagonal_options(F, (lam,), k, 2)
     return next(((x, kth_root_map(F, k)[F.sub(lam, v)][0])
                  for x, v in options), None)
@@ -340,14 +371,17 @@ def classification_report(F: FieldSpec, lam: Element, k: int) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class AssignmentEntry:
+class AssignmentEntry(Record):
     """One diagonal position's solution: x^k + y^k (+ z^k) = lam."""
 
-    lam: Element
-    x: Element
-    y: Element
-    z: Element | None = None
+    __slots__ = ("lam", "x", "y", "z")
+
+    def __init__(self, lam: Element, x: Element, y: Element,
+                 z: Element | None = None):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def as_row(self) -> list[Element]:
         if self.z is None:
@@ -375,9 +409,11 @@ def select_system_pairs(F: FieldSpec, targets, k: int
     More targets than k-th power values fail at once, as does a target with
     fewer classes than occurrences; an exhausted search names the first
     target scanned. Each target's `class_walk` goes only as far as the
-    scan reads it, and to the end only for a failure's count.
+    scan reads it, and to the end only for a failure's count. A target
+    outside [0, q) raises FieldMismatchError.
     """
     targets = list(targets)
+    check_elements(F, targets, "target")
     n, values = len(targets), len(kth_root_map(F, k))
     if n > values:
         raise InsufficientClassesError(
@@ -435,8 +471,7 @@ def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,
     of the first admissible value in the root map's least-root order (the
     least admissible z), so z = 0 wins whenever lam itself is admissible.
     lam outside [0, q) raises FieldMismatchError, and k < 1 ValueError."""
-    if not 0 <= lam < F.q:
-        raise FieldMismatchError(f"lambda {lam} is outside [0, {F.q})")
+    check_elements(F, (lam,), "lambda")
     forbidden = frozenset(forbidden)
     for v, roots in kth_root_map(F, k).items():
         shifted = F.sub(lam, v)
@@ -447,14 +482,18 @@ def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,
         f"{sorted(forbidden)} over F_{F.q}")
 
 
-@dataclass(frozen=True)
-class LangWeilReport:
-    q: int
-    k: int
-    m: int
-    N: int
-    expected: int
-    bound: float  # k^(2m) sqrt(q^(m-1)), math.inf past float range
+class LangWeilReport(Record):
+    __slots__ = ("q", "k", "m", "N", "expected", "bound")
+
+    def __init__(self, q: int, k: int, m: int, N: int, expected: int,
+                 bound: float):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "expected", expected)
+        # k^(2m) sqrt(q^(m-1)), math.inf past float range
+        object.__setattr__(self, "bound", bound)
 
     @property
     def ok(self) -> bool:
@@ -481,9 +520,7 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     alphas = list(alphas)
     if len(alphas) != m:
         raise ValueError(f"need {m} coefficients, got {len(alphas)}")
-    if any(not 0 <= a < F.q for a in alphas):
-        raise FieldMismatchError(
-            f"coefficients {alphas} are not all inside [0, {F.q})")
+    check_elements(F, alphas, "coefficient")
     if any(a == 0 for a in alphas):
         raise ValueError("coefficients must be nonzero")
     enum_guard(m * F.q * ((F.q - 1) // math.gcd(k, F.q - 1) + 1))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     BadPartitionError,
@@ -31,7 +30,7 @@ from .errors import (
     RootMismatchError,
     SizeMismatchError,
 )
-from .fields import Element, FieldSpec, kth_root_map
+from .fields import Element, FieldSpec, Record, check_elements, kth_root_map
 
 
 @functools.lru_cache
@@ -40,11 +39,26 @@ def _diagonal_at(n: int) -> tuple[int, ...]:
     return tuple(i * n - i * (i - 1) // 2 for i in range(n))
 
 
-@dataclass(frozen=True, slots=True)
-class UTMatrix:
-    field: FieldSpec
-    n: int
-    entries: tuple[Element, ...]
+class UTMatrix(Record):
+    __slots__ = ("field", "n", "entries")
+
+    def __init__(self, field: FieldSpec, n: int, entries: tuple[Element, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    # written out for the hot paths (products checked against targets,
+    # dict keys over whole algebras): on CPython 3.11 the attrgetter call
+    # of Record's versions costs more than the comparison itself
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.n, self.entries)
+                    == (other.field, other.n, other.entries))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.n, self.entries))
 
     def __post_init__(self):
         expect = self.n * (self.n + 1) // 2
@@ -167,6 +181,9 @@ def elementary(F: FieldSpec, n: int, r: int, s: int) -> UTMatrix:
 
 
 def jordan_block(F: FieldSpec, lam: Element, n: int) -> UTMatrix:
+    """lam I + the sum of E_(i, i+1); lam outside [0, q) raises
+    FieldMismatchError, where `diag` would reduce it mod q."""
+    check_elements(F, (lam,), "lambda")
     return diag(F, [lam] * n).with_entries({(i, i + 1): 1 for i in range(1, n)})
 
 
@@ -391,8 +408,7 @@ def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int
     F, n = C.field, C.n
     if not (1 <= l <= n + 1):
         raise IndexOutOfRangeError(f"insertion index {l} not in 1..{n + 1}")
-    if not 0 <= x < F.q:
-        raise FieldMismatchError(f"x {x} is outside [0, {F.q})")
+    check_elements(F, (x,), "x")
     if x == 0:
         raise ValueError("inserted diagonal root must be nonzero")
     if mat_pow(rootC, k) != C:

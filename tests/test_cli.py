@@ -445,12 +445,13 @@ def test_help_and_usage_text_is_pinned(monkeypatch):
 ])
 def test_a_command_imports_only_what_it_runs(argv, loaded):
     # a cold call loads the cli, errors, fields and the modules its
-    # command calls, nothing more
+    # command calls, nothing more, and neither dataclasses nor inspect
     code = ("import sys\n"
             "from triwaring.cli import main\n"
             f"code = main({argv!r})\n"
             "print(code, sorted(m for m in sys.modules\n"
-            "                   if m.startswith('triwaring.')))")
+            "                   if m.startswith('triwaring.')),\n"
+            "      [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     src = Path(triwaring.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)),
@@ -458,7 +459,7 @@ def test_a_command_imports_only_what_it_runs(argv, loaded):
     modules = sorted(f"triwaring.{m}" for m in ["cli", "errors", "fields",
                                                 *loaded])
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1] == f"0 {modules}"
+    assert proc.stdout.splitlines()[-1] == f"0 {modules} []"
 
 
 def run_as_module(*argv):

@@ -87,8 +87,9 @@ def test_quotient_zero_report_examples(F7, F3, F13):
 
 def test_quotient_zero_report_lists_violations(F7, monkeypatch):
     # a quotient that never vanishes misses every predicted zero: the pairs
-    # b = -a != 0, as a^2 = b^2 there
-    monkeypatch.setattr(power_sums, "power_diff_quotient", lambda *a: 1)
+    # b = -a != 0, as a^2 = b^2 there (the scan takes the quotient
+    # without the element check, its pairs being elements)
+    monkeypatch.setattr(power_sums, "_power_diff_quotient", lambda *a: 1)
     rep = quotient_zero_report(F7, 2)
     assert rep.zero_pairs == () and not rep.ok
     assert rep.violations == tuple((a, 7 - a) for a in range(1, 7))
