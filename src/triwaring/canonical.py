@@ -34,9 +34,7 @@ class ConjugationWitness(Record):
     __slots__ = ("S", "before", "after")
 
     def __init__(self, S: UTMatrix, before: UTMatrix, after: UTMatrix):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
+        Record.__init__(self, S, before, after)
 
     def verify(self) -> bool:
         if any(d == 0 for d in self.S.diagonal()):
@@ -102,9 +100,7 @@ class Presentation(Record):
 
     def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...],
                  extra_arcs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "extra_arcs", extra_arcs)
+        Record.__init__(self, n, blocks, extra_arcs)
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         out = []

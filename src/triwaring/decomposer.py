@@ -63,9 +63,7 @@ class StructuredPlan(Record):
     def __init__(self, coloring: tuple[int, ...],
                  owned_a: tuple[tuple[int, int], ...],
                  owned_b: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "coloring", coloring)
-        object.__setattr__(self, "owned_a", owned_a)
-        object.__setattr__(self, "owned_b", owned_b)
+        Record.__init__(self, coloring, owned_a, owned_b)
 
 
 class DecompositionResult(Record, compare=("parts", "k", "target",
@@ -78,12 +76,7 @@ class DecompositionResult(Record, compare=("parts", "k", "target",
     def __init__(self, parts: tuple[UTMatrix, ...], k: int, target: UTMatrix,
                  assignment: tuple[AssignmentEntry, ...], verified: bool,
                  plan: StructuredPlan | None = None):
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "plan", plan)
+        Record.__init__(self, parts, k, target, assignment, verified, plan)
 
     def to_json(self) -> dict:
         return {
@@ -105,10 +98,7 @@ class Obstruction(Record):
 
     def __init__(self, target: UTMatrix, k: int, explored: int,
                  refuted_colorings: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "explored", explored)
-        object.__setattr__(self, "refuted_colorings", refuted_colorings)
+        Record.__init__(self, target, k, explored, refuted_colorings)
 
     def to_json(self) -> dict:
         return {

@@ -187,9 +187,11 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 class Record:
     """Base of the package's immutable value types.
 
-    A record lists its fields in `__slots__` and sets them in its own
-    `__init__` through object.__setattr__; assigning or deleting a field
-    afterwards raises AttributeError. Two records are equal, and hash
+    A record lists its fields in `__slots__` and writes its own `__init__`,
+    whose parameters are the first names of `__slots__`, in order, and
+    which passes them on to `Record.__init__`: the one place that sets a
+    record's fields past the frozen `__setattr__`. Assigning or deleting a
+    field afterwards raises AttributeError. Two records are equal, and hash
     alike, on the fields named by `compare` in the class statement (all
     of `__slots__` by default), and only when their classes are the same.
     repr is `Name(field=value, ...)` over `__slots__`. Nothing is
@@ -197,6 +199,10 @@ class Record:
     one-shot call's start-up short."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, compare=None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -250,9 +256,7 @@ class FieldSpec(Record):
     __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "modulus", modulus)
+        Record.__init__(self, p, m, modulus)
         self.__post_init__()
 
     # written out, as in UTMatrix: every cache lookup hashes a field, and

@@ -68,7 +68,9 @@ def _field_tables(F: FieldSpec) -> tuple[tuple, tuple, tuple]:
 
 
 def matrix_encoding(A: UTMatrix) -> int:
-    """Mixed-radix integer over the packed entries (exact set membership)."""
+    """The packed entries read as base-q digits, the first entry least
+    significant: one integer per matrix (exact set membership). This is
+    not `iter_matrices` order, whose first entry changes slowest."""
     code = 0
     for e in reversed(A.entries):
         code = code * A.field.q + e
@@ -76,7 +78,11 @@ def matrix_encoding(A: UTMatrix) -> int:
 
 
 def iter_matrices(F: FieldSpec, n: int):
-    """All of T_n(F_q) in mixed-radix order."""
+    """All of T_n(F_q) in lexicographic order of the packed entries, as
+    `itertools.product` gives it: the last entry changes fastest. That is
+    base-q order with the first entry most significant, the reverse of
+    `matrix_encoding`'s digits: over T_2(F_3) the encodings come out 0, 9,
+    18, 3, 12, 21, ..."""
     width = n * (n + 1) // 2
     for entries in itertools.product(F.elements(), repeat=width):
         yield UTMatrix(F, n, entries)
@@ -107,9 +113,11 @@ def _power_image(F: FieldSpec, n: int, k: int
     a^k b + (b M) A' = b (a^k I + M A'), and a^k I + M A' is the M of
     k + 1. Each (a, A') pair costs one M, O(n^3 log k), and A'^k comes
     from the same walk one size down (`_power_walk`); each matrix then
-    costs one product b M and one dict check. The walk visits a, then b,
-    then A', each in encoding order, which is `iter_matrices` order, so
-    the first root of every power is the one a plain enumeration finds."""
+    costs one product b M and one dict check. The walk runs over a
+    slowest, then b, then A' fastest, each by increasing packed entries:
+    the lexicographic `iter_matrices` order (not `matrix_encoding`
+    order), so the first root of every power is the one a plain
+    enumeration finds."""
     first: dict[tuple[Element, ...], tuple[Element, ...]] = {}
     for A, P in _power_walk(F, n, k):
         first.setdefault(P, A)
@@ -316,12 +324,7 @@ class WaringReport(Record):
     def __init__(self, field: FieldSpec, n: int, k: int, cap: int,
                  per_matrix_min: dict[UTMatrix, int | None],
                  witnesses: dict[int, tuple[UTMatrix, tuple[UTMatrix, ...]]]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "per_matrix_min", per_matrix_min)
-        object.__setattr__(self, "witnesses", witnesses)
+        Record.__init__(self, field, n, k, cap, per_matrix_min, witnesses)
 
     @property
     def max_over_field(self) -> int | None:
@@ -516,10 +519,7 @@ class CheckResult(Record):
 
     def __init__(self, name: str, applicable: bool, ok: bool | None,
                  detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+        Record.__init__(self, name, applicable, ok, detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "applicable": self.applicable,

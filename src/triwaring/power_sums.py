@@ -72,12 +72,8 @@ class SolutionClassification(Record):
                  fibers: tuple[tuple[Fiber, Fiber], ...],
                  u_signatures: tuple[tuple[Element, Element], ...],
                  u_fibers: tuple[tuple[Fiber, Fiber], ...]):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "signatures", signatures)
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "u_signatures", u_signatures)
-        object.__setattr__(self, "u_fibers", u_fibers)
+        Record.__init__(self, lam, k, signatures, fibers, u_signatures,
+                        u_fibers)
 
     @property
     def r(self) -> int:
@@ -299,11 +295,7 @@ class QuotientZeroReport(Record):
                  zero_pairs: tuple[tuple[Element, Element], ...],
                  violations: tuple[tuple[Element, Element], ...],
                  checked: int):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "zero_pairs", zero_pairs)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "checked", checked)
+        Record.__init__(self, q, k, zero_pairs, violations, checked)
 
     @property
     def ok(self) -> bool:
@@ -378,10 +370,7 @@ class AssignmentEntry(Record):
 
     def __init__(self, lam: Element, x: Element, y: Element,
                  z: Element | None = None):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        Record.__init__(self, lam, x, y, z)
 
     def as_row(self) -> list[Element]:
         if self.z is None:
@@ -487,13 +476,8 @@ class LangWeilReport(Record):
 
     def __init__(self, q: int, k: int, m: int, N: int, expected: int,
                  bound: float):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "expected", expected)
-        # k^(2m) sqrt(q^(m-1)), math.inf past float range
-        object.__setattr__(self, "bound", bound)
+        # bound is k^(2m) sqrt(q^(m-1)), math.inf past float range
+        Record.__init__(self, q, k, m, N, expected, bound)
 
     @property
     def ok(self) -> bool:

@@ -42,6 +42,11 @@ def _diagonal_at(n: int) -> tuple[int, ...]:
 class UTMatrix(Record):
     __slots__ = ("field", "n", "entries")
 
+    # the fields are set here, not through Record.__init__: a matrix is
+    # built for each element of an enumeration (15,625 in one
+    # waring_report(F_5, 3, 2)), and the shared setter's call and loop cost
+    # about 0.4 us more per construction (1.02 -> 1.38 us, least of
+    # 15 x 50,000 calls; CPython 3.11, 2-vCPU x86-64)
     def __init__(self, field: FieldSpec, n: int, entries: tuple[Element, ...]):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)

@@ -571,6 +571,16 @@ def test_matrix_encoding_unique(F3):
     codes = {matrix_encoding(M) for M in iter_matrices(F3, 2)}
     assert len(codes) == 27
     assert matrix_encoding(zero(F3, 2)) == 0
+    # iter_matrices runs the last packed entry fastest; matrix_encoding
+    # makes the first entry its least significant digit
+    mats = list(iter_matrices(F3, 2))
+    assert [M.entries for M in mats[:4]] == \
+        [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0)]
+    assert [matrix_encoding(M) for M in mats[:6]] == [0, 9, 18, 3, 12, 21]
+    assert [M.entries for M in mats] == sorted(M.entries for M in mats)
+    assert all(matrix_encoding(M) == sum(e * 3 ** i
+                                         for i, e in enumerate(M.entries))
+               for M in mats)
 
 
 def test_junction_shape(F3):

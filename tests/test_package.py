@@ -170,6 +170,29 @@ def test_records_keep_their_value_semantics():
     assert res.plan is None and planned.plan == samples[10]
 
 
+def test_every_record_stores_each_argument_under_its_own_name():
+    # Record.__init__ fills __slots__ in order, so a constructor whose
+    # parameters drift from its slots would swap fields silently
+    records = []
+    for path in sorted(Path(triwaring.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"triwaring.{path.stem}")
+        records += [cls for cls in vars(module).values()
+                    if isinstance(cls, type) and issubclass(cls, Record)
+                    and cls is not Record
+                    and cls.__module__ == module.__name__]
+    assert len(records) == 13
+    F = make_field(5)
+    real = {FieldSpec: (5, 1, (0, 1)), UTMatrix: (F, 2, (1, 2, 3))}
+    for cls in records:
+        assert "__init__" in vars(cls), cls
+        params = list(inspect.signature(cls).parameters)
+        assert params == list(cls.__slots__[:len(params)]), cls
+        values = real.get(cls) or tuple(object() for _ in params)
+        for r in (cls(**dict(zip(params, values))), cls(*values)):
+            for name, value in zip(params, values):
+                assert getattr(r, name) is value, (cls, name)
+
+
 # exported name -> a call of it with v in one element slot, one per slot
 ELEMENT_CALLS = [
     ("classification_report", lambda f, F, v: f(F, v, 2)),
