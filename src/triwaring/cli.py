@@ -6,21 +6,26 @@ Exit codes: 0 success, 1 typed domain failure (legitimate at small q)
 or a reader that closed the pipe, 2 usage error.
 
 A one-shot call pays for what its command runs and little more: this
-module imports only `errors` and `fields`, each subcommand imports the
-library modules it calls, and an argv led by a command builds that
-command's parser alone. The top-level parser, with every command under
-it, is built only for no command, -h, an unknown command or an option
-before the command.
+module imports only `errors` and `fields`, and each subcommand imports
+the library modules it calls. Each command's options are one table,
+`_OPTIONS`. An argv led by a command and spelled as the package documents
+and sends it (exact option strings, `--json` bare, one value after every
+other option, ints in ASCII digits) is read straight off that table. Any
+other spelling, such as an abbreviation, `--k=2`, `-1` or `-h`, and
+every argv that is not led by a command, goes to argparse, whose parsers
+are built from the same table; argparse alone prints help, usage and
+errors, so their text is unchanged. argparse is imported only then, or
+for a usage error found after parsing.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
+import types
 
 from .errors import TriwaringError
 from .fields import field_text, parse_field
@@ -30,45 +35,109 @@ class _UsageError(Exception):
     """Arguments the parser accepts but the subcommand cannot use."""
 
 
-def _add_arguments(p: argparse.ArgumentParser,
-                   name: str) -> argparse.ArgumentParser:
-    """Give `p` the arguments of command `name`; `p` is either that
-    command's own parser or its entry in the top-level subparsers."""
-    p.add_argument("--q", required=True,
-                   help="field spec: P, P^M, or P^M/c0,c1,...,cm")
-    p.add_argument("--json", action="store_true")
-    if name not in ("field", "conjugate"):
-        p.add_argument("--k", type=int, required=True)
-    if name in ("solve", "classify"):
-        p.add_argument("--lambda", dest="lam", type=int, required=True)
-    elif name == "decompose":
-        p.add_argument("--matrix", action="append", required=True,
-                       help='rows "r0;r1;..." with comma-separated encodings')
-        p.add_argument("--parts", type=int, choices=(2, 3), required=True)
-    elif name in ("root", "conjugate"):
-        p.add_argument("--matrix", action="append", required=True)
-    elif name == "table":
-        p.add_argument("--row", required=True)
-        p.add_argument("--n", type=int)
-    elif name == "oracle":
-        p.add_argument("--n", type=int)
-        p.add_argument("--matrix", action="append")
-        p.add_argument("--cap", type=int, default=4)
-    elif name == "bound":
-        p.add_argument("--m", type=int, required=True)
+# One entry per option: (option string, dest, type, argparse action,
+# required, default, choices, help). The type is int or str, None for the
+# flag. argparse builds each command's parser from this table, in this
+# order, and `_parse_exact` reads the same table.
+_Q = ("--q", "q", str, "store", True, None, None,
+      "field spec: P, P^M, or P^M/c0,c1,...,cm")
+_JSON = ("--json", "json", None, "store_true", False, False, None, None)
+_K = ("--k", "k", int, "store", True, None, None, None)
+_N = ("--n", "n", int, "store", False, None, None, None)
+_MATRIX = ("--matrix", "matrix", str, "append", True, None, None, None)
+_OPTIONS = {
+    "field": (_Q, _JSON),
+    "solve": (_Q, _JSON, _K,
+              ("--lambda", "lam", int, "store", True, None, None, None)),
+    "decompose": (_Q, _JSON, _K,
+                  ("--matrix", "matrix", str, "append", True, None, None,
+                   'rows "r0;r1;..." with comma-separated encodings'),
+                  ("--parts", "parts", int, "store", True, None, (2, 3),
+                   None)),
+    "root": (_Q, _JSON, _K, _MATRIX),
+    "table": (_Q, _JSON, _K,
+              ("--row", "row", str, "store", True, None, None, None), _N),
+    "oracle": (_Q, _JSON, _K, _N,
+               ("--matrix", "matrix", str, "append", False, None, None,
+                None),
+               ("--cap", "cap", int, "store", False, 4, None, None)),
+    "bound": (_Q, _JSON, _K,
+              ("--m", "m", int, "store", True, None, None, None)),
+    "conjugate": (_Q, _JSON, _MATRIX),
+}
+_OPTIONS["classify"] = _OPTIONS["solve"]
+
+
+def _add_arguments(p, name: str):
+    """Give argparse parser `p` the options of command `name`; `p` is
+    either that command's own parser or its entry in the top-level
+    subparsers."""
+    for option, dest, kind, action, required, default, choices, help_text \
+            in _OPTIONS[name]:
+        if action == "store_true":
+            p.add_argument(option, dest=dest, action=action, help=help_text)
+        else:
+            p.add_argument(option, dest=dest, action=action, type=kind,
+                           required=required, default=default,
+                           choices=choices, help=help_text)
     return p
 
 
+def _parse_exact(name: str, tokens: list[str]):
+    """The namespace argparse would give for command `name` and `tokens`,
+    read off the option table, or None for any spelling outside these:
+    every token an exact option string of the command, `--json` bare,
+    every other option followed by one value that does not start with
+    "-", an int value in ASCII digits within its choices, and every
+    required option given. A repeated option keeps its last value;
+    `--matrix` appends to a fresh list. On None the caller parses with
+    argparse."""
+    by_option, values, missing = {}, {"command": name}, set()
+    for entry in _OPTIONS[name]:
+        option, dest, _, _, required, default, _, _ = entry
+        by_option[option] = entry
+        values[dest] = default
+        if required:
+            missing.add(dest)
+    tokens = iter(tokens)
+    for token in tokens:
+        entry = by_option.get(token)
+        if entry is None:
+            return None
+        _, dest, kind, action, _, _, choices, _ = entry
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        if choices is not None and value not in choices:
+            return None
+        if action == "append":
+            values[dest] = [*(values[dest] or ()), value]
+        else:
+            values[dest] = value
+        missing.discard(dest)
+    return None if missing else types.SimpleNamespace(**values)
+
+
 @functools.cache  # parse_args leaves a parser unchanged
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, as the top-level subparsers build it."""
+def _command_parser(name: str):
+    """The argparse parser of one command, as the top-level subparsers
+    build it."""
+    import argparse
     return _add_arguments(argparse.ArgumentParser(prog=f"triwaring {name}"),
                           name)
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser, and each command's parser by name."""
+def _build_parser():
+    """The top-level argparse parser, and each command's parser by name."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="triwaring",
         description="sums of k-th powers of upper-triangular matrices "
@@ -292,23 +361,32 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = None  # argparse's, built only for help, usage and errors
     if argv and argv[0] in _COMMANDS:
-        # what the subparsers action would do after a top-level pass
-        parser = _command_parser(argv[0])
-        args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args = _parse_exact(argv[0], argv[1:])
+        if args is None:
+            # what the subparsers action would do after a top-level pass
+            parser = _command_parser(argv[0])
+            args = parser.parse_args(
+                argv[1:], types.SimpleNamespace(command=argv[0]))
     else:  # no command, -h, an unknown command or an option before one
         top, commands = _build_parser()
         args = top.parse_args(argv)
         parser = commands[args.command]  # usage errors name the command
+
+    def usage_error(message: str):
+        """Print the command's usage and `message`, and exit 2."""
+        (parser or _command_parser(args.command)).error(message)
+
     for name in ("k", "m", "n"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            parser.error(f"--{name} must be at least 1")
+            usage_error(f"--{name} must be at least 1")
     try:
         F = parse_field(args.q)
         return _COMMANDS[args.command][0](F, args)
     except _UsageError as err:
-        parser.error(str(err))  # prints usage and the message, exits 2
+        usage_error(str(err))
     except TriwaringError as err:
         failure = err.to_json()
         if getattr(args, "json", False):

@@ -187,26 +187,37 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 class Record:
     """Base of the package's immutable value types.
 
-    A record lists its fields in `__slots__` and writes its own `__init__`,
-    whose parameters are the first names of `__slots__`, in order, and
-    which passes them on to `Record.__init__`: the one place that sets a
-    record's fields past the frozen `__setattr__`. Assigning or deleting a
-    field afterwards raises AttributeError. Two records are equal, and hash
-    alike, on the fields named by `compare` in the class statement (all
-    of `__slots__` by default), and only when their classes are the same.
-    repr is `Name(field=value, ...)` over `__slots__`. Nothing is
-    generated or compiled when a record class is defined, which keeps a
-    one-shot call's start-up short."""
+    A record's fields are its base record's fields followed by the names
+    of its own `__slots__`. A record writes its own `__init__`, whose
+    parameters are the first of its fields, in order, and which passes
+    them on to `Record.__init__`: the one place that sets a record's
+    fields past the frozen `__setattr__`. Assigning or deleting a field
+    afterwards raises AttributeError. Two records are equal, and hash
+    alike, on the fields named by `compare` in the class statement (in
+    a subclass, its base's `compare`; all fields by default), and only
+    when their classes are the same. repr is `Name(field=value, ...)`
+    over the fields. Nothing is generated or compiled when a record class
+    is defined, which keeps a one-shot call's start-up short."""
 
     __slots__ = ()
+    _fields = ()
+    _compare = None
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, compare=None, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = operator.attrgetter(*(compare or cls.__slots__))
+        own = cls.__dict__.get("__slots__", ())
+        own = (own,) if isinstance(own, str) else tuple(own)
+        cls._fields = (*cls._fields,
+                       *(name for name in own if name not in cls._fields))
+        if compare is not None:
+            cls._compare = tuple(compare)
+        names = cls._compare or cls._fields
+        cls._key = (operator.attrgetter(*names) if names
+                    else lambda record: ())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -229,7 +240,7 @@ class Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

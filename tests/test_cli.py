@@ -1,16 +1,26 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import runpy
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import triwaring
-from triwaring.cli import _build_parser, main
+from triwaring.cli import (
+    _OPTIONS,
+    _build_parser,
+    _command_parser,
+    _parse_exact,
+    main,
+)
 from triwaring.fields import make_field
 from triwaring.tri_matrix import from_text, mat_pow, to_text
 
@@ -445,13 +455,15 @@ def test_help_and_usage_text_is_pinned(monkeypatch):
 ])
 def test_a_command_imports_only_what_it_runs(argv, loaded):
     # a cold call loads the cli, errors, fields and the modules its
-    # command calls, nothing more, and neither dataclasses nor inspect
+    # command calls, nothing more: not dataclasses nor inspect, and not
+    # argparse, since its option table reads every documented spelling
     code = ("import sys\n"
             "from triwaring.cli import main\n"
             f"code = main({argv!r})\n"
             "print(code, sorted(m for m in sys.modules\n"
             "                   if m.startswith('triwaring.')),\n"
-            "      [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+            "      [m for m in ('dataclasses', 'inspect', 'argparse')\n"
+            "       if m in sys.modules])")
     src = Path(triwaring.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)),
@@ -597,3 +609,75 @@ def test_readme_library_example_runs(capsys):
     block = readme_block("Library example", "python")
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.count(" + ") == 1
+
+
+def argparse_vars(argv):
+    """vars of the namespace argparse gives for an argv led by a command,
+    or None where it exits (help, or a usage error)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            args = _command_parser(argv[0]).parse_args(
+                argv[1:], types.SimpleNamespace(command=argv[0]))
+    except SystemExit:
+        return None
+    return vars(args)
+
+
+def test_the_option_table_reads_every_golden_and_readme_argv():
+    from tests.test_golden import DIGESTS, corpus
+    calls = [[*argv, "--json"] for command in DIGESTS
+             for argv in corpus(command)]
+    for argv in readme_cli_lines():
+        plain = [a for a in argv[1:] if a != "--json"]
+        calls += [plain, [*plain, "--json"]]
+    assert len(calls) > 1800
+    for argv in calls:
+        args = _parse_exact(argv[0], argv[1:])
+        assert args is not None, argv
+        assert vars(args) == argparse_vars(argv), argv
+
+
+# what a caller might type besides the table's own spellings: abbreviations,
+# `=` forms, help, "--", unknown options, values that start with "-", and
+# ints that argparse reads but the table does not (signed, padded,
+# non-ASCII, underscored)
+ODD_TOKENS = ["--lam", "--ma", "--js", "--p", "--c", "--k=2", "--q=7",
+              "--parts=2", "-h", "--help", "--", "--bogus", "solve"]
+VALUES = ["0", "2", "3", "4", "7", "07", "3^2", "x", "0,1;0", "12|34:13",
+          "-", "-x", "-1", "+7", " 7", "\u0663", "1_0", ""]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_the_option_table_agrees_with_argparse(data):
+    # most required options with a value, then options, values and odd
+    # tokens in any order: the table returns argparse's namespace or None,
+    # and None wherever argparse prints help or an error
+    name = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    options = [entry[0] for entry in _OPTIONS[name]]
+    value = st.sampled_from(VALUES)
+    chunks = [data.draw(st.tuples(st.just(entry[0]), value))
+              for entry in _OPTIONS[name]
+              if entry[4] and data.draw(st.integers(0, 3))]
+    chunks += data.draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(options), value),
+        st.tuples(st.sampled_from(options + ODD_TOKENS + VALUES))),
+        max_size=6))
+    chunks = data.draw(st.permutations(chunks))
+    argv = [name, *(token for chunk in chunks for token in chunk)]
+    args = _parse_exact(name, argv[1:])
+    if args is not None:
+        assert vars(args) == argparse_vars(argv), argv
+
+
+@pytest.mark.parametrize("tokens", [
+    ["--lam", "1"], ["--lambda=1"], ["--lambda", "-1"], ["--lambda", "+1"],
+    ["--lambda", " 1"], ["--lambda", "\u0661"], ["--lambda", "1_0"],
+    ["--lambda", "1", "--"], ["--lambda", "1", "-h"], ["--lambda", "1",
+    "--bogus"], ["--lambda"], [], ["--lambda", "1", "--k"],
+])
+def test_the_option_table_leaves_other_spellings_to_argparse(tokens):
+    # argparse reads some of these (an abbreviation, `=`, a signed or
+    # non-ASCII int), and refuses the rest; the table reads none
+    assert _parse_exact("solve", ["--q", "7", "--k", "2", *tokens]) is None

@@ -193,6 +193,50 @@ def test_every_record_stores_each_argument_under_its_own_name():
                 assert getattr(r, name) is value, (cls, name)
 
 
+def test_a_record_subclass_extends_its_bases_fields():
+    # a subclass that adds only methods keeps its base's fields
+    class Entry(AssignmentEntry):
+        __slots__ = ()
+
+        def total(self):
+            return self.x + self.y
+
+    e = Entry(1, 0, 1)
+    assert (e.lam, e.x, e.y, e.z, e.total()) == (1, 0, 1, None, 1)
+    assert repr(e).endswith("Entry(lam=1, x=0, y=1, z=None)")
+    assert e == Entry(1, 0, 1) and hash(e) == hash(Entry(1, 0, 1))
+    assert e != AssignmentEntry(1, 0, 1) and e != Entry(1, 0, 2)
+
+    # one that adds a slot appends it to its base's fields
+    class Weighted(AssignmentEntry):
+        __slots__ = ("w",)
+
+    w = Weighted(1, 2, 3, 4)  # AssignmentEntry's constructor
+    assert (w.lam, w.x, w.y, w.z) == (1, 2, 3, 4) and not hasattr(w, "w")
+    w = object.__new__(Weighted)
+    Record.__init__(w, 1, 2, 3, 4, 5)
+    assert (w.lam, w.z, w.w) == (1, 4, 5)
+    assert repr(w).endswith("Weighted(lam=1, x=2, y=3, z=4, w=5)")
+
+    # compare= is inherited unless the subclass passes its own
+    res = record_samples()[11]
+    fields = [getattr(res, name) for name in DecompositionResult.__slots__]
+
+    class Noted(DecompositionResult):
+        __slots__ = ("note",)
+
+        def __init__(self, *values, note=None):
+            Record.__init__(self, *values, note)
+
+    assert Noted(*fields, note="a") == Noted(*fields, note="b")
+    assert "note='a'" in repr(Noted(*fields, note="a"))
+
+    class ByK(DecompositionResult, compare=("k",)):
+        __slots__ = ()
+
+    assert ByK(*fields) == ByK((), res.k, None, (), False)
+
+
 # exported name -> a call of it with v in one element slot, one per slot
 ELEMENT_CALLS = [
     ("classification_report", lambda f, F, v: f(F, v, 2)),
