@@ -11,11 +11,12 @@ the library modules it calls. Each command's options are one table,
 `_OPTIONS`. An argv led by a command and spelled as the package documents
 and sends it (exact option strings, `--json` bare, one value after every
 other option, ints in ASCII digits) is read straight off that table. Any
-other spelling, such as an abbreviation, `--k=2`, `-1` or `-h`, and
-every argv that is not led by a command, goes to argparse, whose parsers
-are built from the same table; argparse alone prints help, usage and
-errors, so their text is unchanged. argparse is imported only then, or
-for a usage error found after parsing.
+other spelling, such as an abbreviation, `--k=2`, `-1` or `-h`, goes to
+that command's entry in the subparsers of the one argparse tree, built
+from the same table; every argv not led by a command goes to the top of
+that tree. argparse alone prints help, usage and errors, so their text
+is unchanged. The tree is built and argparse imported only then, or for
+a usage error found after parsing.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ _OPTIONS["classify"] = _OPTIONS["solve"]
 
 
 def _add_arguments(p, name: str):
-    """Give argparse parser `p` the options of command `name`; `p` is
-    either that command's own parser or its entry in the top-level
-    subparsers."""
+    """Give argparse parser `p`, the entry of command `name` in the
+    top-level subparsers, the options of that command."""
     for option, dest, kind, action, required, default, choices, help_text \
             in _OPTIONS[name]:
         if action == "store_true":
@@ -126,15 +126,6 @@ def _parse_exact(name: str, tokens: list[str]):
 
 
 @functools.cache  # parse_args leaves a parser unchanged
-def _command_parser(name: str):
-    """The argparse parser of one command, as the top-level subparsers
-    build it."""
-    import argparse
-    return _add_arguments(argparse.ArgumentParser(prog=f"triwaring {name}"),
-                          name)
-
-
-@functools.cache
 def _build_parser():
     """The top-level argparse parser, and each command's parser by name."""
     import argparse
@@ -361,32 +352,23 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = None  # argparse's, built only for help, usage and errors
     if argv and argv[0] in _COMMANDS:
         args = _parse_exact(argv[0], argv[1:])
         if args is None:
             # what the subparsers action would do after a top-level pass
-            parser = _command_parser(argv[0])
-            args = parser.parse_args(
+            args = _build_parser()[1][argv[0]].parse_args(
                 argv[1:], types.SimpleNamespace(command=argv[0]))
     else:  # no command, -h, an unknown command or an option before one
-        top, commands = _build_parser()
-        args = top.parse_args(argv)
-        parser = commands[args.command]  # usage errors name the command
-
-    def usage_error(message: str):
-        """Print the command's usage and `message`, and exit 2."""
-        (parser or _command_parser(args.command)).error(message)
-
-    for name in ("k", "m", "n"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            usage_error(f"--{name} must be at least 1")
+        args = _build_parser()[0].parse_args(argv)
     try:
+        for name in ("k", "m", "n"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise _UsageError(f"--{name} must be at least 1")
         F = parse_field(args.q)
         return _COMMANDS[args.command][0](F, args)
-    except _UsageError as err:
-        usage_error(str(err))
+    except _UsageError as err:  # the named command's usage, and exit 2
+        _build_parser()[1][args.command].error(str(err))
     except TriwaringError as err:
         failure = err.to_json()
         if getattr(args, "json", False):

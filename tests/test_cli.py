@@ -17,7 +17,6 @@ import triwaring
 from triwaring.cli import (
     _OPTIONS,
     _build_parser,
-    _command_parser,
     _parse_exact,
     main,
 )
@@ -324,6 +323,10 @@ def test_table_comma_grammar_requires_n(capsys):
      "--n must be at least 1"),
     (["oracle", "--q", "3", "--k", "2", "--n", "5", "--matrix", "0,1;0"],
      "--n 5 does not match the size 2 of --matrix"),
+    (["oracle", "--q", "3", "--k", "2", "--n", "2", "--cap=0"],
+     "--cap must be at least 1"),
+    (["root", "--q", "7", "--k", "2", "--matrix=1", "--matrix", "2"],
+     "exactly one --matrix"),
 ])
 def test_usage_errors_say_why(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -387,12 +390,15 @@ def run_caught(capsys, argv):
     (["solve", "--q", "7", "--k", "0", "--lambda", "1"], 2, "err",
      ["usage: triwaring solve",
       "triwaring solve: error: --k must be at least 1"]),
+    (["table", "--q", "13", "--k", "2", "--row", "1267|345:13|46"], 1, "out",
+     ["obstruction after 128 colorings"]),
 ])
 def test_dispatch_in_process_and_alone(capsys, monkeypatch, argv, code,
                                        stream, wanted):
-    # an argv led by a command is parsed by that command's parser alone;
-    # anything else goes to the top-level parser. A usage error, during
-    # parsing or after it, prints the usage of the command it names
+    # an argv led by a command is read off its option table, or else by
+    # that command's subparser; anything else goes to the top-level
+    # parser. A usage error, during parsing or after it, prints the usage
+    # of the command it names
     monkeypatch.setenv("COLUMNS", "80")
     got = run_caught(capsys, argv)
     assert got == run_alone(*argv)
@@ -405,8 +411,9 @@ def test_dispatch_in_process_and_alone(capsys, monkeypatch, argv, code,
 
 
 def test_double_dash_goes_to_the_top_level_parser(capsys, monkeypatch):
-    # argparse's own rule decides: 3.11 reads "--" as an unknown command,
-    # 3.13 drops it and runs the command after it
+    # argparse's own rule decides: 3.10.13, 3.11.7, 3.12.1 and 3.13.0 read
+    # "--" as an unknown command, 3.13.13 drops it and runs the command
+    # after it
     monkeypatch.setenv("COLUMNS", "80")
     argv = ["--", *SOLVE, "--json"]
     try:
@@ -424,8 +431,9 @@ def test_double_dash_goes_to_the_top_level_parser(capsys, monkeypatch):
 # (a usage error: its required arguments are missing)
 HELP_AND_USAGE_CALLS = [["-h"], *([c, "-h"] for c in COMMANDS),
                         *([c] for c in COMMANDS)]
-# recorded before each command got a parser of its own; argparse lays out
-# help differently from one Python version to the next
+# recorded when every argv went through the top-level parser, and equal
+# since; argparse lays out help differently from one Python version to the
+# next
 HELP_AND_USAGE_DIGESTS = {
     **dict.fromkeys([(3, 10), (3, 11), (3, 12)],
                     "32570305b359f0eacd83aabc204c4894d9ce12bb177a62dbf47fe923347b1924"),
@@ -617,7 +625,7 @@ def argparse_vars(argv):
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            args = _command_parser(argv[0]).parse_args(
+            args = _build_parser()[1][argv[0]].parse_args(
                 argv[1:], types.SimpleNamespace(command=argv[0]))
     except SystemExit:
         return None
