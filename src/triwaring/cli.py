@@ -1,16 +1,19 @@
 """Command-line surface.
 
-Every subcommand validates input, dispatches to the library and prints
-either aligned text or (with --json) a stable machine-readable object.
-Exit codes: 0 success, 1 typed domain failure (legitimate at small q)
-or a reader that closed the pipe, 2 usage error.
+Every subcommand validates input and dispatches to the library; `_run`
+prints either aligned text or (with --json) a stable machine-readable
+object. Exit codes: 0 success, 1 typed domain failure (legitimate at
+small q) or a reader that closed the pipe, 2 usage error.
 
 A one-shot call pays for what its command runs and little more: this
 module imports only `errors` and `fields`, and each subcommand imports
-the library modules it calls. Each command's options are one table,
-`_OPTIONS`. An argv led by a command and spelled as the package documents
-and sends it (exact option strings, `--json` bare, one value after every
-other option, ints in ASCII digits) is read straight off that table. Any
+the library modules it calls. One table, `_COMMANDS`, holds each
+command's runner, help and options. A runner prints nothing: it returns
+its payload, a function giving its text lines, and its exit code, and
+`_run` is the one place that prints a result or a typed failure. An argv
+led by a command and spelled as the package documents and sends it
+(exact option strings, `--json` bare, one value after every other
+option, ints in ASCII digits) is read straight off that table. Any
 other spelling, such as an abbreviation, `--k=2`, `-1` or `-h`, goes to
 that command's entry in the subparsers of the one argparse tree, built
 from the same table; every argv not led by a command goes to the top of
@@ -38,49 +41,15 @@ class _UsageError(Exception):
 
 # One entry per option: (option string, dest, type, argparse action,
 # required, default, choices, help). The type is int or str, None for the
-# flag. argparse builds each command's parser from this table, in this
-# order, and `_parse_exact` reads the same table.
+# flag. Each command's options in `_COMMANDS` are such entries: argparse
+# builds the command's parser from them, in their order, and
+# `_parse_exact` reads the same entries.
 _Q = ("--q", "q", str, "store", True, None, None,
       "field spec: P, P^M, or P^M/c0,c1,...,cm")
 _JSON = ("--json", "json", None, "store_true", False, False, None, None)
 _K = ("--k", "k", int, "store", True, None, None, None)
 _N = ("--n", "n", int, "store", False, None, None, None)
 _MATRIX = ("--matrix", "matrix", str, "append", True, None, None, None)
-_OPTIONS = {
-    "field": (_Q, _JSON),
-    "solve": (_Q, _JSON, _K,
-              ("--lambda", "lam", int, "store", True, None, None, None)),
-    "decompose": (_Q, _JSON, _K,
-                  ("--matrix", "matrix", str, "append", True, None, None,
-                   'rows "r0;r1;..." with comma-separated encodings'),
-                  ("--parts", "parts", int, "store", True, None, (2, 3),
-                   None)),
-    "root": (_Q, _JSON, _K, _MATRIX),
-    "table": (_Q, _JSON, _K,
-              ("--row", "row", str, "store", True, None, None, None), _N),
-    "oracle": (_Q, _JSON, _K, _N,
-               ("--matrix", "matrix", str, "append", False, None, None,
-                None),
-               ("--cap", "cap", int, "store", False, 4, None, None)),
-    "bound": (_Q, _JSON, _K,
-              ("--m", "m", int, "store", True, None, None, None)),
-    "conjugate": (_Q, _JSON, _MATRIX),
-}
-_OPTIONS["classify"] = _OPTIONS["solve"]
-
-
-def _add_arguments(p, name: str):
-    """Give argparse parser `p`, the entry of command `name` in the
-    top-level subparsers, the options of that command."""
-    for option, dest, kind, action, required, default, choices, help_text \
-            in _OPTIONS[name]:
-        if action == "store_true":
-            p.add_argument(option, dest=dest, action=action, help=help_text)
-        else:
-            p.add_argument(option, dest=dest, action=action, type=kind,
-                           required=required, default=default,
-                           choices=choices, help=help_text)
-    return p
 
 
 def _parse_exact(name: str, tokens: list[str]):
@@ -93,7 +62,7 @@ def _parse_exact(name: str, tokens: list[str]):
     `--matrix` appends to a fresh list. On None the caller parses with
     argparse."""
     by_option, values, missing = {}, {"command": name}, set()
-    for entry in _OPTIONS[name]:
+    for entry in _COMMANDS[name][2]:
         option, dest, _, _, required, default, _, _ = entry
         by_option[option] = entry
         values[dest] = default
@@ -134,29 +103,27 @@ def _build_parser():
         description="sums of k-th powers of upper-triangular matrices "
                     "over finite fields")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, dest, kind, action, required, default, choices, \
+                option_help in options:
+            if action == "store_true":
+                p.add_argument(option, dest=dest, action=action,
+                               help=option_help)
+            else:
+                p.add_argument(option, dest=dest, action=action, type=kind,
+                               required=required, default=default,
+                               choices=choices, help=option_help)
     return parser, sub.choices
-
-
-def _emit(payload: dict, as_json: bool, text) -> None:
-    """Print the payload as JSON, or the lines of `text()`, which is
-    called only here, so --json never formats them."""
-    if as_json:
-        print(json.dumps(payload))
-    else:
-        for line in text():
-            print(line)
 
 
 def _cmd_field(F, args):
     payload = {"p": F.p, "m": F.m, "q": F.q, "modulus": list(F.modulus)}
-    _emit(payload, args.json, lambda: [
+    return payload, lambda: [
         f"field {field_text(F)}",
         f"p = {F.p}  m = {F.m}  q = {F.q}",
         f"modulus coefficients (low first): {list(F.modulus)}",
-    ])
-    return 0
+    ], 0
 
 
 def _cmd_solve(F, args):
@@ -171,8 +138,7 @@ def _cmd_solve(F, args):
                    f"rep={tuple(c['rep'])}")
         total = len(payload["classes"]) + (1 if payload["U_size"] else 0)
         yield f"  distinct-power classes (incl. U): {total}"
-    _emit(payload, args.json, text)
-    return 0
+    return payload, text, 0
 
 
 def _cmd_classify(F, args):
@@ -191,8 +157,7 @@ def _cmd_classify(F, args):
         yield f"  U = {U}"
         for sig, cls in zip(cl.signatures, classes):
             yield f"  V{sig} = {cls}"
-    _emit(payload, args.json, text)
-    return 0
+    return payload, text, 0
 
 
 def _single_matrix(F, args):
@@ -210,11 +175,10 @@ def _cmd_decompose(F, args):
     else:
         res = decomposer.decompose_three(C, args.k)
     payload = res.to_json()
-    _emit(payload, args.json, lambda: [
+    return payload, lambda: [
         f"target {payload['target']} = " +
         " + ".join(f"({p})^{args.k}" for p in payload["parts"]),
-        f"verified: {res.verified}"])
-    return 0
+        f"verified: {res.verified}"], 0
 
 
 def _cmd_root(F, args):
@@ -223,9 +187,7 @@ def _cmd_root(F, args):
     A = backsub_root(C, args.k)
     payload = {"matrix": to_text(C), "k": args.k, "root": to_text(A),
                "verified": True}
-    _emit(payload, args.json,
-          lambda: [f"root: {payload['root']}", "verified: True"])
-    return 0
+    return payload, lambda: [f"root: {payload['root']}", "verified: True"], 0
 
 
 def _cmd_table(F, args):
@@ -255,8 +217,7 @@ def _cmd_table(F, args):
             parts = payload["decomposition"]["parts"]
             yield "parts: " + " + ".join(f"({p})^{args.k}" for p in parts)
             yield f"verified: {res.verified}"
-    _emit(payload, args.json, text)
-    return 1 if obstructed else 0
+    return payload, text, 1 if obstructed else 0
 
 
 def _cmd_oracle(F, args):
@@ -273,20 +234,17 @@ def _cmd_oracle(F, args):
         shown = m if m is not None else f">{args.cap}"
         payload = {"q": F.q, "n": C.n, "k": args.k, "cap": args.cap,
                    "matrix": to_text(C), "min_powers": shown}
-        _emit(payload, args.json, lambda: [f"min summand count: {shown}"])
-        return 0
+        return payload, lambda: [f"min summand count: {shown}"], 0
     if args.n is None:
         raise _UsageError("oracle needs --n or --matrix")
     rep = oracle.waring_report(F, args.n, args.k, args.cap)
-    payload = rep.to_json()
 
     def text():
         yield f"T_{args.n}(F_{F.q}), k = {args.k}, cap = {args.cap}:"
         for key, count in rep.histogram().items():
             yield f"  min {key}: {count} matrices"
         yield f"  max over field: {rep.max_over_field}"
-    _emit(payload, args.json, text)
-    return 0
+    return rep.to_json(), text, 0
 
 
 def _cmd_bound(F, args):
@@ -296,10 +254,9 @@ def _cmd_bound(F, args):
     bound = rep.bound if math.isfinite(rep.bound) else None
     payload = {"q": rep.q, "k": rep.k, "m": rep.m, "N": rep.N,
                "expected": rep.expected, "bound": bound, "ok": rep.ok}
-    _emit(payload, args.json, lambda: [
+    return payload, lambda: [
         f"N = {rep.N}, q^(m-1) = {rep.expected}, "
-        f"bound = {rep.bound:.3f}, ok = {rep.ok}"])
-    return 0 if rep.ok else 1
+        f"bound = {rep.bound:.3f}, ok = {rep.ok}"], 0 if rep.ok else 1
 
 
 def _cmd_conjugate(F, args):
@@ -312,29 +269,48 @@ def _cmd_conjugate(F, args):
     w = oracle.bn_conjugate(F, A, B)
     payload = {"q": F.q, "a": to_text(A), "b": to_text(B),
                "conjugate": w is not None}
-    if w is not None:
-        payload["witness"] = to_text(w)
-        _emit(payload, args.json,
-              lambda: [f"conjugate via {payload['witness']}"])
-    else:
-        _emit(payload, args.json, lambda: ["not conjugate"])
-    return 0
+    if w is None:
+        return payload, lambda: ["not conjugate"], 0
+    payload["witness"] = to_text(w)
+    return payload, lambda: [f"conjugate via {payload['witness']}"], 0
 
 
-_COMMANDS = {  # name -> (runner, help in the top-level listing)
-    "field": (_cmd_field, "describe a field"),
-    "solve": (_cmd_solve, "classify solutions of x^k + y^k = lambda"),
+# name -> (runner, help in the top-level listing, options); runner(F, args)
+# returns (payload, text, code) and prints nothing
+_COMMANDS = {
+    "field": (_cmd_field, "describe a field", (_Q, _JSON)),
+    "solve": (_cmd_solve, "classify solutions of x^k + y^k = lambda",
+              (_Q, _JSON, _K,
+               ("--lambda", "lam", int, "store", True, None, None, None))),
     "classify": (_cmd_classify,
-                 "full solution partition of x^k + y^k = lambda"),
+                 "full solution partition of x^k + y^k = lambda",
+                 (_Q, _JSON, _K,
+                  ("--lambda", "lam", int, "store", True, None, None,
+                   None))),
     "decompose": (_cmd_decompose,
-                  "write a matrix as a sum of 2 or 3 k-th powers"),
-    "root": (_cmd_root, "extract a k-th root of a triangular matrix"),
-    "table": (_cmd_table, "parse a presentation row and decompose it"),
-    "oracle": (_cmd_oracle, "brute-force minimum summand counts"),
+                  "write a matrix as a sum of 2 or 3 k-th powers",
+                  (_Q, _JSON, _K,
+                   ("--matrix", "matrix", str, "append", True, None, None,
+                    'rows "r0;r1;..." with comma-separated encodings'),
+                   ("--parts", "parts", int, "store", True, None, (2, 3),
+                    None))),
+    "root": (_cmd_root, "extract a k-th root of a triangular matrix",
+             (_Q, _JSON, _K, _MATRIX)),
+    "table": (_cmd_table, "parse a presentation row and decompose it",
+              (_Q, _JSON, _K,
+               ("--row", "row", str, "store", True, None, None, None), _N)),
+    "oracle": (_cmd_oracle, "brute-force minimum summand counts",
+               (_Q, _JSON, _K, _N,
+                ("--matrix", "matrix", str, "append", False, None, None,
+                 None),
+                ("--cap", "cap", int, "store", False, 4, None, None))),
     "bound": (_cmd_bound,
-              "empirical point-count bound for diagonal equations"),
+              "empirical point-count bound for diagonal equations",
+              (_Q, _JSON, _K,
+               ("--m", "m", int, "store", True, None, None, None))),
     "conjugate": (_cmd_conjugate, "test conjugacy under invertible "
-                                  "triangular matrices (pass --matrix twice)"),
+                                  "triangular matrices (pass --matrix twice)",
+                  (_Q, _JSON, _MATRIX)),
 }
 
 
@@ -360,27 +336,32 @@ def _run(argv) -> int:
                 argv[1:], types.SimpleNamespace(command=argv[0]))
     else:  # no command, -h, an unknown command or an option before one
         args = _build_parser()[0].parse_args(argv)
+    out = sys.stdout
     try:
         for name in ("k", "m", "n"):
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise _UsageError(f"--{name} must be at least 1")
         F = parse_field(args.q)
-        return _COMMANDS[args.command][0](F, args)
+        payload, text, code = _COMMANDS[args.command][0](F, args)
     except _UsageError as err:  # the named command's usage, and exit 2
         _build_parser()[1][args.command].error(str(err))
     except TriwaringError as err:
         failure = err.to_json()
-        if getattr(args, "json", False):
-            payload = {"verified": False, "failure": failure}
-            if args.command == "decompose" and getattr(args, "matrix", None):
-                payload = {"target": args.matrix[0], "k": args.k,
-                           "parts": [], "assignment": [],
-                           "verified": False, "failure": failure}
-            print(json.dumps(payload))
-        else:
-            print(f"{failure['type']}: {failure['message']}", file=sys.stderr)
-        return 1
+        payload = {"verified": False, "failure": failure}
+        if args.command == "decompose":
+            payload = {"target": args.matrix[0], "k": args.k,
+                       "parts": [], "assignment": [], **payload}
+
+        def text():
+            yield f"{failure['type']}: {failure['message']}"
+        code, out = 1, sys.stderr
+    if args.json:  # text() is called only here, so --json formats no text
+        print(json.dumps(payload))
+    else:
+        for line in text():
+            print(line, file=out)
+    return code
 
 
 if __name__ == "__main__":

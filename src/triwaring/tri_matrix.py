@@ -66,6 +66,8 @@ class UTMatrix(Record):
         return hash((self.field, self.n, self.entries))
 
     def __post_init__(self):
+        if self.n < 0:
+            raise SizeMismatchError(f"size {self.n} is negative")
         expect = self.n * (self.n + 1) // 2
         if len(self.entries) != expect:
             raise SizeMismatchError(
@@ -155,7 +157,7 @@ def zero(F: FieldSpec, n: int) -> UTMatrix:
 
 
 def identity(F: FieldSpec, n: int) -> UTMatrix:
-    return diag(F, [1] * n)
+    return zero(F, n).with_entries({(i, i): 1 for i in range(1, n + 1)})
 
 
 def diag(F: FieldSpec, values) -> UTMatrix:
@@ -189,7 +191,9 @@ def jordan_block(F: FieldSpec, lam: Element, n: int) -> UTMatrix:
     """lam I + the sum of E_(i, i+1); lam outside [0, q) raises
     FieldMismatchError, where `diag` would reduce it mod q."""
     check_elements(F, (lam,), "lambda")
-    return diag(F, [lam] * n).with_entries({(i, i + 1): 1 for i in range(1, n)})
+    entries = {(i, i): lam for i in range(1, n + 1)}
+    entries.update({(i, i + 1): 1 for i in range(1, n)})
+    return zero(F, n).with_entries(entries)
 
 
 def junction_matrix(F: FieldSpec, partition) -> UTMatrix:

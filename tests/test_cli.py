@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import triwaring
 from triwaring.cli import (
-    _OPTIONS,
+    _COMMANDS,
     _build_parser,
     _parse_exact,
     main,
@@ -612,6 +612,33 @@ def test_readme_cli_text_and_json_output_is_pinned(capsys):
     assert got == README_CLI_DIGEST
 
 
+def test_json_formats_no_text(capsys, monkeypatch):
+    # each runner's text is counted on the first README argv of its
+    # command: --json prints the same bytes and never calls it, and the
+    # text output calls it once
+    first = {}
+    for argv in readme_cli_lines():
+        first.setdefault(argv[1], [a for a in argv[1:] if a != "--json"])
+    assert sorted(first) == sorted(COMMANDS) == sorted(_COMMANDS)
+    for name, plain in first.items():
+        runner, help_text, options = _COMMANDS[name]
+        for argv, wanted in ((plain, 1), ([*plain, "--json"], 0)):
+            expected = run(capsys, *argv)
+            calls = []
+
+            def counted(F, args, runner=runner):
+                payload, text, code = runner(F, args)
+
+                def counted_text():
+                    calls.append(name)
+                    return text()
+                return payload, counted_text, code
+            monkeypatch.setitem(_COMMANDS, name, (counted, help_text, options))
+            assert run(capsys, *argv) == expected, argv
+            monkeypatch.undo()
+            assert len(calls) == wanted, argv
+
+
 def test_readme_library_example_runs(capsys):
     # the block asserts its own decomposition, then prints the parts
     block = readme_block("Library example", "python")
@@ -662,11 +689,11 @@ def test_the_option_table_agrees_with_argparse(data):
     # most required options with a value, then options, values and odd
     # tokens in any order: the table returns argparse's namespace or None,
     # and None wherever argparse prints help or an error
-    name = data.draw(st.sampled_from(sorted(_OPTIONS)))
-    options = [entry[0] for entry in _OPTIONS[name]]
+    name = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    options = [entry[0] for entry in _COMMANDS[name][2]]
     value = st.sampled_from(VALUES)
     chunks = [data.draw(st.tuples(st.just(entry[0]), value))
-              for entry in _OPTIONS[name]
+              for entry in _COMMANDS[name][2]
               if entry[4] and data.draw(st.integers(0, 3))]
     chunks += data.draw(st.lists(st.one_of(
         st.tuples(st.sampled_from(options), value),

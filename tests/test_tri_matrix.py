@@ -739,3 +739,15 @@ def test_packing_and_get(F7):
         from_rows(F7, [[1, 2], [3, 4]])
     with pytest.raises(SizeMismatchError, match="ragged rows"):
         from_rows(F7, [[1, 2], [4]])
+
+
+def test_a_negative_size_is_refused(F7):
+    # every builder passes the size to the constructor, which names it
+    for n in (-1, -2, -3):
+        for build in (lambda: UTMatrix(F7, n, (3,)), lambda: zero(F7, n),
+                      lambda: identity(F7, n),
+                      lambda: jordan_block(F7, 1, n)):
+            with pytest.raises(SizeMismatchError, match=f"size {n} "):
+                build()
+    empty = UTMatrix(F7, 0, ())  # size 0 is still the empty matrix
+    assert zero(F7, 0) == identity(F7, 0) == jordan_block(F7, 1, 0) == empty
