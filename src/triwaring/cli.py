@@ -198,7 +198,7 @@ def _cmd_table(F, args):
         if "," in args.row:
             # comma grammar (n >= 10) cannot infer n from single digits
             raise _UsageError("a comma-separated --row needs --n")
-        labels = [int(ch) for ch in args.row if ch.isdigit()]
+        labels = [int(ch) for ch in args.row if ch.isdecimal()]
         n = max(labels) if labels else 0
     pres = canonical.parse_presentation(args.row, n)
     C = pres.matrix(F)

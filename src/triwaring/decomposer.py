@@ -7,13 +7,14 @@ strict upper part of C on the x-side and extract its root by
 back-substitution from the x's (distinct powers keep every divisor
 nonzero); the y-side is diagonal.
 
-Three powers: shift each eigenvalue by a k-th power z^k so the two-power
-machinery runs on nonzero, pairwise distinct targets. Small fields can run
-out of solution classes (the theorem only promises q > 4 n^2 k^16); the
-shift is then retried around the shortage, and failing that a per-position
-route picks the lex-least root elements a_i with c_ii - a_i^k a sum of two
-k-th powers and all pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots` on
-the `diagonal_options` lists, which the oracle's diagonal verdict reads).
+Three powers, two routes, each run once. First the paper's shift: each
+eigenvalue moves once by a k-th power z^k so the two-power machinery runs
+on nonzero, pairwise distinct targets, and one selection runs on them.
+Small fields can run out of shifts or solution classes (the theorem only
+promises q > 4 n^2 k^16); then the value route picks the lex-least root
+elements a_i with c_ii - a_i^k a sum of two k-th powers and all
+pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots` on the
+`diagonal_options` lists, which the oracle's diagonal verdict reads).
 
 Structured (constant diagonal): the diagonal coloring and the entry split
 are the first proper 2-colorings of the entry graph and the chain graph.
@@ -153,41 +154,6 @@ def decompose_two(C: UTMatrix, k: int) -> DecompositionResult:
     return _assemble(C, k, select_system_pairs(C.field, C.diagonal(), k), 2)
 
 
-def _three_by_shifts(C: UTMatrix, k: int) -> DecompositionResult:
-    """The shift route: per eigenvalue pick z with lam' = lam - z^k nonzero,
-    all lam' pairwise distinct, then select on the shifted diagonal. A
-    failing target is banned for its eigenvalue and the shifts retried until
-    selection succeeds or the shift space is exhausted."""
-    F = C.field
-    d = C.diagonal()
-    # nonzero eigenvalues first so their preferred z = 0 shift is never
-    # stolen by the zero eigenvalue's forced nonzero shift
-    eig_order = sorted(set(d) - {0})
-    if 0 in d:
-        eig_order.append(0)
-    banned: dict[Element, set[Element]] = {lam: set() for lam in eig_order}
-
-    max_rounds = F.q * len(eig_order) + 1
-    for _ in range(max_rounds):
-        shifts: dict[Element, tuple[Element, Element]] = {}
-        taken: set[Element] = set()
-        for lam in eig_order:
-            z, shifted = shift_to_two_variable(F, lam, k, taken | banned[lam])
-            shifts[lam] = (z, shifted)
-            taken.add(shifted)
-        source = {shifted: lam for lam, (_, shifted) in shifts.items()}
-        try:
-            pairs = select_system_pairs(F, [shifts[c][1] for c in d], k)
-        except InsufficientClassesError as err:
-            if err.lam is None:
-                raise
-            banned[source[err.lam]].add(err.lam)
-            continue
-        return _assemble(C, k, [AssignmentEntry(c, e.x, e.y, shifts[c][0])
-                                for c, e in zip(d, pairs)], 3)
-    raise NoAdmissibleShiftError("shift retries exhausted")  # unreachable
-
-
 def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
     """Fallback: A's diagonal options (a_i, a_i^k) by `diagonal_roots` at
     s = 3 (`diagonal_options`), so the back-substitution root exists; the
@@ -203,11 +169,28 @@ def _three_by_position_search(C: UTMatrix, k: int) -> DecompositionResult:
 
 
 def decompose_three(C: UTMatrix, k: int) -> DecompositionResult:
-    """C = A^k + B^k + D^k with B, D diagonal."""
+    """C = A^k + B^k + D^k with B, D diagonal. The paper's shift runs once:
+    per eigenvalue the least z with lam' = lam - z^k nonzero and the lam'
+    pairwise distinct, then one selection on the shifted diagonal (D
+    carries the z's). When no shift or no selection exists, the value
+    route `_three_by_position_search` runs instead."""
+    F, d = C.field, C.diagonal()
+    # nonzero eigenvalues first so their preferred z = 0 shift is never
+    # stolen by the zero eigenvalue's forced nonzero shift
+    eig_order = sorted(set(d) - {0})
+    if 0 in d:
+        eig_order.append(0)
+    shifts: dict[Element, tuple[Element, Element]] = {}
+    taken: set[Element] = set()
     try:
-        return _three_by_shifts(C, k)
+        for lam in eig_order:
+            shifts[lam] = shift_to_two_variable(F, lam, k, taken)
+            taken.add(shifts[lam][1])
+        pairs = select_system_pairs(F, [shifts[c][1] for c in d], k)
     except (InsufficientClassesError, NoAdmissibleShiftError):
         return _three_by_position_search(C, k)
+    return _assemble(C, k, [AssignmentEntry(c, e.x, e.y, shifts[c][0])
+                            for c, e in zip(d, pairs)], 3)
 
 
 def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstruction:

@@ -533,6 +533,20 @@ def test_conjugate_malformed_entry_is_parse_error(capsys):
     assert payload["failure"]["type"] == "ParseError"
 
 
+def test_table_row_with_a_non_decimal_digit_is_parse_error(capsys):
+    # '²' is a digit to str.isdigit but no decimal, so n is inferred from
+    # the 1 alone and the presentation refuses the label
+    argv = ["table", "--q", "13", "--k", "2", "--row", "1²"]
+    code, payload = run_json(capsys, *argv, "--json")
+    assert code == 1
+    assert payload["verified"] is False
+    assert payload["failure"]["type"] == "ParseError"
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError: ")
+
+
 def test_solve_past_the_budget_is_refused_before_the_root_map(capsys):
     # the k-th root map of F_q walks q elements; q = 10^9 + 7 is past the
     # budget, so the command fails typed instead of building it

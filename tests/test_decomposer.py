@@ -183,6 +183,40 @@ def test_decompose_three_sweep_t2():
                 assert decompose_three(C, k).verified
 
 
+def test_three_powers_succeed_where_the_value_route_does():
+    # the shift runs once, and its failures fall to the value route, which
+    # solves every matrix the shift solves: the two agree on success
+    def solved(decompose, C, k):
+        try:
+            return decompose(C, k).verified
+        except InsufficientClassesError:
+            return False
+
+    for (p, m), n in [((5, 1), 2), ((7, 1), 2), ((13, 1), 2), ((3, 1), 3)]:
+        F = make_field(p, m)
+        for k in (2, 3, 4, 6):
+            for C in iter_matrices(F, n):
+                assert solved(decompose_three, C, k) == solved(
+                    _three_by_position_search, C, k), (F.q, k, to_text(C))
+
+
+def test_three_powers_select_once(monkeypatch):
+    # 11 and 4 are nonzero and distinct, so both shift by z = 0, and
+    # selection on them runs out of classes; the value route answers
+    # without a second selection
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_sums.select_system_pairs(*args)
+
+    monkeypatch.setattr(decomposer, "select_system_pairs", counted)
+    res = decompose_three(from_text(make_field(13), "11,12;4"), 3)
+    assert len(calls) == 1
+    assert res.verified
+    assert [e.as_row() for e in res.assignment] == [[0, 4, 4], [1, 2, 2]]
+
+
 def diagonal_outcome(decompose, C, k):
     """What decompose reads off the diagonal: the assignment rows and the
     diagonal parts, or the typed error."""
