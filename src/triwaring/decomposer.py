@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 
-from .canonical import bipartition, label_graph
 from .errors import (
     InsufficientClassesError,
     NoAdmissibleShiftError,
@@ -207,7 +206,9 @@ def decompose_structured(C: UTMatrix, k: int) -> DecompositionResult | Obstructi
     the lexicographically first of each (bipartition and _split_entries).
     When either does not exist no coloring works, and an Obstruction
     carrying all 2^n diagonal patterns is returned (n <= STRUCTURED_MAX_N).
+    `canonical` is imported here, so the other routes never load it.
     """
+    from .canonical import bipartition
     F, n = C.field, C.n
     d = C.diagonal()
     if len(set(d)) != 1:
@@ -254,6 +255,7 @@ def _split_entries(entries):
     chain-free sides, or None. Entries (i, j) and (j, t) chain, so a split
     is a proper 2-coloring of the chain graph, and the first one puts the
     first entry of each component on side A."""
+    from .canonical import label_graph
     _, parity, bipartite = label_graph(len(entries), (
         (a, b) for a, (_, j) in enumerate(entries)
         for b, (i, _) in enumerate(entries) if i == j))

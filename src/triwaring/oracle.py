@@ -15,7 +15,11 @@ divisor pdq(a_i, a_j) nonzero (`power_sums.diagonal_roots`) make C a sum
 of s powers whatever its strict part. Where neither settles a query, a
 memoised search of C - P over the powers P the lists allow does. The
 image is one packed dict, built by a walk over the first-row split
-A = [[a, b], [0, A']]; `all_kth_powers` is a fresh UTMatrix view of it.
+A = [[a, b], [0, A']], which skips every block (a, A') whose powers an
+earlier a with the same a^k already gave: when M = sum_(j<k)
+a^(k-1-j) A'^j is invertible, b -> b M reaches every first row, so all
+of [[a^k, *], [0, A'^k]] is found at that a. `all_kth_powers` is a fresh
+UTMatrix view of the image.
 Conjugacy under the invertible-triangular group B_n is decided exactly by
 a search of the kernel of P -> AP - PB, which returns the same witness as
 a scan of B_n with the diagonal first, then the strict upper entries
@@ -112,14 +116,24 @@ def _power_image(F: FieldSpec, n: int, k: int
     by induction on k: the (1,2) block of A^(k+1) = A^k A is
     a^k b + (b M) A' = b (a^k I + M A'), and a^k I + M A' is the M of
     k + 1. Each (a, A') pair costs one M, O(n^3 log k), and A'^k comes
-    from the same walk one size down (`_power_walk`); each matrix then
-    costs one product b M and one dict check. The walk runs over a
+    from the same walk one size down (`_power_walk`); each matrix walked
+    then costs one product b M and one dict check. The walk runs over a
     slowest, then b, then A' fastest, each by increasing packed entries:
     the lexicographic `iter_matrices` order (not `matrix_encoding`
     order), so the first root of every power is the one a plain
-    enumeration finds."""
+    enumeration finds.
+
+    Blocks that can only repeat a power are skipped: once a is walked,
+    every (a^k, A'^k) of a block with M invertible is recorded, and at
+    each later a_2 with a_2^k = a^k the blocks (a_2, A'') with
+    (a_2^k, A''^k) recorded are dropped before their M is formed. Proof:
+    M is upper triangular with diagonal pdq(a, a'_ii), and when it is
+    invertible b -> b M is onto F^(n-1), so every power [[a^k, r],
+    [0, A'^k]] already has its first root, at a. The keys, first roots
+    and insertion order are those of the full walk. Where x -> x^k is
+    injective no a^k has a second root, and nothing is recorded."""
     first: dict[tuple[Element, ...], tuple[Element, ...]] = {}
-    for A, P in _power_walk(F, n, k):
+    for A, P in _power_walk(F, n, k, every=False):
         first.setdefault(P, A)
     return first
 
@@ -136,9 +150,11 @@ def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
     return tuple(out)
 
 
-def _power_walk(F: FieldSpec, n: int, k: int):
+def _power_walk(F: FieldSpec, n: int, k: int, every: bool = True):
     """(A, A^k) as packed entries for every A in T_n(F_q), in
-    `iter_matrices` order, by the split of `_power_image`.
+    `iter_matrices` order, by the split of `_power_image`; with
+    `every=False`, without the blocks (a, A') whose powers an earlier a
+    already gave (`_power_image`).
 
     The pairs (A', A'^k) come from the same walk one size down, kept as a
     list, and T_1 (or T_0) ends it. a^k comes from the root map, sums and
@@ -157,10 +173,15 @@ def _power_walk(F: FieldSpec, n: int, k: int):
     on_diag = set(_diagonal_at(m))
     eye = tuple(int(t in on_diag) for t in range(len(terms)))
     steps = _chain(k)
+    # the (a^k, A'^k) of blocks with M invertible, once their a is walked;
+    # None where x -> x^k is injective, so no a^k has a second root
+    full = None if every or len(kth_root_map(F, k)) == F.q else set()
     for a in F.elements():
         ak, scale = powers[a], mul[a]
         blocks = []
         for Ap, Apk in sub:
+            if full is not None and (ak, Apk) in full:
+                continue
             S, P, am = eye, Ap, a  # S(m), A'^m, a^m for m = 1
             for square in steps:
                 if square:
@@ -177,6 +198,9 @@ def _power_walk(F: FieldSpec, n: int, k: int):
             for Ap, M, Apk in blocks:
                 yield (head + Ap,
                        (ak,) + _combine(b, M, row_terms, add, mul) + Apk)
+        if full is not None:
+            full.update([(ak, Apk) for _, M, Apk in blocks
+                         if all([M[t] for t in on_diag])])
 
 
 def min_waring_number(F: FieldSpec, C: UTMatrix, k: int, cap: int

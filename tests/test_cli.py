@@ -457,6 +457,8 @@ def test_help_and_usage_text_is_pinned(monkeypatch):
     (["root", "--q", "7", "--k", "2", "--matrix", "1,1;4"], ["tri_matrix"]),
     (["decompose", "--q", "13", "--k", "2", "--matrix", "0,1;0",
       "--parts", "2"],
+     ["decomposer", "power_sums", "tri_matrix"]),
+    (["table", "--q", "13", "--k", "2", "--row", "12|34:13"],
      ["canonical", "decomposer", "power_sums", "tri_matrix"]),
     (["oracle", "--q", "3", "--k", "2", "--n", "2"],
      ["oracle", "power_sums", "tri_matrix"]),

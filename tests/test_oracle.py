@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -69,7 +70,7 @@ def _image_cases():
     """(p, m, n, k) with q^width <= 2 * 10^5; k = 1, p | k, and exponents
     where a^k = l^k for distinct a, l (M singular) are all among them."""
     cases = []
-    for p, m in [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]:
+    for p, m in [(2, 1), (3, 1), (5, 1), (13, 1), (2, 2), (2, 3), (3, 2)]:
         q = p ** m
         for n in (1, 2, 3):
             if q ** (n * (n + 1) // 2) <= 2 * 10 ** 5:
@@ -84,6 +85,31 @@ def test_all_kth_powers_matches_brute_force(p, m, n, k):
     # keys, first roots and their order
     assert (list(all_kth_powers(F, n, k).items())
             == list(kth_powers_reference(F, n, k).items()))
+
+
+@pytest.mark.parametrize("q, k", [(13, 2), (11, 3)])
+def test_image_skips_blocks_an_earlier_root_gave(q, k, monkeypatch):
+    # each matrix the walk yields forms one b M. a^2 = (-a)^2 over F_13:
+    # at -a, every block whose (a^2, A'^2) had an invertible M at a is
+    # skipped; x -> x^3 is injective on F_11, so all 11^3 are walked
+    F = make_field(q)
+    walked = collections.Counter()
+    walk = oracle._power_walk
+
+    def counted(F, n, k, **options):
+        for pair in walk(F, n, k, **options):
+            walked[n] += 1
+            yield pair
+
+    monkeypatch.setattr(oracle, "_power_walk", counted)
+    image = oracle._power_image(F, 2, k)
+    if k == 2:
+        assert walked[2] < q ** 3
+    else:
+        assert walked[2] == q ** 3
+    assert walked[1] == q  # the sub-walk yields every A'
+    assert list(image.items()) == [(P.entries, A.entries) for P, A in
+                                   kth_powers_reference(F, 2, k).items()]
 
 
 def test_all_kth_powers_of_the_empty_size(F3):
