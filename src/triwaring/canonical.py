@@ -15,6 +15,7 @@ from .errors import (
     DiagNotDistinctError,
     DuplicateVertexError,
     EqualDiagonalError,
+    IndexOutOfRangeError,
     LabelOutOfRangeError,
     NotNilpotentError,
     ParseError,
@@ -56,7 +57,7 @@ def annihilate_entry(A: UTMatrix, l: int, r: int
     """
     F = A.field
     if not (1 <= l < r <= A.n):
-        raise EqualDiagonalError(f"need 1 <= l < r <= n, got ({l},{r})")
+        raise IndexOutOfRangeError(f"need 1 <= l < r <= n, got ({l},{r})")
     all_, arr = A.get(l, l), A.get(r, r)
     if all_ == arr:
         raise EqualDiagonalError(

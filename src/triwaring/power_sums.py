@@ -136,14 +136,6 @@ class ClassWalk:
             cands.append(((xs[0], ys[0]), sig))
         return len(cands)
 
-    def scan(self, start: int = 0):
-        """(index, candidate) for the candidates from `start` on, walking
-        on only past the last one met."""
-        cands, i = self.candidates, start
-        while i < len(cands) or self.reach(i + 1) > i:
-            yield i, cands[i]
-            i += 1
-
 
 # the one class cache: class_walk(F, lam, k) is the (F, lam, k) walk
 class_walk = functools.lru_cache(maxsize=CLASS_CACHE_SIZE)(ClassWalk)
@@ -388,13 +380,15 @@ def select_system_pairs(F: FieldSpec, targets, k: int
     Positions are scanned by decreasing multiplicity of their target, then
     increasing target, then target order (hardest first); each tries its
     target's representatives in class order and takes the first with both
-    powers unused. Chronological backtracking (a stack of one candidate
-    iterator per entered position) handles sub-threshold fields where
-    greedy dead-ends; the result is the first assignment of that scan.
-    Positions of one target are interchangeable: swapping their picks
-    keeps an assignment feasible, so the first one picks increasing
-    candidates within a target, and a position whose target repeats the
-    previous one's starts just after that position's pick.
+    powers unused. Chronological backtracking handles sub-threshold fields
+    where greedy dead-ends; the result is the first assignment of that
+    scan. The search keeps only the placements and one candidate index: a
+    position starts at candidate 0, and at a dead end the last placement
+    is undone and its position resumes at its pick + 1. Positions of one
+    target are interchangeable: swapping their picks keeps an assignment
+    feasible, so the first one picks increasing candidates within a
+    target, and a position whose target repeats the previous one's starts
+    just after that position's pick.
     More targets than k-th power values fail at once, as does a target with
     fewer classes than occurrences; an exhausted search names the first
     target scanned. Each target's `class_walk` goes only as far as the
@@ -423,31 +417,33 @@ def select_system_pairs(F: FieldSpec, targets, k: int
     order = sorted(range(n), key=lambda i: (-mult[targets[i]], targets[i]))
     scan = [targets[i] for i in order]
     placed = []  # (index, (x, y), x^k, y^k) of each position placed so far
-    stack = []  # the candidate scan of each position entered
     used_x, used_y = set(), set()
+    i = 0  # the candidate the next position tries
     while len(placed) < n:
-        if len(stack) == len(placed):
-            depth = len(placed)
-            start = (placed[-1][0] + 1 if depth
-                     and scan[depth] == scan[depth - 1] else 0)
-            stack.append(walks[scan[depth]].scan(start))
-        for i, (xy, (sx, sy)) in stack[-1]:
+        depth = len(placed)
+        walk = walks[scan[depth]]
+        cands = walk.candidates
+        while i < len(cands) or walk.reach(i + 1) > i:
+            xy, (sx, sy) = cands[i]
             if sx not in used_x and sy not in used_y:
                 placed.append((i, xy, sx, sy))
                 used_x.add(sx)
                 used_y.add(sy)
+                i = (i + 1 if depth + 1 < n
+                     and scan[depth + 1] == scan[depth] else 0)
                 break
+            i += 1
         else:
-            stack.pop()
             if not placed:
                 raise InsufficientClassesError(
                     f"no compatible class assignment for targets "
                     f"{sorted(mult)} over F_{F.q} (k={k}); "
                     f"sufficient only for q > 4 n^2 k^16",
                     lam=scan[0], found=walks[scan[0]].reach(), needed=n)
-            _, _, sx, sy = placed.pop()
+            i, _, sx, sy = placed.pop()
             used_x.remove(sx)
             used_y.remove(sy)
+            i += 1
     chosen = sorted(zip(order, placed))
     return tuple(AssignmentEntry(targets[i], *xy)
                  for i, (_, xy, _, _) in chosen)

@@ -15,6 +15,7 @@ from triwaring.errors import (
     DiagNotDistinctError,
     DuplicateVertexError,
     EqualDiagonalError,
+    IndexOutOfRangeError,
     LabelOutOfRangeError,
     NotNilpotentError,
     ParseError,
@@ -55,7 +56,7 @@ def test_witness_serialization(F7):
 def test_annihilate_equal_diagonal(F7):
     with pytest.raises(EqualDiagonalError):
         annihilate_entry(diag(F7, [1, 1]).with_entry(1, 2, 1), 1, 2)
-    with pytest.raises(EqualDiagonalError, match="need 1 <= l < r <= n"):
+    with pytest.raises(IndexOutOfRangeError, match="need 1 <= l < r <= n"):
         annihilate_entry(diag(F7, [1, 2]), 2, 1)
 
 

@@ -735,6 +735,23 @@ def test_two_powers_fail_fast_on_pigeonhole():
     assert (err.value.lam, err.value.found, err.value.needed) == (None, 16, 20)
 
 
+def test_deep_selection_fails_in_time_and_three_powers_answer():
+    # T_16(F_31), k = 2: the paper's selection backtracks through a deep
+    # search before it fails (about 0.2 s per call on a 2-vCPU x86-64,
+    # CPython 3.11); three powers still answer, after their shifted
+    # diagonal's selection fails the same way
+    C = random_matrix(make_field(31), 16, random.Random(3))
+    start = time.perf_counter()
+    with pytest.raises(InsufficientClassesError) as err:
+        decompose_two(C, 2)
+    assert time.perf_counter() - start < 3
+    assert (err.value.lam, err.value.found, err.value.needed) == (20, 9, 16)
+    start = time.perf_counter()
+    res = decompose_three(C, 2)
+    assert time.perf_counter() - start < 3
+    assert res.verified and verify_decomposition(C, res.parts, 2)
+
+
 def test_structured_obstruction_beyond_24_entries(F13):
     # n = 8 with 25 entries (the old entry cap was 24): triangles make the
     # entry graph non-bipartite, so all 256 colorings are refuted
