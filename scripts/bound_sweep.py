@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from triwaring.fields import make_field
-from triwaring.power_sums import lang_weil_check
+from triwaring.claims import lang_weil_check
 
 ODD_PRIME_POWERS = [
     (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),

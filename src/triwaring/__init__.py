@@ -13,14 +13,12 @@ _SUBMODULE_EXPORTS = {
     "fields": ("FieldSpec", "field_text", "kth_roots", "make_field",
                "minus_one_is_kth_power", "parse_field"),
     "power_sums": ("SolutionClassification", "classification_report",
-                   "classified", "count_zero_sum_classes", "in_power_sums",
-                   "lang_weil_check", "power_diff_quotient",
-                   "quotient_zero_report", "select_system_pairs",
+                   "classified", "in_power_sums", "select_system_pairs",
                    "shift_to_two_variable"),
     "tri_matrix": ("UTMatrix", "backsub_root", "diag", "elementary",
-                   "embed_power", "from_rows", "from_text", "identity",
-                   "jordan_block", "junction_matrix", "mat_inv", "mat_mul",
-                   "mat_pow", "to_text", "zero"),
+                   "from_rows", "from_text", "identity", "jordan_block",
+                   "junction_matrix", "mat_inv", "mat_mul", "mat_pow",
+                   "to_text", "zero"),
     "canonical": ("ConjugationWitness", "Presentation", "annihilate_entry",
                   "bipartition", "diagonalize_distinct", "is_indecomposable",
                   "parse_presentation", "render_presentation"),
@@ -28,7 +26,10 @@ _SUBMODULE_EXPORTS = {
                    "decompose_structured", "decompose_three",
                    "decompose_two", "verify_decomposition"),
     "oracle": ("WaringReport", "all_kth_powers", "bn_conjugate",
-               "min_waring_number", "negative_checks", "waring_report"),
+               "min_waring_number", "waring_report"),
+    "claims": ("count_zero_sum_classes", "embed_power", "lang_weil_check",
+               "negative_checks", "power_diff_quotient",
+               "quotient_zero_report"),
 }
 # each exported name -> the submodule that defines it; a submodule's own
 # name maps to itself

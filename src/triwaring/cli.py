@@ -248,8 +248,8 @@ def _cmd_oracle(F, args):
 
 
 def _cmd_bound(F, args):
-    from . import power_sums
-    rep = power_sums.lang_weil_check(F, args.k, args.m, [1] * args.m)
+    from . import claims
+    rep = claims.lang_weil_check(F, args.k, args.m, [1] * args.m)
     # strict JSON has no infinity: a bound past float range is null
     bound = rep.bound if math.isfinite(rep.bound) else None
     payload = {"q": rep.q, "k": rep.k, "m": rep.m, "N": rep.N,

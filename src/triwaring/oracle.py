@@ -1,11 +1,11 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here is exhaustive and guarded: the k-th power image of a whole
-matrix algebra, minimum summand counts, and machine checks of the negative
-claims (non-squares, non-conjugacy, the p | k obstruction).
-`min_waring_number`, `waring_report` and `negative_checks` share one
-memoised engine per (F, n, k), and at most LAYER_CACHE_SIZE engines are
-kept. The engine enumerates the power image P^1 once per process, with a
+matrix algebra, minimum summand counts, and conjugacy under B_n.
+`min_waring_number`, `waring_report` and `claims.negative_checks` (the
+machine checks of the negative claims, which live with the paper's other
+claim checks) share one memoised engine per (F, n, k), and at most
+LAYER_CACHE_SIZE engines are kept. The engine enumerates the power image P^1 once per process, with a
 first root per power, is its one owner, and answers every count by one
 query, which builds no sumset P^2, P^3, ...: `power_sums.diagonal_options`
 lists per c_ii the least roots a with c_ii - a^k in W_(s-1), W_s being
@@ -39,10 +39,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import (EnumerationTooLargeError, FieldMismatchError,
-                     RootMismatchError)
+from .errors import FieldMismatchError, RootMismatchError
 from .fields import (Element, FieldSpec, Record, enum_guard, kth_power_map,
-                     kth_root_map, minus_one_is_kth_power)
+                     kth_root_map)
 from .power_sums import diagonal_options, diagonal_roots
 from .tri_matrix import (
     UTMatrix,
@@ -50,10 +49,6 @@ from .tri_matrix import (
     _diagonal_at,
     _product_terms,
     check_compatible,
-    diag,
-    elementary,
-    jordan_block,
-    junction_matrix,
     to_text,
 )
 
@@ -536,78 +531,3 @@ def bn_conjugate(F: FieldSpec, A: UTMatrix, B: UTMatrix) -> UTMatrix | None:
             != _combine(P, be, terms, add, mul)):
         raise RootMismatchError("conjugation witness failed verification")
     return UTMatrix(F, n, P)
-
-
-class CheckResult(Record):
-    __slots__ = ("name", "applicable", "ok", "detail")
-
-    def __init__(self, name: str, applicable: bool, ok: bool | None,
-                 detail: str):
-        Record.__init__(self, name, applicable, ok, detail)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "applicable": self.applicable,
-                "ok": self.ok, "detail": self.detail}
-
-
-def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
-    """Machine checks of the negative claims, where hypotheses apply:
-
-    (a) the (2,2) junction matrix (and E_12 + E_34) is not a k-th power in
-        T_4 for k = 2;
-    (b) nilpotent Jordan blocks are not sums of two k-th powers when -1 is
-        not a k-th power (n = 2, 3);
-    (c) when p | k, beta^k(I + E_12 scaled) has no k-th root in T_2.
-
-    A check whose algebra is beyond the enumeration guard is reported as
-    not applicable, naming the first size refused; a direct oracle call
-    keeps the guard as a hard error.
-    """
-    # a WARING_MAX_ENUM that is not an integer fails closed here, where no
-    # check can mistake its error for an algebra too large to enumerate
-    enum_guard(0)
-
-    def junction():
-        engine = _power_layers(F, 4, k)
-        j22 = junction_matrix(F, (2, 2))
-        split = elementary(F, 4, 1, 2) + elementary(F, 4, 3, 4)
-        return (not any(engine.min_count(C.entries, 1) for C in (j22, split)),
-                f"E_23 and E_12+E_34 outside the square image of T_4(F_{F.q})")
-
-    def jordan():
-        mins = [(n, min_waring_number(F, jordan_block(F, 0, n), k, cap=2))
-                for n in (2, 3)]
-        return (all(m is None for _, m in mins),
-                "; ".join(f"n={n}: min " + ("> 2" if m is None else f"= {m}")
-                          for n, m in mins))
-
-    def scalar_plus_nilpotent():
-        engine = _power_layers(F, 2, k)
-        return (not any(engine.min_count(
-                    diag(F, [bk, bk]).with_entry(1, 2, alpha).entries, 1)
-                    for bk in kth_root_map(F, k) if bk
-                    for alpha in range(1, F.q)),
-                f"[[b^k, a],[0, b^k]] with a, b nonzero never a {k}-th power")
-
-    # (name, algebra sizes, check, reason it does not apply or None)
-    checks = (
-        ("junction_(2,2)_not_square", (4,), junction,
-         None if k == 2 else "stated for k = 2"),
-        ("jordan_not_two_powers", (2, 3), jordan,
-         f"-1 is a {k}-th power in F_{F.q}"
-         if minus_one_is_kth_power(F, k) else None),
-        ("scalar_plus_nilpotent_not_power", (2,), scalar_plus_nilpotent,
-         None if k % F.p == 0 and k >= 2
-         else f"needs p | k; p = {F.p}, k = {k}"),
-    )
-    results = []
-    for name, sizes, check, reason in checks:
-        if reason is None:
-            try:
-                for n in sizes:
-                    _check_image(F, n, k)
-            except EnumerationTooLargeError:
-                reason = f"T_{n}(F_{F.q}) too large to enumerate"
-        results.append(CheckResult(name, False, None, reason) if reason
-                       else CheckResult(name, True, *check()))
-    return tuple(results)

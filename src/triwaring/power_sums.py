@@ -20,7 +20,9 @@ reader asks for a class it has not met: selection asks for as many
 candidates as its scan reaches, and the structured route for two
 classes, so neither pays O(q) for a large field. Only a failure (whose
 counts name every class), `classified` (the whole partition) and its
-readers, `solve`, `classify` and `count_zero_sum_classes`, walk to the end.
+readers, `solve`, `classify` and `claims.count_zero_sum_classes`, walk to
+the end. The divisor pdq(x, y) itself, `claims.power_diff_quotient`, and
+the Lang-Weil count live with the paper's other claim checks in `claims`.
 No k-th power is recomputed; the decomposer reads no more than one
 solution per class (its pair of least roots), and records each chosen
 solution as an AssignmentEntry.
@@ -32,15 +34,9 @@ import collections
 import functools
 import math
 
-from .errors import (
-    HypothesisViolatedError,
-    InsufficientClassesError,
-    NoAdmissibleShiftError,
-    RootMismatchError,
-)
+from .errors import InsufficientClassesError, NoAdmissibleShiftError
 from .fields import (ROOT_MAP_CACHE_SIZE, Element, FieldSpec, Record,
-                     check_elements, enum_guard, kth_power_map, kth_root_map,
-                     minus_one_is_kth_power)
+                     check_elements, kth_root_map)
 
 # (F, lam, k) class walks kept, least recently used out; every lam of
 # F_61, F_49, F_81 and F_125 for k = 2 and 3 makes 632 of them. Each holds
@@ -139,30 +135,6 @@ class ClassWalk:
 
 # the one class cache: class_walk(F, lam, k) is the (F, lam, k) walk
 class_walk = functools.lru_cache(maxsize=CLASS_CACHE_SIZE)(ClassWalk)
-
-
-def power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int) -> Element:
-    """x^(k-1) + x^(k-2) y + ... + y^(k-1).
-
-    Satisfies x^k - y^k = (x - y) * power_diff_quotient(x, y); its
-    nonvanishing is what lets triangular root-building divide by it.
-    Horner's rule in x, acc <- acc x + y^i for i < k, with y^i carried
-    along: k steps of one product and one sum each, and no power. x or y
-    outside [0, q) raises FieldMismatchError.
-    """
-    check_elements(F, (x, y))
-    return _power_diff_quotient(F, x, y, k)
-
-
-def _power_diff_quotient(F: FieldSpec, x: Element, y: Element, k: int
-                         ) -> Element:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    acc, yi = 0, 1
-    for _ in range(k):
-        acc = F.add(F.mul(acc, x), yi)
-        yi = F.mul(yi, y)
-    return acc
 
 
 def in_power_sums(F: FieldSpec, k: int, s: int):
@@ -275,47 +247,6 @@ def _coset_walk(F: FieldSpec, k: int) -> tuple[frozenset[Element], ...]:
                 reps.append(u)
         levels.append(frozenset(known))
     return tuple(levels)
-
-
-class QuotientZeroReport(Record):
-    """Exhaustive check of when power_diff_quotient vanishes off (0,0):
-    exactly at pairs with (a = b and p | k) or (a != b and a^k = b^k)."""
-
-    __slots__ = ("q", "k", "zero_pairs", "violations", "checked")
-
-    def __init__(self, q: int, k: int,
-                 zero_pairs: tuple[tuple[Element, Element], ...],
-                 violations: tuple[tuple[Element, Element], ...],
-                 checked: int):
-        Record.__init__(self, q, k, zero_pairs, violations, checked)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def quotient_zero_report(F: FieldSpec, k: int) -> QuotientZeroReport:
-    """Scan F_q x F_q minus (0,0) and compare the observed zero set of the
-    quotient against the predicted characterization. Each of the q^2 pairs
-    takes the k steps of `power_diff_quotient`, so the guard counts q^2 k."""
-    enum_guard(F.q ** 2 * k)
-    p = F.p
-    zeros = []
-    violations = []
-    checked = 0
-    powers = kth_power_map(F, k)
-    for a in F.elements():
-        for b in F.elements():
-            if a == 0 and b == 0:
-                continue
-            checked += 1
-            is_zero = _power_diff_quotient(F, a, b, k) == 0
-            predicted = (a == b and k % p == 0) or (a != b and powers[a] == powers[b])
-            if is_zero:
-                zeros.append((a, b))
-            if is_zero != predicted:
-                violations.append((a, b))
-    return QuotientZeroReport(F.q, k, tuple(zeros), tuple(violations), checked)
 
 
 def classified(F: FieldSpec, lam: Element, k: int) -> SolutionClassification:
@@ -465,78 +396,3 @@ def shift_to_two_variable(F: FieldSpec, lam: Element, k: int,
     raise NoAdmissibleShiftError(
         f"no shift keeps {lam} - z^{k} nonzero and outside "
         f"{sorted(forbidden)} over F_{F.q}")
-
-
-class LangWeilReport(Record):
-    __slots__ = ("q", "k", "m", "N", "expected", "bound")
-
-    def __init__(self, q: int, k: int, m: int, N: int, expected: int,
-                 bound: float):
-        # bound is k^(2m) sqrt(q^(m-1)), math.inf past float range
-        Record.__init__(self, q, k, m, N, expected, bound)
-
-    @property
-    def ok(self) -> bool:
-        """|N - E| <= k^(2m) sqrt(E) with E = q^(m-1), decided in exact
-        integers as (N - E)^2 <= k^(4m) E."""
-        return ((self.N - self.expected) ** 2
-                <= self.k ** (4 * self.m) * self.expected)
-
-
-def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
-    """Exact zero count N of alpha_1 X_1^k + ... + alpha_m X_m^k - 1 over
-    F_q^m, compared against |N - q^(m-1)| <= k^(2m) sqrt(q^(m-1)).
-
-    The count folds the per-variable value histograms together, which is
-    the exhaustive scan reorganized (identical N), each a * v counted
-    |fiber(v)| times. Each of the m folds adds |K| values to each of q
-    sums, K the k-th powers, so the guard counts m q |K| steps, with
-    |K| = (q-1)/gcd(k, q-1) + 1 read before any map is built. The
-    report's `ok` is exact; its `bound` is a float, math.inf where it
-    leaves float range. k < 1 raises ValueError (kth_root_map).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    alphas = list(alphas)
-    if len(alphas) != m:
-        raise ValueError(f"need {m} coefficients, got {len(alphas)}")
-    check_elements(F, alphas, "coefficient")
-    if any(a == 0 for a in alphas):
-        raise ValueError("coefficients must be nonzero")
-    enum_guard(m * F.q * ((F.q - 1) // math.gcd(k, F.q - 1) + 1))
-    hist = [1] + [0] * (F.q - 1)  # the empty sum is 0
-    for a in alphas:
-        nxt = [0] * F.q
-        counts = [(F.mul(a, v), len(roots))
-                  for v, roots in kth_root_map(F, k).items()]
-        for acc_v, acc_c in enumerate(hist):
-            if acc_c:
-                for v, c in counts:
-                    nxt[F.add(acc_v, v)] += acc_c * c
-        hist = nxt
-    N = hist[1]
-    expected = F.q ** (m - 1)
-    try:
-        bound = k ** (2 * m) * math.sqrt(expected)
-    except OverflowError:  # an integer operand past float range
-        bound = math.inf
-    return LangWeilReport(F.q, k, m, N, expected, bound)
-
-
-def count_zero_sum_classes(F: FieldSpec, k: int) -> int:
-    """(q-1)/gcd(k, q-1) + 1 distinct-power solution classes of
-    X^k + Y^k = 0, valid for odd p with -1 a k-th power; cross-checked
-    against the observed classification ((0,0) counts as one class)."""
-    if F.p == 2:
-        raise HypothesisViolatedError("characteristic must be odd")
-    if not minus_one_is_kth_power(F, k):
-        raise HypothesisViolatedError(
-            f"-1 is not a {k}-th power in F_{F.q}")
-    formula = (F.q - 1) // math.gcd(k, F.q - 1) + 1
-    cl = classified(F, 0, k)
-    observed = cl.r + (1 if cl.u_fibers else 0)
-    if observed != formula:
-        raise RootMismatchError(
-            f"class-count self-check failed over F_{F.q}, k={k}: "
-            f"formula {formula}, observed {observed}")
-    return formula

@@ -407,35 +407,6 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
     return A
 
 
-def embed_power(C: UTMatrix, rootC: UTMatrix, l: int, x: Element, k: int
-                ) -> tuple[UTMatrix, UTMatrix]:
-    """Insert a fresh row/column l (1-based, 1..n+1) with x^k on the
-    diagonal and zeros elsewhere into C; the same insertion with x keeps
-    the root property. Returns (B, rootB) with rootB^k = B verified. x
-    must be a nonzero element of F_q: FieldMismatchError outside [0, q),
-    ValueError for 0."""
-    F, n = C.field, C.n
-    if not (1 <= l <= n + 1):
-        raise IndexOutOfRangeError(f"insertion index {l} not in 1..{n + 1}")
-    check_elements(F, (x,), "x")
-    if x == 0:
-        raise ValueError("inserted diagonal root must be nonzero")
-    if mat_pow(rootC, k) != C:
-        raise RootMismatchError("rootC^k != C")
-
-    def build(src: UTMatrix, diag_value: Element) -> UTMatrix:
-        values = {(i + (i >= l), j + (j >= l)): src.get(i, j)
-                  for i, j in src.positions()}
-        values[l, l] = diag_value
-        return zero(F, n + 1).with_entries(values)
-
-    B = build(C, F.pow(x, k))
-    rootB = build(rootC, x)
-    if mat_pow(rootB, k) != B:
-        raise RootMismatchError("embedding failed verification")  # unreachable
-    return B, rootB
-
-
 def to_text(A: UTMatrix) -> str:
     bounds = _diagonal_at(A.n) + (len(A.entries),)  # row i: bounds[i:i+2]
     return ";".join(",".join(map(str, A.entries[bounds[i]:bounds[i + 1]]))

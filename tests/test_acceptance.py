@@ -35,12 +35,12 @@ from triwaring.oracle import (
     iter_matrices,
     min_waring_number,
 )
-from triwaring.power_sums import (
+from triwaring.claims import (
     count_zero_sum_classes,
     lang_weil_check,
     quotient_zero_report,
-    select_system_pairs,
 )
+from triwaring.power_sums import select_system_pairs
 from triwaring.tri_matrix import (
     UTMatrix,
     backsub_root,

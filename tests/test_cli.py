@@ -462,6 +462,7 @@ def test_help_and_usage_text_is_pinned(monkeypatch):
      ["canonical", "decomposer", "power_sums", "tri_matrix"]),
     (["oracle", "--q", "3", "--k", "2", "--n", "2"],
      ["oracle", "power_sums", "tri_matrix"]),
+    (["bound", "--q", "7", "--k", "2", "--m", "2"], ["claims"]),
 ])
 def test_a_command_imports_only_what_it_runs(argv, loaded):
     # a cold call loads the cli, errors, fields and the modules its

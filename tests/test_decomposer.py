@@ -25,13 +25,13 @@ from triwaring.errors import (
     TriwaringError,
 )
 from triwaring import decomposer, power_sums, tri_matrix
+from triwaring.claims import power_diff_quotient
 from triwaring.fields import kth_root_map, kth_roots, make_field
 from triwaring.oracle import all_kth_powers, iter_matrices, waring_report
 from triwaring.power_sums import (
     AssignmentEntry,
     classified,
     lex_min_solution,
-    power_diff_quotient,
 )
 from triwaring.tri_matrix import (
     UTMatrix,

@@ -37,9 +37,9 @@ from triwaring.fields import (
     minus_one_is_kth_power,
     parse_field,
 )
+from triwaring.claims import lang_weil_check, quotient_zero_report
 from triwaring.cli import main
 from triwaring.oracle import all_kth_powers, bn_conjugate
-from triwaring.power_sums import lang_weil_check, quotient_zero_report
 from triwaring.tri_matrix import zero
 from tests.conftest import PRIME_POWERS_49
 

@@ -21,6 +21,7 @@ from triwaring.errors import (
 )
 from triwaring import oracle
 from triwaring.canonical import ConjugationWitness
+from triwaring.claims import negative_checks
 from triwaring.fields import FieldSpec, kth_root_map, make_field
 from triwaring.power_sums import _matchable
 from triwaring.oracle import (
@@ -29,7 +30,6 @@ from triwaring.oracle import (
     iter_matrices,
     matrix_encoding,
     min_waring_number,
-    negative_checks,
     waring_report,
 )
 from triwaring.tri_matrix import (

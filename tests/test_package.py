@@ -12,13 +12,13 @@ import pytest
 
 import triwaring
 from triwaring.canonical import ConjugationWitness, Presentation
+from triwaring.claims import CheckResult, LangWeilReport, QuotientZeroReport
 from triwaring.decomposer import (DecompositionResult, Obstruction,
                                   StructuredPlan)
 from triwaring.errors import FieldMismatchError
 from triwaring.fields import FieldSpec, Record, make_field
-from triwaring.oracle import CheckResult, WaringReport
-from triwaring.power_sums import (AssignmentEntry, LangWeilReport,
-                                  QuotientZeroReport, SolutionClassification,
+from triwaring.oracle import WaringReport
+from triwaring.power_sums import (AssignmentEntry, SolutionClassification,
                                   diagonal_options, lex_min_solution)
 from triwaring.tri_matrix import UTMatrix, from_text
 
@@ -29,10 +29,10 @@ EXPORTS = [
     "ConjugationWitness", "DecompositionResult", "FieldSpec", "Obstruction",
     "Presentation", "SolutionClassification", "StructuredPlan", "UTMatrix",
     "WaringReport", "all_kth_powers", "annihilate_entry", "backsub_root",
-    "bipartition", "bn_conjugate", "canonical", "classification_report",
-    "classified", "count_zero_sum_classes", "decompose_structured",
-    "decompose_three", "decompose_two", "decomposer", "diag",
-    "diagonalize_distinct", "elementary", "embed_power", "errors",
+    "bipartition", "bn_conjugate", "canonical", "claims",
+    "classification_report", "classified", "count_zero_sum_classes",
+    "decompose_structured", "decompose_three", "decompose_two", "decomposer",
+    "diag", "diagonalize_distinct", "elementary", "embed_power", "errors",
     "field_text", "fields", "from_rows", "from_text", "identity",
     "in_power_sums", "is_indecomposable", "jordan_block", "junction_matrix",
     "kth_roots", "lang_weil_check", "make_field", "mat_inv", "mat_mul",
@@ -68,6 +68,49 @@ def test_star_import_in_a_fresh_interpreter_binds_every_name():
                           timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, f"{len(EXPORTS)} []\n", "")
+
+
+# each module the claim checks left, with the names it no longer defines
+MOVED_TO_CLAIMS = {
+    "power_sums": ("power_diff_quotient", "_power_diff_quotient",
+                   "QuotientZeroReport", "quotient_zero_report",
+                   "LangWeilReport", "lang_weil_check",
+                   "count_zero_sum_classes"),
+    "oracle": ("CheckResult", "negative_checks"),
+    "tri_matrix": ("embed_power",),
+}
+
+
+def test_claim_checks_live_in_claims_alone():
+    claims = importlib.import_module("triwaring.claims")
+    for home, names in MOVED_TO_CLAIMS.items():
+        module = importlib.import_module(f"triwaring.{home}")
+        for name in names:
+            assert not hasattr(module, name), (home, name)
+            assert hasattr(claims, name), name
+
+
+def test_the_routes_and_the_oracle_never_load_claims():
+    # a decomposition or an oracle query compiles none of the claim checks
+    code = (
+        "import sys\n"
+        "from triwaring.decomposer import decompose_three, decompose_two\n"
+        "from triwaring.fields import make_field\n"
+        "from triwaring.oracle import bn_conjugate, min_waring_number\n"
+        "from triwaring.tri_matrix import from_text\n"
+        "F = make_field(13)\n"
+        "C = from_text(F, '1,2,3;4,5;6')\n"
+        "assert decompose_two(C, 2).verified\n"
+        "assert decompose_three(C, 3).verified\n"
+        "F3 = make_field(3)\n"
+        "N = from_text(F3, '0,1;0')\n"
+        "assert min_waring_number(F3, N, 2, 3) == 3\n"
+        "assert bn_conjugate(F3, N, from_text(F3, '0,2;0')) is not None\n"
+        "print('triwaring.claims' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_a_second_read_is_a_plain_attribute(monkeypatch):

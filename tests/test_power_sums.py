@@ -8,7 +8,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triwaring import power_sums
+from triwaring import claims, power_sums
+from triwaring.claims import (
+    count_zero_sum_classes,
+    lang_weil_check,
+    power_diff_quotient,
+    quotient_zero_report,
+)
 from triwaring.cli import main
 from triwaring.errors import (
     EnumerationTooLargeError,
@@ -33,14 +39,10 @@ from triwaring.power_sums import (
     class_walk,
     classification_report,
     classified,
-    count_zero_sum_classes,
     diagonal_options,
     diagonal_roots,
     in_power_sums,
-    lang_weil_check,
     lex_min_solution,
-    power_diff_quotient,
-    quotient_zero_report,
     select_system_pairs,
     shift_to_two_variable,
 )
@@ -89,7 +91,7 @@ def test_quotient_zero_report_lists_violations(F7, monkeypatch):
     # a quotient that never vanishes misses every predicted zero: the pairs
     # b = -a != 0, as a^2 = b^2 there (the scan takes the quotient
     # without the element check, its pairs being elements)
-    monkeypatch.setattr(power_sums, "_power_diff_quotient", lambda *a: 1)
+    monkeypatch.setattr(claims, "_power_diff_quotient", lambda *a: 1)
     rep = quotient_zero_report(F7, 2)
     assert rep.zero_pairs == () and not rep.ok
     assert rep.violations == tuple((a, 7 - a) for a in range(1, 7))
@@ -685,11 +687,11 @@ def test_lang_weil_examples(F7, F13):
 
 def test_lang_weil_verdict_is_exact():
     # E = 9, k = 1, m = 2: the bound is exactly 3, reached at N = 12
-    assert power_sums.LangWeilReport(9, 1, 2, 12, 9, 3.0).ok
-    assert not power_sums.LangWeilReport(9, 1, 2, 13, 9, 3.0).ok
+    assert claims.LangWeilReport(9, 1, 2, 12, 9, 3.0).ok
+    assert not claims.LangWeilReport(9, 1, 2, 13, 9, 3.0).ok
     # past float range the bound is infinite, and still not every N passes
-    assert not power_sums.LangWeilReport(3, 10, 200, 10 ** 600, 3 ** 199,
-                                         math.inf).ok
+    assert not claims.LangWeilReport(3, 10, 200, 10 ** 600, 3 ** 199,
+                                     math.inf).ok
 
 
 def test_lang_weil_rejects_zero_coefficient(F7):

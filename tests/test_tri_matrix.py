@@ -16,6 +16,7 @@ from triwaring.errors import (
     SizeMismatchError,
     TriwaringError,
 )
+from triwaring.claims import embed_power, power_diff_quotient
 from triwaring.fields import (
     FieldSpec,
     kth_root_map,
@@ -23,7 +24,6 @@ from triwaring.fields import (
     make_field,
 )
 from triwaring.oracle import all_kth_powers
-from triwaring.power_sums import power_diff_quotient
 from triwaring import tri_matrix
 from triwaring.tri_matrix import (
     UTMatrix,
@@ -33,7 +33,6 @@ from triwaring.tri_matrix import (
     backsub_root,
     diag,
     elementary,
-    embed_power,
     from_rows,
     from_text,
     identity,
@@ -623,6 +622,15 @@ def test_embed_power_errors(F7, F9):
             embed_power(C, root, 2, x, 2)
     with pytest.raises(FieldMismatchError, match=r"outside \[0, 9\)"):
         embed_power(identity(F9, 1), identity(F9, 1), 1, 12, 2)
+    # the inputs are checked before rootC^k = C is: a root of another
+    # size or field is refused as such, and k < 1 even where I^k = I
+    with pytest.raises(SizeMismatchError, match="sizes 2 and 3 differ"):
+        embed_power(C, identity(F7, 3), 1, 3, 2)
+    with pytest.raises(FieldMismatchError, match="different fields"):
+        embed_power(C, identity(F9, 2), 1, 3, 2)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            embed_power(identity(F7, 2), identity(F7, 2), 1, 2, k)
 
 
 def test_constructors(F3, F7):
