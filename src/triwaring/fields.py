@@ -12,9 +12,10 @@ Zech table log(1 + g^n) read off them, which keeps add/sub/neg as well as
 mul/inv/pow at table-lookup cost during the exhaustive scans this package
 lives on. For p > 2, a degree-1 candidate g = a x + b is skipped with no
 table when its norm (-a)^m f(-b/a) mod p is not a primitive root mod p: the
-norm of a generator of F_q^* generates F_p^*. A modulus is accepted by
-Ben-Or's irreducibility test, one rule for every degree, before any table
-is built.
+norm of a generator of F_q^* generates F_p^*. A modulus is accepted, before
+any table is built, when it has no root in F_p and, at m = 4, no monic
+quadratic factor: a reducible f of degree m has a factor of degree
+<= m // 2 <= 2.
 """
 
 from __future__ import annotations
@@ -103,21 +104,6 @@ def _digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
     # mod is monic
     a = list(a)
@@ -129,57 +115,31 @@ def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
             for i, c in enumerate(mod):
                 a[shift + i] = (a[shift + i] - lead * c) % p
         a.pop()
-    return _poly_trim(a)
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        if b[-1] != 1:  # make monic so _poly_mod applies
-            inv = pow(b[-1], p - 2, p)
-            b = [(c * inv) % p for c in b]
-        a, b = b, _poly_mod(a, b, p)
+    while a and a[-1] == 0:
+        a.pop()
     return a
 
 
-def _poly_pow_mod(base: list[int], e: int, mod: list[int],
-                  p: int) -> list[int]:
-    result = [1]
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+def _horner(coeffs, a: int, p: int) -> int:
+    """f(a) mod p for the polynomial f with little-endian `coeffs`."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * a + c) % p
+    return value
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Ben-Or's test: a monic f of degree m is irreducible iff
-    gcd(f, x^(p^i) - x) = 1 for every i <= m // 2. A reducible f has an
-    irreducible factor of degree i <= m // 2, and x^(p^i) - x is the
-    product of the monic irreducibles of degree dividing i. Step i = 1
-    asks whether f has a root in F_p (p Horner evaluations), so x is
-    raised to a power of p only from m = 4 on."""
-    poly = list(coeffs)
-    half = (len(poly) - 1) // 2
-    if half == 0:
+    """Whether the monic f of degree m <= 4 is irreducible over F_p: it is
+    reducible iff it has a monic factor of degree <= m // 2 <= 2, that is a
+    root in F_p or, at m = 4, a monic quadratic factor, found by dividing f
+    by each of the p^2 monic quadratics."""
+    m = len(coeffs) - 1
+    if m <= 1:
         return True
-    for a in range(p):
-        value = 0
-        for c in reversed(poly):
-            value = (value * a + c) % p
-        if value == 0:  # x - a divides f
-            return False
-    acc = [0, 1]
-    for i in range(2, half + 1):
-        # acc = x^(p^i) mod f; the root scan took no x^p, so step 2 takes p^2
-        acc = _poly_pow_mod(acc, p * p if i == 2 else p, poly, p)
-        diff = acc + [0] * (2 - len(acc))
-        diff[1] = (diff[1] - 1) % p
-        # when f divides x^(p^i) - x, diff is empty and the gcd is f itself
-        if len(_poly_gcd(poly, _poly_trim(diff), p)) > 1:
-            return False
-    return True
+    if any(_horner(coeffs, a, p) == 0 for a in range(p)):  # x - a divides f
+        return False
+    return m < 4 or all(_poly_mod(coeffs, [b, a, 1], p)
+                        for a in range(p) for b in range(p))
 
 
 class Record:
@@ -316,10 +276,7 @@ class FieldSpec(Record):
             if p > 2 and g < p * p:
                 a, b = divmod(g, p)
                 c = -b * pow(a, p - 2, p) % p
-                norm = 0
-                for coef in reversed(self.modulus):
-                    norm = (norm * c + coef) % p
-                norm = norm * pow(-a, m, p) % p
+                norm = _horner(self.modulus, c, p) * pow(-a, m, p) % p
                 if norm == 0 or any(pow(norm, e, p) == 1 for e in cofactors):
                     continue
             times = self._times_table(g)

@@ -42,7 +42,7 @@ import itertools
 from .errors import FieldMismatchError, RootMismatchError
 from .fields import (Element, FieldSpec, Record, enum_guard, kth_power_map,
                      kth_root_map)
-from .power_sums import diagonal_options, diagonal_roots
+from .power_sums import _in_power_sums, diagonal_options, diagonal_roots
 from .tri_matrix import (
     UTMatrix,
     _chain,
@@ -305,7 +305,9 @@ class _SumsetLayers:
         P^1 answers by lookup. For r >= 2 the verdict of the diagonal d
         comes first (`_diagonal`), and only where it is None does
         `_search` run; it never needs the verdict again, since roots that
-        serve a residual's diagonal at r - 1 serve d at r."""
+        serve a residual's diagonal at r - 1 serve d at r. Where the
+        verdict is False and some d_i is outside W_cap, no r <= cap can
+        succeed, so the count stops there."""
         if c in self.roots:
             return 1
         d = tuple([c[i] for i in self._diag_at])
@@ -313,6 +315,9 @@ class _SumsetLayers:
             verdict, _ = self._diagonal(d, r)
             if verdict or verdict is None and self._search(c, r):
                 return r
+            if verdict is False and not all(
+                    map(_in_power_sums(self.field, self.k, cap), d)):
+                return None
         return None
 
     def witness(self, c: tuple[Element, ...], count: int) -> tuple:

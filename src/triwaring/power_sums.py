@@ -176,8 +176,10 @@ def diagonal_options(F: FieldSpec, d, k: int, s: int
     """Per d_i, the pairs (a, a^k), a a least root, with d_i - a^k in
     W_(s-1) (W_0 = {0}), ascending in a: empty exactly when d_i is
     outside W_s = K + W_(s-1). A d_i outside [0, q) raises
-    FieldMismatchError."""
+    FieldMismatchError, and s < 1 ValueError."""
     check_elements(F, d, "diagonal entry")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
     least = [(r[0], v) for v, r in kth_root_map(F, k).items()]  # ascending
     inside = _in_power_sums(F, k, s - 1)
     return tuple([tuple([(a, v) for a, v in least if inside(F.sub(c, v))])

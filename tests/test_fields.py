@@ -28,7 +28,6 @@ from triwaring.fields import (
     _is_irreducible,
     _make_field_cached,
     _poly_mod,
-    _poly_mul,
     field_text,
     is_prime,
     kth_root_map,
@@ -56,6 +55,12 @@ def test_make_field_extension_default_modulus():
     assert F.modulus == (1, 0, 1)
     for t in range(3):
         assert (t * t + 1) % 3 != 0
+    # the largest admitted prime of each degree, by the modulus search
+    # alone, with no tables; at (31, 4) every one of the 31^2 monic
+    # quadratics is tried on the modulus it accepts
+    assert _default_modulus(31, 4) == (1, 1, 0, 0, 1)
+    assert _default_modulus(97, 3) == (2, 0, 0, 1)
+    assert _default_modulus(997, 2) == (2, 0, 1)
 
 
 def test_make_field_rejects_composite_characteristic():
@@ -83,10 +88,11 @@ def test_make_field_rejects_bad_shapes():
 
 
 def test_make_field_refuses_huge_extension_fields():
-    # 47^4 = 4,879,681 and 101^3 = 1,030,301 elements: refused before
-    # any modulus search or table build
+    # the first refused prime of each degree, 37^4 = 1,874,161,
+    # 101^3 = 1,030,301 and 1009^2 = 1,018,081 elements, and 47^4: refused
+    # before any modulus search or table build
     start = time.perf_counter()
-    for p, m in ((47, 4), (101, 3)):
+    for p, m in ((37, 4), (47, 4), (101, 3), (1009, 2)):
         with pytest.raises(EnumerationTooLargeError, match=str(p ** m)):
             make_field(p, m)
     assert time.perf_counter() - start < 1.0
@@ -389,6 +395,15 @@ def test_irreducibility_counts_match_moebius_formula():
             assert counted == expected, (p, d)
 
 
+def _poly_mul(a, b, p):
+    """The product of two little-endian polynomials over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
 @functools.cache
 def reducible_monics(p, d):
     """Every reducible monic of degree d over F_p, as a product g h of
@@ -503,9 +518,13 @@ def test_norm_test_skips_the_tables_of_non_generators(monkeypatch):
     for p, m, modulus in moduli:
         FieldSpec(p, m, modulus)
     assert len(walked) == 264
-    # a reducible modulus is refused by Ben-Or before any table is built
+    # a reducible modulus is refused before any table is built: a
+    # reducible f of degree m has a factor of degree <= m // 2 <= 2, a
+    # root in F_p or, at m = 4, a monic quadratic
     with pytest.raises(ReducibleModulusError):
-        make_field(5, 2, (4, 0, 1))
+        make_field(5, 2, (4, 0, 1))  # x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(ReducibleModulusError):
+        make_field(3, 4, (1, 0, 2, 0, 1))  # (x^2 + 1)^2, with no root
     assert len(walked) == 264
 
 

@@ -152,6 +152,17 @@ def test_min_waring_cap(F3):
     assert min_waring_number(F3, from_text(F3, "0,1;0"), 2, 2) is None
 
 
+def test_a_diagonal_outside_every_power_sum_answers_at_once():
+    # the cubes of F_4 are {0, 1}, so W_s = F_2 for every s: 2 = x is a
+    # sum of no number of cubes, and no cap, however large, is walked up to
+    F4 = make_field(2, 2)
+    start = time.perf_counter()
+    assert min_waring_number(F4, from_rows(F4, [[2]]), 3, 10 ** 9) is None
+    assert time.perf_counter() - start < 0.5
+    rep = waring_report(F4, 2, 3, cap=10 ** 5)
+    assert rep.histogram() == {"1": 13, "2": 3, ">100000": 48}
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_cap_below_one_is_rejected(F3, cap):
     with pytest.raises(ValueError):

@@ -809,6 +809,9 @@ def test_diagonal_options_matches_brute_force(all_fields):
                                           if F.sub(c, v) in sums], (F.q, k, s)
                     assert (not opts) == (c not in wider), (F.q, k, s, c)
                 sums = wider
+    # s counts summands, so s = 0 is refused under the caller's own s
+    with pytest.raises(ValueError, match=r"^s must be >= 1, got 0$"):
+        diagonal_options(make_field(7), (1,), 2, 0)
 
 
 def diagonal_roots_reference(F, d, k, s):
