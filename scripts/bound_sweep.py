@@ -2,7 +2,9 @@
 """Sweep the empirical point-count bound for diagonal equations
 x_1^k + ... + x_m^k = 1 over odd prime powers and print the margin per
 instance. The bound k^(2m) sqrt(q^(m-1)) is far from tight at desk scale;
-the sweep shows the actual deviation |N - q^(m-1)|."""
+the sweep shows the actual deviation |N - q^(m-1)|. Any violation makes
+the exit status 1; a --kmax or an arity below 1 is refused with one line and
+exit status 2."""
 
 import argparse
 import sys
@@ -24,6 +26,10 @@ def main() -> int:
     ap.add_argument("--kmax", type=int, default=5)
     ap.add_argument("--arities", type=int, nargs="+", default=[2, 3])
     args = ap.parse_args()
+    for option, values in (("--kmax", [args.kmax]), ("--arities", args.arities)):
+        for value in values:
+            if value < 1:
+                ap.exit(2, f"{ap.prog}: {option} {value}: must be at least 1\n")
 
     print(f"{'q':>5} {'k':>3} {'m':>3} {'N':>8} {'q^(m-1)':>9} "
           f"{'|dev|':>7} {'bound':>10} ok")

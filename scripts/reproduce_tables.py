@@ -6,8 +6,8 @@ connectivity, run the structured two-power search and print the verified
 summands together with the diagonal pattern. A typed failure (too few
 solution classes at small q, or in characteristic 2, where x^k + y^k = 0
 has no class with x^k != y^k) is printed and counted, and any failure makes
-the exit status 1; a field that cannot be built is refused with one line
-and exit status 2.
+the exit status 1; a field that cannot be built, or a --k below 1, is
+refused with one line and exit status 2.
 """
 
 import argparse
@@ -45,6 +45,9 @@ def main() -> int:
     ap.add_argument("--q", default="13", help="field spec (default 13)")
     ap.add_argument("--k", type=int, nargs="+", default=[2, 3])
     args = ap.parse_args()
+    for k in args.k:
+        if k < 1:
+            ap.exit(2, f"{ap.prog}: --k {k}: must be at least 1\n")
     try:
         F = parse_field(args.q)
     except TriwaringError as err:  # one line, exit 2, as the CLI's usage errors

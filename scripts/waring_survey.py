@@ -8,7 +8,8 @@ two- and three-power algorithms succeed. It fails (exit 1) if either
 succeeds where the oracle proves the minimum exceeds two or three, and it
 reports how many matrices the oracle puts at two (three) or fewer powers
 that the two-power (three-power) algorithm misses. A field that cannot be
-built is refused with one line and exit status 2 before any survey runs.
+built, an --n or --k below 1, or a --cap below 3 is refused with one line
+and exit status 2 before any survey runs.
 
 Each decomposer runs once per diagonal, not once per matrix: selection
 reads only the diagonal, and the chosen roots keep every back-substitution
@@ -36,6 +37,14 @@ def main() -> int:
     ap.add_argument("--k", type=int, nargs="+", default=[2, 3])
     ap.add_argument("--cap", type=int, default=4)
     args = ap.parse_args()
+    # the survey asks the oracle about two and three powers, and a cap
+    # below 3 leaves some of those answers undecided
+    for option, values, least in (("--n", [args.n], 1), ("--k", args.k, 1),
+                                  ("--cap", [args.cap], 3)):
+        for value in values:
+            if value < least:
+                ap.exit(2, f"{ap.prog}: {option} {value}: "
+                           f"must be at least {least}\n")
 
     fields = []
     for spec in args.q:
@@ -50,7 +59,7 @@ def main() -> int:
 
             def above(C, r):
                 m = rep.per_matrix_min[C]
-                return m > r if m is not None else rep.cap >= r
+                return m is None or m > r
 
             succeeded = {}  # (decomposer, diagonal) -> success
 

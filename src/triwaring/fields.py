@@ -226,7 +226,10 @@ class FieldSpec(Record):
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         Record.__init__(self, p, m, modulus)
-        self.__post_init__()
+        object.__setattr__(self, "q", p ** m)
+        tables = self._build_tables() if m > 1 else ((), (), ())
+        for name, table in zip(("_exp", "_log", "_zech"), tables):
+            object.__setattr__(self, name, table)
 
     # written out, as in UTMatrix: every cache lookup hashes a field, and
     # the attrgetter call of Record's versions costs more than the tuple
@@ -238,12 +241,6 @@ class FieldSpec(Record):
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", self.p ** self.m)
-        tables = self._build_tables() if self.m > 1 else ((), (), ())
-        for name, table in zip(("_exp", "_log", "_zech"), tables):
-            object.__setattr__(self, name, table)
 
     # -- construction helpers -------------------------------------------
 

@@ -51,7 +51,15 @@ class UTMatrix(Record):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-        self.__post_init__()
+        if n < 0:
+            raise SizeMismatchError(f"size {n} is negative")
+        expect = n * (n + 1) // 2
+        if len(entries) != expect:
+            raise SizeMismatchError(
+                f"size {n} needs {expect} packed entries, got {len(entries)}")
+        q = field.q
+        if entries and (min(entries) < 0 or max(entries) >= q):
+            raise FieldMismatchError(f"matrix has an entry outside [0, {q})")
 
     # written out for the hot paths (products checked against targets,
     # dict keys over whole algebras): on CPython 3.11 the attrgetter call
@@ -64,18 +72,6 @@ class UTMatrix(Record):
 
     def __hash__(self):
         return hash((self.field, self.n, self.entries))
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise SizeMismatchError(f"size {self.n} is negative")
-        expect = self.n * (self.n + 1) // 2
-        if len(self.entries) != expect:
-            raise SizeMismatchError(
-                f"size {self.n} needs {expect} packed entries, "
-                f"got {len(self.entries)}")
-        q = self.field.q
-        if self.entries and (min(self.entries) < 0 or max(self.entries) >= q):
-            raise FieldMismatchError(f"matrix has an entry outside [0, {q})")
 
     def get(self, i: int, j: int) -> Element:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -124,16 +120,15 @@ class UTMatrix(Record):
                      if i < j and self.get(i, j) != 0)
 
     def __add__(self, other: UTMatrix) -> UTMatrix:
-        check_compatible(self, other)
-        F = self.field
-        return UTMatrix(F, self.n, tuple(
-            F.add(a, b) for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(other, self.field.add)
 
     def __sub__(self, other: UTMatrix) -> UTMatrix:
+        return self._entrywise(other, self.field.sub)
+
+    def _entrywise(self, other: UTMatrix, op) -> UTMatrix:
         check_compatible(self, other)
-        F = self.field
-        return UTMatrix(F, self.n, tuple(
-            F.sub(a, b) for a, b in zip(self.entries, other.entries)))
+        return UTMatrix(self.field, self.n, tuple(
+            op(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: UTMatrix) -> UTMatrix:
         return mat_mul(self, other)

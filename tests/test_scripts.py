@@ -24,9 +24,22 @@ def run_script(name, *argv):
      "field x: cannot parse field spec 'x'"),
     ("waring_survey.py", ["--q", "3", "9", "--n", "2", "--k", "3"],
      "field 9: 9 is not prime"),
+    # out-of-range options are refused the same way, apart from the exit 1
+    # a counted failure, a disagreement or a violation makes
+    ("waring_survey.py", ["--q", "2^2", "--n", "3", "--k", "3", "--cap", "2"],
+     "--cap 2: must be at least 3"),
+    ("waring_survey.py", ["--q", "3", "--n", "2", "--k", "0"],
+     "--k 0: must be at least 1"),
+    ("waring_survey.py", ["--q", "3", "--n", "0", "--k", "2"],
+     "--n 0: must be at least 1"),
+    ("reproduce_tables.py", ["--q", "13", "--k", "0"],
+     "--k 0: must be at least 1"),
+    ("bound_sweep.py", ["--arities", "0"], "--arities 0: must be at least 1"),
+    ("bound_sweep.py", ["--kmax", "0"], "--kmax 0: must be at least 1"),
 ])
 def test_bad_field_is_one_line_and_exit_two(name, argv, reason):
-    # every field is checked before any output, so nothing is printed first
+    # every field and option is checked before any output, so nothing is
+    # printed first
     code, out, err = run_script(name, *argv)
     assert (code, out) == (2, "")
     assert err == f"{name}: {reason}\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -64,10 +65,23 @@ def test_mat_mul_examples(F7):
 
 
 def test_mat_mul_mismatches(F7, F13):
-    with pytest.raises(SizeMismatchError):
-        mat_mul(zero(F7, 2), zero(F7, 3))
-    with pytest.raises(FieldMismatchError):
-        mat_mul(zero(F7, 2), zero(F13, 2))
+    for op in (mat_mul, operator.add, operator.sub):
+        with pytest.raises(SizeMismatchError):
+            op(zero(F7, 2), zero(F7, 3))
+        with pytest.raises(FieldMismatchError):
+            op(zero(F7, 2), zero(F13, 2))
+
+
+def test_sum_and_difference_are_entrywise(F7, F9):
+    rng = random.Random(46)
+    for F in (F7, F9):
+        for n in range(4):
+            for _ in range(25):
+                A, B = rand_matrix(rng, F, n), rand_matrix(rng, F, n)
+                assert (A + B).entries == tuple(
+                    F.add(a, b) for a, b in zip(A.entries, B.entries))
+                assert (A - B).entries == tuple(
+                    F.sub(a, b) for a, b in zip(A.entries, B.entries))
 
 
 def test_mat_pow_examples(F7, F13):
