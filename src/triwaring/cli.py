@@ -31,7 +31,7 @@ import os
 import sys
 import types
 
-from .errors import TriwaringError
+from .errors import EnumerationTooLargeError, TriwaringError
 from .fields import field_text, parse_field
 
 
@@ -247,9 +247,25 @@ def _cmd_oracle(F, args):
     return rep.to_json(), text, 0
 
 
+def _decimal_digits(n: int) -> int:
+    """The decimal digits of n >= 1, counted without printing n."""
+    digits = int(math.log10(n)) + 1  # off by at most one, either way
+    return digits + (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+
+
 def _cmd_bound(F, args):
     from . import claims
     rep = claims.lang_weil_check(F, args.k, args.m, [1] * args.m)
+    # the most digits an int prints with: 0, no limit, also on releases
+    # that predate the limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = _decimal_digits(max(rep.N, rep.expected))
+    if limit and digits > limit:
+        raise EnumerationTooLargeError(
+            f"the exact counts have up to {digits} digits, past this "
+            f"interpreter's limit of {limit} for printing an int "
+            f"(sys.get_int_max_str_digits()); PYTHONINTMAXSTRDIGITS=0 "
+            f"lifts it")
     # strict JSON has no infinity: a bound past float range is null
     bound = rep.bound if math.isfinite(rep.bound) else None
     payload = {"q": rep.q, "k": rep.k, "m": rep.m, "N": rep.N,

@@ -21,6 +21,7 @@ quadratic factor: a reducible f of degree m has a factor of degree
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import os
 
@@ -45,18 +46,24 @@ ROOT_MAP_CACHE_SIZE = 64  # (F, k) root maps kept, least recently used out
 DEFAULT_ENUM_GUARD = 10 ** 8
 
 
-def enum_guard(work: int) -> None:
+def enum_guard(work: int, exponent: int = 1) -> None:
     """Hard error when a call would take more than the budget's steps;
-    `work` is the number of steps the guarded call takes, counted before it
-    starts. WARING_MAX_ENUM overrides DEFAULT_ENUM_GUARD (documented as
-    at-your-own-risk); a value that is not an integer fails closed with the
-    same error."""
+    `work ** exponent` is the number of steps the guarded call takes,
+    counted before it starts. A power past the budget by a factor of more
+    than 2^64 is refused without being formed, its size written as
+    `work^exponent`. WARING_MAX_ENUM overrides DEFAULT_ENUM_GUARD
+    (documented as at-your-own-risk); a value that is not an integer fails
+    closed with the same error."""
     raw = os.environ.get("WARING_MAX_ENUM")
     try:
         limit = DEFAULT_ENUM_GUARD if raw is None else int(raw)
     except ValueError:
         raise EnumerationTooLargeError(
             f"WARING_MAX_ENUM={raw!r} is not an integer") from None
+    if work > 1 and exponent * math.log2(work) > limit.bit_length() + 64:
+        raise EnumerationTooLargeError(
+            f"enumeration of size {work}^{exponent} exceeds guard {limit}")
+    work **= exponent
     if work > limit:
         raise EnumerationTooLargeError(
             f"enumeration of size {work} exceeds guard {limit}")
@@ -215,6 +222,17 @@ def check_elements(F: FieldSpec, values, what: str = "element") -> None:
 class FieldSpec(Record):
     """The ambient field F_q with a pinned modulus.
 
+    `FieldSpec(p, m=1, modulus=None)` checks its arguments before any
+    table is built, in this order: p below PRIME_TEST_BOUND
+    (EnumerationTooLargeError) and prime (NotPrimeError); 1 <= m <= 4
+    (DegreeMismatchError); q <= MAX_EXTENSION_Q when m > 1
+    (EnumerationTooLargeError); then a given modulus, reduced mod p, of
+    degree m and monic (DegreeMismatchError) and, when m > 1, irreducible
+    (ReducibleModulusError). With modulus omitted, the monic irreducible
+    of degree m with the smallest encoding is selected, so the same
+    (p, m) names the same field in every run. `make_field` is the bounded
+    cache over this constructor.
+
     Immutable and hashable on (p, m, modulus); safe to share across workers.
     All arithmetic methods are pure functions of their integer arguments,
     which they trust to be elements of F_q (integers in [0, q)): they are
@@ -224,7 +242,35 @@ class FieldSpec(Record):
 
     __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech")
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, m: int = 1, modulus=None):
+        if p >= PRIME_TEST_BOUND:
+            raise EnumerationTooLargeError(
+                f"p = {p} is too large: primality is decided for p < "
+                f"{PRIME_TEST_BOUND} (Miller-Rabin to the bases 2..41)")
+        if not is_prime(p):
+            raise NotPrimeError(f"{p} is not prime")
+        if m < 1:
+            raise DegreeMismatchError(f"extension degree must be >= 1, got {m}")
+        if m > 4:
+            raise DegreeMismatchError(f"extension degree {m} unsupported (max 4)")
+        if m > 1 and p ** m > MAX_EXTENSION_Q:
+            raise EnumerationTooLargeError(
+                f"F_{p ** m} (p = {p}, m = {m}) is too large: extension fields "
+                f"are built up to q = {MAX_EXTENSION_Q} (exp/log tables)")
+        if modulus is None:
+            modulus = _default_modulus(p, m)
+        else:
+            # a tuple already reduced mod p is kept as the object given
+            reduced = tuple(c % p for c in modulus)
+            modulus = modulus if reduced == modulus else reduced
+            if len(modulus) != m + 1:
+                raise DegreeMismatchError(
+                    f"modulus has degree {len(modulus) - 1}, expected {m}")
+            if modulus[-1] != 1:
+                raise DegreeMismatchError("modulus must be monic")
+            if m > 1 and not _is_irreducible(modulus, p):
+                raise ReducibleModulusError(
+                    f"modulus {list(modulus)} is reducible over F_{p}")
         Record.__init__(self, p, m, modulus)
         object.__setattr__(self, "q", p ** m)
         tables = self._build_tables() if m > 1 else ((), (), ())
@@ -395,41 +441,14 @@ class FieldSpec(Record):
         return f"FieldSpec({field_text(self)!r})"
 
 
-@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
-def _make_field_cached(p: int, m: int, modulus: tuple[int, ...] | None) -> FieldSpec:
-    if p >= PRIME_TEST_BOUND:
-        raise EnumerationTooLargeError(
-            f"p = {p} is too large: primality is decided for p < "
-            f"{PRIME_TEST_BOUND} (Miller-Rabin to the bases 2..41)")
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if m < 1:
-        raise DegreeMismatchError(f"extension degree must be >= 1, got {m}")
-    if m > 4:
-        raise DegreeMismatchError(f"extension degree {m} unsupported (max 4)")
-    if m > 1 and p ** m > MAX_EXTENSION_Q:
-        raise EnumerationTooLargeError(
-            f"F_{p ** m} (p = {p}, m = {m}) is too large: extension fields "
-            f"are built up to q = {MAX_EXTENSION_Q} (exp/log tables)")
-    if modulus is None:
-        modulus = _default_modulus(p, m)
-    else:
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1:
-            raise DegreeMismatchError(
-                f"modulus has degree {len(modulus) - 1}, expected {m}")
-        if modulus[-1] != 1:
-            raise DegreeMismatchError("modulus must be monic")
-        if m > 1 and not _is_irreducible(modulus, p):
-            raise ReducibleModulusError(
-                f"modulus {list(modulus)} is reducible over F_{p}")
-    return FieldSpec(p, m, modulus)
+# the fields built, keyed by (p, m, modulus); a refusal is not cached
+_make_field_cached = functools.lru_cache(maxsize=FIELD_CACHE_SIZE)(FieldSpec)
 
 
 def make_field(p: int, m: int = 1, modulus=None) -> FieldSpec:
-    """Construct F_{p^m}. With modulus omitted and m > 1, the monic
-    irreducible of degree m with the smallest encoding is selected, so the
-    same (p, m) names the same field in every run."""
+    """F_{p^m}: `FieldSpec(p, m, modulus)`, with the modulus as a tuple,
+    through a cache of the last FIELD_CACHE_SIZE fields built, so the
+    same arguments give the same object."""
     return _make_field_cached(p, m, None if modulus is None else tuple(modulus))
 
 

@@ -98,7 +98,7 @@ def _check_image(F: FieldSpec, n: int, k: int) -> None:
     """ValueError for k < 1, then the enumeration guard of T_n(F_q)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    enum_guard(F.q ** (n * (n + 1) // 2))
+    enum_guard(F.q, n * (n + 1) // 2)
 
 
 def _power_image(F: FieldSpec, n: int, k: int

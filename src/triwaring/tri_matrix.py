@@ -253,19 +253,17 @@ def mat_pow(A: UTMatrix, k: int) -> UTMatrix:
 
 
 def mat_inv(A: UTMatrix) -> UTMatrix:
-    """Inverse of an invertible upper-triangular matrix (back substitution)."""
-    F, n = A.field, A.n
-    if any(d == 0 for d in A.diagonal()):
+    """Inverse of an invertible upper-triangular matrix: A^(E - 1), with
+    E = (q - 1) p^e and p^e the least power of p with p^e >= n. A^(q - 1)
+    is unipotent, I + N with N^n = 0, and (I + N)^(p^e) = I + N^(p^e) = I
+    in characteristic p, so A^E = I."""
+    F = A.field
+    if 0 in A.diagonal():
         raise ZeroDivisionError("matrix is singular")
-    x = {(i, i): F.inv(A.get(i, i)) for i in range(1, n + 1)}
-    for d in range(1, n):
-        for i in range(1, n - d + 1):
-            j = i + d
-            acc = 0
-            for l in range(i + 1, j + 1):
-                acc = F.add(acc, F.mul(A.get(i, l), x[l, j]))
-            x[i, j] = F.neg(F.mul(x[i, i], acc))
-    return zero(F, n).with_entries(x)
+    power = 1
+    while power < A.n:
+        power *= F.p
+    return mat_pow(A, (F.q - 1) * power - 1)
 
 
 def _root_parts(C: UTMatrix, k: int, diagonals, owners=None

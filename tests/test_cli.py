@@ -7,6 +7,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from triwaring.cli import (
     main,
 )
 from triwaring.fields import make_field
-from triwaring.tri_matrix import from_text, mat_pow, to_text
+from triwaring.tri_matrix import from_text, mat_pow, to_text, zero
 
 
 def run(capsys, *argv):
@@ -236,6 +237,52 @@ def test_bound_past_float_range(capsys):
     assert code == 0 and out.endswith(", bound = inf, ok = True\n")
 
 
+def test_bound_past_the_int_print_limit_fails_typed():
+    # N and q^(m-1) at m = 6000 over F_7 have up to 5,070 digits, past the
+    # interpreter's default limit of 4,300 for printing an int (3.11 on);
+    # PYTHONINTMAXSTRDIGITS=0 lifts the limit, and the counts print
+    argv = ("bound", "--q", "7", "--k", "2", "--m", "6000")
+    limited = hasattr(sys, "get_int_max_str_digits")
+    message = ("the exact counts have up to 5070 digits, past this "
+               "interpreter's limit of 4300 for printing an int "
+               "(sys.get_int_max_str_digits()); PYTHONINTMAXSTRDIGITS=0 "
+               "lifts it")
+    for digits, refused in (("4300", limited), ("0", False)):
+        code, out, err = run_alone(*argv, "--json",
+                                   PYTHONINTMAXSTRDIGITS=digits)
+        if refused:
+            assert (code, err) == (1, "")
+            assert json.loads(out)["failure"] == {
+                "type": "EnumerationTooLargeError", "message": message}
+        else:
+            assert (code, err) == (0, "")
+            assert out.startswith('{"q": 7, "k": 2, "m": 6000, "N": ')
+            assert out.endswith(', "ok": true}\n') and len(out) == 10216
+        code, out, err = run_alone(*argv, PYTHONINTMAXSTRDIGITS=digits)
+        if refused:
+            assert (code, out) == (1, "")
+            assert err == f"EnumerationTooLargeError: {message}\n"
+        else:
+            assert (code, err) == (0, "")
+            assert out.startswith("N = ") and out.endswith(", ok = True\n")
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["--n", "100"], "13^5050"),
+    (["--n", "100000"], "13^5000050000"),
+    (["--matrix", to_text(zero(make_field(13), 88))], "13^3916"),
+], ids=["n100", "n100000", "matrix88"])
+def test_oracle_far_past_the_budget_fails_typed_at_once(capsys, argv, size):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "oracle", "--q", "13", "--k", "2",
+                             *argv, "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["failure"] == {
+        "type": "EnumerationTooLargeError",
+        "message": f"enumeration of size {size} exceeds guard 100000000"}
+
+
 def test_conjugate_subcommand(capsys):
     code, payload = run_json(capsys, "conjugate", "--q", "7",
                              "--matrix", "1,1;2", "--matrix", "1,0;2",
@@ -337,10 +384,11 @@ def test_usage_errors_say_why(capsys, argv, message):
     assert message in out.err
 
 
-def run_alone(*argv):
-    """The same call in a fresh interpreter: (exit code, stdout, stderr)."""
+def run_alone(*argv, **env):
+    """The same call in a fresh interpreter, with `env` added to its
+    environment: (exit code, stdout, stderr)."""
     src = Path(triwaring.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
     proc = subprocess.run([sys.executable, "-m", "triwaring.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr

@@ -16,6 +16,7 @@ from triwaring.errors import (
     EnumerationTooLargeError,
     NotPrimeError,
     ReducibleModulusError,
+    TriwaringError,
 )
 from triwaring.fields import (
     DEFAULT_ENUM_GUARD,
@@ -28,6 +29,7 @@ from triwaring.fields import (
     _is_irreducible,
     _make_field_cached,
     _poly_mod,
+    enum_guard,
     field_text,
     is_prime,
     kth_root_map,
@@ -157,6 +159,25 @@ def test_first_refused_input_refuses_fast(monkeypatch, first, work):
                              f"{DEFAULT_ENUM_GUARD}$"):
         fn(*args)
     assert time.perf_counter() - start < 0.01
+
+
+def test_guard_writes_a_power_far_past_the_budget_unformed(monkeypatch):
+    # a power is formed unless its log2 passes the budget's bit length by
+    # more than 64; past that its size is written as base^exponent
+    monkeypatch.setenv("WARING_MAX_ENUM", "1")
+    with pytest.raises(EnumerationTooLargeError,
+                       match=f"^enumeration of size {2 ** 65} exceeds guard 1$"):
+        enum_guard(2, 65)
+    with pytest.raises(EnumerationTooLargeError,
+                       match=r"^enumeration of size 2\^66 exceeds guard 1$"):
+        enum_guard(2, 66)
+    enum_guard(1, 10 ** 12)
+    enum_guard(0, 10 ** 12)
+    monkeypatch.setenv("WARING_MAX_ENUM", str(3 ** 200))
+    enum_guard(3, 200)
+    with pytest.raises(EnumerationTooLargeError,
+                       match=f"^enumeration of size {3 ** 201} exceeds"):
+        enum_guard(3, 201)
 
 
 def test_root_map_guard_is_asked_once_per_build(monkeypatch):
@@ -529,15 +550,62 @@ def test_norm_test_skips_the_tables_of_non_generators(monkeypatch):
 
 
 def test_table_walk_is_bounded_on_a_reducible_modulus():
-    # x^2 over F_3, bypassing make_field's irreducibility check: no element
-    # has order 8, and x is nilpotent, so a walk must stop at its bound
+    # x^2 over F_3: FieldSpec refuses it, as make_field does, before any
+    # table is built. The walk itself, run on it past the constructor,
+    # stops at its bound: no element has order 8, and x is nilpotent
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "from triwaring.fields import FieldSpec; FieldSpec(3, 2, (0, 0, 1))"
+    code = (
+        "from triwaring.fields import FieldSpec\n"
+        "F = object.__new__(FieldSpec)\n"
+        "for name, value in zip(('p', 'm', 'modulus', 'q'),\n"
+        "                       (3, 2, (0, 0, 1), 9)):\n"
+        "    object.__setattr__(F, name, value)\n"
+        "try:\n"
+        "    F._build_tables()\n"
+        "except RuntimeError as err:\n"
+        "    print(err)\n"
+        "FieldSpec(3, 2, (0, 0, 1))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                           timeout=5)
     assert proc.returncode == 1
-    assert "RuntimeError: no multiplicative generator found" in proc.stderr
+    assert proc.stdout == "no multiplicative generator found\n"
+    assert proc.stderr.endswith("ReducibleModulusError: modulus [0, 0, 1] "
+                                "is reducible over F_3\n")
+
+
+# Every input the make_field tests above refuse, and Z/4 under the
+# modulus x, a ring that is not a field
+MAKE_FIELD_REFUSALS = [
+    (4,), (1,), (0,), (4, 1, (0, 1)),
+    (3, 2, (0, 0, 1)), (5, 2, (4, 0, 1)), (3, 4, (1, 0, 2, 0, 1)),
+    (3, 2, (1, 1)), (3, 0), (3, 2, (1, 0, 2)), (2, 5),
+    (37, 4), (47, 4), (101, 3), (1009, 2),
+    (PRIME_TEST_BOUND,), (10 ** 30 + 57,),
+]
+
+
+def test_field_spec_refuses_what_make_field_refuses(monkeypatch):
+    walked = []
+    times_table = FieldSpec._times_table
+    monkeypatch.setattr(FieldSpec, "_times_table",
+                        lambda F, g: walked.append(g) or times_table(F, g))
+    for args in MAKE_FIELD_REFUSALS:
+        with pytest.raises(TriwaringError) as cached:
+            make_field(*args)
+        start = time.perf_counter()
+        with pytest.raises(TriwaringError) as direct:
+            FieldSpec(*args)
+        assert time.perf_counter() - start < 0.1, args
+        assert type(direct.value) is type(cached.value), args
+        assert str(direct.value) == str(cached.value), args
+    assert walked == []
+    # three of them by the type their check raises
+    for args, error in [((4, 1, (0, 1)), NotPrimeError),
+                        ((3, 2, (0, 0, 1)), ReducibleModulusError),
+                        ((37, 4), EnumerationTooLargeError)]:
+        with pytest.raises(error):
+            FieldSpec(*args)
 
 
 def add_reference(F, a, b):

@@ -247,6 +247,26 @@ def test_bn_guard():
     assert conjugacy_work(make_field(2), 29) <= 10 ** 8
 
 
+def test_image_guard_refuses_a_huge_image_without_forming_its_size(
+        monkeypatch):
+    # q^(n(n+1)/2) past the budget by orders of magnitude is written as
+    # q^w: T_100(F_13) and T_88(F_13) would print thousands of digits, and
+    # T_100000(F_13) is never formed (13^5,000,050,000)
+    monkeypatch.delenv("WARING_MAX_ENUM", raising=False)
+    F = make_field(13)
+    for call, size in [
+            (lambda: oracle._check_image(F, 100, 2), "13^5050"),
+            (lambda: oracle._check_image(F, 10 ** 5, 2), "13^5000050000"),
+            (lambda: min_waring_number(F, zero(F, 88), 2, 4), "13^3916")]:
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLargeError) as err:
+            call()
+        assert time.perf_counter() - start < 1
+        message = str(err.value)
+        assert message == f"enumeration of size {size} exceeds guard 100000000"
+        assert len(message) < 200
+
+
 class Refused(Exception):
     pass
 
