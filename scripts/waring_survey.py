@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from triwaring.decomposer import decompose_three, decompose_two
 from triwaring.errors import InsufficientClassesError, TriwaringError
 from triwaring.fields import parse_field
-from triwaring.oracle import iter_matrices, waring_report
+from triwaring.oracle import waring_report
 
 
 def main() -> int:
@@ -56,11 +56,6 @@ def main() -> int:
     for F in fields:
         for k in args.k:
             rep = waring_report(F, args.n, k, args.cap)
-
-            def above(C, r):
-                m = rep.per_matrix_min[C]
-                return m is None or m > r
-
             succeeded = {}  # (decomposer, diagonal) -> success
 
             def succeeds(decompose, C):
@@ -75,17 +70,19 @@ def main() -> int:
 
             two_ok = three_ok = two_missed = three_missed = 0
             disagreements = 0
-            for C in iter_matrices(F, args.n):
+            for C, m in rep.per_matrix_min.items():
+                # the oracle puts C above two (three) powers
+                above_two, above_three = m is None or m > 2, m is None or m > 3
                 if succeeds(decompose_two, C):
                     two_ok += 1
-                    disagreements += above(C, 2)
+                    disagreements += above_two
                 else:
-                    two_missed += not above(C, 2)
+                    two_missed += not above_two
                 if succeeds(decompose_three, C):
                     three_ok += 1
-                    disagreements += above(C, 3)
+                    disagreements += above_three
                 else:
-                    three_missed += not above(C, 3)
+                    three_missed += not above_three
             total = F.q ** (args.n * (args.n + 1) // 2)
             print(f"q={F.q:<3} n={args.n} k={k}: histogram {rep.histogram()}  "
                   f"two-power algorithm {two_ok}/{total} "

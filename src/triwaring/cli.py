@@ -32,7 +32,7 @@ import sys
 import types
 
 from .errors import EnumerationTooLargeError, TriwaringError
-from .fields import field_text, parse_field
+from .fields import enum_guard, field_text, parse_field
 
 
 class _UsageError(Exception):
@@ -144,6 +144,9 @@ def _cmd_solve(F, args):
 def _cmd_classify(F, args):
     from . import power_sums
     cl = power_sums.classified(F, args.lam, args.k)
+    # every solution pair is listed: count them before listing any
+    enum_guard(sum(len(xs) * len(ys)
+                   for xs, ys in (*cl.fibers, *cl.u_fibers)))
     U = sorted((x, y) for xs, ys in cl.u_fibers for x in xs for y in ys)
     classes = [[(x, y) for x in xs for y in ys] for xs, ys in cl.fibers]
     payload = {  # json writes the (x, y) tuples as arrays
@@ -253,19 +256,34 @@ def _decimal_digits(n: int) -> int:
     return digits + (n >= 10 ** digits) - (n < 10 ** (digits - 1))
 
 
+def _power_digits(q: int, e: int, limit: int) -> int:
+    """The decimal digits of q^e (q >= 2), as floor(e log10 q) + 1 without
+    forming the power, and exactly from the power where e log10 q is within
+    one of `limit`: so whether they exceed `limit` is decided exactly."""
+    x = e * math.log10(q)
+    if abs(x - limit) > 1:
+        return int(x) + 1
+    return _decimal_digits(q ** e)
+
+
 def _cmd_bound(F, args):
     from . import claims
-    rep = claims.lang_weil_check(F, args.k, args.m, [1] * args.m)
     # the most digits an int prints with: 0, no limit, also on releases
     # that predate the limit
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    digits = _decimal_digits(max(rep.N, rep.expected))
-    if limit and digits > limit:
-        raise EnumerationTooLargeError(
-            f"the exact counts have up to {digits} digits, past this "
-            f"interpreter's limit of {limit} for printing an int "
-            f"(sys.get_int_max_str_digits()); PYTHONINTMAXSTRDIGITS=0 "
-            f"lifts it")
+
+    def refuse_past_limit(what: str, digits: int) -> None:
+        if limit and digits > limit:
+            raise EnumerationTooLargeError(
+                f"{what} {digits} digits, past this interpreter's limit of "
+                f"{limit} for printing an int (sys.get_int_max_str_digits()); "
+                f"PYTHONINTMAXSTRDIGITS=0 lifts it")
+    # q^(m-1) is printed too, so its digits are refused before the fold
+    refuse_past_limit(f"q^(m-1) = {F.q}^{args.m - 1} has",
+                      _power_digits(F.q, args.m - 1, limit))
+    rep = claims.lang_weil_check(F, args.k, args.m, [1] * args.m)
+    refuse_past_limit("the exact counts have up to",
+                      _decimal_digits(max(rep.N, rep.expected)))
     # strict JSON has no infinity: a bound past float range is null
     bound = rep.bound if math.isfinite(rep.bound) else None
     payload = {"q": rep.q, "k": rep.k, "m": rep.m, "N": rep.N,

@@ -340,7 +340,9 @@ class FieldSpec(Record):
                 return tuple(powers) * 2, tuple(log), zech
             for value in powers:
                 walked[value] = 1
-        raise RuntimeError("no multiplicative generator found")  # reducible
+        # unreachable: __init__ refuses a reducible modulus, and the
+        # multiplicative group of a field is cyclic
+        raise RuntimeError("no multiplicative generator found")
 
     def _times_table(self, g: Element) -> list[Element]:
         """times[v] = g v for every encoding v. Multiplication by g is
@@ -382,8 +384,9 @@ class FieldSpec(Record):
         return 0 if z < 0 else self._exp[la + z]
 
     def sub(self, a: Element, b: Element) -> Element:
-        """a - b = a + (-b) in one Zech lookup: log(-b) is log(b) moved by
-        half the group order (as in `neg`), kept inside [0, q - 1)."""
+        """a - b = a + (-b) in one Zech lookup. For odd p, -1 =
+        g^((q - 1) / 2), so log(-b) is log(b) moved by half the group
+        order, kept inside [0, q - 1); in characteristic 2, -b = b."""
         if self.m == 1:
             return (a - b) % self.p
         if b == 0:
@@ -399,12 +402,8 @@ class FieldSpec(Record):
         return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: Element) -> Element:
-        """-1 = g^((q - 1) / 2) for odd p, and -a = a in characteristic 2."""
-        if self.m == 1:
-            return (-a) % self.p
-        if a == 0 or self.p == 2:
-            return a
-        return self._exp[self._log[a] + (self.q - 1) // 2]
+        """-a, as 0 - a."""
+        return self.sub(0, a)
 
     def mul(self, a: Element, b: Element) -> Element:
         if self.m == 1:

@@ -66,22 +66,13 @@ def _field_tables(F: FieldSpec) -> tuple[tuple, tuple, tuple]:
                  for op in (F.add, F.sub, F.mul))
 
 
-def matrix_encoding(A: UTMatrix) -> int:
-    """The packed entries read as base-q digits, the first entry least
-    significant: one integer per matrix (exact set membership). This is
-    not `iter_matrices` order, whose first entry changes slowest."""
-    code = 0
-    for e in reversed(A.entries):
-        code = code * A.field.q + e
-    return code
-
-
 def iter_matrices(F: FieldSpec, n: int):
     """All of T_n(F_q) in lexicographic order of the packed entries, as
-    `itertools.product` gives it: the last entry changes fastest. That is
-    base-q order with the first entry most significant, the reverse of
-    `matrix_encoding`'s digits: over T_2(F_3) the encodings come out 0, 9,
-    18, 3, 12, 21, ..."""
+    `itertools.product` gives it: the last entry changes fastest, so the
+    packed entries read as base-q digits, the first most significant,
+    count up from 0. This is the one order of T_n: the image's first
+    roots, the rows and witnesses of `waring_report` and the tables of
+    perfbench/facts.json all follow it."""
     width = n * (n + 1) // 2
     for entries in itertools.product(F.elements(), repeat=width):
         yield UTMatrix(F, n, entries)
@@ -114,9 +105,8 @@ def _power_image(F: FieldSpec, n: int, k: int
     from the same walk one size down (`_power_walk`); each matrix walked
     then costs one product b M and one dict check. The walk runs over a
     slowest, then b, then A' fastest, each by increasing packed entries:
-    the lexicographic `iter_matrices` order (not `matrix_encoding`
-    order), so the first root of every power is the one a plain
-    enumeration finds.
+    `iter_matrices` order, so the first root of every power is the one a
+    plain enumeration finds.
 
     Blocks that can only repeat a power are skipped: once a is walked,
     every (a^k, A'^k) of a block with M invertible is recorded, and at
@@ -376,25 +366,26 @@ class WaringReport(Record):
         }
 
     def to_csv(self) -> str:
+        """One row per matrix, in the report's order."""
         lines = ["matrix,min_powers"]
-        for M in sorted(self.per_matrix_min, key=matrix_encoding):
-            v = self.per_matrix_min[M]
+        for M, v in self.per_matrix_min.items():
             lines.append(f"{to_text(M)},{v if v is not None else f'>{self.cap}'}")
         return "\n".join(lines) + "\n"
 
 
 def waring_report(F: FieldSpec, n: int, k: int, cap: int = 4) -> WaringReport:
     """Min summand count for every matrix in T_n(F_q), each asked of the
-    engine's `min_count`, as `min_waring_number` asks it. The witness of a
-    count v is its first matrix in `matrix_encoding` order, with the parts
-    of the engine's `witness`. ValueError for n, cap or k below 1."""
+    engine's `min_count`, as `min_waring_number` asks it, in one pass over
+    `iter_matrices`, whose order `per_matrix_min` keeps. The witness of a
+    count v is its first matrix in that order, with the parts of the
+    engine's `witness`. ValueError for n, cap or k below 1."""
     if cap < 1 or n < 1:
         raise ValueError(f"n and cap must be >= 1, got n={n}, cap={cap}")
     engine = _power_layers(F, n, k)
-    per = {M: engine.min_count(M.entries, cap) for M in iter_matrices(F, n)}
+    per: dict[UTMatrix, int | None] = {}
     witnesses: dict[int, tuple[UTMatrix, tuple[UTMatrix, ...]]] = {}
-    for M in sorted(per, key=matrix_encoding):
-        v = per[M]
+    for M in iter_matrices(F, n):
+        v = per[M] = engine.min_count(M.entries, cap)
         if v is not None and v not in witnesses:
             witnesses[v] = (M, tuple(UTMatrix(F, n, a)
                                      for a in engine.witness(M.entries, v)))

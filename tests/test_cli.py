@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import runpy
 import shlex
@@ -18,7 +19,9 @@ import triwaring
 from triwaring.cli import (
     _COMMANDS,
     _build_parser,
+    _decimal_digits,
     _parse_exact,
+    _power_digits,
     main,
 )
 from triwaring.fields import make_field
@@ -238,13 +241,13 @@ def test_bound_past_float_range(capsys):
 
 
 def test_bound_past_the_int_print_limit_fails_typed():
-    # N and q^(m-1) at m = 6000 over F_7 have up to 5,070 digits, past the
-    # interpreter's default limit of 4,300 for printing an int (3.11 on);
-    # PYTHONINTMAXSTRDIGITS=0 lifts the limit, and the counts print
+    # q^(m-1) = 7^5999 has 5,070 digits, past the interpreter's default
+    # limit of 4,300 for printing an int (3.11 on), and is refused before
+    # the fold; PYTHONINTMAXSTRDIGITS=0 lifts the limit, and the counts print
     argv = ("bound", "--q", "7", "--k", "2", "--m", "6000")
     limited = hasattr(sys, "get_int_max_str_digits")
-    message = ("the exact counts have up to 5070 digits, past this "
-               "interpreter's limit of 4300 for printing an int "
+    message = ("q^(m-1) = 7^5999 has 5070 digits, past this interpreter's "
+               "limit of 4300 for printing an int "
                "(sys.get_int_max_str_digits()); PYTHONINTMAXSTRDIGITS=0 "
                "lifts it")
     for digits, refused in (("4300", limited), ("0", False)):
@@ -265,6 +268,62 @@ def test_bound_past_the_int_print_limit_fails_typed():
         else:
             assert (code, err) == (0, "")
             assert out.startswith("N = ") and out.endswith(", ok = True\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int print limit before Python 3.11")
+def test_bound_refuses_before_the_fold(capsys):
+    # folding m = 40000 variables takes seconds, growing as m^2; the digits
+    # of q^(m-1) alone refuse the call first
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "bound", "--q", "7", "--k", "2",
+                             "--m", "40000", "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["failure"]["type"] == "EnumerationTooLargeError"
+    assert payload["failure"]["message"].startswith(
+        "q^(m-1) = 7^39999 has 33804 digits, past this interpreter's limit")
+
+
+def test_power_digits_exact_at_the_limit():
+    # whether q^e has more digits than the limit is decided exactly on
+    # both sides of it; far from it the count is floor(e log10 q) + 1
+    for q in (2, 3, 7, 9, 13, 125, 961, 10007):
+        for limit in (640, 4300):
+            e0 = int(limit / math.log10(q))
+            for e in range(e0 - 3, e0 + 4):
+                exact = _decimal_digits(q ** e)
+                assert _power_digits(q, e, limit) == exact, (q, e, limit)
+        for e in (1, 10, 100, 1000):
+            assert _power_digits(q, e, 4300) == \
+                _decimal_digits(q ** e)
+
+
+def test_classify_past_the_budget_fails_typed(capsys, monkeypatch):
+    # 1009^2 - 2 solution pairs of x^1008 + y^1008 = 2 would be listed;
+    # the listing is counted against the budget before it is made
+    monkeypatch.setenv("WARING_MAX_ENUM", "1000000")
+    code, payload = run_json(capsys, "classify", "--q", "1009", "--k",
+                             "1008", "--lambda", "2", "--json")
+    assert code == 1
+    assert payload["failure"] == {
+        "type": "EnumerationTooLargeError",
+        "message": "enumeration of size 1016064 exceeds guard 1000000"}
+    code, payload = run_json(capsys, "classify", "--q", "13", "--k", "12",
+                             "--lambda", "2", "--json")
+    assert code == 0 and len(payload["U"]) == 144
+
+
+def test_classify_far_past_the_budget_fails_at_once(capsys):
+    # U alone holds 10006^2 pairs: listing them would exhaust memory
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "classify", "--q", "10007", "--k",
+                             "10006", "--lambda", "2", "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["failure"] == {
+        "type": "EnumerationTooLargeError",
+        "message": "enumeration of size 100120036 exceeds guard 100000000"}
 
 
 @pytest.mark.parametrize("argv, size", [

@@ -28,7 +28,6 @@ from triwaring.oracle import (
     all_kth_powers,
     bn_conjugate,
     iter_matrices,
-    matrix_encoding,
     min_waring_number,
     waring_report,
 )
@@ -44,6 +43,7 @@ from triwaring.tri_matrix import (
     mat_inv,
     mat_mul,
     mat_pow,
+    to_text,
     zero,
 )
 
@@ -193,6 +193,25 @@ def test_waring_report(F3):
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "matrix,min_powers"
     assert len(csv.splitlines()) == 28
+
+
+@pytest.mark.parametrize("p, m, n, k, cap", [
+    (3, 1, 2, 2, 4), (2, 2, 2, 3, 4), (3, 1, 3, 2, 2), (5, 1, 2, 4, 3)])
+def test_report_follows_iter_matrices_order(p, m, n, k, cap):
+    # per_matrix_min, the witnesses and the CSV rows all keep the one order
+    # of T_n: a count's witness is its first matrix there
+    F = make_field(p, m)
+    rep = waring_report(F, n, k, cap)
+    assert list(rep.per_matrix_min) == list(iter_matrices(F, n))
+    first = {}
+    for M, v in rep.per_matrix_min.items():
+        if v is not None:
+            first.setdefault(v, M)
+    assert {v: M for v, (M, _) in rep.witnesses.items()} == first
+    assert list(rep.witnesses) == list(first)
+    rows = rep.to_csv().splitlines()[1:]
+    assert rows == [f"{to_text(M)},{v if v is not None else f'>{cap}'}"
+                    for M, v in rep.per_matrix_min.items()]
 
 
 def test_bn_iteration(F3):
@@ -624,20 +643,21 @@ def test_negative_checks_too_large_is_not_applicable():
         min_waring_number(F23, jordan_block(F23, 0, 3), 2, cap=2)
 
 
-def test_matrix_encoding_unique(F3):
-    codes = {matrix_encoding(M) for M in iter_matrices(F3, 2)}
-    assert len(codes) == 27
-    assert matrix_encoding(zero(F3, 2)) == 0
-    # iter_matrices runs the last packed entry fastest; matrix_encoding
-    # makes the first entry its least significant digit
-    mats = list(iter_matrices(F3, 2))
+def test_iter_matrices_order():
+    # the one order of T_n: itertools.product over the packed entries, the
+    # last changing fastest, as perfbench/facts.json lists its counts
+    for (p, m), n in [((3, 1), 2), ((2, 1), 3), ((5, 1), 2), ((2, 2), 2),
+                      ((3, 2), 1), ((2, 1), 0)]:
+        F = make_field(p, m)
+        width = n * (n + 1) // 2
+        mats = list(iter_matrices(F, n))
+        assert [M.entries for M in mats] == list(
+            itertools.product(F.elements(), repeat=width))
+        assert all(M.n == n and M.field == F for M in mats)
+        assert len(set(mats)) == F.q ** width
+    mats = list(iter_matrices(make_field(3), 2))
     assert [M.entries for M in mats[:4]] == \
         [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0)]
-    assert [matrix_encoding(M) for M in mats[:6]] == [0, 9, 18, 3, 12, 21]
-    assert [M.entries for M in mats] == sorted(M.entries for M in mats)
-    assert all(matrix_encoding(M) == sum(e * 3 ** i
-                                         for i, e in enumerate(M.entries))
-               for M in mats)
 
 
 def test_junction_shape(F3):
@@ -678,8 +698,7 @@ def report_reference(F, n, k, cap):
             break
         layer = nxt
     witnesses = {}
-    for M in sorted(per, key=matrix_encoding):
-        v = per[M]
+    for M, v in per.items():
         if v is not None and v not in witnesses:
             witnesses[v] = (M, parents[M])
     return oracle.WaringReport(F, n, k, cap, per, witnesses)
@@ -999,9 +1018,11 @@ def test_report_search_work(monkeypatch, search_calls):
     (_, made), (_, ref_made) = reports_by_both_engines(
         monkeypatch, search_calls, make_field(5), 3, 2)
     assert (made, ref_made) == (0, 4000)
+    # the reference engine's count with each witness descent run as the
+    # report reaches its count's first matrix in iter_matrices order
     (_, made), (_, ref_made) = reports_by_both_engines(
         monkeypatch, search_calls, make_field(3), 3, 2)
-    assert ref_made == 1562 and made < ref_made
+    assert ref_made == 1559 and made < ref_made
 
 
 def bn_system_reference(n):
