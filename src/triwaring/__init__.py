@@ -19,8 +19,7 @@ _SUBMODULE_EXPORTS = {
                    "from_rows", "from_text", "identity", "jordan_block",
                    "junction_matrix", "mat_inv", "mat_mul", "mat_pow",
                    "to_text", "zero"),
-    "canonical": ("ConjugationWitness", "Presentation", "annihilate_entry",
-                  "bipartition", "diagonalize_distinct", "is_indecomposable",
+    "canonical": ("Presentation", "bipartition", "is_indecomposable",
                   "parse_presentation", "render_presentation"),
     "decomposer": ("DecompositionResult", "Obstruction", "StructuredPlan",
                    "decompose_structured", "decompose_three",

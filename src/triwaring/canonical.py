@@ -1,92 +1,18 @@
-"""Similarity utilities under conjugation by invertible upper-triangular
-matrices: single-entry annihilation, distinct-diagonal diagonalization, the
-compact presentation notation for 0/1 nilpotent matrices, and one
-breadth-first graph labelling (components, parities, bipartiteness) behind
-the indecomposability test and the 2-colorings.
-
-Reduction order on entries: (i, j) comes before (i', j') iff i > i', or
-i = i' and j < j' (bottom row first, left to right within a row). Each
-annihilation step provably leaves every earlier entry untouched.
+"""The compact presentation notation for 0/1 nilpotent upper-triangular
+matrices, and one breadth-first graph labelling (components, parities,
+bipartiteness) behind the indecomposability test and the 2-colorings.
 """
 
 from __future__ import annotations
 
 from .errors import (
-    DiagNotDistinctError,
     DuplicateVertexError,
-    EqualDiagonalError,
-    IndexOutOfRangeError,
     LabelOutOfRangeError,
     NotNilpotentError,
     ParseError,
-    RootMismatchError,
 )
 from .fields import FieldSpec, Record
-from .tri_matrix import UTMatrix, identity, mat_mul, to_text, zero
-
-
-class ConjugationWitness(Record):
-    """after = S^-1 * before * S, with S invertible upper-triangular.
-
-    Verified by multiplication (before * S == S * after), which avoids
-    inverting S.
-    """
-
-    __slots__ = ("S", "before", "after")
-
-    def __init__(self, S: UTMatrix, before: UTMatrix, after: UTMatrix):
-        Record.__init__(self, S, before, after)
-
-    def verify(self) -> bool:
-        if any(d == 0 for d in self.S.diagonal()):
-            return False
-        return mat_mul(self.before, self.S) == mat_mul(self.S, self.after)
-
-    def to_json(self) -> dict:
-        return {"S": to_text(self.S), "before": to_text(self.before),
-                "after": to_text(self.after)}
-
-
-def annihilate_entry(A: UTMatrix, l: int, r: int
-                     ) -> tuple[UTMatrix, ConjugationWitness]:
-    """Zero the (l, r) entry by conjugating with the single transvection
-    S = I + s E_lr, s = -a_lr / (a_ll - a_rr). Requires a_ll != a_rr.
-
-    Conjugation only touches column r above row l and row l from column r
-    rightward, both strictly later in the reduction order.
-    """
-    F = A.field
-    if not (1 <= l < r <= A.n):
-        raise IndexOutOfRangeError(f"need 1 <= l < r <= n, got ({l},{r})")
-    all_, arr = A.get(l, l), A.get(r, r)
-    if all_ == arr:
-        raise EqualDiagonalError(
-            f"a_{l}{l} = a_{r}{r} = {all_}; entry ({l},{r}) not removable")
-    s = F.neg(F.mul(A.get(l, r), F.inv(F.sub(all_, arr))))
-    S = identity(F, A.n).with_entry(l, r, s)
-    Sinv = identity(F, A.n).with_entry(l, r, F.neg(s))
-    after = mat_mul(Sinv, mat_mul(A, S))
-    return after, ConjugationWitness(S, A, after)
-
-
-def diagonalize_distinct(A: UTMatrix) -> tuple[UTMatrix, ConjugationWitness]:
-    """Sweep the reduction order and annihilate every off-diagonal entry;
-    legal whenever the diagonal entries are pairwise distinct. Returns the
-    diagonal matrix and one composed witness."""
-    F, n = A.field, A.n
-    d = A.diagonal()
-    if len(set(d)) != n:
-        raise DiagNotDistinctError(f"diagonal {d} has repeats")
-    current = A
-    S_total = identity(F, n)
-    for l in range(n - 1, 0, -1):
-        for r in range(l + 1, n + 1):
-            current, w = annihilate_entry(current, l, r)
-            S_total = mat_mul(S_total, w.S)
-    witness = ConjugationWitness(S_total, A, current)
-    if not witness.verify():
-        raise RootMismatchError("diagonalization failed verification")
-    return current, witness
+from .tri_matrix import UTMatrix, zero
 
 
 class Presentation(Record):

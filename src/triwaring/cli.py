@@ -57,8 +57,9 @@ def _parse_exact(name: str, tokens: list[str]):
     read off the option table, or None for any spelling outside these:
     every token an exact option string of the command, `--json` bare,
     every other option followed by one value that does not start with
-    "-", an int value in ASCII digits within its choices, and every
-    required option given. A repeated option keeps its last value;
+    "-", an int value in ASCII digits, within the int digit limit
+    (`sys.get_int_max_str_digits()`) and its choices, and every required
+    option given. A repeated option keeps its last value;
     `--matrix` appends to a fresh list. On None the caller parses with
     argparse."""
     by_option, values, missing = {}, {"command": name}, set()
@@ -83,7 +84,10 @@ def _parse_exact(name: str, tokens: list[str]):
         if kind is int:
             if not (value.isascii() and value.isdigit()):
                 return None
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                return None
         if choices is not None and value not in choices:
             return None
         if action == "append":

@@ -80,10 +80,6 @@ class DiagNotKthPowerError(TriwaringError):
     pass
 
 
-class DiagNotDistinctError(TriwaringError):
-    pass
-
-
 class PreconditionViolatedError(TriwaringError):
     pass
 
@@ -100,11 +96,7 @@ class IndexOutOfRangeError(TriwaringError):
     pass
 
 
-# canonical forms / presentations
-class EqualDiagonalError(TriwaringError):
-    pass
-
-
+# presentations
 class ParseError(TriwaringError):
     pass
 

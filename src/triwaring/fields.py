@@ -46,6 +46,20 @@ ROOT_MAP_CACHE_SIZE = 64  # (F, k) root maps kept, least recently used out
 DEFAULT_ENUM_GUARD = 10 ** 8
 
 
+def _too_large(work: int, exponent: int,
+               limit: int) -> EnumerationTooLargeError:
+    """The refusal of `work ** exponent` steps: the size written as `work`
+    in decimal, then `^exponent` unless it is 1. A `work` with more digits
+    than the interpreter prints (`sys.get_int_max_str_digits()`) is
+    written by its bit length instead, as `2^b or more`, a lower bound."""
+    try:
+        size = str(work) + (f"^{exponent}" if exponent != 1 else "")
+    except ValueError:
+        size = f"2^{exponent * (work.bit_length() - 1)} or more"
+    return EnumerationTooLargeError(
+        f"enumeration of size {size} exceeds guard {limit}")
+
+
 def enum_guard(work: int, exponent: int = 1) -> None:
     """Hard error when a call would take more than the budget's steps;
     `work ** exponent` is the number of steps the guarded call takes,
@@ -61,12 +75,10 @@ def enum_guard(work: int, exponent: int = 1) -> None:
         raise EnumerationTooLargeError(
             f"WARING_MAX_ENUM={raw!r} is not an integer") from None
     if work > 1 and exponent * math.log2(work) > limit.bit_length() + 64:
-        raise EnumerationTooLargeError(
-            f"enumeration of size {work}^{exponent} exceeds guard {limit}")
+        raise _too_large(work, exponent, limit)
     work **= exponent
     if work > limit:
-        raise EnumerationTooLargeError(
-            f"enumeration of size {work} exceeds guard {limit}")
+        raise _too_large(work, 1, limit)
 
 
 # Miller-Rabin to the first 13 prime bases decides primality for every

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from triwaring.fields import make_field
@@ -55,3 +57,13 @@ def F9():
 @pytest.fixture(scope="session")
 def F13():
     return make_field(13)
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The int-to-str digit limit (sys.get_int_max_str_digits()) lowered
+    to 640 for the test, and restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)

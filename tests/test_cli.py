@@ -840,3 +840,24 @@ def test_the_option_table_leaves_other_spellings_to_argparse(tokens):
     # argparse reads some of these (an abbreviation, `=`, a signed or
     # non-ASCII int), and refuses the rest; the table reads none
     assert _parse_exact("solve", ["--q", "7", "--k", "2", *tokens]) is None
+
+
+@pytest.mark.parametrize("argv, option", [
+    (SOLVE, "--lambda"), (SOLVE, "--k"),
+    (["bound", "--q", "7", "--k", "2", "--m", "2"], "--m"),
+    (["oracle", "--q", "3", "--k", "2", "--n", "2"], "--n"),
+    (["oracle", "--q", "3", "--k", "2", "--n", "2"], "--cap"),
+    (["decompose", "--q", "7", "--k", "2", "--matrix", "0,1;0", "--parts",
+      "2"], "--parts"),
+])
+def test_an_int_past_the_digit_limit_is_a_usage_error(
+        capsys, monkeypatch, digit_limit_640, argv, option):
+    # `int` refuses more digits than sys.get_int_max_str_digits(): the
+    # exact spelling leaves the value to argparse, so it exits 2 with the
+    # same usage error as the `=` spelling, which argparse always reads
+    monkeypatch.setenv("COLUMNS", "80")
+    value = "9" * (digit_limit_640 + 1)
+    exact = run_caught(capsys, [*argv, option, value, "--json"])
+    joined = run_caught(capsys, [*argv, f"{option}={value}", "--json"])
+    assert exact == joined
+    assert exact[:2] == (2, "") and "invalid int value" in exact[2]

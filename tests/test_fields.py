@@ -180,6 +180,24 @@ def test_guard_writes_a_power_far_past_the_budget_unformed(monkeypatch):
         enum_guard(3, 201)
 
 
+def test_guard_writes_a_size_past_the_digit_limit_by_its_bit_length(
+        monkeypatch, digit_limit_640):
+    # a size whose base has more digits than the interpreter prints is
+    # written as 2^b or more, b = exponent * (bit length of the base - 1):
+    # at the refusal after the power is formed, and at the one before
+    budget = 10 ** 639  # 640 digits, the most the lowered limit prints
+    monkeypatch.setenv("WARING_MAX_ENUM", str(budget))
+    with pytest.raises(EnumerationTooLargeError,
+                       match=rf"^enumeration of size 2\^2142 or more "
+                             rf"exceeds guard {budget}$"):
+        enum_guard(10 ** 645)
+    monkeypatch.delenv("WARING_MAX_ENUM")
+    with pytest.raises(EnumerationTooLargeError,
+                       match=r"^enumeration of size 2\^4284 or more "
+                             r"exceeds guard 100000000$"):
+        enum_guard(10 ** 645, 2)
+
+
 def test_root_map_guard_is_asked_once_per_build(monkeypatch):
     F = make_field(101)
     kth_root_map.cache_clear()

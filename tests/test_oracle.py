@@ -20,7 +20,6 @@ from triwaring.errors import (
     SizeMismatchError,
 )
 from triwaring import oracle
-from triwaring.canonical import ConjugationWitness
 from triwaring.claims import negative_checks
 from triwaring.fields import FieldSpec, kth_root_map, make_field
 from triwaring.power_sums import _matchable
@@ -266,6 +265,23 @@ def test_bn_guard():
     assert conjugacy_work(make_field(2), 29) <= 10 ** 8
 
 
+def test_bn_guard_refuses_a_size_past_the_digit_limit(monkeypatch,
+                                                     digit_limit_640):
+    # T_600(F_13) counts about 2^2168 steps, 653 digits: the refusal
+    # writes them by bit length instead of failing to print them
+    monkeypatch.delenv("WARING_MAX_ENUM", raising=False)
+    F = make_field(13)
+    A = zero(F, 600)
+    work = conjugacy_work(F, 600)
+    assert work.bit_length() == 2169
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLargeError,
+                       match=r"^enumeration of size 2\^2168 or more exceeds "
+                             r"guard 100000000$"):
+        bn_conjugate(F, A, A)
+    assert time.perf_counter() - start < 0.01
+
+
 def test_image_guard_refuses_a_huge_image_without_forming_its_size(
         monkeypatch):
     # q^(n(n+1)/2) past the budget by orders of magnitude is written as
@@ -330,7 +346,8 @@ def test_bn_conjugate_newly_admitted_shapes(p, n):
         P = random_matrix(F, n, rng, [rng.randrange(1, p) for _ in range(n)])
         B = mat_mul(mat_mul(mat_inv(P), A), P)
         S = bn_conjugate(F, A, B)
-        assert S is not None and ConjugationWitness(S, A, B).verify()
+        assert S is not None and all(S.diagonal())
+        assert mat_mul(A, S) == mat_mul(S, B)
         assert bn_conjugate(F, A, A) == diag(F, [1] * n)
 
 
@@ -825,8 +842,9 @@ def test_min_waring_matches_report_cold_and_warm(p, m, n):
 @pytest.mark.parametrize("p, m, n", [(7, 1, 2), (5, 1, 3), (2, 2, 3)])
 @pytest.mark.parametrize("k", [2, 3])
 def test_distinct_kth_power_diagonal_is_a_kth_power(p, m, n, k):
-    # C = S diag(d) S^-1 (diagonalize_distinct) and diag(d) = diag(a)^k,
-    # so C = (S diag(a) S^-1)^k
+    # a distinct diagonal d makes C = S diag(d) S^-1 for S a product of
+    # transvections I + s E_lr, and diag(d) = diag(a)^k, so
+    # C = (S diag(a) S^-1)^k
     F = make_field(p, m)
     powers = all_kth_powers(F, n, k)
     strict = n * (n - 1) // 2
@@ -840,6 +858,23 @@ def test_distinct_kth_power_diagonal_is_a_kth_power(p, m, n, k):
             count += 1
     # k = 3 over F_4: the cubes are 0 and 1, too few for three positions
     assert count or (F.q, n, k) == (4, 3, 3)
+
+
+@pytest.mark.parametrize("q, k, cap, past", [
+    (3, 2, 2, True), (7, 2, 2, True), (11, 2, 2, True), (19, 2, 2, True),
+    (5, 2, 2, False), (13, 2, 2, False), (29, 4, 3, True)])
+def test_past_the_cap_in_t2_are_exactly_the_multiples_of_e12(q, k, cap,
+                                                             past):
+    # where 0 is a sum of `cap` k-th powers only trivially (-1 not a square
+    # for q = 3 mod 4; x^4 + y^4 + z^4 = 0 over F_29), every part of c E_12
+    # is strictly upper, so its k-th power is 0: no c E_12 is a sum of
+    # `cap` powers. The oracle finds nothing else past the cap, and
+    # nothing at all for q = 1 mod 4 with k = 2
+    F = make_field(q)
+    report = waring_report(F, 2, k, cap)
+    found = {M for M, v in report.per_matrix_min.items() if v is None}
+    assert found == ({UTMatrix(F, 2, (0, c, 0)) for c in range(1, q)}
+                     if past else set())
 
 
 def test_cold_min_three_queries_build_no_layer():
