@@ -49,6 +49,7 @@ _Q = ("--q", "q", str, "store", True, None, None,
 _JSON = ("--json", "json", None, "store_true", False, False, None, None)
 _K = ("--k", "k", int, "store", True, None, None, None)
 _N = ("--n", "n", int, "store", False, None, None, None)
+_LAMBDA = ("--lambda", "lam", int, "store", True, None, None, None)
 _MATRIX = ("--matrix", "matrix", str, "append", True, None, None, None)
 
 
@@ -230,8 +231,6 @@ def _cmd_table(F, args):
 def _cmd_oracle(F, args):
     from . import oracle
     from .tri_matrix import to_text
-    if args.cap < 1:
-        raise _UsageError("--cap must be at least 1")
     if args.matrix:
         C = _single_matrix(F, args)
         if args.n is not None and args.n != C.n:
@@ -318,13 +317,10 @@ def _cmd_conjugate(F, args):
 _COMMANDS = {
     "field": (_cmd_field, "describe a field", (_Q, _JSON)),
     "solve": (_cmd_solve, "classify solutions of x^k + y^k = lambda",
-              (_Q, _JSON, _K,
-               ("--lambda", "lam", int, "store", True, None, None, None))),
+              (_Q, _JSON, _K, _LAMBDA)),
     "classify": (_cmd_classify,
                  "full solution partition of x^k + y^k = lambda",
-                 (_Q, _JSON, _K,
-                  ("--lambda", "lam", int, "store", True, None, None,
-                   None))),
+                 (_Q, _JSON, _K, _LAMBDA)),
     "decompose": (_cmd_decompose,
                   "write a matrix as a sum of 2 or 3 k-th powers",
                   (_Q, _JSON, _K,
@@ -376,7 +372,7 @@ def _run(argv) -> int:
         args = _build_parser()[0].parse_args(argv)
     out = sys.stdout
     try:
-        for name in ("k", "m", "n"):
+        for name in ("k", "m", "n", "cap"):
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise _UsageError(f"--{name} must be at least 1")

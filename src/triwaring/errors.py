@@ -34,7 +34,11 @@ class InsufficientClassesError(TriwaringError):
 
     This is an algorithm failure, not a proof that no decomposition exists;
     the sufficiency threshold q > 4 n^2 k^16 is far beyond desk scale, so
-    small fields legitimately run out of classes.
+    small fields legitimately run out of classes. The README's "Two and
+    three powers" facts say more at small q: no c E_12, c != 0, is a sum
+    of two k-th powers when -1 is not a k-th power, and for p not
+    dividing k every matrix is a sum of three exactly when
+    F_q = P* + P + P, P the k-th powers and P* the nonzero ones.
     """
 
     def __init__(self, message: str, lam: int | None = None,

@@ -92,37 +92,6 @@ def _check_image(F: FieldSpec, n: int, k: int) -> None:
     enum_guard(F.q, n * (n + 1) // 2)
 
 
-def _power_image(F: FieldSpec, n: int, k: int
-                 ) -> dict[tuple[Element, ...], tuple[Element, ...]]:
-    """The engine's image as packed entries, unchecked (`_check_image`).
-
-    Built by a walk over the first-row split A = [[a, b], [0, A']], with a
-    in F, b in F^(n-1) and A' in T_(n-1):
-        A^k = [[a^k, b M], [0, A'^k]],  M = sum_(j<k) a^(k-1-j) A'^j,
-    by induction on k: the (1,2) block of A^(k+1) = A^k A is
-    a^k b + (b M) A' = b (a^k I + M A'), and a^k I + M A' is the M of
-    k + 1. Each (a, A') pair costs one M, O(n^3 log k), and A'^k comes
-    from the same walk one size down (`_power_walk`); each matrix walked
-    then costs one product b M and one dict check. The walk runs over a
-    slowest, then b, then A' fastest, each by increasing packed entries:
-    `iter_matrices` order, so the first root of every power is the one a
-    plain enumeration finds.
-
-    Blocks that can only repeat a power are skipped: once a is walked,
-    every (a^k, A'^k) of a block with M invertible is recorded, and at
-    each later a_2 with a_2^k = a^k the blocks (a_2, A'') with
-    (a_2^k, A''^k) recorded are dropped before their M is formed. Proof:
-    M is upper triangular with diagonal pdq(a, a'_ii), and when it is
-    invertible b -> b M is onto F^(n-1), so every power [[a^k, r],
-    [0, A'^k]] already has its first root, at a. The keys, first roots
-    and insertion order are those of the full walk. Where x -> x^k is
-    injective no a^k has a second root, and nothing is recorded."""
-    first: dict[tuple[Element, ...], tuple[Element, ...]] = {}
-    for A, P in _power_walk(F, n, k, every=False):
-        first.setdefault(P, A)
-    return first
-
-
 def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
     """The sums of x_u y_v over each entry's (u, v) in `terms`
     (`_product_terms`)."""
@@ -137,9 +106,29 @@ def _combine(x, y, terms, add, mul) -> tuple[Element, ...]:
 
 def _power_walk(F: FieldSpec, n: int, k: int, every: bool = True):
     """(A, A^k) as packed entries for every A in T_n(F_q), in
-    `iter_matrices` order, by the split of `_power_image`; with
-    `every=False`, without the blocks (a, A') whose powers an earlier a
-    already gave (`_power_image`).
+    `iter_matrices` order; with `every=False`, without the blocks (a, A')
+    whose powers an earlier a already gave.
+
+    The walk splits off the first row, A = [[a, b], [0, A']], with a in F,
+    b in F^(n-1) and A' in T_(n-1):
+        A^k = [[a^k, b M], [0, A'^k]],  M = sum_(j<k) a^(k-1-j) A'^j,
+    by induction on k: the (1,2) block of A^(k+1) = A^k A is
+    a^k b + (b M) A' = b (a^k I + M A'), and a^k I + M A' is the M of
+    k + 1. Each (a, A') pair costs one M, O(n^3 log k); each matrix
+    walked then costs one product b M. The walk runs over a slowest, then
+    b, then A' fastest, each by increasing packed entries: `iter_matrices`
+    order, so the first root of every power is the one a plain
+    enumeration finds.
+
+    Blocks that can only repeat a power are skipped: once a is walked,
+    every (a^k, A'^k) of a block with M invertible is recorded, and at
+    each later a_2 with a_2^k = a^k the blocks (a_2, A'') with
+    (a_2^k, A''^k) recorded are dropped before their M is formed. Proof:
+    M is upper triangular with diagonal pdq(a, a'_ii), and when it is
+    invertible b -> b M is onto F^(n-1), so every power [[a^k, r],
+    [0, A'^k]] already has its first root, at a. The keys, first roots
+    and insertion order are those of the full walk. Where x -> x^k is
+    injective no a^k has a second root, and nothing is recorded.
 
     The pairs (A', A'^k) come from the same walk one size down, kept as a
     list, and T_1 (or T_0) ends it. a^k comes from the root map, sums and
@@ -218,7 +207,7 @@ class _SumsetLayers:
     P^s = P^(s-1) + P^1.
 
     `roots` maps each power of P^1, as packed entries, to its first root
-    in `_power_image` order. No P^s, s >= 2, is built: `min_count`
+    in `_power_walk` order. No P^s, s >= 2, is built: `min_count`
     decides "is C in P^s?" from the diagonal of C, by two exact facts, and
     by a search of C - P over the powers P only where both are silent;
     `witness` descends from P^s to P^1. Differences read the sub table the
@@ -226,7 +215,9 @@ class _SumsetLayers:
 
     def __init__(self, F: FieldSpec, n: int, k: int):
         self.field, self.k = F, k
-        self.roots = _power_image(F, n, k)
+        self.roots: dict[tuple[Element, ...], tuple[Element, ...]] = {}
+        for A, P in _power_walk(F, n, k, every=False):
+            self.roots.setdefault(P, A)
         self._table = _field_tables(F)[1] if n >= 2 else None  # x - y
         self._diag_at = _diagonal_at(n)
         # memos keyed by diagonal or matrix, and summand count

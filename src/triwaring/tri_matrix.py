@@ -152,7 +152,8 @@ def zero(F: FieldSpec, n: int) -> UTMatrix:
 
 
 def identity(F: FieldSpec, n: int) -> UTMatrix:
-    return zero(F, n).with_entries({(i, i): 1 for i in range(1, n + 1)})
+    # zero names a negative size, which (1,) * n would read as 0
+    return diag(F, (1,) * n) if n >= 0 else zero(F, n)
 
 
 def diag(F: FieldSpec, values) -> UTMatrix:

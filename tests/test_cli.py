@@ -406,6 +406,9 @@ def test_table_comma_grammar_requires_n(capsys):
      "--cap must be at least 1"),
     (["oracle", "--q", "3", "--k", "2", "--n", "2", "--cap", "0"],
      "--cap must be at least 1"),
+    # bounds come before the field: q = 4 would fail as NotPrimeError
+    (["oracle", "--q", "4", "--k", "2", "--n", "2", "--cap", "0"],
+     "--cap must be at least 1"),
     (["solve", "--q", "7", "--k", "0", "--lambda", "1"],
      "--k must be at least 1"),
     (["classify", "--q", "7", "--k", "0", "--lambda", "1"],

@@ -21,8 +21,9 @@ from triwaring.errors import (
 )
 from triwaring import oracle
 from triwaring.claims import negative_checks
-from triwaring.fields import FieldSpec, kth_root_map, make_field
-from triwaring.power_sums import _matchable
+from triwaring.fields import (FieldSpec, kth_root_map, make_field,
+                              minus_one_is_kth_power)
+from triwaring.power_sums import _matchable, in_power_sums
 from triwaring.oracle import (
     all_kth_powers,
     bn_conjugate,
@@ -101,7 +102,7 @@ def test_image_skips_blocks_an_earlier_root_gave(q, k, monkeypatch):
             yield pair
 
     monkeypatch.setattr(oracle, "_power_walk", counted)
-    image = oracle._power_image(F, 2, k)
+    image = oracle._SumsetLayers(F, 2, k).roots
     if k == 2:
         assert walked[2] < q ** 3
     else:
@@ -877,6 +878,47 @@ def test_past_the_cap_in_t2_are_exactly_the_multiples_of_e12(q, k, cap,
                      if past else set())
 
 
+def two_power_certificate(F, n, k):
+    """A predicate on packed entries: True where C is certified no sum of
+    two k-th powers. Either some c_ii is outside W_2, as the diagonal map
+    is a homomorphism; or -1 is not a k-th power, so a^k + b^k = 0 forces
+    a = b = 0, and a run i..j of zero diagonal entries holds a nonzero
+    c_rs, i <= r < s <= j, with s - r < k: the block [i..j] of each part
+    is strictly upper, and its k-th power is 0 on superdiagonals 1..k-1."""
+    at = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)].index
+    diagonal = [at((i, i)) for i in range(1, n + 1)]
+    two = {v for v in F.elements() if in_power_sums(F, k, 2)(v)}
+    # each close entry, with the diagonal entries its run must hold
+    close = [] if minus_one_is_kth_power(F, k) else [
+        (at((r, s)), diagonal[r - 1:s])
+        for r in range(1, n + 1) for s in range(r + 1, min(n, r + k - 1) + 1)]
+
+    def certified(c):
+        return (not all([c[t] in two for t in diagonal])
+                or any(c[t] and not any([c[i] for i in run])
+                       for t, run in close))
+    return certified
+
+
+@pytest.mark.parametrize("q, k, failures, certified", [
+    (3, 2, 96, 96), (7, 2, 3864, 3864), (7, 3, 74774, 74774),
+    (5, 4, 12874, 12774)])
+def test_two_power_certificate_against_the_oracle_on_t3(q, k, failures,
+                                                        certified):
+    # the certificate is sound, and exact but for T_3(F_5), k = 4: there
+    # diag(0, 1, 0) + E_13 is no sum of two fourth powers (a part with
+    # a_22^4 = 1 has a_12 = 0, the other (A^4)_13 = a_12 a_23 a_22^2 = 0)
+    F = make_field(q)
+    report = waring_report(F, 3, k, cap=2)
+    past = {M.entries for M, v in report.per_matrix_min.items() if v is None}
+    found = set(filter(two_power_certificate(F, 3, k),
+                       (M.entries for M in report.per_matrix_min)))
+    assert found <= past
+    assert (len(past), len(found)) == (failures, certified)
+    if found != past:
+        assert (0, 0, 1, 1, 0, 0) in past - found
+
+
 def test_cold_min_three_queries_build_no_layer():
     # -1 is not a square mod 11, so b E_12 is no sum of two squares
     F = make_field(11)
@@ -954,7 +996,7 @@ def test_image_reads_no_field_power(monkeypatch):
     for (p, m), n, k in [((5, 1), 3, 3), ((2, 2), 3, 2), ((3, 2), 2, 4)]:
         F = make_field(p, m)
         kth_root_map.cache_clear()  # the root map is built pow-free too
-        image = oracle._power_image(F, n, k)
+        image = oracle._SumsetLayers(F, n, k).roots
         assert calls == [], (F.q, n, k)
         assert image == {P.entries: A.entries for P, A in
                          kth_powers_reference(F, n, k).items()}
@@ -962,9 +1004,14 @@ def test_image_reads_no_field_power(monkeypatch):
 
 def test_all_kth_powers_reads_the_engine_image(F3, monkeypatch):
     builds = []
-    image = oracle._power_image
-    monkeypatch.setattr(oracle, "_power_image",
-                        lambda *a: builds.append(a) or image(*a))
+    walk = oracle._power_walk
+
+    def counted(F, n, k, every=True):
+        if not every:  # the engine's image, not a sub-walk
+            builds.append((F, n, k))
+        return walk(F, n, k, every)
+
+    monkeypatch.setattr(oracle, "_power_walk", counted)
     _fresh_layers()
     assert min_waring_number(F3, from_text(F3, "0,1;0"), 2, 3) == 3
     assert builds == [(F3, 2, 2)]

@@ -814,6 +814,28 @@ def test_diagonal_options_matches_brute_force(all_fields):
         diagonal_options(make_field(7), (1,), 2, 0)
 
 
+def test_three_power_field_criterion_forms_agree(all_fields):
+    # the README's two forms of F_q = P* + P + P: every c has a nonzero
+    # root a with c - a^k in W_2; or W_3 = F_q and 0 = v + w with v in P*
+    # and w in W_2 (a nontrivial zero sum)
+    failing = set()
+    for F in all_fields:
+        for k in range(2, 9):
+            options = diagonal_options(F, tuple(F.elements()), k, 3)
+            by_roots = all(any(a for a, _ in opts) for opts in options)
+            in_w2 = in_power_sums(F, k, 2)
+            by_sums = (all(map(in_power_sums(F, k, 3), F.elements()))
+                       and any(v and in_w2(F.neg(v))
+                               for v in kth_root_map(F, k)))
+            assert by_roots == by_sums, (F.q, k)
+            if not by_roots:
+                failing.add((F.q, k))
+    assert failing == {
+        (4, 3), (4, 6), (5, 4), (5, 8), (7, 6), (8, 7), (9, 4), (9, 8),
+        (11, 5), (13, 6), (16, 5), (17, 8), (19, 6), (25, 6), (25, 8),
+        (29, 4), (29, 7), (29, 8), (31, 6), (41, 8), (43, 7), (49, 8)}
+
+
 def diagonal_roots_reference(F, d, k, s):
     """Reference: the first tuple, in lex order over all of F^n, with every
     d_i - a_i^k a sum of s - 1 k-th powers and every
