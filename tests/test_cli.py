@@ -406,9 +406,6 @@ def test_table_comma_grammar_requires_n(capsys):
      "--cap must be at least 1"),
     (["oracle", "--q", "3", "--k", "2", "--n", "2", "--cap", "0"],
      "--cap must be at least 1"),
-    # bounds come before the field: q = 4 would fail as NotPrimeError
-    (["oracle", "--q", "4", "--k", "2", "--n", "2", "--cap", "0"],
-     "--cap must be at least 1"),
     (["solve", "--q", "7", "--k", "0", "--lambda", "1"],
      "--k must be at least 1"),
     (["classify", "--q", "7", "--k", "0", "--lambda", "1"],
@@ -436,6 +433,9 @@ def test_table_comma_grammar_requires_n(capsys):
      "--cap must be at least 1"),
     (["root", "--q", "7", "--k", "2", "--matrix=1", "--matrix", "2"],
      "exactly one --matrix"),
+    # bounds come before the field: q = 4 would fail as NotPrimeError
+    (["oracle", "--q", "4", "--k", "2", "--n", "2", "--cap", "0"],
+     "--cap must be at least 1"),
 ])
 def test_usage_errors_say_why(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
