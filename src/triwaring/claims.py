@@ -123,8 +123,10 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     the exhaustive scan reorganized (identical N), each a * v counted
     |fiber(v)| times. Each of the m folds adds |K| values to each of q
     sums, K the k-th powers, so the guard counts m q |K| steps, with
-    |K| = (q-1)/gcd(k, q-1) + 1 read before any map is built. The
-    report's `ok` is exact; its `bound` is a float, math.inf where it
+    |K| = (q-1)/gcd(k, q-1) + 1 read before any map is built. A sum has
+    up to m bit_length(q) bits, and each 8192 of them cost about one
+    more step, so the steps are weighted by 1 + m bit_length(q) // 8192.
+    The report's `ok` is exact; its `bound` is a float, math.inf where it
     leaves float range. k < 1 raises ValueError (kth_root_map).
     """
     if m < 1:
@@ -135,7 +137,8 @@ def lang_weil_check(F: FieldSpec, k: int, m: int, alphas) -> LangWeilReport:
     check_elements(F, alphas, "coefficient")
     if any(a == 0 for a in alphas):
         raise ValueError("coefficients must be nonzero")
-    enum_guard(m * F.q * ((F.q - 1) // math.gcd(k, F.q - 1) + 1))
+    enum_guard(m * F.q * ((F.q - 1) // math.gcd(k, F.q - 1) + 1)
+               * (1 + m * F.q.bit_length() // 8192))
     hist = [1] + [0] * (F.q - 1)  # the empty sum is 0
     for a in alphas:
         nxt = [0] * F.q

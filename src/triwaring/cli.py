@@ -259,16 +259,6 @@ def _decimal_digits(n: int) -> int:
     return digits + (n >= 10 ** digits) - (n < 10 ** (digits - 1))
 
 
-def _power_digits(q: int, e: int, limit: int) -> int:
-    """The decimal digits of q^e (q >= 2), as floor(e log10 q) + 1 without
-    forming the power, and exactly from the power where e log10 q is within
-    one of `limit`: so whether they exceed `limit` is decided exactly."""
-    x = e * math.log10(q)
-    if abs(x - limit) > 1:
-        return int(x) + 1
-    return _decimal_digits(q ** e)
-
-
 def _cmd_bound(F, args):
     from . import claims
     # the most digits an int prints with: 0, no limit, also on releases
@@ -281,9 +271,11 @@ def _cmd_bound(F, args):
                 f"{what} {digits} digits, past this interpreter's limit of "
                 f"{limit} for printing an int (sys.get_int_max_str_digits()); "
                 f"PYTHONINTMAXSTRDIGITS=0 lifts it")
-    # q^(m-1) is printed too, so its digits are refused before the fold
-    refuse_past_limit(f"q^(m-1) = {F.q}^{args.m - 1} has",
-                      _power_digits(F.q, args.m - 1, limit))
+    # q^(m-1) has floor(x) + 1 digits, x = (m-1) log10 q: refused before
+    # the fold past rounding, and exactly after it within one of the limit
+    x = (args.m - 1) * math.log10(F.q)
+    if x > limit + 1:
+        refuse_past_limit(f"q^(m-1) = {F.q}^{args.m - 1} has", int(x) + 1)
     rep = claims.lang_weil_check(F, args.k, args.m, [1] * args.m)
     refuse_past_limit("the exact counts have up to",
                       _decimal_digits(max(rep.N, rep.expected)))

@@ -267,7 +267,6 @@ def lex_min_solution(F: FieldSpec, lam: Element, k: int
     none: x is the root of lam's first option at s = 2
     (`diagonal_options`), and y the least root of lam - x^k. lam outside
     [0, q) raises FieldMismatchError."""
-    check_elements(F, (lam,), "lambda")
     (options,) = diagonal_options(F, (lam,), k, 2)
     return next(((x, kth_root_map(F, k)[F.sub(lam, v)][0])
                  for x, v in options), None)

@@ -21,7 +21,6 @@ from triwaring.cli import (
     _build_parser,
     _decimal_digits,
     _parse_exact,
-    _power_digits,
     main,
 )
 from triwaring.fields import make_field
@@ -285,18 +284,33 @@ def test_bound_refuses_before_the_fold(capsys):
         "q^(m-1) = 7^39999 has 33804 digits, past this interpreter's limit")
 
 
-def test_power_digits_exact_at_the_limit():
-    # whether q^e has more digits than the limit is decided exactly on
-    # both sides of it; far from it the count is floor(e log10 q) + 1
-    for q in (2, 3, 7, 9, 13, 125, 961, 10007):
-        for limit in (640, 4300):
-            e0 = int(limit / math.log10(q))
-            for e in range(e0 - 3, e0 + 4):
-                exact = _decimal_digits(q ** e)
-                assert _power_digits(q, e, limit) == exact, (q, e, limit)
-        for e in (1, 10, 100, 1000):
-            assert _power_digits(q, e, 4300) == \
-                _decimal_digits(q ** e)
+def test_bound_print_limit_is_exact_at_the_limit(capsys, monkeypatch,
+                                                 digit_limit_640):
+    # q^(m-1) is refused before the fold only past rounding; within one
+    # digit of the limit the exact counts decide after it, so the call
+    # exits 1 exactly when max(N, q^(m-1)) has more digits than the limit
+    from triwaring import claims
+    folds, check = [], claims.lang_weil_check
+
+    def fold(*args):
+        folds.append(check(*args))
+        return folds[-1]
+    monkeypatch.setattr(claims, "lang_weil_check", fold)
+    for q, k in ((7, 2), (13, 3), (3, 2), (31, 1)):
+        m0 = int(digit_limit_640 / math.log10(q))
+        for m in range(m0 - 2, m0 + 4):
+            folds.clear()
+            code, payload = run_json(capsys, "bound", "--q", str(q), "--k",
+                                     str(k), "--m", str(m), "--json")
+            # no fold ran only where q^(m-1) alone is past the limit
+            N = folds[0].N if folds else 0
+            past = _decimal_digits(max(N, q ** (m - 1))) > digit_limit_640
+            assert code == (1 if past else 0), (q, k, m)
+            if past:
+                assert payload["failure"]["type"] == \
+                    "EnumerationTooLargeError"
+            else:
+                assert (payload["N"], payload["ok"]) == (N, True)
 
 
 def test_classify_past_the_budget_fails_typed(capsys, monkeypatch):

@@ -107,7 +107,8 @@ def conjugacy(p, n):
 
 # Every guarded call, as (name, inputs -> call, work) on a small input,
 # then on the first input the default budget refuses. The unit of each is
-# the steps it takes: matrices walked by the image, m q |K| fold steps,
+# the steps it takes: matrices walked by the image, m q |K| fold steps
+# weighted by 1 + m bit_length(q) // 8192 for the bits of their sums,
 # q^2 k quotient steps, w^3 + w (q-1)^n + 3 q^2 (n >= 2, w = n(n+1)/2)
 # for conjugacy, and the q elements a root map walks.
 GUARDED = [
@@ -118,6 +119,10 @@ GUARDED = [
      lambda: (lang_weil_check, make_field(13), 2, 2, (1, 1)), 182,
      lambda: (lang_weil_check, make_field(7079), 1, 2, (1, 1)),
      2 * 7079 ** 2),
+    ("fold, big integers",
+     lambda: (lang_weil_check, make_field(7), 2, 2731, [1] * 2731), 152_936,
+     lambda: (lang_weil_check, make_field(31), 1, 14_000, [1] * 14_000),
+     121_086_000),
     ("quotient report",
      lambda: (quotient_zero_report, make_field(7), 2), 98,
      lambda: (quotient_zero_report, make_field(7), 2_040_817),

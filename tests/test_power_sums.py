@@ -617,6 +617,61 @@ def test_select_system_pairs_wide():
     assert_distinct_power_solutions(F, 1, got)
 
 
+def first_fit(F, targets, k):
+    """`select_system_pairs`' position order, each position taking its
+    target's first V class whose powers are unused, with no backtracking:
+    the parts, or None at a dead end."""
+    mult = collections.Counter(targets)
+    used_x, used_y, parts = set(), set(), {}
+    for i in sorted(range(len(targets)),
+                    key=lambda i: (-mult[targets[i]], targets[i])):
+        cl = classified(F, targets[i], k)
+        for (sx, sy), (xs, ys) in zip(cl.signatures, cl.fibers):
+            if sx not in used_x and sy not in used_y:
+                used_x.add(sx)
+                used_y.add(sy)
+                parts[i] = AssignmentEntry(targets[i], xs[0], ys[0])
+                break
+        else:
+            return None
+    return tuple(parts[i] for i in range(len(targets)))
+
+
+def test_enough_classes_make_selection_first_fit():
+    # when every target t has r(t) >= 2n - m(t) V classes, m(t) its
+    # multiplicity among the n targets, a placed position blocks at most
+    # two classes of another target and one of its own: first fit never
+    # dead-ends, and it is the selection. The targets are drawn first, and
+    # n and the multiplicities then among those the condition admits
+    rng = random.Random("select/first-fit")
+    cases, widest = 0, 0
+    for pm in PRIME_POWERS_49 + [(1009, 1)]:
+        F = make_field(*pm)
+        for k in range(1, 7):
+            for _ in range(25):
+                pool = rng.sample(range(F.q), rng.randint(1, min(F.q, 4)))
+                r = {t: classified(F, t, k).r for t in pool}
+
+                def least_multiplicity(n):
+                    return {t: max(1, 2 * n - r[t]) for t in pool}
+                fits = [n for n in range(len(pool), min(r.values()) + 1)
+                        if sum(least_multiplicity(n).values()) <= n]
+                if not fits:
+                    continue
+                n = rng.choice(fits)
+                mult = least_multiplicity(n)
+                for t in rng.choices(pool, k=n - sum(mult.values())):
+                    mult[t] += 1
+                targets = [t for t in pool for _ in range(mult[t])]
+                rng.shuffle(targets)
+                got = first_fit(F, targets, k)
+                assert got is not None, (F, targets, k)
+                assert got == select_system_pairs(F, targets, k), \
+                    (F, targets, k)
+                cases, widest = cases + 1, max(widest, n)
+    assert cases > 2000 and widest > 900
+
+
 def test_shift_examples(F7, F13):
     assert shift_to_two_variable(F7, 0, 2) == (1, 6)
     assert shift_to_two_variable(F13, 5, 2) == (0, 5)

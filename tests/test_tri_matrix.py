@@ -24,7 +24,7 @@ from triwaring.fields import (
     kth_roots,
     make_field,
 )
-from triwaring.oracle import all_kth_powers
+from triwaring.oracle import all_kth_powers, iter_matrices
 from triwaring import tri_matrix
 from triwaring.tri_matrix import (
     UTMatrix,
@@ -745,6 +745,31 @@ def test_mat_inv_matches_back_substitution():
                     rng.randrange(1 if i == j else 0, F.q)
                     for i in range(n) for j in range(i, n)))
                 assert mat_inv(A) == inverse_reference(A), (F, A)
+
+
+def test_powers_repeat_with_the_exponent_of_the_algebra():
+    # A^k = A^kappa(k): kappa(k) = k below n, and n + (k - n) mod E from
+    # n on, with E = (q - 1) p^e and p^e the least power of p with
+    # p^e >= n. The nilpotent part is gone by the n-th power, and the
+    # units have exponent E. Neither a proper divisor of E nor index
+    # n - 1 would do
+    for (p, m), n, E in (((5, 1), 2, 20), ((3, 1), 3, 6), ((2, 2), 2, 6),
+                         ((2, 1), 4, 4)):
+        F, pe = make_field(p, m), 1
+        while pe < n:
+            pe *= p
+        assert E == (F.q - 1) * pe
+        periods = {d for d in range(1, E) if E % d == 0}
+        index_needed = False
+        for A in iter_matrices(F, n):
+            powers = [identity(F, n)]
+            for _ in range(n + 2 * E):
+                powers.append(powers[-1] @ A)
+            for k, P in enumerate(powers):
+                assert P == powers[k if k < n else n + (k - n) % E], (A, k)
+            periods -= {d for d in periods if powers[n + d] != powers[n]}
+            index_needed |= powers[n - 1 + E] != powers[n - 1]
+        assert not periods and index_needed, (F, n)
 
 
 @settings(max_examples=200, deadline=None)
