@@ -199,22 +199,21 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
         not a k-th power (n = 2, 3);
     (c) when p | k, beta^k(I + E_12 scaled) has no k-th root in T_2.
 
-    Each asks the oracle's memoised engine of (F, n, k). A check whose
-    algebra is beyond the enumeration guard is reported as not
-    applicable, naming the first size refused; a direct oracle call
-    keeps the guard as a hard error.
+    Each asks `min_waring_number`, so the oracle's memoised engine of
+    (F, n, k). A check whose algebra is beyond the enumeration guard is
+    reported as not applicable, naming the first size refused; a direct
+    oracle call keeps the guard as a hard error.
     """
-    from .oracle import _check_image, _power_layers, min_waring_number
+    from .oracle import _check_image, min_waring_number
     from .tri_matrix import diag, elementary, jordan_block, junction_matrix
     # a WARING_MAX_ENUM that is not an integer fails closed here, where no
     # check can mistake its error for an algebra too large to enumerate
     enum_guard(0)
 
     def junction():
-        engine = _power_layers(F, 4, k)
         j22 = junction_matrix(F, (2, 2))
         split = elementary(F, 4, 1, 2) + elementary(F, 4, 3, 4)
-        return (not any(engine.min_count(C.entries, 1) for C in (j22, split)),
+        return (not any(min_waring_number(F, C, k, 1) for C in (j22, split)),
                 f"E_23 and E_12+E_34 outside the square image of T_4(F_{F.q})")
 
     def jordan():
@@ -225,9 +224,8 @@ def negative_checks(F: FieldSpec, k: int) -> tuple[CheckResult, ...]:
                           for n, m in mins))
 
     def scalar_plus_nilpotent():
-        engine = _power_layers(F, 2, k)
-        return (not any(engine.min_count(
-                    diag(F, [bk, bk]).with_entry(1, 2, alpha).entries, 1)
+        return (not any(min_waring_number(
+                    F, diag(F, [bk, bk]).with_entry(1, 2, alpha), k, 1)
                     for bk in kth_root_map(F, k) if bk
                     for alpha in range(1, F.q)),
                 f"[[b^k, a],[0, b^k]] with a, b nonzero never a {k}-th power")

@@ -222,11 +222,13 @@ class Record:
 
 
 def check_elements(F: FieldSpec, values, what: str = "element") -> None:
-    """FieldMismatchError naming the first of `values` outside [0, q): the
-    one element check, made once by each public function on what it is
-    given. FieldSpec's arithmetic itself trusts its arguments."""
+    """FieldMismatchError naming the first of `values` that is not an int
+    in [0, q): the one element check, made once by each public function on
+    what it is given. FieldSpec's arithmetic itself trusts its arguments."""
     q = F.q
     for v in values:
+        if not isinstance(v, int):
+            raise FieldMismatchError(f"{what} {v!r} is not an integer")
         if not 0 <= v < q:
             raise FieldMismatchError(f"{what} {v} is outside [0, {q})")
 
@@ -236,10 +238,11 @@ class FieldSpec(Record):
 
     `FieldSpec(p, m=1, modulus=None)` checks its arguments before any
     table is built, in this order: p below PRIME_TEST_BOUND
-    (EnumerationTooLargeError) and prime (NotPrimeError); 1 <= m <= 4
-    (DegreeMismatchError); q <= MAX_EXTENSION_Q when m > 1
-    (EnumerationTooLargeError); then a given modulus, reduced mod p, of
-    degree m and monic (DegreeMismatchError) and, when m > 1, irreducible
+    (EnumerationTooLargeError) and a prime int (NotPrimeError); an int m
+    with 1 <= m <= 4 (DegreeMismatchError); q <= MAX_EXTENSION_Q when
+    m > 1 (EnumerationTooLargeError); then a given modulus of int
+    coefficients, reduced mod p, of degree m and monic
+    (DegreeMismatchError) and, when m > 1, irreducible
     (ReducibleModulusError). With modulus omitted, the monic irreducible
     of degree m with the smallest encoding is selected, so the same
     (p, m) names the same field in every run. `make_field` is the bounded
@@ -255,12 +258,15 @@ class FieldSpec(Record):
     __slots__ = ("p", "m", "modulus", "q", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if p >= PRIME_TEST_BOUND:
+        if isinstance(p, int) and p >= PRIME_TEST_BOUND:
             raise EnumerationTooLargeError(
                 f"p = {p} is too large: primality is decided for p < "
                 f"{PRIME_TEST_BOUND} (Miller-Rabin to the bases 2..41)")
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+        if not isinstance(p, int) or not is_prime(p):
+            raise NotPrimeError(f"{p!r} is not prime")
+        if not isinstance(m, int):
+            raise DegreeMismatchError(
+                f"extension degree {m!r} is not an integer")
         if m < 1:
             raise DegreeMismatchError(f"extension degree must be >= 1, got {m}")
         if m > 4:
@@ -272,6 +278,8 @@ class FieldSpec(Record):
         if modulus is None:
             modulus = _default_modulus(p, m)
         else:
+            if not all(isinstance(c, int) for c in modulus):
+                raise DegreeMismatchError("modulus coefficients must be ints")
             # a tuple already reduced mod p is kept as the object given
             reduced = tuple(c % p for c in modulus)
             modulus = modulus if reduced == modulus else reduced
@@ -453,7 +461,9 @@ class FieldSpec(Record):
 
 
 # the fields built, keyed by (p, m, modulus); a refusal is not cached
-_make_field_cached = functools.lru_cache(maxsize=FIELD_CACHE_SIZE)(FieldSpec)
+# typed, so 7.0 never reads the entry of 7
+_make_field_cached = functools.lru_cache(maxsize=FIELD_CACHE_SIZE,
+                                         typed=True)(FieldSpec)
 
 
 def make_field(p: int, m: int = 1, modulus=None) -> FieldSpec:

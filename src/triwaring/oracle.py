@@ -2,12 +2,13 @@
 
 Everything here is exhaustive and guarded: the k-th power image of a whole
 matrix algebra, minimum summand counts, and conjugacy under B_n.
-`min_waring_number`, `waring_report` and `claims.negative_checks` (the
-machine checks of the negative claims, which live with the paper's other
-claim checks) share one memoised engine per (F, n, k), and at most
-LAYER_CACHE_SIZE engines are kept. The engine enumerates the power image P^1 once per process, with a
-first root per power, is its one owner, and answers every count by one
-query, which builds no sumset P^2, P^3, ...: `power_sums.diagonal_options`
+`min_waring_number` and `waring_report` share one memoised engine per
+(F, n, k), and at most LAYER_CACHE_SIZE engines are kept;
+`claims.negative_checks` (the machine checks of the negative claims,
+which live with the paper's other claim checks) asks it through
+`min_waring_number`. The engine enumerates the power image P^1 once per
+process, with a first root per power, is its one owner, and answers
+every count by one query, which builds no sumset P^2, P^3, ...: `power_sums.diagonal_options`
 lists per c_ii the least roots a with c_ii - a^k in W_(s-1), W_s being
 the sums of s k-th powers in F_q. An empty list puts c_ii outside W_s, which holds the
 diagonal of every sum of s powers, and roots from the lists with every
@@ -42,7 +43,7 @@ import itertools
 from .errors import FieldMismatchError, RootMismatchError
 from .fields import (Element, FieldSpec, Record, enum_guard, kth_power_map,
                      kth_root_map)
-from .power_sums import _in_power_sums, diagonal_options, diagonal_roots
+from .power_sums import diagonal_options, diagonal_roots
 from .tri_matrix import (
     UTMatrix,
     _chain,
@@ -287,8 +288,8 @@ class _SumsetLayers:
         comes first (`_diagonal`), and only where it is None does
         `_search` run; it never needs the verdict again, since roots that
         serve a residual's diagonal at r - 1 serve d at r. Where the
-        verdict is False and some d_i is outside W_cap, no r <= cap can
-        succeed, so the count stops there."""
+        verdict is False at r and at cap as well (some d_i is outside
+        W_cap), no r <= cap can succeed, so the count stops there."""
         if c in self.roots:
             return 1
         d = tuple([c[i] for i in self._diag_at])
@@ -296,8 +297,7 @@ class _SumsetLayers:
             verdict, _ = self._diagonal(d, r)
             if verdict or verdict is None and self._search(c, r):
                 return r
-            if verdict is False and not all(
-                    map(_in_power_sums(self.field, self.k, cap), d)):
+            if verdict is False and self._diagonal(d, cap)[0] is False:
                 return None
         return None
 

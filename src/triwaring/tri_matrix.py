@@ -7,8 +7,9 @@ elementary matrices are written in this domain.
 
 A UTMatrix holds elements of F_q by construction: its constructor raises
 FieldMismatchError for an entry outside [0, q). `with_entries`, `from_rows`
-and `diag` reduce the values they are given mod q, `from_text` refuses bad
-text with ParseError, and `backsub_root` checks the root it returns.
+and `diag` reduce the ints they are given mod q and refuse any other value
+with FieldMismatchError, `from_text` refuses bad text with ParseError, and
+`backsub_root` checks the root it returns.
 
 Matrix text format (bit-exact): rows separated by ';', row i listing the
 entries (i,i),(i,i+1),...,(i,n) comma-separated as element encodings, e.g.
@@ -88,7 +89,8 @@ class UTMatrix(Record):
 
     def with_entries(self, values) -> UTMatrix:
         """A copy with the entries at the upper-triangle positions (i, j)
-        of the mapping `values` replaced by their values mod q."""
+        of the mapping `values` replaced by their values mod q, ints only
+        (FieldMismatchError otherwise)."""
         e = list(self.entries)
         q, at = self.field.q, _diagonal_at(self.n)
         for (i, j), value in values.items():
@@ -96,6 +98,7 @@ class UTMatrix(Record):
                 raise IndexOutOfRangeError(
                     f"({i},{j}) not in the upper triangle")
             e[at[i - 1] + j - i] = value % q
+        check_elements(self.field, e, "entry")
         return UTMatrix(self.field, self.n, tuple(e))
 
     def diagonal(self) -> tuple[Element, ...]:
@@ -172,6 +175,7 @@ def from_rows(F: FieldSpec, rows) -> UTMatrix:
         if any(v % F.q != 0 for v in row[:i]):
             raise SizeMismatchError("nonzero entry below the diagonal")
         entries.extend(v % F.q for v in row[i:])
+    check_elements(F, entries, "entry")
     return UTMatrix(F, n, tuple(entries))
 
 
@@ -389,6 +393,7 @@ def backsub_root(C: UTMatrix, k: int, roots=None) -> UTMatrix:
                     f"power in F_{F.q}")
             roots.append(root_map[c][0])
     roots = [v % F.q for v in roots]
+    check_elements(F, roots, "root")
     if len(roots) != n:
         raise SizeMismatchError(f"{len(roots)} diagonal roots for size {n}")
     A = _root_parts(C, k, [roots])[0]

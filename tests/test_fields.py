@@ -89,6 +89,25 @@ def test_make_field_rejects_bad_shapes():
         make_field(2, 5)
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((2.0,), NotPrimeError, "2.0 is not prime"),
+    ((7, 1.0), DegreeMismatchError, "1.0 is not an integer"),
+    ((3, 2, (1.0, 0, 1)), DegreeMismatchError, "must be ints"),
+], ids=["p", "m", "modulus"])
+def test_a_field_of_non_int_arguments_is_refused(args, error, message):
+    # once FieldSpec(2.0) built a field of q = 2.0 whose elements() failed
+    with pytest.raises(error, match=message):
+        FieldSpec(*args)
+
+
+def test_make_field_of_a_float_misses_the_cached_int_field():
+    # the cache is typed: 7.0 once read the entry of F_7 when F_7 was
+    # built first, and built a broken field otherwise
+    assert make_field(7).q == 7
+    with pytest.raises(NotPrimeError, match="7.0 is not prime"):
+        make_field(7.0)
+
+
 def test_make_field_refuses_huge_extension_fields():
     # the first refused prime of each degree, 37^4 = 1,874,161,
     # 101^3 = 1,030,301 and 1009^2 = 1,018,081 elements, and 47^4: refused

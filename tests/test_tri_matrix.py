@@ -17,7 +17,7 @@ from triwaring.errors import (
     SizeMismatchError,
     TriwaringError,
 )
-from triwaring.claims import embed_power, power_diff_quotient
+from triwaring.claims import embed_power, lang_weil_check, power_diff_quotient
 from triwaring.fields import (
     FieldSpec,
     kth_root_map,
@@ -25,6 +25,7 @@ from triwaring.fields import (
     make_field,
 )
 from triwaring.oracle import all_kth_powers, iter_matrices
+from triwaring.power_sums import classified, in_power_sums
 from triwaring import tri_matrix
 from triwaring.tri_matrix import (
     UTMatrix,
@@ -799,6 +800,29 @@ def test_out_of_field_matrices_are_refused_when_built():
     # the builders that take values reduce them mod q
     assert diag(F5, [7, -1]).entries == (2, 0, 4)
     assert from_rows(F5, [[7, 5], [0, -1]]).entries == (2, 0, 4)
+
+
+# a value that is not an int names no element, whatever its size: once
+# these took 2.5, 1.5 or 2.0 as an element of F_7, or failed untyped
+NON_INT_CALLS = {
+    "classified": lambda F: classified(F, 2.5, 2),
+    "power_diff_quotient": lambda F: power_diff_quotient(F, 1.5, 1, 2),
+    "jordan_block": lambda F: jordan_block(F, 1.5, 2),
+    "kth_roots": lambda F: kth_roots(F, 2.0, 2),
+    "lang_weil_check": lambda F: lang_weil_check(F, 2, 2, (1.5, 1)),
+    "in_power_sums": lambda F: in_power_sums(F, 2, 2)(1.5),
+    "with_entries": lambda F: zero(F, 2).with_entries({(1, 2): 2.5}),
+    "with_entry": lambda F: identity(F, 2).with_entry(2, 2, 8.0),
+    "diag": lambda F: diag(F, [1, 9.0]),
+    "from_rows": lambda F: from_rows(F, [[1.5, 2], [0, 3]]),
+    "backsub_root": lambda F: backsub_root(diag(F, [1, 4]), 2, [1.0, 2]),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_CALLS.values(), ids=NON_INT_CALLS)
+def test_a_value_that_is_not_an_int_is_refused(F7, call):
+    with pytest.raises(FieldMismatchError, match="is not an integer"):
+        call(F7)
 
 
 def test_packing_and_get(F7):
